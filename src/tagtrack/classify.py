@@ -74,8 +74,10 @@ def dtw_distance(a, b) -> float:
 def dtw_to_bank(query, bank) -> np.ndarray:
     """DTW of one query against a stack of equal-length series (vectorized).
 
-    Matches dtw_distance element for element; used to batch nearest-neighbor
-    search across a training set.
+    Sweeps the anti-diagonals i + j = k of the DP table, all bank rows at
+    once, keeping three diagonals indexed by query position i.  Every cell
+    is the same cost + min of three as in dtw_distance, so the result equals
+    it exactly; used to batch nearest-neighbor search across a training set.
     """
     q = np.asarray(query, dtype=float)
     bank = np.asarray(bank, dtype=float)
@@ -83,14 +85,22 @@ def dtw_to_bank(query, bank) -> np.ndarray:
         bank = bank[None, :]
     n, lb = bank.shape
     la = q.size
-    cost = np.abs(q[:, None, None] - bank.T[None, :, :]).transpose(0, 2, 1)  # (la, n, lb)
-    d = np.full((la + 1, n, lb + 1), np.inf)
-    d[0, :, 0] = 0.0
-    for i in range(1, la + 1):
-        for j in range(1, lb + 1):
-            best = np.minimum(np.minimum(d[i - 1, :, j], d[i, :, j - 1]), d[i - 1, :, j - 1])
-            d[i, :, j] = cost[i - 1, :, j - 1] + best
-    return d[la, :, lb]
+    if la == 0 or lb == 0:
+        raise ValueError("series must be non-empty")
+    rev = np.ascontiguousarray(bank.T[::-1])      # rev[lb - 1 - j] = bank[:, j]
+    col = q[:, None]
+    # diag[i] holds d[i, k - i]; d[0, 0] = 0 and the rest of row/column 0 is inf
+    older = np.full((la + 1, n), np.inf)          # diagonal k - 2
+    prev = np.full((la + 1, n), np.inf)           # diagonal k - 1
+    cur = np.full((la + 1, n), np.inf)
+    prev[1] = np.abs(q[0] - bank[:, 0])           # diagonal 2: d[1, 1] = cost + d[0, 0]
+    for k in range(3, la + lb + 1):
+        i0, i1 = max(1, k - lb), min(la, k - 1)
+        cost = np.abs(col[i0 - 1:i1] - rev[lb - k + i0:lb - k + i1 + 1])
+        best = np.minimum(np.minimum(prev[i0 - 1:i1], prev[i0:i1 + 1]), older[i0 - 1:i1])
+        np.add(cost, best, out=cur[i0:i1 + 1])
+        older, prev, cur = prev, cur, older
+    return prev[la]
 
 
 def _bundle_distances(train_bundles: list[dict], query_bundle: dict) -> np.ndarray:
@@ -119,12 +129,6 @@ def dtw_1nn_classify(train: LabeledDataset, query_bundle: dict) -> str:
         raise ValueError("training set has no series bundles")
     dists = _bundle_distances(train.bundles, query_bundle)
     return train.labels[int(np.argmin(dists))]
-
-
-def dtw_predict(train_bundles, train_labels, query_bundles) -> list[str]:
-    "Batch 1-NN DTW over queries."
-    ds = LabeledDataset(labels=list(train_labels), bundles=list(train_bundles))
-    return [dtw_1nn_classify(ds, qb) for qb in query_bundles]
 
 
 # --- feature k-NN -----------------------------------------------------------

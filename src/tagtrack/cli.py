@@ -145,7 +145,6 @@ def cmd_estimate(cfg: dict, in_path: Path, out: Path) -> int:
         write_windows(windows_by_tag, out / "windows", meta=_meta(cfg))
     from .music import estimate_aoa
     search = music_search_from(cfg)
-    step = math.radians(cfg["music"]["grid_step_deg"])
     sched = schedule_from(cfg)
     rows = []
     for slot, tag in enumerate(sorted(windows_by_tag), start=1):
@@ -157,7 +156,7 @@ def cmd_estimate(cfg: dict, in_path: Path, out: Path) -> int:
                 src = int(round(w.midpoint_time_s / sched.window_duration_s - 0.5))
                 tx = np.vstack([sched.tx_sequence(src, m, min(slot, 2),
                                                   geo.carrier_freq_hz) for m in (1, 2)])
-            m = estimate_aoa(w, geo, search=search, grid_step=step, tx_sequence=tx)
+            m = estimate_aoa(w, geo, search=search, tx_sequence=tx)
             rows.append([tag, w.window_idx,
                          _fmt(math.degrees(m.theta_hat)) if m.valid else "",
                          _fmt(m.spectrum_peak) if m.valid else "",
@@ -178,7 +177,6 @@ def _track_one(cfg: dict, log_dir: Path, out: Path, label: str | None = None) ->
     log = read_reader_log(log_dir)
     tracks = track_aoa(log, geo, samples_per_window=cfg["windowing"]["samples_per_window"],
                        music_search=music_search_from(cfg),
-                       music_grid_step=math.radians(cfg["music"]["grid_step_deg"]),
                        kalman=kalman_from(cfg))
     payload: dict = {**_meta(cfg), "tags": {}}
     if label is not None:

@@ -53,7 +53,6 @@ DEFAULT_CONFIG: dict = {
     },
     "music": {
         "search_deg": [-18.0, 18.0],
-        "grid_step_deg": 0.1,
     },
     "kalman": {
         "dt": None,
@@ -151,12 +150,9 @@ def validate_config(cfg: dict) -> dict:
         _check(isinstance(w, int) and w >= 4 and w % 2 == 0,
                "windowing.samples_per_window", "must be an even integer >= 4 or null")
 
-    m = cfg["music"]
-    sd = m["search_deg"]
+    sd = cfg["music"]["search_deg"]
     _check(isinstance(sd, list) and len(sd) == 2 and all(_is_num(v) for v in sd)
            and sd[0] < sd[1], "music.search_deg", "must be [lo, hi] with lo < hi")
-    _check(_is_num(m["grid_step_deg"]) and 0 < m["grid_step_deg"] <= 5,
-           "music.grid_step_deg", "must be in (0, 5]")
 
     k = cfg["kalman"]
     if k["dt"] is not None:

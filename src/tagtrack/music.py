@@ -1,13 +1,15 @@
 """Per-window subspace AoA estimation for the two-antenna reader.
 
 The snapshot covariance of a window is eigendecomposed in closed form (2x2
-Hermitian), the eigenvector of the smaller eigenvalue spans the noise
-subspace, and the pseudospectrum 1 / |a(theta)^H u_n|^2 is maximized by a
-coarse grid sweep refined with a golden-section pass.
+Hermitian), and the eigenvector of the smaller eigenvalue spans the noise
+subspace.  With two elements the pseudospectrum 1 / |a(theta)^H u_n|^2 peaks
+where the steering phase equals arg R[1, 0] (root-MUSIC for M = 2, the same
+answer as phase interferometry), so the peak is found in closed form.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -18,9 +20,6 @@ from .preprocess import IQWindow
 
 SPECTRUM_FLOOR = 1e-15
 "Denominator clamp; exact orthogonality would otherwise divide by zero."
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 @dataclass
 class CovEstimate:
@@ -101,22 +100,6 @@ def music_spectrum(theta, noise_vec: np.ndarray, geometry: ArrayGeometry):
     return float(out) if np.isscalar(theta) else out
 
 
-def _golden_max(f, lo: float, hi: float, tol: float) -> float:
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > tol:
-        if fc < fd:
-            lo, c, fc = c, d, fd
-            d = lo + _INVPHI * (hi - lo)
-            fd = f(d)
-        else:
-            hi, d, fd = d, c, fc
-            c = hi - _INVPHI * (hi - lo)
-            fc = f(c)
-    return 0.5 * (lo + hi)
-
-
 def default_search_range(geometry: ArrayGeometry) -> tuple[float, float]:
     "Symmetric search range: +-18 deg, clamped into the unambiguous FOV."
     half = min(math.radians(18.0), unambiguous_fov(geometry))
@@ -125,9 +108,15 @@ def default_search_range(geometry: ArrayGeometry) -> tuple[float, float]:
 
 def estimate_aoa(window: IQWindow, geometry: ArrayGeometry,
                  search: tuple[float, float] | None = None,
-                 grid_step: float = math.radians(0.1),
                  tx_sequence: np.ndarray | None = None) -> AoAMeasurement:
-    """Grid + golden-section peak search of the pseudospectrum.
+    """Closed-form peak of the pseudospectrum within the search range.
+
+    The unconstrained peak is theta = asin(arg R[1, 0] / (4*pi*d/lambda)).
+    The pseudospectrum falls off with the circular distance of the steering
+    phase from arg R[1, 0], so when that angle lies outside ``search`` the
+    maximum over the range sits at one of its endpoints -- not necessarily
+    the nearer one in angle, since the phase wraps -- and the endpoint with
+    the larger pseudospectrum is returned.
 
     ``tx_sequence`` (2 x n) divides out a known non-constant transmit
     sequence before the covariance, the reader knowing its own signal.
@@ -147,15 +136,15 @@ def estimate_aoa(window: IQWindow, geometry: ArrayGeometry,
     if tx_sequence is not None:
         w = IQWindow(window.tag_id, window.window_idx, window.matrix / tx_sequence,
                      window.midpoint_time_s, window.complete)
-    eig = eig2_hermitian(sample_covariance(w))
-    grid = np.arange(lo, hi + 0.5 * grid_step, grid_step)
-    grid[-1] = min(grid[-1], hi)
-    values = music_spectrum(grid, eig.u_n, geometry)
-    k = int(np.argmax(values))
-    b_lo = grid[max(k - 1, 0)]
-    b_hi = grid[min(k + 1, grid.size - 1)]
-    theta = _golden_max(lambda t: music_spectrum(t, eig.u_n, geometry),
-                        float(b_lo), float(b_hi), tol=math.radians(0.002))
+    cov = sample_covariance(w)
+    eig = eig2_hermitian(cov)
+    sin_theta = cmath.phase(cov.matrix[1, 0]) / \
+        (4.0 * math.pi * geometry.element_spacing_m / geometry.wavelength_m)
+    # spacings below lambda/4 can put the phase past sin = +-1: no angle, NaN
+    theta = math.asin(sin_theta) if abs(sin_theta) <= 1.0 else math.nan
+    if not lo <= theta <= hi:
+        ends = music_spectrum(np.array([lo, hi]), eig.u_n, geometry)
+        theta = (lo, hi)[int(np.argmax(ends))]
     return AoAMeasurement(theta_hat=float(theta),
-                          spectrum_peak=music_spectrum(float(theta), eig.u_n, geometry),
+                          spectrum_peak=music_spectrum(theta, eig.u_n, geometry),
                           window_idx=window.window_idx, valid=True)

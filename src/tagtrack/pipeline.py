@@ -15,7 +15,7 @@ import numpy as np
 from .classify import (EvalReport, LabeledDataset, dtw_1nn_classify, evaluate,
                        knn_feature_classify, stratified_split)
 from .features import FEATURE_CONFIGS, featurize_dataset, prepare_channel
-from .geometry import ArrayGeometry
+from .geometry import ArrayGeometry, unambiguous_fov
 from .readerlog import ReaderLog
 from .simulate import (GESTURE_CLASSES, GestureSample, SASSchedule,
                        build_gesture_spec, gesture_scene, simulate_gesture)
@@ -49,7 +49,7 @@ def synthesize_gesture(class_id: str, geometry: ArrayGeometry, schedule: SASSche
                           angle_phase_rad=spec.angle_phase_rad)
     gesture = build_gesture_spec(class_id, rng,
                                  duration_s=spec.windows * schedule.window_duration_s,
-                                 windows=spec.windows)
+                                 windows=spec.windows, fov=unambiguous_fov(geometry))
     return simulate_gesture(gesture, scene, schedule, rng_seed=[*base, 1])
 
 

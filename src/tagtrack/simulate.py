@@ -255,33 +255,54 @@ def _deg(x):
     return math.radians(x)
 
 
+def _class_trajectories(class_id: str, scale: float, off: float) -> tuple[TagTrajectory, ...]:
+    "Trajectory pair of a base class; every angle moves one-for-one with ``off``."
+    if class_id == "SL":
+        return (TagTrajectory("ramp", (off - scale * _deg(12), off + scale * _deg(12))),
+                TagTrajectory("const", (off - _deg(6),)))
+    if class_id == "LAC":
+        return (TagTrajectory("sine", (off - _deg(4), scale * _deg(9), 1.0, -math.pi / 2)),
+                TagTrajectory("const", (off - _deg(8),)))
+    if class_id == "2HLR":
+        return (TagTrajectory("ramp", (off - _deg(3), off - scale * _deg(14))),
+                TagTrajectory("ramp", (off + _deg(3), off + scale * _deg(14))))
+    if class_id == "2HIC":
+        return (TagTrajectory("arc", (off - _deg(11), scale * _deg(9))),
+                TagTrajectory("arc", (off + _deg(11), -scale * _deg(9))))
+    raise ValueError(f"unknown gesture class {class_id!r}")
+
+
+_FOV_MARGIN = 1e-9  # radians a shifted trajectory keeps inside the FOV, against rounding
+
+
 def build_gesture_spec(class_id: str, rng: np.random.Generator,
-                       duration_s: float = 2.0, windows: int = 24) -> GestureSpec:
+                       duration_s: float = 2.0, windows: int = 24,
+                       fov: float | None = None) -> GestureSpec:
     """Draw a jittered trajectory pair for one of the eight gesture classes.
 
     SR, RAC, 2HLD and 2HOC are exact mirrors of SL, LAC, 2HLR and 2HIC; the
     same generator draw is negated so mirrored pairs stay sign-symmetric.
+    With ``fov`` given, a drawn offset that carries the window-sampled
+    trajectory past +-fov is shifted back until it lies just inside; specs
+    already inside are unchanged, and no extra draw is made.
     """
     mirrors = {"SR": "SL", "RAC": "LAC", "2HLD": "2HLR", "2HOC": "2HIC"}
     if class_id in mirrors:
-        return build_gesture_spec(mirrors[class_id], rng, duration_s, windows).mirrored(class_id)
+        return build_gesture_spec(mirrors[class_id], rng, duration_s, windows,
+                                  fov).mirrored(class_id)
     scale = rng.uniform(0.9, 1.1)
     off = _deg(rng.normal(0.0, 1.0))
-    if class_id == "SL":
-        traj = (TagTrajectory("ramp", (off - scale * _deg(12), off + scale * _deg(12))),
-                TagTrajectory("const", (off - _deg(6),)))
-    elif class_id == "LAC":
-        traj = (TagTrajectory("sine", (off - _deg(4), scale * _deg(9), 1.0, -math.pi / 2)),
-                TagTrajectory("const", (off - _deg(8),)))
-    elif class_id == "2HLR":
-        traj = (TagTrajectory("ramp", (off - _deg(3), off - scale * _deg(14))),
-                TagTrajectory("ramp", (off + _deg(3), off + scale * _deg(14))))
-    elif class_id == "2HIC":
-        traj = (TagTrajectory("arc", (off - _deg(11), scale * _deg(9))),
-                TagTrajectory("arc", (off + _deg(11), -scale * _deg(9))))
+    spec = GestureSpec(class_id, _class_trajectories(class_id, scale, off), duration_s, windows)
+    if fov is None:
+        return spec
+    series = np.concatenate([gesture_trajectory(spec, i) for i in range(len(spec.trajectories))])
+    if series.max() > fov:
+        off -= series.max() - fov + _FOV_MARGIN
+    elif series.min() < -fov:
+        off += -fov - series.min() + _FOV_MARGIN
     else:
-        raise ValueError(f"unknown gesture class {class_id!r}")
-    return GestureSpec(class_id, traj, duration_s, windows)
+        return spec
+    return GestureSpec(class_id, _class_trajectories(class_id, scale, off), duration_s, windows)
 
 
 GESTURE_CLASSES = ("SL", "SR", "LAC", "RAC", "2HLR", "2HLD", "2HIC", "2HOC")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -64,6 +64,11 @@ H = np.array([1.0, 0.0])
 
 def _sym(p: np.ndarray) -> np.ndarray:
     return 0.5 * (p + p.T)
+
+
+def _flat(a: np.ndarray) -> memoryview:
+    "Flat float view of a C-contiguous array: element access without numpy scalars."
+    return memoryview(a.reshape(-1))
 
 
 def predict(state: np.ndarray, cov: np.ndarray, cfg: KalmanConfig):
@@ -122,7 +127,10 @@ def filter_sequence(z: np.ndarray, cfg: KalmanConfig,
     """Forward Kalman pass over a measurement sequence with gaps.
 
     ``z`` entries that are NaN (or masked out by ``valid``) skip the update:
-    the posterior and its covariance are the prior, unchanged.
+    the posterior and its covariance are the prior, unchanged.  The
+    recursion is that of ``predict`` and ``update``, written out on Python
+    floats because per-step 2x2 array operations cost more than the
+    arithmetic.
     """
     z = np.asarray(z, dtype=float)
     if z.ndim != 1 or z.size == 0:
@@ -130,9 +138,7 @@ def filter_sequence(z: np.ndarray, cfg: KalmanConfig,
     valid = np.isfinite(z) if valid is None else np.asarray(valid, bool) & np.isfinite(z)
     T = z.size
     if cfg.dt is None:
-        cfg = KalmanConfig(dt=1.0, sigma_theta=cfg.sigma_theta, sigma_omega=cfg.sigma_omega,
-                           sigma_v=cfg.sigma_v, x0=cfg.x0, p0=cfg.p0,
-                           seed_rate_from_first_two=cfg.seed_rate_from_first_two)
+        cfg = replace(cfg, dt=1.0)
     x0 = cfg.x0
     if x0 is None:
         idx = np.nonzero(valid)[0]
@@ -141,18 +147,36 @@ def filter_sequence(z: np.ndarray, cfg: KalmanConfig,
         if cfg.seed_rate_from_first_two and idx.size >= 2:
             rate0 = (z[idx[1]] - z[idx[0]]) / ((idx[1] - idx[0]) * cfg.dt)
         x0 = np.array([theta0, rate0])
-    state, cov = np.asarray(x0, float), np.asarray(cfg.p0, float)
-    priors = np.empty((T, 2))
-    prior_covs = np.empty((T, 2, 2))
-    posts = np.empty((T, 2))
-    post_covs = np.empty((T, 2, 2))
-    gains = np.full((T, 2), np.nan)
-    for t in range(T):
-        state, cov = predict(state, cov, cfg)
-        priors[t], prior_covs[t] = state, cov
-        if valid[t]:
-            state, cov, gains[t] = update(state, cov, z[t], cfg)
-        posts[t], post_covs[t] = state, cov
+    dt, r = cfg.dt, cfg.sigma_v ** 2
+    q0, q1 = cfg.sigma_theta ** 2, cfg.sigma_omega ** 2
+    x, v = np.asarray(x0, float).tolist()
+    (p00, p01), (p10, p11) = np.asarray(cfg.p0, float).tolist()
+    priors, posts, gains = np.empty((T, 2)), np.empty((T, 2)), np.full((T, 2), np.nan)
+    prior_covs, post_covs = np.empty((T, 2, 2)), np.empty((T, 2, 2))
+    pr, pc, po, poc, ga = map(_flat, (priors, prior_covs, posts, post_covs, gains))
+    for t, (zt, ok) in enumerate(zip(z.tolist(), valid.tolist())):
+        # predict: F x, sym(F P F^T + Q)
+        x = x + dt * v
+        p00 = p00 + dt * p10 + (p01 + dt * p11) * dt + q0
+        p01 = p10 = 0.5 * ((p01 + dt * p11) + (p10 + p11 * dt))
+        p11 = p11 + q1
+        i, j = 2 * t, 4 * t
+        pr[i], pr[i + 1] = x, v
+        pc[j], pc[j + 1], pc[j + 2], pc[j + 3] = p00, p01, p10, p11
+        if ok:
+            # update: K = P H / s, x + K (z - H x), sym((I - K H^T) P)
+            s = p00 + r
+            if s <= 0:
+                raise FloatingPointError("innovation variance is not positive")
+            g0, g1 = p00 / s, p10 / s
+            innov = zt - x
+            x, v = x + g0 * innov, v + g1 * innov
+            p00, p01, p10, p11 = ((1.0 - g0) * p00, (1.0 - g0) * p01,
+                                  -g1 * p00 + p10, -g1 * p01 + p11)
+            p01 = p10 = 0.5 * (p01 + p10)
+            ga[i], ga[i + 1] = g0, g1
+        po[i], po[i + 1] = x, v
+        poc[j], poc[j + 1], poc[j + 2], poc[j + 3] = p00, p01, p10, p11
     return AoATrack(z=z, valid=valid, priors=priors, prior_covs=prior_covs,
                     posts=posts, post_covs=post_covs, gains=gains,
                     low_confidence=not valid.any(), dt=cfg.dt)
@@ -162,42 +186,54 @@ def rts_smooth(track: AoATrack, cfg: KalmanConfig) -> AoATrack:
     """Backward smoothing pass; fills the smoothed fields of the track.
 
     A singular next-step prior covariance gets 1e-12 diagonal loading
-    (logged) before inversion.
+    (logged) before inversion.  Like ``filter_sequence`` it runs the 2x2
+    algebra on Python floats, with the closed-form 2x2 inverse.
     """
     T = track.n_windows
-    f = cfg.f_matrix if cfg.dt is not None else KalmanConfig(dt=track.dt or 1.0).f_matrix
-    xs = track.posts.copy()
-    ps = track.post_covs.copy()
-    gs = np.zeros((max(T - 1, 0), 2, 2))
+    dt = cfg.dt if cfg.dt is not None else (track.dt or 1.0)
+    xs, ps = track.posts.copy(), track.post_covs.copy()
+    gs = np.empty((max(T - 1, 0), 2, 2))
+    pr, pc, po, poc = map(_flat, (track.priors, track.prior_covs, track.posts, track.post_covs))
+    xo, so, go = map(_flat, (xs, ps, gs))
+    i, j = 2 * (T - 1), 4 * (T - 1)
+    x, v = po[i], po[i + 1]
+    s00, s01, s10, s11 = poc[j], poc[j + 1], poc[j + 2], poc[j + 3]
     for t in range(T - 2, -1, -1):
-        p_pred = track.prior_covs[t + 1]
-        det = p_pred[0, 0] * p_pred[1, 1] - p_pred[0, 1] * p_pred[1, 0]
-        if not np.isfinite(det) or abs(det) < 1e-300:
+        i, j = 2 * t, 4 * t
+        a00, a01, a10, a11 = pc[j + 4], pc[j + 5], pc[j + 6], pc[j + 7]  # P_{t+1|t}
+        b00, b11 = a00, a11
+        det = a00 * a11 - a01 * a10
+        if not math.isfinite(det) or abs(det) < 1e-300:
             logger.warning("singular prior covariance at window %d; loading diagonal", t + 1)
-            p_pred = p_pred + 1e-12 * np.eye(2)
-        g = track.post_covs[t] @ f.T @ np.linalg.inv(p_pred)
-        gs[t] = g
-        xs[t] = track.posts[t] + g @ (xs[t + 1] - track.priors[t + 1])
-        ps[t] = _sym(track.post_covs[t] + g @ (ps[t + 1] - track.prior_covs[t + 1]) @ g.T)
+            b00, b11 = a00 + 1e-12, a11 + 1e-12
+            det = b00 * b11 - a01 * a10
+        i00, i01, i10, i11 = b11 / det, -a01 / det, -a10 / det, b00 / det
+        # G = P_t F^T P_{t+1|t}^-1
+        c00, c01, c10, c11 = poc[j], poc[j + 1], poc[j + 2], poc[j + 3]
+        f00, f10 = c00 + c01 * dt, c10 + c11 * dt
+        g00, g01 = f00 * i00 + c01 * i10, f00 * i01 + c01 * i11
+        g10, g11 = f10 * i00 + c11 * i10, f10 * i01 + c11 * i11
+        dx, dv = x - pr[i + 2], v - pr[i + 3]
+        x, v = po[i] + (g00 * dx + g01 * dv), po[i + 1] + (g10 * dx + g11 * dv)
+        # P_t + G (P^s_{t+1} - P_{t+1|t}) G^T, symmetrized
+        m00, m01, m10, m11 = s00 - a00, s01 - a01, s10 - a10, s11 - a11
+        h00, h01 = g00 * m00 + g01 * m10, g00 * m01 + g01 * m11
+        h10, h11 = g10 * m00 + g11 * m10, g10 * m01 + g11 * m11
+        s00 = c00 + (h00 * g00 + h01 * g01)
+        s11 = c11 + (h10 * g10 + h11 * g11)
+        s01 = s10 = 0.5 * ((c01 + (h00 * g10 + h01 * g11)) + (c10 + (h10 * g00 + h11 * g01)))
+        xo[i], xo[i + 1] = x, v
+        so[j], so[j + 1], so[j + 2], so[j + 3] = s00, s01, s10, s11
+        go[j], go[j + 1], go[j + 2], go[j + 3] = g00, g01, g10, g11
     track.smoothed = xs
     track.smoothed_covs = ps
     track.smoother_gains = gs
     return track
 
 
-@dataclass
-class TrackingResult:
-    """Per-tag track plus the slot grid it lives on."""
-
-    track: AoATrack
-    slots: list[int]
-    dt: float
-
-
 def track_aoa(log: ReaderLog, geometry: ArrayGeometry,
               samples_per_window: int | None = None,
               music_search: tuple[float, float] | None = None,
-              music_grid_step: float = math.radians(0.1),
               kalman: KalmanConfig | None = None) -> dict[str, AoATrack]:
     """Full per-tag chain: split, prune, window, measure, filter, smooth.
 
@@ -222,15 +258,12 @@ def track_aoa(log: ReaderLog, geometry: ArrayGeometry,
         z = np.full(T, np.nan)
         mids = np.full(T, np.nan)
         for w, slot in zip(windows, slots):
-            meas = estimate_aoa(w, geometry, search=music_search, grid_step=music_grid_step)
+            meas = estimate_aoa(w, geometry, search=music_search)
             if meas.valid:
                 z[slot] = meas.theta_hat
             mids[slot] = w.midpoint_time_s
         base = kalman or KalmanConfig()
-        cfg = KalmanConfig(dt=base.dt if base.dt is not None else (dt if dt > 0 else 1.0),
-                           sigma_theta=base.sigma_theta, sigma_omega=base.sigma_omega,
-                           sigma_v=base.sigma_v, x0=base.x0, p0=base.p0,
-                           seed_rate_from_first_two=base.seed_rate_from_first_two)
+        cfg = replace(base, dt=base.dt if base.dt is not None else (dt if dt > 0 else 1.0))
         track = rts_smooth(filter_sequence(z, cfg), cfg)
         if np.isnan(mids).any() and np.isfinite(mids).any():
             first = np.nanmin(mids)

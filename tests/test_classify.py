@@ -59,6 +59,8 @@ class TestDtwDistance:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             dtw_distance([], [1.0])
+        with pytest.raises(ValueError):
+            dtw_to_bank([], [[1.0]])
 
     def test_bank_matches_scalar(self):
         rng = np.random.default_rng(2)
@@ -66,7 +68,16 @@ class TestDtwDistance:
         bank = rng.normal(size=(20, 11))
         batch = dtw_to_bank(q, bank)
         ref = [dtw_distance(q, row) for row in bank]
-        np.testing.assert_allclose(batch, ref, rtol=1e-12)
+        assert np.array_equal(batch, ref)
+
+    def test_bank_matches_scalar_edge_cases(self):
+        # unequal and length-1 series; small integers make many tied minima
+        rng = np.random.default_rng(4)
+        for la, lb in [(1, 1), (1, 9), (9, 1), (3, 17), (17, 3), (24, 24)]:
+            for values in (rng.normal(size=la + 6 * lb), rng.integers(0, 3, la + 6 * lb)):
+                q, bank = values[:la], values[la:].reshape(6, lb)
+                batch = dtw_to_bank(q, bank)
+                assert np.array_equal(batch, [dtw_distance(q, row) for row in bank])
 
 
 class TestDtw1NN:

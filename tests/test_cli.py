@@ -39,8 +39,6 @@ class TestConfig:
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError, match="snr_db"):
             load_config(overrides=["scene.snr_db=\"loud\""])
-        with pytest.raises(ConfigError, match="grid_step_deg"):
-            load_config(overrides=["music.grid_step_deg=-1"])
         with pytest.raises(ConfigError, match="classify.k"):
             load_config(overrides=["classify.k=4"])
 

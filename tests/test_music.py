@@ -181,8 +181,8 @@ class TestEstimateAoA:
             estimate_aoa(w, GEO, search=(-1.0, 1.0))  # outside the FOV
 
     def test_brute_force_oracle(self):
-        # golden-section refinement agrees with an exhaustive 0.001-degree
-        # grid argmax within 0.02 degrees
+        # the closed-form peak agrees with an exhaustive 0.001-degree grid
+        # argmax within one grid step
         fine = np.radians(np.arange(-18, 18.0001, 0.001))
         for s in range(15):
             rng = np.random.default_rng([34, s])
@@ -192,7 +192,26 @@ class TestEstimateAoA:
             sp = music_spectrum(fine, eig.u_n, GEO)
             brute = fine[int(np.argmax(sp))]
             m = estimate_aoa(w, GEO)
-            assert abs(math.degrees(m.theta_hat - brute)) <= 0.02
+            assert abs(math.degrees(m.theta_hat - brute)) <= 0.001
+
+    @pytest.mark.parametrize("true_deg, end", [(15.0, 0), (8.0, 1), (0.0, None)])
+    def test_asymmetric_range_oracle(self, true_deg, end):
+        # search (-18, 5) deg: at 15 and 8 deg the unconstrained peak lies
+        # outside the range but inside the field of view.  The steering phase
+        # wraps, so at 15 deg the far endpoint -18 deg wins over 5 deg.
+        lo, hi = math.radians(-18.0), math.radians(5.0)
+        fine = np.linspace(lo, hi, 23001)  # 0.001-degree steps
+        for s in range(10):
+            rng = np.random.default_rng([38, s])
+            scene = lab_scene(GEO, 10.0, rng)
+            w = simulate_window(scene, SCHED, [math.radians(true_deg)], [39, s])[0]
+            eig = eig2_hermitian(sample_covariance(w))
+            brute = fine[int(np.argmax(music_spectrum(fine, eig.u_n, GEO)))]
+            m = estimate_aoa(w, GEO, search=(lo, hi))
+            assert abs(math.degrees(m.theta_hat - brute)) <= 0.001
+            if end is not None:
+                assert m.theta_hat == (lo, hi)[end]
+                assert m.spectrum_peak == music_spectrum(m.theta_hat, eig.u_n, GEO)
 
     def test_two_tag_independence(self):
         errs = {"-15": [], "-10": []}

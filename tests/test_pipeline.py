@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tagtrack.geometry import unambiguous_fov
 from tagtrack.pipeline import (DatasetSpec, attach_tracks, dtw_experiment,
                                knn_experiment, series_bundle,
                                synthesize_dataset, synthesize_gesture)
@@ -18,6 +19,14 @@ def small_spec(**kw):
 
 
 class TestSynthesis:
+    @pytest.mark.parametrize("dataset", [108, 136])
+    def test_out_of_fov_draw_synthesizes(self, dataset):
+        # sample 28 of class 2HLR (index 4) draws an offset that carries its
+        # ramp past the +-18.2 deg field of view; it is shifted back inside
+        sample, _ = synthesize_gesture("2HLR", GEO, SCHED, DatasetSpec(), seed=[dataset, 4, 28])
+        fov = unambiguous_fov(GEO)
+        assert all(np.abs(series).max() <= fov for series in sample.truth.values())
+
     def test_identical_seeds_bit_identical_logs(self):
         spec = small_spec()
         _, log_a = synthesize_gesture("SL", GEO, SCHED, spec, seed=[1, 0, 0])

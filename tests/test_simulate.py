@@ -158,6 +158,28 @@ class TestTrajectories:
                     assert np.abs(gesture_trajectory(spec, tag)).max() < fov
 
 
+    def test_fov_shift_only_moves_specs_outside_fov(self):
+        from tagtrack.geometry import unambiguous_fov
+        fov = unambiguous_fov(GEO)
+        shifted = 0
+        # seeds 3110, 3269 and 5292 draw a 2HLR/2HLD offset past the FOV
+        for cls in GESTURE_CLASSES:
+            for seed in [*range(300), 3110, 3269, 5292]:
+                rng_plain, rng_fit = np.random.default_rng(seed), np.random.default_rng(seed)
+                plain = build_gesture_spec(cls, rng_plain)
+                fitted = build_gesture_spec(cls, rng_fit, fov=fov)
+                assert rng_plain.random() == rng_fit.random()  # no extra draw
+                before = np.concatenate([gesture_trajectory(plain, t) for t in range(2)])
+                after = np.concatenate([gesture_trajectory(fitted, t) for t in range(2)])
+                if np.abs(before).max() <= fov:
+                    assert fitted == plain
+                else:
+                    shifted += 1
+                    assert np.abs(after).max() <= fov
+                    assert np.ptp(after - before) < 1e-12  # one common offset shift
+        assert shifted == 6
+
+
 class TestSimulateGesture:
     def _scene(self, **kw):
         tags = [("tag1", [PathSpec(1.0, 0.0, is_los=True)]),

@@ -54,6 +54,33 @@ def batch_map_oracle(z, valid, c, x0):
     return x[2:].reshape(T, 2)
 
 
+def matrix_reference(z, c):
+    """filter_sequence and rts_smooth written with predict/update and 2x2
+    matrix algebra: (priors, prior_covs, posts, post_covs, smoothed, smoothed_covs)."""
+    valid = np.isfinite(z)
+    state, cov = np.array([z[valid][0], 0.0]), c.p0
+    priors, prior_covs, posts, post_covs = [], [], [], []
+    for t in range(z.size):
+        state, cov = predict(state, cov, c)
+        priors.append(state)
+        prior_covs.append(cov)
+        if valid[t]:
+            state, cov, _ = update(state, cov, z[t], c)
+        posts.append(state)
+        post_covs.append(cov)
+    xs, ps = list(posts), list(post_covs)
+    f = c.f_matrix
+    for t in range(z.size - 2, -1, -1):
+        p_pred = prior_covs[t + 1]
+        if abs(np.linalg.det(p_pred)) < 1e-300:
+            p_pred = p_pred + 1e-12 * np.eye(2)
+        g = post_covs[t] @ f.T @ np.linalg.inv(p_pred)
+        xs[t] = posts[t] + g @ (xs[t + 1] - priors[t + 1])
+        p = post_covs[t] + g @ (ps[t + 1] - prior_covs[t + 1]) @ g.T
+        ps[t] = 0.5 * (p + p.T)
+    return tuple(np.array(a) for a in (priors, prior_covs, posts, post_covs, xs, ps))
+
+
 class TestPredict:
     def test_constant_rate_step(self):
         c = cfg(dt=0.5, st=0.0, so=0.0)
@@ -161,6 +188,30 @@ class TestFilterSequence:
 
 
 class TestRtsSmooth:
+    def test_matches_matrix_reference(self):
+        for seed, dt in [(0, 1.0), (1, 0.7), (2, 0.016)]:
+            c = cfg(dt=dt)
+            rng = np.random.default_rng(seed)
+            _, z = simulate_linear(40, c, rng)
+            z[rng.random(40) < 0.2] = np.nan
+            z[0] = 0.1
+            track = rts_smooth(filter_sequence(z, c), c)
+            got = (track.priors, track.prior_covs, track.posts, track.post_covs,
+                   track.smoothed, track.smoothed_covs)
+            for a, b in zip(got, matrix_reference(z, c)):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    def test_singular_prior_loaded_and_logged(self, caplog):
+        # no process noise and an exact initial state: every prior covariance
+        # is zero, so the smoother loads its diagonal before inverting
+        c = cfg(st=0.0, so=0.0, p0=np.zeros((2, 2)))
+        z = 0.01 * np.arange(6.0)
+        with caplog.at_level("WARNING", logger="tagtrack.tracking"):
+            track = rts_smooth(filter_sequence(z, c), c)
+        assert "singular prior covariance" in caplog.text
+        np.testing.assert_allclose(track.smoothed, matrix_reference(z, c)[4],
+                                   rtol=0, atol=1e-12)
+
     def test_single_window_identity(self):
         c = cfg()
         track = rts_smooth(filter_sequence(np.array([0.2]), c), c)
