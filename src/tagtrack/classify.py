@@ -179,12 +179,6 @@ def knn_feature_classify(train: LabeledDataset, query, k: int = 5) -> str:
     return _vote([train.labels[i] for i in order], dists[order])
 
 
-def knn_predict(train_x: np.ndarray, train_labels, queries: np.ndarray, k: int = 5) -> list[str]:
-    "Batch k-NN over query rows (z-scored with training statistics)."
-    ds = LabeledDataset(labels=list(train_labels), features=np.asarray(train_x, dtype=float))
-    return [knn_feature_classify(ds, q, k=k) for q in np.asarray(queries, dtype=float)]
-
-
 # --- metrics ----------------------------------------------------------------
 
 @dataclass

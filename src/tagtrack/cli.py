@@ -17,18 +17,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .classify import (LabeledDataset, dtw_1nn_classify, evaluate,
-                       knn_feature_classify, stratified_split)
+from .classify import evaluate
 from .config import (ConfigError, config_hash, geometry_from, kalman_from,
                      load_config, music_search_from, schedule_from)
 from .features import FEATURE_CONFIGS, featurize_dataset
-from .pipeline import (DatasetSpec, attach_tracks, series_bundle,
-                       synthesize_gesture)
-from .preprocess import (prune_single_antenna_segments, read_windows,
-                         split_by_tag, window_segments, write_windows)
+from .pipeline import (DatasetSpec, attach_tracks, dtw_experiment, gesture_dataset,
+                       knn_feature_experiment, synthesize_fixed_log, truth_on_track)
+from .preprocess import read_windows, windows_by_tag, write_windows
 from .readerlog import read_reader_log, write_reader_log
-from .simulate import GestureSample, SASSchedule, anechoic_scene, lab_scene, simulate_window
-from .tracking import track_aoa
+from .simulate import GestureSample, gesture_sample
+from .tracking import measure_windows, track_aoa
 
 
 def _fmt(x: float) -> str:
@@ -56,131 +54,72 @@ def _dataset_spec(cfg: dict) -> DatasetSpec:
 
 # --- simulate ----------------------------------------------------------------
 
-def _simulate_fixed(cfg: dict, out: Path) -> int:
-    geo = geometry_from(cfg)
-    sched = schedule_from(cfg)
-    s = cfg["scene"]
-    tags = sorted(s["fixed_tags_deg"])
-    angles = [math.radians(s["fixed_tags_deg"][t]) for t in tags]
-    seed = cfg["seed"]
-    rng = np.random.default_rng([seed, 0])
-    if s["nlos_paths"] > 0:
-        scene = lab_scene(geo, s["snr_db"], rng, tag_ids=tuple(tags),
-                          n_paths=s["nlos_paths"], nlos_gain_db=s["nlos_gain_db"])
-    else:
-        scene = anechoic_scene(geo, s["snr_db"], tag_ids=tuple(tags))
-    scene.tx_power = s["tx_power"]
-    scene.modulation_gain = s["modulation_gain"]
-    p = s["misdetect_prob"]
-    scene.misdetect_prob = (p, p) if np.isscalar(p) else tuple(p)
-    scene.__post_init__()
-    from .readerlog import ReaderLog, ReadRecord
-    records = []
-    T = s["windows"]
-    for t in range(T):
-        windows = {w.tag_id: w for w in
-                   simulate_window(scene, sched, angles, [seed, 1, t], window_idx=t)}
-        for slot, tag in enumerate(tags, start=1):
-            w = windows.get(tag)
-            for m in (1, 2):
-                t_row = float(sched.sample_times(t, m, min(slot, 2))[0])
-                row = None if w is None else w.matrix[m - 1]
-                ok = row is not None and not np.isnan(row[0].real)
-                if ok:
-                    mean_iq = complex(np.mean(row))
-                    records.append(ReadRecord(t, t_row, tag, m, np.asarray(row),
-                                              20.0 * math.log10(abs(mean_iq)),
-                                              math.atan2(mean_iq.imag, mean_iq.real), True))
-                else:
-                    records.append(ReadRecord(t, t_row, tag, m, None, math.nan, math.nan, False))
-    records.sort(key=lambda r: r.timestamp_s)
-    truth = {tag: np.full(T, angles[i]) for i, tag in enumerate(tags)}
-    log = ReaderLog(records=records, truth=truth, meta=_meta(cfg)).validate()
-    write_reader_log(log, out)
-    print(f"wrote fixed-tag reader log: {out / 'readerlog.csv'}")
-    return 0
-
-
 def cmd_simulate(cfg: dict, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
-    if cfg["scene"]["mode"] == "fixed":
-        return _simulate_fixed(cfg, out)
-    geo = geometry_from(cfg)
-    sched = schedule_from(cfg)
-    spec = _dataset_spec(cfg)
-    seed = cfg["seed"]
+    geo, sched, spec = geometry_from(cfg), schedule_from(cfg), _dataset_spec(cfg)
+    s = cfg["scene"]
+    if s["mode"] == "fixed":
+        angles = {tag: math.radians(deg) for tag, deg in s["fixed_tags_deg"].items()}
+        log = synthesize_fixed_log(geo, sched, spec, angles, cfg["seed"],
+                                   tx_power=s["tx_power"], modulation_gain=s["modulation_gain"])
+        log.meta = _meta(cfg)
+        write_reader_log(log, out)
+        print(f"wrote fixed-tag reader log: {out / 'readerlog.csv'}")
+        return 0
     manifest = {"samples": [], **_meta(cfg)}
-    n = 0
-    for ci, class_id in enumerate(spec.classes):
-        for i in range(spec.samples_per_class):
-            sample, log = synthesize_gesture(class_id, geo, sched, spec, seed=[seed, ci, i])
-            log.meta = _meta(cfg)
-            sdir = out / "samples" / f"g{n:04d}"
-            write_reader_log(log, sdir)
-            manifest["samples"].append({"id": f"g{n:04d}", "label": class_id,
-                                        "dir": f"samples/g{n:04d}"})
-            n += 1
+    for n, (sample, log) in enumerate(gesture_dataset(geo, sched, spec, cfg["seed"])):
+        log.meta = _meta(cfg)
+        write_reader_log(log, out / "samples" / f"g{n:04d}")
+        manifest["samples"].append({"id": f"g{n:04d}", "label": sample.label,
+                                    "dir": f"samples/g{n:04d}"})
     _write_json(out / "manifest.json", manifest)
-    print(f"wrote {n} gesture logs under {out}")
+    print(f"wrote {len(manifest['samples'])} gesture logs under {out}")
     return 0
 
 
 # --- estimate ----------------------------------------------------------------
 
-def cmd_estimate(cfg: dict, in_path: Path, out: Path) -> int:
-    geo = geometry_from(cfg)
-    out.mkdir(parents=True, exist_ok=True)
-    if in_path.is_dir() and (in_path / "windows.json").exists() or in_path.name == "windows.json":
-        windows_by_tag = read_windows(in_path)
-    else:
-        log = read_reader_log(in_path)
-        spw = cfg["windowing"]["samples_per_window"]
-        windows_by_tag = {}
-        for tag, records in split_by_tag(log).items():
-            pruned = prune_single_antenna_segments(records)
-            if not pruned:
-                continue
-            size = spw if spw is not None else 2 * max(r.iq.size for r in pruned)
-            windows_by_tag[tag] = window_segments(pruned, size, tag_id=tag)
-        write_windows(windows_by_tag, out / "windows", meta=_meta(cfg))
-    from .music import estimate_aoa
-    search = music_search_from(cfg)
-    sched = schedule_from(cfg)
-    rows = []
-    for slot, tag in enumerate(sorted(windows_by_tag), start=1):
-        for w in windows_by_tag[tag]:
-            tx = None
-            if sched.residual_phase and w.matrix.shape[1] == sched.cols:
-                # recover the acquisition window index from the midpoint to
-                # rebuild the transmit sequence the reader used
-                src = int(round(w.midpoint_time_s / sched.window_duration_s - 0.5))
-                tx = np.vstack([sched.tx_sequence(src, m, min(slot, 2),
-                                                  geo.carrier_freq_hz) for m in (1, 2)])
-            m = estimate_aoa(w, geo, search=search, tx_sequence=tx)
-            rows.append([tag, w.window_idx,
-                         _fmt(math.degrees(m.theta_hat)) if m.valid else "",
-                         _fmt(m.spectrum_peak) if m.valid else "",
-                         "true" if m.valid else "false"])
-    with open(out / "measurements.csv", "w", newline="") as fh:
+def _write_measurements(path: Path, cfg: dict, measurements: dict) -> int:
+    rows = [[tag, m.window_idx,
+             _fmt(math.degrees(m.theta_hat)) if m.valid else "",
+             _fmt(m.spectrum_peak) if m.valid else "",
+             "true" if m.valid else "false"]
+            for tag, tag_meas in measurements.items() for m in tag_meas]
+    with open(path, "w", newline="") as fh:
         fh.write(f"# config_hash={config_hash(cfg)},seed={cfg['seed']}\n")
         writer = csv.writer(fh)
         writer.writerow(["tag_id", "window_idx", "theta_deg", "peak", "valid"])
         writer.writerows(rows)
-    print(f"wrote {out / 'measurements.csv'} ({len(rows)} measurements)")
+    return len(rows)
+
+
+def cmd_estimate(cfg: dict, in_path: Path, out: Path) -> int:
+    out.mkdir(parents=True, exist_ok=True)
+    t0 = 0.0  # a windowed-IQ index keeps no log start; its midpoints count from 0
+    if in_path.is_dir() and (in_path / "windows.json").exists() or in_path.name == "windows.json":
+        windows = read_windows(in_path)
+    else:
+        log = read_reader_log(in_path)
+        t0 = log.start_s
+        windows = windows_by_tag(log, cfg["windowing"]["samples_per_window"])
+        write_windows(windows, out / "windows", meta=_meta(cfg))
+    measurements = measure_windows(windows, geometry_from(cfg), schedule_from(cfg),
+                                   music_search_from(cfg), t0)
+    n = _write_measurements(out / "measurements.csv", cfg, measurements)
+    print(f"wrote {out / 'measurements.csv'} ({n} measurements)")
     return 0
 
 
 # --- track -------------------------------------------------------------------
 
-def _track_one(cfg: dict, log_dir: Path, out: Path, label: str | None = None) -> dict:
-    geo = geometry_from(cfg)
+def _track_one(cfg: dict, log_dir: Path, out: Path) -> dict:
     log = read_reader_log(log_dir)
-    tracks = track_aoa(log, geo, samples_per_window=cfg["windowing"]["samples_per_window"],
-                       music_search=music_search_from(cfg),
-                       kalman=kalman_from(cfg))
+    sched = schedule_from(cfg)
+    tracks = track_aoa(log, geometry_from(cfg),
+                       samples_per_window=cfg["windowing"]["samples_per_window"],
+                       music_search=music_search_from(cfg), kalman=kalman_from(cfg),
+                       schedule=sched)
     payload: dict = {**_meta(cfg), "tags": {}}
-    if label is not None:
-        payload["label"] = label
     deg = math.degrees
     for tag, tr in sorted(tracks.items()):
         payload["tags"][tag] = {
@@ -196,30 +135,26 @@ def _track_one(cfg: dict, log_dir: Path, out: Path, label: str | None = None) ->
     _write_json(out / "tracks.json", payload)
     # plot-ready per-tag CSV: window, truth, raw, filtered, smoothed (degrees)
     for tag, tr in sorted(tracks.items()):
-        truth_series = None
+        truth = np.full(tr.n_windows, np.nan)
         if log.truth and tag in log.truth:
-            truth_series = log.truth[tag]
+            truth = truth_on_track(tr, log.truth[tag], log.start_s, sched.window_duration_s)
         with open(out / f"track_plot_{tag}.csv", "w", newline="") as fh:
             fh.write(f"# config_hash={config_hash(cfg)},seed={cfg['seed']}\n")
             writer = csv.writer(fh)
             writer.writerow(["window", "truth", "raw", "filtered", "smoothed"])
-            dt_acq = None
-            if truth_series is not None and tr.midpoint_s is not None and len(truth_series) > 0:
-                dt_acq = SASSchedule(cfg["schedule"]["samples_per_window"],
-                                     cfg["schedule"]["sample_period_s"]).window_duration_s
-            for t in range(tr.n_windows):
-                truth_val = ""
-                if dt_acq:
-                    w = int(round(tr.midpoint_s[t] / dt_acq - 0.5))
-                    if 0 <= w < len(truth_series):
-                        truth_val = _fmt(deg(truth_series[w]))
-                writer.writerow([
-                    t, truth_val,
-                    _fmt(deg(tr.z[t])) if np.isfinite(tr.z[t]) else "",
-                    _fmt(deg(tr.filtered_series()[t])),
-                    _fmt(deg(tr.smoothed_series()[t])),
-                ])
+            writer.writerows([t, _fmt(deg(truth[t])), _fmt(deg(tr.z[t])),
+                              _fmt(deg(tr.filtered_series()[t])),
+                              _fmt(deg(tr.smoothed_series()[t]))]
+                             for t in range(tr.n_windows))
     return payload
+
+
+def _series_entry(entry: dict, sample: GestureSample) -> dict:
+    channels = {f"{tag}:{kind}": [None if not np.isfinite(v) else round(float(v), 9)
+                                  for v in getattr(sample, kind)[tag]]
+                for tag in sample.tag_ids for kind in ("rss", "phase", "aoa")}
+    return {"id": entry["id"], "label": entry["label"], "n_windows": sample.n_windows,
+            "dt_s": sample.dt_s, "channels": channels}
 
 
 def cmd_track(cfg: dict, in_path: Path, out: Path) -> int:
@@ -230,41 +165,18 @@ def cmd_track(cfg: dict, in_path: Path, out: Path) -> int:
         print(f"wrote {out / 'tracks.json'}")
         return 0
     manifest = json.loads(manifest_path.read_text())
-    geo = geometry_from(cfg)
+    geo, sched = geometry_from(cfg), schedule_from(cfg)
     series = {"samples": [], **_meta(cfg)}
     for entry in manifest["samples"]:
         log = read_reader_log(in_path / entry["dir"])
-        sample = _sample_from_log(log, entry["label"], cfg)
-        attach_tracks(sample, log, geo, kalman=kalman_from(cfg),
-                      samples_per_window=cfg["windowing"]["samples_per_window"])
-        channels = {}
-        for tag in sample.tag_ids:
-            for kind in ("rss", "phase", "aoa"):
-                vals = getattr(sample, kind)[tag]
-                channels[f"{tag}:{kind}"] = [None if not np.isfinite(v) else round(float(v), 9)
-                                             for v in vals]
-        series["samples"].append({"id": entry["id"], "label": entry["label"],
-                                  "n_windows": sample.n_windows, "dt_s": sample.dt_s,
-                                  "channels": channels})
+        sample = attach_tracks(gesture_sample(log, entry["label"], sched.window_duration_s),
+                               log, geo, kalman=kalman_from(cfg),
+                               samples_per_window=cfg["windowing"]["samples_per_window"],
+                               schedule=sched)
+        series["samples"].append(_series_entry(entry, sample))
     _write_json(out / "series.json", series)
     print(f"wrote {out / 'series.json'} ({len(series['samples'])} samples)")
     return 0
-
-
-def _sample_from_log(log, label: str, cfg: dict) -> GestureSample:
-    "Rebuild the channel series of a gesture sample from its reader log."
-    tags = log.tag_ids
-    T = 1 + max(r.window_idx for r in log.records)
-    rss = {t: np.full(T, np.nan) for t in tags}
-    phase = {t: np.full(T, np.nan) for t in tags}
-    for r in log.records:
-        if r.detected and r.antenna == 1:
-            rss[r.tag_id][r.window_idx] = r.rss_dbm
-            phase[r.tag_id][r.window_idx] = r.phase_rad
-    sched = schedule_from(cfg)
-    truth = log.truth or {}
-    return GestureSample(label=label, tag_ids=tags, truth=truth, rss=rss, phase=phase,
-                         n_windows=T, dt_s=sched.window_duration_s)
 
 
 # --- featurize ----------------------------------------------------------------
@@ -272,23 +184,13 @@ def _sample_from_log(log, label: str, cfg: dict) -> GestureSample:
 def _samples_from_series(series: dict) -> list[GestureSample]:
     out = []
     for entry in series["samples"]:
-        tags = sorted({key.split(":")[0] for key in entry["channels"]})
-        def _arr(tag, kind, entry=entry):
-            vals = entry["channels"].get(f"{tag}:{kind}")
-            if vals is None:
-                return None
-            return np.array([np.nan if v is None else v for v in vals], dtype=float)
-        sample = GestureSample(
-            label=entry["label"], tag_ids=tags, truth={},
-            rss={t: _arr(t, "rss") for t in tags},
-            phase={t: _arr(t, "phase") for t in tags},
-            aoa={t: _arr(t, "aoa") for t in tags},
-            n_windows=entry["n_windows"], dt_s=entry["dt_s"])
-        for d in (sample.rss, sample.phase, sample.aoa):
-            for t in list(d):
-                if d[t] is None:
-                    del d[t]
-        out.append(sample)
+        chans = {key: np.array([np.nan if v is None else v for v in vals], dtype=float)
+                 for key, vals in entry["channels"].items()}
+        tags = sorted({key.split(":")[0] for key in chans})
+        kinds = {kind: {t: chans[f"{t}:{kind}"] for t in tags if f"{t}:{kind}" in chans}
+                 for kind in ("rss", "phase", "aoa")}
+        out.append(GestureSample(label=entry["label"], tag_ids=tags, truth={}, **kinds,
+                                 n_windows=entry["n_windows"], dt_s=entry["dt_s"]))
     return out
 
 
@@ -341,35 +243,21 @@ def _write_report(out: Path, cfg: dict, report, extra: dict):
 
 def cmd_classify(cfg: dict, in_path: Path, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
-    method = cfg["classify"]["method"]
-    split_seed = cfg["classify"]["split_seed"]
-    split_seed = cfg["seed"] if split_seed is None else split_seed
-    test_frac = cfg["classify"]["test_frac"]
-    if method == "knn":
+    c = cfg["classify"]
+    split_seed = cfg["seed"] if c["split_seed"] is None else c["split_seed"]
+    if c["method"] == "knn":
         feats = in_path if in_path.suffix == ".csv" else in_path / "features.csv"
-        x, layout, labels = _read_features_csv(feats)
-        train_idx, test_idx = stratified_split(labels, test_frac=test_frac, seed=split_seed)
-        classes = tuple(sorted(set(labels)))
-        train = LabeledDataset(labels=[labels[i] for i in train_idx], features=x[train_idx],
-                               classes=classes, split_seed=split_seed)
-        preds = [knn_feature_classify(train, x[i], k=cfg["classify"]["k"]) for i in test_idx]
-        report = evaluate(preds, [labels[i] for i in test_idx], classes)
-        extra = {"method": "knn", "k": cfg["classify"]["k"],
+        x, _, labels = _read_features_csv(feats)
+        report = knn_feature_experiment(x, labels, split_seed=split_seed, k=c["k"],
+                                        test_frac=c["test_frac"])
+        extra = {"method": "knn", "k": c["k"],
                  "feature_config": cfg["features"]["config"], "split_seed": split_seed}
     else:
         series_path = in_path if in_path.name == "series.json" else in_path / "series.json"
         samples = _samples_from_series(json.loads(series_path.read_text()))
-        channel = cfg["classify"]["channel"]
-        labels = [s.label for s in samples]
-        bundles = [series_bundle(s, channel) for s in samples]
-        train_idx, test_idx = stratified_split(labels, test_frac=test_frac, seed=split_seed)
-        classes = tuple(sorted(set(labels)))
-        train = LabeledDataset(labels=[labels[i] for i in train_idx],
-                               bundles=[bundles[i] for i in train_idx], classes=classes,
-                               split_seed=split_seed)
-        preds = [dtw_1nn_classify(train, bundles[i]) for i in test_idx]
-        report = evaluate(preds, [labels[i] for i in test_idx], classes)
-        extra = {"method": "dtw", "channel": channel, "split_seed": split_seed}
+        report = dtw_experiment(samples, c["channel"], split_seed=split_seed,
+                                test_frac=c["test_frac"])
+        extra = {"method": "dtw", "channel": c["channel"], "split_seed": split_seed}
     _write_report(out, cfg, report, extra)
     print(f"accuracy {report.accuracy:.2f}% -> {out / 'report.json'}")
     return 0

@@ -38,10 +38,6 @@ class ArrayGeometry:
     def wavelength_m(self) -> float:
         return SPEED_OF_LIGHT / self.carrier_freq_hz
 
-    @property
-    def fov_limit_rad(self) -> float:
-        return unambiguous_fov(self)
-
 
 @dataclass(frozen=True)
 class ScenePose:

@@ -1,8 +1,9 @@
-"""Dataset-level orchestration: synthesize, track, featurize, classify.
+"""Orchestration: synthesize logs and datasets, track, featurize, classify.
 
 Per-sample child seeds come from the run seed plus the sample index, so a
 dataset is reproducible sample by sample and samples can be generated in
-any order or in parallel.
+any order or in parallel.  The command line calls these functions and only
+parses arguments and writes artifacts.
 """
 
 from __future__ import annotations
@@ -16,10 +17,12 @@ from .classify import (EvalReport, LabeledDataset, dtw_1nn_classify, evaluate,
                        knn_feature_classify, stratified_split)
 from .features import FEATURE_CONFIGS, featurize_dataset, prepare_channel
 from .geometry import ArrayGeometry, unambiguous_fov
+from .preprocess import acquisition_windows
 from .readerlog import ReaderLog
-from .simulate import (GESTURE_CLASSES, GestureSample, SASSchedule,
-                       build_gesture_spec, gesture_scene, simulate_gesture)
-from .tracking import KalmanConfig, track_aoa
+from .simulate import (GESTURE_CLASSES, GestureSample, SASSchedule, anechoic_scene,
+                       build_gesture_spec, gesture_scene, lab_scene, simulate_gesture,
+                       simulate_log)
+from .tracking import AoATrack, KalmanConfig, track_aoa
 
 
 @dataclass
@@ -53,49 +56,80 @@ def synthesize_gesture(class_id: str, geometry: ArrayGeometry, schedule: SASSche
     return simulate_gesture(gesture, scene, schedule, rng_seed=[*base, 1])
 
 
+def gesture_dataset(geometry: ArrayGeometry, schedule: SASSchedule, spec: DatasetSpec,
+                    seed: int):
+    "Yield (sample, log) per recording; sample i of class c uses child seed [seed, c, i]."
+    for ci, class_id in enumerate(spec.classes):
+        for i in range(spec.samples_per_class):
+            yield synthesize_gesture(class_id, geometry, schedule, spec, seed=[seed, ci, i])
+
+
+def synthesize_fixed_log(geometry: ArrayGeometry, schedule: SASSchedule, spec: DatasetSpec,
+                         angles: dict[str, float], seed: int, tx_power: float = 1.0,
+                         modulation_gain: float = 1.0) -> ReaderLog:
+    """``spec.windows`` windows of tags held at fixed angles (radians).
+
+    Tags take reader slots in sorted id order.  The scatterer paths draw
+    from seed [seed, 0] (anechoic when ``spec.nlos_paths`` is 0) and window
+    t from [seed, 1, t].
+    """
+    tags = tuple(sorted(angles))
+    kwargs = dict(tag_ids=tags, tx_power=tx_power, modulation_gain=modulation_gain,
+                  misdetect_prob=spec.misdetect_prob)
+    if spec.nlos_paths > 0:
+        scene = lab_scene(geometry, spec.snr_db, np.random.default_rng([seed, 0]),
+                          n_paths=spec.nlos_paths, nlos_gain_db=spec.nlos_gain_db, **kwargs)
+    else:
+        scene = anechoic_scene(geometry, spec.snr_db, **kwargs)
+    return simulate_log(scene, schedule, [np.full(spec.windows, angles[t]) for t in tags],
+                        [seed, 1])
+
+
 def attach_tracks(sample: GestureSample, log: ReaderLog, geometry: ArrayGeometry,
                   kalman: KalmanConfig | None = None,
-                  samples_per_window: int | None = None) -> GestureSample:
+                  samples_per_window: int | None = None,
+                  schedule: SASSchedule | None = None) -> GestureSample:
     """Run the tracking chain on the log and fill the sample's AoA channel.
 
     Smoothed estimates land on the acquisition-window grid via their
     midpoints; windows missing from the track stay NaN (imputed at feature
     time).
     """
-    tracks = track_aoa(log, geometry, samples_per_window=samples_per_window, kalman=kalman)
-    dt_acq = sample.dt_s
+    tracks = track_aoa(log, geometry, samples_per_window=samples_per_window, kalman=kalman,
+                       schedule=schedule)
     for tag in sample.tag_ids:
         series = np.full(sample.n_windows, np.nan)
         track = tracks.get(tag)
-        if track is not None and track.smoothed is not None:
-            smoothed = track.smoothed_series()
-            for slot in range(track.n_windows):
-                mid = track.midpoint_s[slot] if track.midpoint_s is not None else None
-                w = int(round(mid / dt_acq - 0.5)) if mid is not None and dt_acq > 0 else slot
-                if 0 <= w < sample.n_windows:
-                    series[w] = smoothed[slot]
+        if track is not None:
+            idx = acquisition_windows(track.midpoint_s, log.start_s, sample.dt_s)
+            keep = (idx >= 0) & (idx < sample.n_windows)
+            series[idx[keep]] = track.smoothed_series()[keep]
         sample.aoa[tag] = series
     return sample
+
+
+def truth_on_track(track: AoATrack, truth: np.ndarray, t0_s: float,
+                   window_s: float) -> np.ndarray:
+    "Ground truth at each track slot's acquisition window, NaN where it has none."
+    idx = acquisition_windows(track.midpoint_s, t0_s, window_s)
+    keep = (idx >= 0) & (idx < truth.size)
+    out = np.full(idx.size, np.nan)
+    out[keep] = truth[idx[keep]]
+    return out
 
 
 def synthesize_dataset(geometry: ArrayGeometry, schedule: SASSchedule, spec: DatasetSpec,
                        seed: int, tracked: bool = True,
                        kalman: KalmanConfig | None = None,
                        keep_logs: bool = False):
-    """Full labeled dataset; returns samples (and logs when keep_logs).
-
-    Sample i of class c uses child seed [seed, class_index, i].
-    """
+    "Full labeled dataset of ``gesture_dataset``; returns samples (and logs when keep_logs)."
     samples, logs = [], []
-    for ci, class_id in enumerate(spec.classes):
-        for i in range(spec.samples_per_class):
-            sample, log = synthesize_gesture(class_id, geometry, schedule, spec,
-                                             seed=[seed, ci, i])
-            if tracked:
-                attach_tracks(sample, log, geometry, kalman=kalman)
-            samples.append(sample)
-            if keep_logs:
-                logs.append(log)
+    for sample, log in gesture_dataset(geometry, schedule, spec, seed):
+        if tracked:
+            attach_tracks(sample, log, geometry, kalman=kalman, schedule=schedule)
+        samples.append(sample)
+        if keep_logs:
+            logs.append(log)
     return (samples, logs) if keep_logs else samples
 
 
@@ -108,25 +142,30 @@ def series_bundle(sample: GestureSample, channel: str) -> dict[str, np.ndarray]:
     return out
 
 
-def knn_experiment(samples: list[GestureSample], config_name: str,
-                   split_seed: int = 0, k: int = 5) -> EvalReport:
-    "Stratified 70/30 split, k-NN on the named feature config, metrics."
-    x, layout, labels = featurize_dataset(samples, FEATURE_CONFIGS[config_name])
-    train_idx, test_idx = stratified_split(labels, seed=split_seed)
+def knn_feature_experiment(x: np.ndarray, labels: list[str], split_seed: int = 0, k: int = 5,
+                           test_frac: float = 0.3) -> EvalReport:
+    "Stratified split of feature-matrix rows, k-NN on the test rows, metrics."
+    train_idx, test_idx = stratified_split(labels, test_frac=test_frac, seed=split_seed)
     classes = tuple(sorted(set(labels)))
     train = LabeledDataset(labels=[labels[i] for i in train_idx],
-                           features=x[train_idx], config_name=config_name,
-                           classes=classes, split_seed=split_seed)
+                           features=x[train_idx], classes=classes, split_seed=split_seed)
     preds = [knn_feature_classify(train, x[i], k=k) for i in test_idx]
     return evaluate(preds, [labels[i] for i in test_idx], classes)
 
 
-def dtw_experiment(samples: list[GestureSample], channel: str,
-                   split_seed: int = 0) -> EvalReport:
-    "Stratified 70/30 split, 1-NN DTW on one raw channel, metrics."
+def knn_experiment(samples: list[GestureSample], config_name: str, split_seed: int = 0,
+                   k: int = 5, test_frac: float = 0.3) -> EvalReport:
+    "``knn_feature_experiment`` on the samples' features under the named config."
+    x, _, labels = featurize_dataset(samples, FEATURE_CONFIGS[config_name])
+    return knn_feature_experiment(x, labels, split_seed, k, test_frac)
+
+
+def dtw_experiment(samples: list[GestureSample], channel: str, split_seed: int = 0,
+                   test_frac: float = 0.3) -> EvalReport:
+    "Stratified split, 1-NN DTW on one raw channel, metrics."
     labels = [s.label for s in samples]
     bundles = [series_bundle(s, channel) for s in samples]
-    train_idx, test_idx = stratified_split(labels, seed=split_seed)
+    train_idx, test_idx = stratified_split(labels, test_frac=test_frac, seed=split_seed)
     classes = tuple(sorted(set(labels)))
     train = LabeledDataset(labels=[labels[i] for i in train_idx],
                            bundles=[bundles[i] for i in train_idx],
@@ -136,20 +175,19 @@ def dtw_experiment(samples: list[GestureSample], channel: str,
 
 
 def tracking_rmse(sample: GestureSample, log: ReaderLog, geometry: ArrayGeometry,
-                  kalman: KalmanConfig | None = None) -> dict[str, dict[str, float]]:
+                  kalman: KalmanConfig | None = None,
+                  schedule: SASSchedule | None = None) -> dict[str, dict[str, float]]:
     """Raw / filtered / smoothed RMSE vs ground truth per tag (radians).
 
     Only windows with a raw measurement enter the raw RMSE; filtered and
-    smoothed RMSEs cover every tracked window.
+    smoothed RMSEs cover every tracked window with ground truth.
     """
-    tracks = track_aoa(log, geometry, kalman=kalman)
+    tracks = track_aoa(log, geometry, kalman=kalman, schedule=schedule)
     out = {}
     for tag, track in tracks.items():
-        truth_full = log.truth[tag]
-        dt_acq = sample.dt_s
-        idx = np.array([int(round(m / dt_acq - 0.5)) for m in track.midpoint_s])
-        keep = (idx >= 0) & (idx < truth_full.size)
-        truth = truth_full[idx[keep]]
+        truth = truth_on_track(track, log.truth[tag], log.start_s, sample.dt_s)
+        keep = np.isfinite(truth)
+        truth = truth[keep]
         raw = track.raw_series()[keep]
         filt = track.filtered_series()[keep]
         smooth = track.smoothed_series()[keep]

@@ -154,6 +154,29 @@ def window_segments(stream: SampleStream | list[ReadRecord], samples_per_window:
     return windows
 
 
+def windows_by_tag(log: ReaderLog, samples_per_window: int | None = None
+                   ) -> dict[str, list[IQWindow]]:
+    """Split, prune and window a reader log per tag.
+
+    ``samples_per_window`` defaults to the tag's acquisition window size
+    (twice its longest row).  Tags with no two-antenna window are omitted.
+    """
+    out = {}
+    for tag, records in split_by_tag(log).items():
+        pruned = prune_single_antenna_segments(records)
+        if pruned:
+            size = samples_per_window
+            if size is None:
+                size = 2 * max(r.iq.size for r in pruned)
+            out[tag] = window_segments(pruned, size, tag_id=tag)
+    return out
+
+
+def acquisition_windows(midpoints_s, t0_s: float, window_s: float) -> np.ndarray:
+    "Index of the acquisition window each midpoint falls in, on a grid starting at t0_s."
+    return np.rint((np.asarray(midpoints_s, dtype=float) - t0_s) / window_s - 0.5).astype(int)
+
+
 def measurement_slots(windows: list[IQWindow]) -> tuple[list[int], float]:
     """Place windows on an integer measurement grid from their midpoints.
 

@@ -60,6 +60,11 @@ class ReaderLog:
         seen = dict.fromkeys(r.tag_id for r in self.records)
         return list(seen)
 
+    @property
+    def start_s(self) -> float:
+        "First record timestamp: the origin of the acquisition-window grid."
+        return self.records[0].timestamp_s if self.records else 0.0
+
     def validate(self):
         last_t = -math.inf
         for i, r in enumerate(self.records):
@@ -140,7 +145,9 @@ def read_reader_log(path: str | Path) -> ReaderLog:
             raise ValueError(f"{csv_path} row {lineno}: antenna must be 1 or 2, got {antenna}")
         detected = row[9].strip().lower() == "true"
         iq = None
-        if detected and row[6]:
+        if detected:
+            if not row[6]:
+                raise ValueError(f"{csv_path} row {lineno}: detected read has no iq_blob_path")
             iq = read_blob(base / row[6])
         records.append(ReadRecord(
             window_idx=int(row[0]), timestamp_s=float(row[1]), tag_id=row[2],

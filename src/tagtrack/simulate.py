@@ -328,6 +328,57 @@ class GestureSample:
     dt_s: float = 0.0
 
 
+def simulate_log(scene: SimScene, schedule: SASSchedule, angles: list[np.ndarray],
+                 rng_seed) -> ReaderLog:
+    """Reader log of one recording; ``angles[i]`` is tag i's LoS angle per window.
+
+    Window t uses child seed ``[*rng_seed, t]``, so logs are reproducible
+    window by window.  Every window gets one record per tag and antenna,
+    undetected where the read was lost; the angles become the truth sidecar.
+    """
+    tag_ids = scene.tag_ids()
+    records: list[ReadRecord] = []
+    base = list(rng_seed) if isinstance(rng_seed, (list, tuple)) else [rng_seed]
+    for t in range(len(angles[0])):
+        windows = {w.tag_id: w for w in
+                   simulate_window(scene, schedule, [a[t] for a in angles], [*base, t],
+                                   window_idx=t)}
+        for slot, tag in enumerate(tag_ids, start=1):
+            w = windows.get(tag)
+            for m in (1, 2):
+                t_row = float(schedule.sample_times(t, m, min(slot, 2))[0])
+                row = None if w is None else w.matrix[m - 1]
+                if row is not None and not np.isnan(row[0].real):
+                    mean_iq = complex(np.mean(row))
+                    records.append(ReadRecord(t, t_row, tag, m, np.asarray(row),
+                                              20.0 * math.log10(abs(mean_iq)),
+                                              math.atan2(mean_iq.imag, mean_iq.real), True))
+                else:
+                    records.append(ReadRecord(t, t_row, tag, m, None, math.nan, math.nan, False))
+    records.sort(key=lambda r: r.timestamp_s)
+    truth = {tag: np.array(a, dtype=float) for tag, a in zip(tag_ids, angles)}
+    return ReaderLog(records=records, truth=truth).validate()
+
+
+def gesture_sample(log: ReaderLog, label: str, dt_s: float) -> GestureSample:
+    """Channel series of a recording from its reader log.
+
+    RSS and phase are the antenna-1 window aggregates on the window grid
+    starting at the log's first window index, NaN where the read was lost.
+    """
+    tags = log.tag_ids
+    first = min(r.window_idx for r in log.records)
+    T = 1 + max(r.window_idx for r in log.records) - first
+    rss = {t: np.full(T, np.nan) for t in tags}
+    phase = {t: np.full(T, np.nan) for t in tags}
+    for r in log.records:
+        if r.detected and r.antenna == 1:
+            rss[r.tag_id][r.window_idx - first] = r.rss_dbm
+            phase[r.tag_id][r.window_idx - first] = r.phase_rad
+    return GestureSample(label=label, tag_ids=tags, truth=log.truth or {}, rss=rss,
+                         phase=phase, n_windows=T, dt_s=dt_s)
+
+
 def simulate_gesture(spec: GestureSpec, scene: SimScene, schedule: SASSchedule,
                      rng_seed) -> tuple[GestureSample, ReaderLog]:
     """Simulate a full gesture: reader log plus derived channel series.
@@ -345,40 +396,8 @@ def simulate_gesture(spec: GestureSpec, scene: SimScene, schedule: SASSchedule,
             raise OutOfFovError(
                 f"tag {tag_i} trajectory reaches {math.degrees(np.max(np.abs(series))):.1f} deg, "
                 f"outside the +-{math.degrees(fov):.1f} deg field of view")
-    T = spec.windows
-    tag_ids = scene.tag_ids()
-    rss = {t: np.full(T, np.nan) for t in tag_ids}
-    phase = {t: np.full(T, np.nan) for t in tag_ids}
-    records: list[ReadRecord] = []
-    base = rng_seed if isinstance(rng_seed, (list, tuple)) else [rng_seed]
-    for t in range(T):
-        angles = [traj[t] for traj in trajs]
-        windows = {w.tag_id: w for w in
-                   simulate_window(scene, schedule, angles, [*base, t], window_idx=t)}
-        for slot, tag in enumerate(tag_ids, start=1):
-            w = windows.get(tag)
-            for m in (1, 2):
-                t_row = float(schedule.sample_times(t, m, min(slot, 2))[0])
-                row = None if w is None else w.matrix[m - 1]
-                ok = row is not None and not np.isnan(row[0].real)
-                if ok:
-                    mean_iq = complex(np.mean(row))
-                    rec = ReadRecord(t, t_row, tag, m, np.asarray(row),
-                                     20.0 * math.log10(abs(mean_iq)),
-                                     math.atan2(mean_iq.imag, mean_iq.real), True)
-                    if m == 1:
-                        rss[tag][t] = rec.rss_dbm
-                        phase[tag][t] = rec.phase_rad
-                else:
-                    rec = ReadRecord(t, t_row, tag, m, None, math.nan, math.nan, False)
-                records.append(rec)
-    records.sort(key=lambda r: r.timestamp_s)
-    truth = {tag: trajs[i].copy() for i, tag in enumerate(tag_ids)}
-    log = ReaderLog(records=records, truth=truth).validate()
-    sample = GestureSample(label=spec.class_id, tag_ids=tag_ids, truth=truth,
-                           rss=rss, phase=phase, n_windows=T,
-                           dt_s=schedule.window_duration_s)
-    return sample, log
+    log = simulate_log(scene, schedule, trajs, rng_seed)
+    return gesture_sample(log, spec.class_id, schedule.window_duration_s), log
 
 
 # --- canned scenes ---------------------------------------------------------

@@ -15,10 +15,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .geometry import ArrayGeometry
-from .music import estimate_aoa
-from .preprocess import (measurement_slots, prune_single_antenna_segments,
-                         split_by_tag, window_segments)
+from .music import AoAMeasurement, estimate_aoa
+from .preprocess import IQWindow, acquisition_windows, measurement_slots, windows_by_tag
 from .readerlog import ReaderLog
+from .simulate import SASSchedule
 
 logger = logging.getLogger(__name__)
 
@@ -231,46 +231,65 @@ def rts_smooth(track: AoATrack, cfg: KalmanConfig) -> AoATrack:
     return track
 
 
+def measure_windows(windows: dict[str, list[IQWindow]], geometry: ArrayGeometry,
+                    schedule: SASSchedule | None = None,
+                    search: tuple[float, float] | None = None,
+                    t0_s: float = 0.0) -> dict[str, list[AoAMeasurement]]:
+    """Per-window AoA estimates of every tag, in sorted tag order.
+
+    With ``schedule.residual_phase`` on, a window of acquisition size first
+    has the reader's transmit sequence divided out.  That sequence belongs to
+    the acquisition window holding the window midpoint (grid origin ``t0_s``)
+    and to the tag's slot, its position among the sorted tag ids.
+    """
+    out = {}
+    for slot, tag in enumerate(sorted(windows), start=1):
+        tag_windows = windows[tag]
+        txs = [None] * len(tag_windows)
+        if schedule is not None and schedule.residual_phase:
+            src = acquisition_windows([w.midpoint_time_s for w in tag_windows], t0_s,
+                                      schedule.window_duration_s)
+            txs = [np.vstack([schedule.tx_sequence(int(i), m, min(slot, 2),
+                                                   geometry.carrier_freq_hz) for m in (1, 2)])
+                   if w.matrix.shape[1] == schedule.cols else None
+                   for w, i in zip(tag_windows, src)]
+        out[tag] = [estimate_aoa(w, geometry, search=search, tx_sequence=tx)
+                    for w, tx in zip(tag_windows, txs)]
+    return out
+
+
 def track_aoa(log: ReaderLog, geometry: ArrayGeometry,
               samples_per_window: int | None = None,
               music_search: tuple[float, float] | None = None,
-              kalman: KalmanConfig | None = None) -> dict[str, AoATrack]:
-    """Full per-tag chain: split, prune, window, measure, filter, smooth.
+              kalman: KalmanConfig | None = None,
+              schedule: SASSchedule | None = None) -> dict[str, AoATrack]:
+    """Full per-tag chain: window, measure, filter, smooth.
 
-    ``samples_per_window`` defaults to the log's own acquisition window size.
-    Pruned or misdetected acquisition windows surface as missing measurement
-    slots.  Returns the smoothed track per tag; tags with no usable window
-    are omitted.
+    ``samples_per_window`` defaults to the log's own acquisition window size,
+    and ``schedule`` enables the residual-phase correction of
+    ``measure_windows``.  Pruned or misdetected acquisition windows surface
+    as missing measurement slots.  Returns the smoothed track per tag; tags
+    with no usable window are omitted.
     """
+    windows = windows_by_tag(log, samples_per_window)
     out: dict[str, AoATrack] = {}
-    for tag, records in split_by_tag(log).items():
-        pruned = prune_single_antenna_segments(records)
-        if not pruned:
+    for tag, meas in measure_windows(windows, geometry, schedule, music_search,
+                                     log.start_s).items():
+        if not meas:
             continue
-        spw = samples_per_window
-        if spw is None:
-            spw = 2 * max(r.iq.size for r in pruned)
-        windows = window_segments(pruned, spw, tag_id=tag)
-        if not windows:
-            continue
-        slots, dt = measurement_slots(windows)
+        slots, dt = measurement_slots(windows[tag])
         T = slots[-1] + 1
         z = np.full(T, np.nan)
         mids = np.full(T, np.nan)
-        for w, slot in zip(windows, slots):
-            meas = estimate_aoa(w, geometry, search=music_search)
-            if meas.valid:
-                z[slot] = meas.theta_hat
+        for w, m, slot in zip(windows[tag], meas, slots):
+            if m.valid:
+                z[slot] = m.theta_hat
             mids[slot] = w.midpoint_time_s
         base = kalman or KalmanConfig()
         cfg = replace(base, dt=base.dt if base.dt is not None else (dt if dt > 0 else 1.0))
         track = rts_smooth(filter_sequence(z, cfg), cfg)
-        if np.isnan(mids).any() and np.isfinite(mids).any():
-            first = np.nanmin(mids)
-            step = cfg.dt
-            idx = np.arange(T, dtype=float)
-            first_slot = int(np.nanargmin(mids))
-            mids = first + (idx - first_slot) * step
+        if np.isnan(mids).any():  # gap slots: the tracker's grid from the first midpoint
+            mids = mids[0] + np.arange(T) * cfg.dt
         track.midpoint_s = mids
         out[tag] = track
     return out

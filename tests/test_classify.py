@@ -3,8 +3,7 @@ import pytest
 
 from tagtrack.classify import (LabeledDataset, dtw_1nn_classify,
                                dtw_distance, dtw_to_bank, evaluate,
-                               knn_feature_classify, knn_predict,
-                               stratified_split)
+                               knn_feature_classify, stratified_split)
 
 
 def dtw_enumeration_oracle(a, b):
@@ -182,11 +181,6 @@ class TestKnn:
         p1 = [knn_feature_classify(ds1, q, k=5) for q in queries]
         p2 = [knn_feature_classify(ds2, q, k=5) for q in queries]
         assert p1 == p2
-
-    def test_knn_predict_batch(self):
-        x, labels = self._blobs(seed=9)
-        preds = knn_predict(x, labels, x[:10], k=5)
-        assert preds == labels[:10]
 
 
 class TestStratifiedSplit:

@@ -8,7 +8,10 @@ import pytest
 
 from tagtrack.cli import main
 from tagtrack.config import (ConfigError, config_hash, geometry_from,
-                             load_config, validate_config)
+                             load_config, schedule_from, validate_config)
+from tagtrack.pipeline import (DatasetSpec, dtw_experiment, knn_experiment,
+                               synthesize_dataset)
+from tagtrack.readerlog import read_reader_log, write_reader_log
 
 TINY = ["--set", "scene.samples_per_class=2", "--set", "scene.windows=12",
         "--set", "scene.classes=[\"SL\",\"SR\"]"]
@@ -231,3 +234,128 @@ class TestCliErrors:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+FIXED = ["--set", "scene.mode=\"fixed\"", "--set", "scene.misdetect_prob=0.0"]
+EPOCH_S = 1.7e9  # a real reader export stamps rows with Unix time
+
+
+def shift_log(src: Path, dst: Path, offset_s: float):
+    "Copy a reader log with every timestamp moved by offset_s."
+    log = read_reader_log(src)
+    for r in log.records:
+        r.timestamp_s += offset_s
+    write_reader_log(log, dst)
+
+
+def read_rows(path: Path) -> list[dict]:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(ln for ln in fh if not ln.startswith("#")))
+
+
+class TestResidualPhase:
+    def test_track_measures_like_estimate(self, tmp_path):
+        # non-integer carrier cycles per sample slot: both commands must
+        # divide out the same transmit sequence before the covariance
+        args = [*FIXED, "--set", "scene.windows=40",
+                "--set", "schedule.residual_phase=true",
+                "--set", "schedule.sample_period_s=2.5037e-4"]
+        log = tmp_path / "log"
+        assert main(["simulate", "--seed", "4", "--out", str(log), *args]) == 0
+        assert main(["estimate", "--in", str(log), "--out", str(tmp_path / "est"), *args]) == 0
+        assert main(["track", "--in", str(log), "--out", str(tmp_path / "trk"), *args]) == 0
+        rows = read_rows(tmp_path / "est" / "measurements.csv")
+        tracks = json.loads((tmp_path / "trk" / "tracks.json").read_text())["tags"]
+        for tag, want_deg in (("tag1", -15.0), ("tag2", -10.0)):
+            theta = [float(r["theta_deg"]) for r in rows if r["tag_id"] == tag]
+            raw = tracks[tag]["raw_deg"]
+            assert len(raw) == len(theta) == 40
+            np.testing.assert_allclose(raw, theta, rtol=0, atol=1e-6)
+            assert abs(np.mean(tracks[tag]["smoothed_deg"]) - want_deg) < 2.0
+
+
+class TestImportedLogs:
+    def test_detected_row_without_blob_fails_cleanly(self, tmp_path, capsys):
+        log = tmp_path / "log"
+        main(["simulate", "--seed", "2", "--out", str(log), *FIXED, "--set", "scene.windows=8"])
+        csv_path = log / "readerlog.csv"
+        lines = csv_path.read_text().splitlines()
+        fields = lines[4].split(",")
+        assert fields[-1] == "true"
+        fields[6] = ""
+        lines[4] = ",".join(fields)
+        csv_path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["track", "--in", str(log), "--out", str(tmp_path / "trk")]) != 0
+        err = capsys.readouterr().err
+        assert f"{csv_path} row 4" in err  # CSV rows count from the header, comments skipped
+        assert "Traceback" not in err
+
+    def test_epoch_timestamps_gesture_dataset(self, tmp_path):
+        data, shifted = tmp_path / "data", tmp_path / "shifted"
+        main(["simulate", "--seed", "5", "--out", str(data), *TINY])
+        manifest = json.loads((data / "manifest.json").read_text())
+        for entry in manifest["samples"]:
+            shift_log(data / entry["dir"], shifted / entry["dir"], EPOCH_S)
+        (shifted / "manifest.json").write_text(json.dumps(manifest))
+        series = {}
+        for name, root in (("plain", data), ("epoch", shifted)):
+            assert main(["track", "--in", str(root), "--out", str(tmp_path / name)]) == 0
+            series[name] = json.loads((tmp_path / name / "series.json").read_text())["samples"]
+        n_aoa = 0
+        for a, b in zip(series["plain"], series["epoch"]):
+            for tag in ("tag1", "tag2"):
+                va, vb = a["channels"][f"{tag}:aoa"], b["channels"][f"{tag}:aoa"]
+                assert [v is None for v in va] == [v is None for v in vb]
+                got = [(x, y) for x, y in zip(va, vb) if x is not None]
+                n_aoa += len(got)
+                np.testing.assert_allclose(*zip(*got), rtol=0, atol=np.radians(0.01))
+        assert n_aoa > 0
+
+    def test_epoch_timestamps_fixed_log_truth(self, tmp_path):
+        log, shifted = tmp_path / "log", tmp_path / "shifted"
+        main(["simulate", "--seed", "3", "--out", str(log), *FIXED, "--set", "scene.windows=12"])
+        shift_log(log, shifted, EPOCH_S)
+        assert main(["track", "--in", str(shifted), "--out", str(tmp_path / "trk")]) == 0
+        rows = read_rows(tmp_path / "trk" / "track_plot_tag1.csv")
+        assert len(rows) == 12
+        assert [float(r["truth"]) for r in rows] == pytest.approx([-15.0] * 12, abs=1e-9)
+
+
+class TestCliMatchesLibrary:
+    SEED = 9
+    ARGS = ["--set", "scene.samples_per_class=5", "--set", "scene.windows=12",
+            "--set", "scene.classes=[\"SL\",\"SR\",\"LAC\",\"RAC\"]"]
+
+    @pytest.fixture(scope="class")
+    def dataset(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("parity")
+        seed = ["--seed", str(self.SEED)]
+        assert main(["simulate", *seed, "--out", str(root / "data"), *self.ARGS]) == 0
+        assert main(["track", *seed, "--in", str(root / "data"), "--out", str(root / "trk"),
+                     *self.ARGS]) == 0
+        assert main(["featurize", *seed, "--in", str(root / "trk"),
+                     "--out", str(root / "feat"), *self.ARGS]) == 0
+        cfg = load_config(overrides=[a for a in self.ARGS if "=" in a], seed=self.SEED)
+        spec = DatasetSpec(classes=tuple(cfg["scene"]["classes"]), samples_per_class=5,
+                           windows=12)
+        samples = synthesize_dataset(geometry_from(cfg), schedule_from(cfg), spec,
+                                     seed=self.SEED)
+        return root, samples
+
+    @pytest.mark.parametrize("test_frac", [None, 0.4])
+    @pytest.mark.parametrize("method", ["knn", "dtw"])
+    def test_report_accuracy(self, dataset, tmp_path, method, test_frac):
+        root, samples = dataset
+        split_seed = 3
+        args = ["--set", f"classify.method=\"{method}\"", "--set", f"classify.split_seed={split_seed}"]
+        kw = {"split_seed": split_seed}
+        if test_frac is not None:
+            args += ["--set", f"classify.test_frac={test_frac}"]
+            kw["test_frac"] = test_frac
+        src = root / ("feat" if method == "knn" else "trk")
+        assert main(["classify", "--in", str(src), "--out", str(tmp_path), *args]) == 0
+        got = json.loads((tmp_path / "report.json").read_text())["metrics"]["accuracy"]
+        want = knn_experiment(samples, "SPRA", **kw) if method == "knn" \
+            else dtw_experiment(samples, "aoa", **kw)
+        assert got == want.accuracy

@@ -86,3 +86,12 @@ class TestReaderLogIO:
         undetected = [r for r in back.records if not r.detected]
         assert len(undetected) == 2
         assert all(r.iq is None and r.iq_blob_path == "" for r in undetected)
+
+    def test_detected_row_without_blob_reports_row(self, tmp_path):
+        write_reader_log(make_log(), tmp_path)
+        csv_path = tmp_path / "readerlog.csv"
+        lines = csv_path.read_text().splitlines()
+        lines[3] = lines[3].replace("blobs/w00000_ttagA_a2.bin", "")
+        csv_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"readerlog\.csv row 3: detected read has no"):
+            read_reader_log(tmp_path)
