@@ -49,7 +49,8 @@ def _dataset_spec(cfg: dict) -> DatasetSpec:
                        samples_per_class=s["samples_per_class"], windows=s["windows"],
                        snr_db=s["snr_db"], misdetect_prob=p if np.isscalar(p) else tuple(p),
                        nlos_paths=s["nlos_paths"], nlos_gain_db=s["nlos_gain_db"],
-                       angle_gain_db=s["angle_gain_db"], angle_phase_rad=s["angle_phase_rad"])
+                       angle_gain_db=s["angle_gain_db"], angle_phase_rad=s["angle_phase_rad"],
+                       tx_power=s["tx_power"], modulation_gain=s["modulation_gain"])
 
 
 # --- simulate ----------------------------------------------------------------
@@ -60,8 +61,7 @@ def cmd_simulate(cfg: dict, out: Path) -> int:
     s = cfg["scene"]
     if s["mode"] == "fixed":
         angles = {tag: math.radians(deg) for tag, deg in s["fixed_tags_deg"].items()}
-        log = synthesize_fixed_log(geo, sched, spec, angles, cfg["seed"],
-                                   tx_power=s["tx_power"], modulation_gain=s["modulation_gain"])
+        log = synthesize_fixed_log(geo, sched, spec, angles, cfg["seed"])
         log.meta = _meta(cfg)
         write_reader_log(log, out)
         print(f"wrote fixed-tag reader log: {out / 'readerlog.csv'}")
@@ -95,16 +95,13 @@ def _write_measurements(path: Path, cfg: dict, measurements: dict) -> int:
 
 def cmd_estimate(cfg: dict, in_path: Path, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
-    t0 = 0.0  # a windowed-IQ index keeps no log start; its midpoints count from 0
     if in_path.is_dir() and (in_path / "windows.json").exists() or in_path.name == "windows.json":
         windows = read_windows(in_path)
     else:
-        log = read_reader_log(in_path)
-        t0 = log.start_s
-        windows = windows_by_tag(log, cfg["windowing"]["samples_per_window"])
+        windows = windows_by_tag(read_reader_log(in_path))
         write_windows(windows, out / "windows", meta=_meta(cfg))
     measurements = measure_windows(windows, geometry_from(cfg), schedule_from(cfg),
-                                   music_search_from(cfg), t0)
+                                   music_search_from(cfg))
     n = _write_measurements(out / "measurements.csv", cfg, measurements)
     print(f"wrote {out / 'measurements.csv'} ({n} measurements)")
     return 0
@@ -114,11 +111,8 @@ def cmd_estimate(cfg: dict, in_path: Path, out: Path) -> int:
 
 def _track_one(cfg: dict, log_dir: Path, out: Path) -> dict:
     log = read_reader_log(log_dir)
-    sched = schedule_from(cfg)
-    tracks = track_aoa(log, geometry_from(cfg),
-                       samples_per_window=cfg["windowing"]["samples_per_window"],
-                       music_search=music_search_from(cfg), kalman=kalman_from(cfg),
-                       schedule=sched)
+    tracks = track_aoa(log, geometry_from(cfg), music_search=music_search_from(cfg),
+                       kalman=kalman_from(cfg), schedule=schedule_from(cfg))
     payload: dict = {**_meta(cfg), "tags": {}}
     deg = math.degrees
     for tag, tr in sorted(tracks.items()):
@@ -137,7 +131,7 @@ def _track_one(cfg: dict, log_dir: Path, out: Path) -> dict:
     for tag, tr in sorted(tracks.items()):
         truth = np.full(tr.n_windows, np.nan)
         if log.truth and tag in log.truth:
-            truth = truth_on_track(tr, log.truth[tag], log.start_s, sched.window_duration_s)
+            truth = truth_on_track(tr, log.truth[tag], log.first_window)
         with open(out / f"track_plot_{tag}.csv", "w", newline="") as fh:
             fh.write(f"# config_hash={config_hash(cfg)},seed={cfg['seed']}\n")
             writer = csv.writer(fh)
@@ -170,9 +164,7 @@ def cmd_track(cfg: dict, in_path: Path, out: Path) -> int:
     for entry in manifest["samples"]:
         log = read_reader_log(in_path / entry["dir"])
         sample = attach_tracks(gesture_sample(log, entry["label"], sched.window_duration_s),
-                               log, geo, kalman=kalman_from(cfg),
-                               samples_per_window=cfg["windowing"]["samples_per_window"],
-                               schedule=sched)
+                               log, geo, kalman=kalman_from(cfg), schedule=sched)
         series["samples"].append(_series_entry(entry, sample))
     _write_json(out / "series.json", series)
     print(f"wrote {out / 'series.json'} ({len(series['samples'])} samples)")

@@ -48,9 +48,6 @@ DEFAULT_CONFIG: dict = {
         "sample_period_s": 2.5e-4,
         "residual_phase": False,
     },
-    "windowing": {
-        "samples_per_window": None,      # None -> acquisition window size
-    },
     "music": {
         "search_deg": [-18.0, 18.0],
     },
@@ -144,11 +141,6 @@ def validate_config(cfg: dict) -> dict:
     _check(_is_num(sch["sample_period_s"]) and sch["sample_period_s"] > 0,
            "schedule.sample_period_s", "must be > 0")
     _check(isinstance(sch["residual_phase"], bool), "schedule.residual_phase", "must be a bool")
-
-    w = cfg["windowing"]["samples_per_window"]
-    if w is not None:
-        _check(isinstance(w, int) and w >= 4 and w % 2 == 0,
-               "windowing.samples_per_window", "must be an even integer >= 4 or null")
 
     sd = cfg["music"]["search_deg"]
     _check(isinstance(sd, list) and len(sd) == 2 and all(_is_num(v) for v in sd)

@@ -17,7 +17,6 @@ from .classify import (EvalReport, LabeledDataset, dtw_1nn_classify, evaluate,
                        knn_feature_classify, stratified_split)
 from .features import FEATURE_CONFIGS, featurize_dataset, prepare_channel
 from .geometry import ArrayGeometry, unambiguous_fov
-from .preprocess import acquisition_windows
 from .readerlog import ReaderLog
 from .simulate import (GESTURE_CLASSES, GestureSample, SASSchedule, anechoic_scene,
                        build_gesture_spec, gesture_scene, lab_scene, simulate_gesture,
@@ -38,6 +37,8 @@ class DatasetSpec:
     nlos_gain_db: float = -13.5
     angle_gain_db: float = 2.5
     angle_phase_rad: float = 1.2
+    tx_power: float = 1.0
+    modulation_gain: float = 1.0
     tag_ids: tuple[str, str] = ("tag1", "tag2")
 
 
@@ -49,7 +50,8 @@ def synthesize_gesture(class_id: str, geometry: ArrayGeometry, schedule: SASSche
     scene = gesture_scene(geometry, spec.snr_db, rng, tag_ids=spec.tag_ids,
                           misdetect_prob=spec.misdetect_prob, n_paths=spec.nlos_paths,
                           nlos_gain_db=spec.nlos_gain_db, angle_gain_db=spec.angle_gain_db,
-                          angle_phase_rad=spec.angle_phase_rad)
+                          angle_phase_rad=spec.angle_phase_rad, tx_power=spec.tx_power,
+                          modulation_gain=spec.modulation_gain)
     gesture = build_gesture_spec(class_id, rng,
                                  duration_s=spec.windows * schedule.window_duration_s,
                                  windows=spec.windows, fov=unambiguous_fov(geometry))
@@ -65,8 +67,7 @@ def gesture_dataset(geometry: ArrayGeometry, schedule: SASSchedule, spec: Datase
 
 
 def synthesize_fixed_log(geometry: ArrayGeometry, schedule: SASSchedule, spec: DatasetSpec,
-                         angles: dict[str, float], seed: int, tx_power: float = 1.0,
-                         modulation_gain: float = 1.0) -> ReaderLog:
+                         angles: dict[str, float], seed: int) -> ReaderLog:
     """``spec.windows`` windows of tags held at fixed angles (radians).
 
     Tags take reader slots in sorted id order.  The scatterer paths draw
@@ -74,7 +75,7 @@ def synthesize_fixed_log(geometry: ArrayGeometry, schedule: SASSchedule, spec: D
     t from [seed, 1, t].
     """
     tags = tuple(sorted(angles))
-    kwargs = dict(tag_ids=tags, tx_power=tx_power, modulation_gain=modulation_gain,
+    kwargs = dict(tag_ids=tags, tx_power=spec.tx_power, modulation_gain=spec.modulation_gain,
                   misdetect_prob=spec.misdetect_prob)
     if spec.nlos_paths > 0:
         scene = lab_scene(geometry, spec.snr_db, np.random.default_rng([seed, 0]),
@@ -87,31 +88,30 @@ def synthesize_fixed_log(geometry: ArrayGeometry, schedule: SASSchedule, spec: D
 
 def attach_tracks(sample: GestureSample, log: ReaderLog, geometry: ArrayGeometry,
                   kalman: KalmanConfig | None = None,
-                  samples_per_window: int | None = None,
                   schedule: SASSchedule | None = None) -> GestureSample:
     """Run the tracking chain on the log and fill the sample's AoA channel.
 
-    Smoothed estimates land on the acquisition-window grid via their
-    midpoints; windows missing from the track stay NaN (imputed at feature
-    time).
+    Track slot t is acquisition window ``track.first_window + t``, counted
+    like the sample's channels from the log's first window; windows missing
+    from the track stay NaN (imputed at feature time).
     """
-    tracks = track_aoa(log, geometry, samples_per_window=samples_per_window, kalman=kalman,
-                       schedule=schedule)
+    tracks = track_aoa(log, geometry, kalman=kalman, schedule=schedule)
     for tag in sample.tag_ids:
         series = np.full(sample.n_windows, np.nan)
         track = tracks.get(tag)
         if track is not None:
-            idx = acquisition_windows(track.midpoint_s, log.start_s, sample.dt_s)
-            keep = (idx >= 0) & (idx < sample.n_windows)
-            series[idx[keep]] = track.smoothed_series()[keep]
+            start = track.first_window - log.first_window
+            series[start:start + track.n_windows] = track.smoothed_series()
         sample.aoa[tag] = series
     return sample
 
 
-def truth_on_track(track: AoATrack, truth: np.ndarray, t0_s: float,
-                   window_s: float) -> np.ndarray:
-    "Ground truth at each track slot's acquisition window, NaN where it has none."
-    idx = acquisition_windows(track.midpoint_s, t0_s, window_s)
+def truth_on_track(track: AoATrack, truth: np.ndarray, first_window: int) -> np.ndarray:
+    """Ground truth at each track slot, NaN where it has none.
+
+    ``truth[i]`` belongs to acquisition window ``first_window + i``.
+    """
+    idx = track.first_window - first_window + np.arange(track.n_windows)
     keep = (idx >= 0) & (idx < truth.size)
     out = np.full(idx.size, np.nan)
     out[keep] = truth[idx[keep]]
@@ -174,7 +174,7 @@ def dtw_experiment(samples: list[GestureSample], channel: str, split_seed: int =
     return evaluate(preds, [labels[i] for i in test_idx], classes)
 
 
-def tracking_rmse(sample: GestureSample, log: ReaderLog, geometry: ArrayGeometry,
+def tracking_rmse(log: ReaderLog, geometry: ArrayGeometry,
                   kalman: KalmanConfig | None = None,
                   schedule: SASSchedule | None = None) -> dict[str, dict[str, float]]:
     """Raw / filtered / smoothed RMSE vs ground truth per tag (radians).
@@ -185,7 +185,7 @@ def tracking_rmse(sample: GestureSample, log: ReaderLog, geometry: ArrayGeometry
     tracks = track_aoa(log, geometry, kalman=kalman, schedule=schedule)
     out = {}
     for tag, track in tracks.items():
-        truth = truth_on_track(track, log.truth[tag], log.start_s, sample.dt_s)
+        truth = truth_on_track(track, log.truth[tag], log.first_window)
         keep = np.isfinite(truth)
         truth = truth[keep]
         raw = track.raw_series()[keep]

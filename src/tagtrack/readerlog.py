@@ -61,9 +61,9 @@ class ReaderLog:
         return list(seen)
 
     @property
-    def start_s(self) -> float:
-        "First record timestamp: the origin of the acquisition-window grid."
-        return self.records[0].timestamp_s if self.records else 0.0
+    def first_window(self) -> int:
+        "Smallest acquisition window index: window 0 of the channels and the truth."
+        return min((r.window_idx for r in self.records), default=0)
 
     def validate(self):
         last_t = -math.inf
@@ -89,7 +89,12 @@ def write_blob(path: Path, iq: np.ndarray):
 
 
 def read_blob(path: Path) -> np.ndarray:
+    "Complex IQ of a blob; rejects an odd float count and non-finite values."
     raw = np.frombuffer(path.read_bytes(), dtype="<f8")
+    if raw.size % 2:
+        raise ValueError(f"blob {path} holds an odd number of floats ({raw.size})")
+    if not np.isfinite(raw).all():
+        raise ValueError(f"blob {path} holds non-finite IQ values")
     return raw[0::2] + 1j * raw[1::2]
 
 
@@ -124,13 +129,19 @@ def write_reader_log(log: ReaderLog, out_dir: str | Path) -> Path:
 
 
 def read_reader_log(path: str | Path) -> ReaderLog:
-    """Parse a reader log directory (or csv path), loading IQ blobs eagerly."""
+    """Parse a reader log directory (or csv path), loading IQ blobs eagerly.
+
+    A malformed row -- bad antenna, duplicate (window, tag, antenna), a
+    detected read without a readable blob -- raises ValueError naming the
+    CSV file and row.
+    """
     path = Path(path)
     if path.is_dir():
         base, csv_path = path, path / "readerlog.csv"
     else:
         base, csv_path = path.parent, path
     records = []
+    seen: set[tuple[int, str, int]] = set()
     with open(csv_path, newline="") as fh:
         rows = [ln for ln in fh if not ln.startswith("#")]
     reader = csv.reader(rows)
@@ -140,17 +151,25 @@ def read_reader_log(path: str | Path) -> ReaderLog:
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
-        antenna = int(row[3])
+        window_idx, antenna = int(row[0]), int(row[3])
         if antenna not in (1, 2):
             raise ValueError(f"{csv_path} row {lineno}: antenna must be 1 or 2, got {antenna}")
+        key = (window_idx, row[2], antenna)
+        if key in seen:
+            raise ValueError(f"{csv_path} row {lineno}: duplicate row for window {window_idx}, "
+                             f"tag {row[2]}, antenna {antenna}")
+        seen.add(key)
         detected = row[9].strip().lower() == "true"
         iq = None
         if detected:
             if not row[6]:
                 raise ValueError(f"{csv_path} row {lineno}: detected read has no iq_blob_path")
-            iq = read_blob(base / row[6])
+            try:
+                iq = read_blob(base / row[6])
+            except ValueError as e:
+                raise ValueError(f"{csv_path} row {lineno}: {e}") from None
         records.append(ReadRecord(
-            window_idx=int(row[0]), timestamp_s=float(row[1]), tag_id=row[2],
+            window_idx=window_idx, timestamp_s=float(row[1]), tag_id=row[2],
             antenna=antenna, iq=iq,
             rss_dbm=float(row[7]) if row[7] else math.nan,
             phase_rad=float(row[8]) if row[8] else math.nan,

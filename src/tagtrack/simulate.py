@@ -367,7 +367,7 @@ def gesture_sample(log: ReaderLog, label: str, dt_s: float) -> GestureSample:
     starting at the log's first window index, NaN where the read was lost.
     """
     tags = log.tag_ids
-    first = min(r.window_idx for r in log.records)
+    first = log.first_window
     T = 1 + max(r.window_idx for r in log.records) - first
     rss = {t: np.full(T, np.nan) for t in tags}
     phase = {t: np.full(T, np.nan) for t in tags}
@@ -446,7 +446,8 @@ def gesture_scene(geometry: ArrayGeometry, snr_db: float, rng: np.random.Generat
                   misdetect_prob: float = 0.05, n_paths: int = 2,
                   nlos_gain_db: float = -13.5, angle_gain_db: float = 2.5,
                   angle_phase_rad: float = 1.2, gain_jitter_db: float = 1.0,
-                  phase_jitter_rad: float = 0.4) -> SimScene:
+                  phase_jitter_rad: float = 0.4, tx_power: float = 1.0,
+                  modulation_gain: float = 1.0) -> SimScene:
     """Lab-like two-tag scene with per-sample nuisance draws.
 
     Each tag's LoS gain gets a random level and phase offset so absolute
@@ -454,7 +455,8 @@ def gesture_scene(geometry: ArrayGeometry, snr_db: float, rng: np.random.Generat
     """
     scene = lab_scene(geometry, snr_db, rng, tag_ids, n_paths, nlos_gain_db,
                       misdetect_prob=misdetect_prob, angle_gain_db=angle_gain_db,
-                      angle_phase_rad=angle_phase_rad)
+                      angle_phase_rad=angle_phase_rad, tx_power=tx_power,
+                      modulation_gain=modulation_gain)
     tags = []
     for tag_id, paths in scene.tags:
         level = 10.0 ** (rng.uniform(-gain_jitter_db, gain_jitter_db) / 20.0)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .geometry import ArrayGeometry
 from .music import AoAMeasurement, estimate_aoa
-from .preprocess import IQWindow, acquisition_windows, measurement_slots, windows_by_tag
+from .preprocess import IQWindow, windows_by_tag
 from .readerlog import ReaderLog
 from .simulate import SASSchedule
 
@@ -103,6 +103,7 @@ class AoATrack:
     smoothed_covs: np.ndarray | None = None
     smoother_gains: np.ndarray | None = None
     low_confidence: bool = False
+    first_window: int = 0           # reader-log window index of slot 0
     midpoint_s: np.ndarray | None = None
     dt: float = 0.0
 
@@ -233,63 +234,56 @@ def rts_smooth(track: AoATrack, cfg: KalmanConfig) -> AoATrack:
 
 def measure_windows(windows: dict[str, list[IQWindow]], geometry: ArrayGeometry,
                     schedule: SASSchedule | None = None,
-                    search: tuple[float, float] | None = None,
-                    t0_s: float = 0.0) -> dict[str, list[AoAMeasurement]]:
+                    search: tuple[float, float] | None = None
+                    ) -> dict[str, list[AoAMeasurement]]:
     """Per-window AoA estimates of every tag, in sorted tag order.
 
     With ``schedule.residual_phase`` on, a window of acquisition size first
     has the reader's transmit sequence divided out.  That sequence belongs to
-    the acquisition window holding the window midpoint (grid origin ``t0_s``)
-    and to the tag's slot, its position among the sorted tag ids.
+    the window's ``window_idx`` and to the tag's slot, its position among the
+    sorted tag ids.
     """
     out = {}
     for slot, tag in enumerate(sorted(windows), start=1):
         tag_windows = windows[tag]
         txs = [None] * len(tag_windows)
         if schedule is not None and schedule.residual_phase:
-            src = acquisition_windows([w.midpoint_time_s for w in tag_windows], t0_s,
-                                      schedule.window_duration_s)
-            txs = [np.vstack([schedule.tx_sequence(int(i), m, min(slot, 2),
+            txs = [np.vstack([schedule.tx_sequence(w.window_idx, m, min(slot, 2),
                                                    geometry.carrier_freq_hz) for m in (1, 2)])
                    if w.matrix.shape[1] == schedule.cols else None
-                   for w, i in zip(tag_windows, src)]
+                   for w in tag_windows]
         out[tag] = [estimate_aoa(w, geometry, search=search, tx_sequence=tx)
                     for w, tx in zip(tag_windows, txs)]
     return out
 
 
 def track_aoa(log: ReaderLog, geometry: ArrayGeometry,
-              samples_per_window: int | None = None,
               music_search: tuple[float, float] | None = None,
               kalman: KalmanConfig | None = None,
               schedule: SASSchedule | None = None) -> dict[str, AoATrack]:
     """Full per-tag chain: window, measure, filter, smooth.
 
-    ``samples_per_window`` defaults to the log's own acquisition window size,
-    and ``schedule`` enables the residual-phase correction of
-    ``measure_windows``.  Pruned or misdetected acquisition windows surface
-    as missing measurement slots.  Returns the smoothed track per tag; tags
-    with no usable window are omitted.
+    Slot t of a tag's track is acquisition window ``first_window + t``, so
+    pruned or misdetected windows surface as missing measurements.  dt
+    defaults to the time between the first and last window over their index
+    span (1.0 for a single window), and ``schedule`` enables the
+    residual-phase correction of ``measure_windows``.  Returns the smoothed
+    track per tag; tags with no usable window are omitted.
     """
-    windows = windows_by_tag(log, samples_per_window)
+    windows = windows_by_tag(log)
     out: dict[str, AoATrack] = {}
-    for tag, meas in measure_windows(windows, geometry, schedule, music_search,
-                                     log.start_s).items():
-        if not meas:
-            continue
-        slots, dt = measurement_slots(windows[tag])
-        T = slots[-1] + 1
-        z = np.full(T, np.nan)
-        mids = np.full(T, np.nan)
-        for w, m, slot in zip(windows[tag], meas, slots):
+    for tag, meas in measure_windows(windows, geometry, schedule, music_search).items():
+        first, last = windows[tag][0], windows[tag][-1]
+        span = last.window_idx - first.window_idx
+        z = np.full(span + 1, np.nan)
+        for m in meas:
             if m.valid:
-                z[slot] = m.theta_hat
-            mids[slot] = w.midpoint_time_s
+                z[m.window_idx - first.window_idx] = m.theta_hat
+        dt = (last.midpoint_time_s - first.midpoint_time_s) / span if span else 0.0
         base = kalman or KalmanConfig()
         cfg = replace(base, dt=base.dt if base.dt is not None else (dt if dt > 0 else 1.0))
         track = rts_smooth(filter_sequence(z, cfg), cfg)
-        if np.isnan(mids).any():  # gap slots: the tracker's grid from the first midpoint
-            mids = mids[0] + np.arange(T) * cfg.dt
-        track.midpoint_s = mids
+        track.first_window = first.window_idx
+        track.midpoint_s = first.midpoint_time_s + np.arange(span + 1) * dt
         out[tag] = track
     return out

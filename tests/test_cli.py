@@ -62,6 +62,12 @@ class TestConfig:
         geo = geometry_from(load_config())
         assert geo.element_spacing_m == pytest.approx(0.8 * geo.wavelength_m)
 
+    def test_windowing_block_rejected(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"windowing": {"samples_per_window": None}}))
+        with pytest.raises(ConfigError, match="windowing: unknown key"):
+            load_config(path)
+
     def test_validate_rejects_extra_top_key(self):
         cfg = load_config()
         cfg["extra"] = 1
@@ -99,6 +105,19 @@ class TestSimulateCli:
         assert (tmp_path / "readerlog.csv").exists()
         truth = json.loads((tmp_path / "truth.json").read_text())
         np.testing.assert_allclose(truth["tag1"], [-15.0] * 10, atol=1e-9)
+
+
+    def test_scene_power_and_gain_reach_gesture_logs(self, tmp_path):
+        def blobs(name, *overrides):
+            out = tmp_path / name
+            assert main(["simulate", "--seed", "7", "--out", str(out), *TINY, *overrides]) == 0
+            return {k: v for k, v in tree_digest(out).items() if k.endswith(".bin")}
+
+        default = blobs("default")
+        assert blobs("gain", "--set", "scene.modulation_gain=0.5") != default
+        # the amplitude is sqrt(tx_power) * modulation_gain: 2 * 0.5 leaves every blob as is
+        assert blobs("both", "--set", "scene.tx_power=4.0",
+                     "--set", "scene.modulation_gain=0.5") == default
 
 
 class TestEstimateTrackCli:
@@ -290,6 +309,43 @@ class TestImportedLogs:
         err = capsys.readouterr().err
         assert f"{csv_path} row 4" in err  # CSV rows count from the header, comments skipped
         assert "Traceback" not in err
+
+    def test_odd_blob_fails_cleanly(self, tmp_path, capsys):
+        log = tmp_path / "log"
+        main(["simulate", "--seed", "2", "--out", str(log), *FIXED, "--set", "scene.windows=8"])
+        csv_path = log / "readerlog.csv"
+        row = read_rows(csv_path)[2]
+        blob = log / row["iq_blob_path"]
+        blob.write_bytes(blob.read_bytes()[:792])
+        capsys.readouterr()
+        assert main(["track", "--in", str(log), "--out", str(tmp_path / "trk")]) != 0
+        err = capsys.readouterr().err
+        assert f"{csv_path} row 4: blob {blob} holds an odd number of floats (99)" in err
+        assert "Traceback" not in err
+
+    def test_measurement_window_idx_is_log_index(self, tmp_path):
+        log = tmp_path / "log"
+        main(["simulate", "--seed", "2", "--out", str(log), "--set", "scene.mode=\"fixed\"",
+              "--set", "scene.windows=12", "--set", "scene.misdetect_prob=0.3"])
+        assert main(["estimate", "--in", str(log), "--out", str(tmp_path / "est")]) == 0
+        rows = read_rows(tmp_path / "est" / "measurements.csv")
+        records = read_reader_log(log).records
+        for tag in ("tag1", "tag2"):
+            read = {(r.window_idx, r.antenna) for r in records if r.tag_id == tag and r.detected}
+            both = sorted({w for w, a in read if a == 1 and (w, 2) in read})
+            assert [int(r["window_idx"]) for r in rows if r["tag_id"] == tag] == both
+            assert both != list(range(len(both)))  # a window before the last was pruned
+
+    def test_epoch_residual_phase_windows_index_matches_log(self, tmp_path):
+        args = [*FIXED, "--set", "scene.windows=12", "--set", "schedule.residual_phase=true",
+                "--set", "schedule.sample_period_s=2.5037e-4"]
+        log, shifted = tmp_path / "log", tmp_path / "shifted"
+        assert main(["simulate", "--seed", "4", "--out", str(log), *args]) == 0
+        shift_log(log, shifted, EPOCH_S)
+        e1, e2 = tmp_path / "e1", tmp_path / "e2"
+        assert main(["estimate", "--in", str(shifted), "--out", str(e1), *args]) == 0
+        assert main(["estimate", "--in", str(e1 / "windows"), "--out", str(e2), *args]) == 0
+        assert (e1 / "measurements.csv").read_text() == (e2 / "measurements.csv").read_text()
 
     def test_epoch_timestamps_gesture_dataset(self, tmp_path):
         data, shifted = tmp_path / "data", tmp_path / "shifted"

@@ -1,16 +1,18 @@
 import math
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tagtrack.preprocess import (SampleStream, flatten_records,
-                                 measurement_slots,
-                                 prune_single_antenna_segments, read_windows,
-                                 split_by_tag, window_segments, write_windows)
+from tagtrack.preprocess import (prune_single_antenna_segments, read_windows,
+                                 split_by_tag, window_segments, windows_by_tag,
+                                 write_windows)
 from tagtrack.readerlog import ReaderLog, ReadRecord
-from tagtrack.simulate import (PathSpec, SASSchedule, SimScene,
+from tagtrack.simulate import (PathSpec, SASSchedule, SimScene, anechoic_scene,
                                build_gesture_spec, paper_geometry,
-                               simulate_gesture)
+                               simulate_gesture, simulate_log)
 
 GEO = paper_geometry()
 
@@ -22,12 +24,35 @@ def record(window, tag, antenna, detected=True, n=10, t0=None):
                       0.0 if detected else math.nan, detected)
 
 
-def interleaved_stream(n, value_fn=None):
-    "Synthetic stream of n samples alternating antennas at unit spacing."
-    times = np.arange(n, dtype=float)
-    ants = np.tile([1, 2], (n + 1) // 2)[:n].astype(np.int8)
-    vals = np.ones(n, dtype=complex) if value_fn is None else value_fn(times)
-    return SampleStream(times, ants, vals)
+def misdetected_log(misdetect_prob=0.3, seed=3):
+    "Two-tag gesture log in which some windows are read on one antenna or none."
+    spec = build_gesture_spec("SL", np.random.default_rng(0), windows=12)
+    scene = SimScene(GEO, [("tag1", [PathSpec(1.0, 0.0, is_los=True)]),
+                           ("tag2", [PathSpec(1.0, 0.0, is_los=True)])],
+                     misdetect_prob=misdetect_prob)
+    return simulate_gesture(spec, scene, SASSchedule(), rng_seed=seed)[1]
+
+
+def assert_windows_match_records(windows, records):
+    """One window per two-antenna window_idx, in index order, holding the records' IQ."""
+    rows = {(r.window_idx, r.antenna): r for r in records if r.detected}
+    both = sorted({w for w, a in rows if (w, 3 - a) in rows})
+    assert [w.window_idx for w in windows] == both
+    for w in windows:
+        r1, r2 = rows[w.window_idx, 1], rows[w.window_idx, 2]
+        np.testing.assert_array_equal(w.matrix, np.vstack([r1.iq, r2.iq]))
+        assert w.tag_id == r1.tag_id and w.complete
+        assert w.midpoint_time_s == 0.5 * (r1.timestamp_s + r2.timestamp_s)
+
+
+def assert_same_windows(a, b):
+    assert list(a) == list(b)
+    for tag in a:
+        assert len(a[tag]) == len(b[tag])
+        for wa, wb in zip(a[tag], b[tag]):
+            assert (wa.tag_id, wa.window_idx, wa.midpoint_time_s, wa.complete) == \
+                (wb.tag_id, wb.window_idx, wb.midpoint_time_s, wb.complete)
+            np.testing.assert_array_equal(wa.matrix, wb.matrix)
 
 
 class TestSplitByTag:
@@ -100,48 +125,21 @@ class TestPrune:
 
 
 class TestWindowSegments:
-    def test_100_snapshots_window_20(self):
-        windows = window_segments(interleaved_stream(100), 20)
-        assert len(windows) == 5
-        assert all(w.matrix.shape == (2, 10) for w in windows)
-        # disjoint index ranges: midpoints strictly increasing by one window
-        mids = [w.midpoint_time_s for w in windows]
-        assert np.allclose(np.diff(mids), 20.0)
+    def test_one_window_per_two_antenna_window_idx(self):
+        log = misdetected_log()
+        for tag, records in split_by_tag(log).items():
+            pruned = {r.window_idx for r in records} - \
+                {r.window_idx for r in prune_single_antenna_segments(records)}
+            assert pruned  # the log exercises single-antenna and lost windows
+            assert_windows_match_records(window_segments(records), records)
 
-    def test_105_snapshots_tail_dropped(self):
-        windows = window_segments(interleaved_stream(105), 20)
-        assert len(windows) == 5
-
-    def test_too_few_samples_empty(self):
-        assert window_segments(interleaved_stream(10), 20) == []
-
-    def test_remainder_above_half_kept(self):
-        windows = window_segments(interleaved_stream(115), 20)
-        assert len(windows) == 6
-        assert windows[-1].matrix.shape[1] == 7  # 15 samples -> 7 pairs
-
-    def test_no_overlap(self):
-        windows = window_segments(interleaved_stream(120), 20)
-        for a, b in zip(windows[:-1], windows[1:]):
-            assert a.midpoint_time_s + 10 <= b.midpoint_time_s + 1e-9
-
-    def test_rejects_bad_window_size(self):
-        with pytest.raises(ValueError):
-            window_segments(interleaved_stream(40), 3)
-        with pytest.raises(ValueError):
-            window_segments(interleaved_stream(40), 7)
-
-    def test_runs_not_merged_across_gaps(self):
-        # two contiguous runs separated by a long gap stay separate windows
-        s1 = interleaved_stream(40)
-        times = np.concatenate([s1.times, s1.times + 1000.0])
-        ants = np.concatenate([s1.antennas, s1.antennas])
-        vals = np.concatenate([s1.values, 2.0 * s1.values])
-        windows = window_segments(SampleStream(times, ants, vals), 40)
-        assert len(windows) == 2
-        assert np.allclose(windows[0].values if hasattr(windows[0], 'values')
-                           else windows[0].matrix, 1.0)
-        assert np.allclose(windows[1].matrix, 2.0)
+    def test_rows_trimmed_and_short_windows_skipped(self):
+        recs = [record(0, "A", 1, n=6), record(0, "A", 2, n=4),
+                record(1, "A", 1, n=1), record(1, "A", 2, n=5),
+                record(2, "A", 1, n=3), record(2, "A", 2, detected=False)]
+        windows = window_segments(recs)
+        assert [w.window_idx for w in windows] == [0]
+        assert windows[0].matrix.shape == (2, 4)
 
     def test_conservation_through_split_and_prune(self):
         spec = build_gesture_spec("SL", np.random.default_rng(0), windows=12)
@@ -158,41 +156,25 @@ class TestWindowSegments:
                 ants = {x.antenna for x in records if x.window_idx == r.window_idx and x.detected}
                 assert ants != {1, 2} or not r.detected
 
-
-class TestFlattenAndSlots:
-    def test_flatten_orders_samples(self):
-        recs = [record(w, "A", a, n=6, t0=w * 1.0 + 0.01 * (a - 1))
-                for w in range(3) for a in (1, 2)]
-        stream = flatten_records(recs)
-        assert len(stream) == 36
-        assert np.all(np.diff(stream.times) >= 0)
-
-    def test_slots_detect_gap(self):
-        recs = [record(w, "A", a, n=6, t0=w * 1.0 + 0.01 * (a - 1))
-                for w in (0, 1, 2, 4, 5) for a in (1, 2)]
-        windows = window_segments(recs, 12, tag_id="A")
-        slots, dt = measurement_slots(windows)
-        assert slots == [0, 1, 2, 4, 5]
-        assert dt == pytest.approx(1.0, rel=0.05)
-
-    def test_single_window_slot(self):
-        recs = [record(0, "A", 1, n=6), record(0, "A", 2, n=6)]
-        windows = window_segments(recs, 12, tag_id="A")
-        slots, dt = measurement_slots(windows)
-        assert slots == [0]
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), p1=st.floats(0.0, 0.6), p2=st.floats(0.0, 0.6),
+           n_windows=st.integers(1, 12), offset_s=st.floats(0.0, 2e9))
+    def test_random_logs(self, seed, p1, p2, n_windows, offset_s):
+        scene = anechoic_scene(GEO, 20.0, tag_ids=("tag1", "tag2"), misdetect_prob=(p1, p2))
+        angles = [np.full(n_windows, 0.1), np.full(n_windows, -0.2)]
+        log = simulate_log(scene, SASSchedule(samples_per_window=8), angles, [seed])
+        for r in log.records:
+            r.timestamp_s += offset_s
+        for records in split_by_tag(log).values():
+            assert_windows_match_records(window_segments(records), records)
+        windows = windows_by_tag(log)
+        with tempfile.TemporaryDirectory() as tmp:
+            write_windows(windows, tmp)
+            assert_same_windows(read_windows(tmp), windows)
 
 
 class TestWindowedIQFormat:
     def test_roundtrip(self, tmp_path):
-        windows = window_segments(interleaved_stream(
-            80, value_fn=lambda t: np.exp(1j * 0.1 * t)), 20)
-        for w in windows:
-            w.tag_id = "tagX"
-        write_windows({"tagX": windows}, tmp_path, meta={"seed": 1})
-        back = read_windows(tmp_path)
-        assert list(back) == ["tagX"]
-        for wa, wb in zip(windows, back["tagX"]):
-            np.testing.assert_array_equal(wa.matrix, wb.matrix)
-            assert wa.window_idx == wb.window_idx
-            assert wa.complete == wb.complete
-            assert wa.midpoint_time_s == pytest.approx(wb.midpoint_time_s)
+        windows = windows_by_tag(misdetected_log())
+        write_windows(windows, tmp_path, meta={"seed": 1})
+        assert_same_windows(read_windows(tmp_path), windows)

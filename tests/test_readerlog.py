@@ -95,3 +95,26 @@ class TestReaderLogIO:
         csv_path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=r"readerlog\.csv row 3: detected read has no"):
             read_reader_log(tmp_path)
+
+    def test_duplicate_row_reports_row(self, tmp_path):
+        write_reader_log(make_log(), tmp_path)
+        csv_path = tmp_path / "readerlog.csv"
+        lines = csv_path.read_text().splitlines()
+        lines.insert(4, lines[3])
+        csv_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"readerlog\.csv row 4: duplicate row for window 0, "
+                                             r"tag tagA, antenna 2"):
+            read_reader_log(tmp_path)
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda raw: raw[:-8], "odd number of floats"),
+        (lambda raw: np.float64(np.nan).tobytes() + raw[8:], "non-finite"),
+        (lambda raw: raw[:8] + np.float64(np.inf).tobytes() + raw[16:], "non-finite"),
+    ], ids=["odd", "nan", "inf"])
+    def test_bad_blob_reports_row(self, tmp_path, corrupt, message):
+        write_reader_log(make_log(), tmp_path)
+        blob = tmp_path / "blobs" / "w00001_ttagA_a1.bin"
+        blob.write_bytes(corrupt(blob.read_bytes()))
+        with pytest.raises(ValueError, match=rf"readerlog\.csv row 4: blob .*w00001_ttagA_a1"
+                                             rf"\.bin holds .*{message}"):
+            read_reader_log(tmp_path)

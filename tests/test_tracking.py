@@ -5,7 +5,7 @@ import pytest
 
 from tagtrack.pipeline import DatasetSpec, synthesize_gesture, tracking_rmse
 from tagtrack.readerlog import ReaderLog
-from tagtrack.simulate import SASSchedule, paper_geometry
+from tagtrack.simulate import SASSchedule, anechoic_scene, paper_geometry, simulate_log
 from tagtrack.tracking import (KalmanConfig, filter_sequence,
                                predict, rts_smooth, track_aoa, update)
 
@@ -296,8 +296,8 @@ class TestTrackAoA:
         spec = DatasetSpec(samples_per_class=1, misdetect_prob=0.05, snr_db=20.0)
         agg = {"raw": [], "smoothed": []}
         for seed in range(50):
-            sample, log = synthesize_gesture("SL", GEO, sched, spec, seed=[40, seed])
-            rmse = tracking_rmse(sample, log, GEO)
+            _, log = synthesize_gesture("SL", GEO, sched, spec, seed=[40, seed])
+            rmse = tracking_rmse(log, GEO)
             for tag in rmse:
                 agg["raw"].append(rmse[tag]["raw"] ** 2)
                 agg["smoothed"].append(rmse[tag]["smoothed"] ** 2)
@@ -338,3 +338,25 @@ class TestTrackAoA:
                     found_gap = True
                     np.testing.assert_array_equal(track.posts[t], track.priors[t])
         assert found_gap
+
+    def test_slots_follow_window_idx(self):
+        # a reader counter that does not start at 0, and window 103 read on one antenna
+        sched = SASSchedule()
+        log = simulate_log(anechoic_scene(GEO, 20.0), sched, [np.full(6, 0.1)], [44])
+        for r in log.records:
+            r.window_idx += 100
+            if r.window_idx == 103 and r.antenna == 2:
+                r.detected, r.iq = False, None
+        track = track_aoa(log, GEO)["tag1"]
+        assert track.first_window == 100 and track.n_windows == 6
+        assert track.valid.tolist() == [True, True, True, False, True, True]
+        assert track.dt == pytest.approx(sched.window_duration_s, rel=1e-12)
+        np.testing.assert_allclose(np.diff(track.midpoint_s), sched.window_duration_s,
+                                   rtol=1e-12)
+
+    def test_single_window_track(self):
+        log = simulate_log(anechoic_scene(GEO, 20.0), SASSchedule(), [np.full(1, 0.1)], [45])
+        track = track_aoa(log, GEO)["tag1"]
+        assert track.n_windows == 1 and track.dt == 1.0
+        times = [r.timestamp_s for r in log.records]
+        assert track.midpoint_s.tolist() == [0.5 * (times[0] + times[1])]
