@@ -15,7 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .readerlog import ReaderLog, ReadRecord, read_blob, write_blob
+from .readerlog import ReaderLog, ReadRecord, blob_iq, read_blob, write_blob
+
+WINDOWS_FILE = "windows.bin"
 
 
 @dataclass
@@ -100,42 +102,56 @@ def windows_by_tag(log: ReaderLog) -> dict[str, list[IQWindow]]:
 
 def write_windows(windows_by_tag: dict[str, list[IQWindow]], out_dir: str | Path,
                   meta: dict | None = None) -> Path:
-    "Write windowed IQ: one blob per window plus a JSON index."
+    """Write windowed IQ: every matrix packed into windows.bin plus a JSON index.
+
+    An entry's ``offset`` is where its row-major 2 x cols matrix starts in
+    windows.bin, in float64 values (4 x cols of them).
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     index: dict = {"meta": meta or {}, "tags": {}}
-    for tag, windows in windows_by_tag.items():
-        entries = []
-        for w in windows:
-            blob = f"win_{tag}_{w.window_idx:05d}.bin"
-            write_blob(out_dir / blob, w.matrix.reshape(-1))
-            entries.append({
-                "window_idx": w.window_idx,
-                "midpoint_s": w.midpoint_time_s,
-                "complete": w.complete,
-                "cols": int(w.matrix.shape[1]),
-                "blob": blob,
-            })
-        index["tags"][tag] = entries
+    offset = 0
+    with open(out_dir / WINDOWS_FILE, "wb") as fh:
+        for tag, windows in windows_by_tag.items():
+            entries = []
+            for w in windows:
+                entries.append({
+                    "window_idx": w.window_idx,
+                    "midpoint_s": w.midpoint_time_s,
+                    "complete": w.complete,
+                    "cols": int(w.matrix.shape[1]),
+                    "offset": offset,
+                })
+                offset += write_blob(fh, w.matrix)
+            index["tags"][tag] = entries
     (out_dir / "windows.json").write_text(json.dumps(index, sort_keys=True, indent=1))
     return out_dir / "windows.json"
 
 
 def read_windows(path: str | Path) -> dict[str, list[IQWindow]]:
-    "Read a windowed IQ index written by write_windows."
+    """Read a windowed IQ index written by write_windows.
+
+    A window whose span runs past the end of windows.bin or holds a
+    non-finite value raises ValueError naming the index, tag and window.
+    """
     path = Path(path)
     if path.is_dir():
         path = path / "windows.json"
     index = json.loads(path.read_text())
-    base = path.parent
+    blob = path.parent / WINDOWS_FILE
+    raw = read_blob(blob)
     out: dict[str, list[IQWindow]] = {}
     for tag, entries in index["tags"].items():
         windows = []
         for e in entries:
-            flat = read_blob(base / e["blob"])
+            cols = int(e["cols"])
+            try:
+                flat = blob_iq(raw, int(e["offset"]), 4 * cols)
+            except ValueError as err:
+                raise ValueError(f"{path} tag {tag} window {e['window_idx']}: "
+                                 f"blob {blob} {err}") from None
             windows.append(IQWindow(
-                tag_id=tag, window_idx=int(e["window_idx"]),
-                matrix=flat.reshape(2, int(e["cols"])),
+                tag_id=tag, window_idx=int(e["window_idx"]), matrix=flat.reshape(2, cols),
                 midpoint_time_s=float(e["midpoint_s"]), complete=bool(e["complete"]),
             ))
         out[tag] = windows

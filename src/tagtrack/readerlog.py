@@ -4,10 +4,14 @@ One CSV row per window per antenna per tag:
 
     window_idx,timestamp_s,tag_id,antenna,i_mean,q_mean,iq_blob_path,rss_dbm,phase_rad,detected
 
-IQ blobs are little-endian float64 interleaved I/Q files, one per row.
-A ground-truth sidecar JSON ``{tag_id: [theta_1..theta_T]}`` (degrees) may
-accompany synthetic logs.  Lines starting with ``#`` carry run metadata and
-are skipped on parse.
+IQ blobs are little-endian float64 interleaved I/Q.  ``iq_blob_path`` names
+a blob file relative to the CSV; ``<file>@<start>:<count>`` takes ``count``
+float64 values from value ``start`` on, and a bare path takes the whole
+file.  ``write_reader_log`` packs every row's IQ into one ``iq.bin``; per-row
+exports from real readers name one bare file per row.  A ground-truth
+sidecar JSON ``{tag_id: [theta_1..theta_T]}`` (degrees) may accompany
+synthetic logs.  Lines starting with ``#`` carry run metadata and are
+skipped on parse.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,6 +28,8 @@ import numpy as np
 
 CSV_HEADER = ["window_idx", "timestamp_s", "tag_id", "antenna", "i_mean", "q_mean",
               "iq_blob_path", "rss_dbm", "phase_rad", "detected"]
+IQ_FILE = "iq.bin"
+_SPAN = re.compile(r"([0-9]+):([0-9]+)")
 
 
 @dataclass
@@ -80,31 +88,49 @@ def _fmt(x: float) -> str:
     return "" if isinstance(x, float) and math.isnan(x) else repr(float(x))
 
 
-def write_blob(path: Path, iq: np.ndarray):
-    "Interleave I/Q as little-endian f64 and write to path."
-    out = np.empty(2 * iq.size, dtype="<f8")
-    out[0::2] = iq.real
-    out[1::2] = iq.imag
-    path.write_bytes(out.tobytes())
+def write_blob(fh, iq: np.ndarray) -> int:
+    "Append iq to an open binary file as little-endian f64 I/Q; returns the values written."
+    buf = np.ascontiguousarray(iq, dtype="<c16")
+    fh.write(buf)
+    return 2 * buf.size
 
 
 def read_blob(path: Path) -> np.ndarray:
-    "Complex IQ of a blob; rejects an odd float count and non-finite values."
-    raw = np.frombuffer(path.read_bytes(), dtype="<f8")
-    if raw.size % 2:
-        raise ValueError(f"blob {path} holds an odd number of floats ({raw.size})")
-    if not np.isfinite(raw).all():
-        raise ValueError(f"blob {path} holds non-finite IQ values")
-    return raw[0::2] + 1j * raw[1::2]
+    "All float64 values of a blob file, read through one open()."
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size % 8:
+            raise ValueError(f"blob {path} is {size} bytes, not a whole number of float64 values")
+        return np.fromfile(fh, dtype="<f8")
+
+
+def blob_iq(raw: np.ndarray, start: int, count: int) -> np.ndarray:
+    """Zero-copy complex view of ``count`` float64 values of raw from ``start`` on.
+
+    Rejects an odd count, a span outside raw and non-finite values with a
+    ValueError whose message follows the blob's name.
+    """
+    if count % 2:
+        raise ValueError(f"holds an odd number of floats ({count})")
+    if start < 0 or count < 0 or start + count > raw.size:
+        raise ValueError(f"runs past the end of its file ({raw.size} floats)")
+    iq = raw[start:start + count].view("<c16")
+    if not np.isfinite(iq).all():
+        raise ValueError("holds non-finite IQ values")
+    return iq
 
 
 def write_reader_log(log: ReaderLog, out_dir: str | Path) -> Path:
-    """Write readerlog.csv, per-row blobs and the truth sidecar under out_dir."""
+    """Write readerlog.csv, the packed iq.bin and the truth sidecar under out_dir.
+
+    Sets each written record's ``iq_blob_path`` to its span in iq.bin;
+    a log without IQ writes no iq.bin.
+    """
     out_dir = Path(out_dir)
-    blob_dir = out_dir / "blobs"
-    blob_dir.mkdir(parents=True, exist_ok=True)
+    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "readerlog.csv"
-    with open(csv_path, "w", newline="") as fh:
+    start = 0
+    with open(csv_path, "w", newline="") as fh, open(out_dir / IQ_FILE, "wb") as iq_fh:
         if log.meta:
             fh.write("# " + ",".join(f"{k}={v}" for k, v in sorted(log.meta.items())) + "\n")
         writer = csv.writer(fh)
@@ -112,8 +138,9 @@ def write_reader_log(log: ReaderLog, out_dir: str | Path) -> Path:
         for rec in log.records:
             blob_rel = ""
             if rec.detected and rec.iq is not None and rec.iq.size:
-                blob_rel = f"blobs/w{rec.window_idx:05d}_t{rec.tag_id}_a{rec.antenna}.bin"
-                write_blob(out_dir / blob_rel, rec.iq)
+                count = write_blob(iq_fh, rec.iq)
+                blob_rel = f"{IQ_FILE}@{start}:{count}"
+                start += count
             rec.iq_blob_path = blob_rel
             writer.writerow([
                 rec.window_idx, _fmt(rec.timestamp_s), rec.tag_id, rec.antenna,
@@ -121,6 +148,8 @@ def write_reader_log(log: ReaderLog, out_dir: str | Path) -> Path:
                 _fmt(rec.rss_dbm), _fmt(rec.phase_rad),
                 "true" if rec.detected else "false",
             ])
+    if not start:
+        (out_dir / IQ_FILE).unlink()
     if log.truth is not None:
         truth_deg = {tag: [float(np.degrees(v)) for v in series]
                      for tag, series in log.truth.items()}
@@ -128,12 +157,32 @@ def write_reader_log(log: ReaderLog, out_dir: str | Path) -> Path:
     return csv_path
 
 
+def _row_iq(base: Path, ref: str, blobs: dict[str, np.ndarray]) -> np.ndarray:
+    "IQ of one row's ``iq_blob_path``; each blob file is read once into blobs."
+    name, at, span = ref.rpartition("@")
+    if not at:
+        name = ref
+    elif not (m := _SPAN.fullmatch(span)):
+        raise ValueError(f"malformed iq_blob_path {ref!r}: expected <file>@<start>:<count>")
+    if name not in blobs:
+        try:
+            blobs[name] = read_blob(base / name)
+        except OSError as e:
+            raise ValueError(f"blob {base / name} cannot be read: {e.strerror}") from None
+    raw = blobs[name]
+    try:
+        return blob_iq(raw, int(m[1]), int(m[2])) if at else blob_iq(raw, 0, raw.size)
+    except ValueError as e:
+        raise ValueError(f"blob {base / ref} {e}") from None
+
+
 def read_reader_log(path: str | Path) -> ReaderLog:
     """Parse a reader log directory (or csv path), loading IQ blobs eagerly.
 
-    A malformed row -- bad antenna, duplicate (window, tag, antenna), a
-    detected read without a readable blob -- raises ValueError naming the
-    CSV file and row.
+    Each blob file is opened once; records hold views of its values.  A
+    malformed row -- bad antenna, duplicate (window, tag, antenna), a
+    detected read without a readable blob span -- raises ValueError naming
+    the CSV file and row.
     """
     path = Path(path)
     if path.is_dir():
@@ -142,6 +191,7 @@ def read_reader_log(path: str | Path) -> ReaderLog:
         base, csv_path = path.parent, path
     records = []
     seen: set[tuple[int, str, int]] = set()
+    blobs: dict[str, np.ndarray] = {}
     with open(csv_path, newline="") as fh:
         rows = [ln for ln in fh if not ln.startswith("#")]
     reader = csv.reader(rows)
@@ -165,7 +215,7 @@ def read_reader_log(path: str | Path) -> ReaderLog:
             if not row[6]:
                 raise ValueError(f"{csv_path} row {lineno}: detected read has no iq_blob_path")
             try:
-                iq = read_blob(base / row[6])
+                iq = _row_iq(base, row[6], blobs)
             except ValueError as e:
                 raise ValueError(f"{csv_path} row {lineno}: {e}") from None
         records.append(ReadRecord(

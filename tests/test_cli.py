@@ -1,10 +1,18 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
+import re
+import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from logfiles import both_layouts, read_csv, row_blob, set_row_blob, set_row_path, span
 
 from tagtrack.cli import main
 from tagtrack.config import (ConfigError, config_hash, geometry_from,
@@ -311,17 +319,47 @@ class TestImportedLogs:
         assert "Traceback" not in err
 
     def test_odd_blob_fails_cleanly(self, tmp_path, capsys):
-        log = tmp_path / "log"
-        main(["simulate", "--seed", "2", "--out", str(log), *FIXED, "--set", "scene.windows=8"])
-        csv_path = log / "readerlog.csv"
-        row = read_rows(csv_path)[2]
-        blob = log / row["iq_blob_path"]
-        blob.write_bytes(blob.read_bytes()[:792])
-        capsys.readouterr()
-        assert main(["track", "--in", str(log), "--out", str(tmp_path / "trk")]) != 0
-        err = capsys.readouterr().err
-        assert f"{csv_path} row 4: blob {blob} holds an odd number of floats (99)" in err
-        assert "Traceback" not in err
+        main(["simulate", "--seed", "2", "--out", str(tmp_path / "log"), *FIXED,
+              "--set", "scene.windows=8"])
+        for log in both_layouts(tmp_path / "log"):
+            csv_path = log / "readerlog.csv"
+            blob = set_row_blob(log, 4, row_blob(log, 4)[1][:792])
+            capsys.readouterr()
+            assert main(["track", "--in", str(log), "--out", str(tmp_path / "trk")]) != 0
+            err = capsys.readouterr().err
+            assert f"{csv_path} row 4: blob {blob} holds an odd number of floats (99)" in err
+            assert "Traceback" not in err
+
+    def test_missing_blob_fails_cleanly(self, tmp_path, capsys):
+        main(["simulate", "--seed", "2", "--out", str(tmp_path / "log"), *FIXED,
+              "--set", "scene.windows=8"])
+        packed, per_row = both_layouts(tmp_path / "log")
+        (packed / "iq.bin").unlink()
+        per_row_blob = row_blob(per_row, 4)[0]
+        per_row_blob.unlink()
+        for log, row, blob in ((packed, 2, packed / "iq.bin"), (per_row, 4, per_row_blob)):
+            capsys.readouterr()
+            assert main(["track", "--in", str(log), "--out", str(tmp_path / "trk")]) != 0
+            err = capsys.readouterr().err
+            assert f"{log / 'readerlog.csv'} row {row}: blob {blob} cannot be read" in err
+            assert "Traceback" not in err
+
+    def test_per_row_log_tracks_like_packed(self, tmp_path):
+        args = ["--set", "scene.mode=\"fixed\"", "--set", "scene.windows=60",
+                "--set", "scene.misdetect_prob=0.2"]
+        assert main(["simulate", "--seed", "6", "--out", str(tmp_path / "log"), *args]) == 0
+        packed, per_row = both_layouts(tmp_path / "log")
+        assert not list(per_row.glob("iq.bin"))
+        outputs = []
+        for log in (packed, per_row):
+            out = tmp_path / f"out_{log.name}"
+            for cmd in ("estimate", "track"):
+                assert main([cmd, "--seed", "6", "--in", str(log), "--out", str(out / cmd),
+                             *args]) == 0
+            outputs.append(((out / "estimate" / "measurements.csv").read_bytes(),
+                            tree_digest(out / "track")))
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0][1]) == 3  # tracks.json and one plot per tag
 
     def test_measurement_window_idx_is_log_index(self, tmp_path):
         log = tmp_path / "log"
@@ -415,3 +453,75 @@ class TestCliMatchesLibrary:
         want = knn_experiment(samples, "SPRA", **kw) if method == "knn" \
             else dtw_experiment(samples, "aoa", **kw)
         assert got == want.accuracy
+
+
+@pytest.fixture(scope="module")
+def packed_log(tmp_path_factory) -> Path:
+    "A fixed-tag log whose 32 rows (8 windows x 2 tags x 2 antennas) are all detected."
+    log = tmp_path_factory.mktemp("fuzz") / "log"
+    assert main(["simulate", "--seed", "2", "--out", str(log), *FIXED,
+                 "--set", "scene.windows=8"]) == 0
+    return log
+
+
+MALFORMED = st.text(st.characters(blacklist_categories=("Cc", "Cs")), max_size=8).filter(
+    lambda s: not re.fullmatch(r"[0-9]+:[0-9]+", s))
+
+
+@st.composite
+def corruptions(draw):
+    "A kind of damage to a packed log, its parameters, and the CSV row it must be reported at."
+    kind = draw(st.sampled_from(["malformed", "negative", "overflow", "past_eof", "odd",
+                                 "truncated", "missing"]))
+    row = draw(st.integers(2, 25))
+    if kind == "malformed":
+        return kind, row, draw(MALFORMED)
+    if kind == "negative":
+        return kind, row, draw(st.sampled_from(["start", "count"]))
+    if kind == "overflow":
+        return kind, row, (draw(st.sampled_from(["start", "count"])), draw(st.integers(64, 200)))
+    if kind in ("past_eof", "odd"):
+        return kind, row, draw(st.integers(1, 50))
+    return kind, None, draw(st.integers(0, 10 ** 6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=corruptions())
+def test_corrupt_packed_log_fails_cleanly(packed_log, case):
+    "A damaged packed log exits non-zero naming the CSV file and row, without a traceback."
+    kind, row, arg = case
+    with tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp) / "log"
+        shutil.copytree(packed_log, log)
+        rows = read_csv(log)[1]
+        size = (log / "iq.bin").stat().st_size
+        if row is not None:
+            name, start, count = span(rows[row - 1][6])
+            if kind == "malformed":
+                ref = f"{name}@{arg}"
+            elif kind == "negative":
+                ref = f"{name}@-{start}:{count}" if arg == "start" else f"{name}@{start}:-{count}"
+            elif kind == "overflow":
+                field, bits = arg
+                ref = f"{name}@{start + 2 ** bits}:{count}" if field == "start" \
+                    else f"{name}@{start}:{count + 2 ** bits}"
+            elif kind == "past_eof":
+                ref = f"{name}@{size // 8 - count + 2 * arg}:{count}"
+            else:  # odd
+                ref = f"{name}@{start}:{2 * arg - 1}"
+            set_row_path(log, row, ref)
+        elif kind == "truncated":
+            cut = arg % size
+            with open(log / "iq.bin", "r+b") as fh:
+                fh.truncate(cut)
+            ends = [sum(span(r[6])[1:]) for r in rows[1:]]
+            row = 2 if cut % 8 else 2 + next(i for i, end in enumerate(ends) if 8 * end > cut)
+        else:
+            (log / "iq.bin").unlink()
+            row = 2
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["track", "--in", str(log), "--out", str(Path(tmp) / "trk")])
+    assert code != 0
+    assert f"{log / 'readerlog.csv'} row {row}: " in err.getvalue()
+    assert "Traceback" not in err.getvalue()

@@ -1,3 +1,4 @@
+import json
 import math
 import tempfile
 
@@ -178,3 +179,23 @@ class TestWindowedIQFormat:
         windows = windows_by_tag(misdetected_log())
         write_windows(windows, tmp_path, meta={"seed": 1})
         assert_same_windows(read_windows(tmp_path), windows)
+
+    def test_packed_layout(self, tmp_path):
+        windows = windows_by_tag(misdetected_log())
+        write_windows(windows, tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["windows.bin", "windows.json"]
+        entries = [e for tag_entries in json.loads((tmp_path / "windows.json").read_text())[
+            "tags"].values() for e in tag_entries]
+        ends = np.cumsum([4 * e["cols"] for e in entries])
+        assert [e["offset"] for e in entries] == [0, *ends[:-1]]
+        assert (tmp_path / "windows.bin").stat().st_size == 8 * ends[-1]
+
+    def test_bad_span_reports_window(self, tmp_path):
+        windows = windows_by_tag(misdetected_log())
+        write_windows(windows, tmp_path)
+        tag, last = list(windows)[-1], windows[list(windows)[-1]][-1]
+        with open(tmp_path / "windows.bin", "r+b") as fh:
+            fh.truncate((tmp_path / "windows.bin").stat().st_size - 16)
+        with pytest.raises(ValueError, match=rf"windows\.json tag {tag} window "
+                                             rf"{last.window_idx}: blob .*windows\.bin runs past"):
+            read_windows(tmp_path)
