@@ -65,26 +65,32 @@ def eig2_hermitian(cov: CovEstimate | np.ndarray) -> Eig2:
     """Closed-form eigendecomposition of a Hermitian 2x2 matrix.
 
     The noise eigenvector is built as the exact orthogonal complement of the
-    signal eigenvector, so u_s^H u_n = 0 to machine precision.
+    signal eigenvector, so u_s^H u_n = 0 to machine precision.  The work is
+    on Python scalars except the signal eigenvector's norm, which takes the
+    two BLAS dot products ``np.linalg.norm`` takes (the BLAS may fuse their
+    multiply-adds, which Python floats cannot reproduce).
     """
     r = cov.matrix if isinstance(cov, CovEstimate) else np.asarray(cov)
-    scale = float(np.abs(r).max()) or 1.0
-    if abs(r[0, 1] - np.conj(r[1, 0])) > 1e-9 * scale or \
-            max(abs(r[0, 0].imag), abs(r[1, 1].imag)) > 1e-9 * scale:
+    (r00, r01), (r10, r11) = r.tolist()
+    scale = max(abs(r00), abs(r01), abs(r10), abs(r11)) or 1.0
+    if abs(r01 - r10.conjugate()) > 1e-9 * scale or \
+            max(abs(r00.imag), abs(r11.imag)) > 1e-9 * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
-    a = r[0, 0].real
-    c = r[1, 1].real
-    b = r[0, 1]
+    a = r00.real
+    c = r11.real
+    b = r01
     disc = math.hypot(a - c, 2.0 * abs(b))
     lam_s = 0.5 * (a + c + disc)
     lam_n = 0.5 * (a + c - disc)
     if abs(b) > 1e-15 * scale:
-        u_s = np.array([b, lam_s - a])
-        u_s = u_s / np.linalg.norm(u_s)
+        x = np.array([b, lam_s - a])
+        # numpy divides a complex by a real norm as a product with 1 / norm
+        inv = 1.0 / math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+        u0, u1 = complex(b.real * inv, b.imag * inv), complex((lam_s - a) * inv, 0.0)
     else:
-        u_s = np.array([1.0 + 0.0j, 0.0j]) if a >= c else np.array([0.0j, 1.0 + 0.0j])
-    u_n = np.array([-np.conj(u_s[1]), np.conj(u_s[0])])
-    return Eig2(lam_s=lam_s, lam_n=lam_n, u_s=u_s, u_n=u_n)
+        u0, u1 = (1.0 + 0.0j, 0.0j) if a >= c else (0.0j, 1.0 + 0.0j)
+    return Eig2(lam_s=lam_s, lam_n=lam_n, u_s=np.array([u0, u1]),
+                u_n=np.array([-u1.conjugate(), u0.conjugate()]))
 
 
 def music_spectrum(theta, noise_vec: np.ndarray, geometry: ArrayGeometry):

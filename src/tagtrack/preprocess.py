@@ -49,27 +49,14 @@ def split_by_tag(log: ReaderLog) -> dict[str, list[ReadRecord]]:
     return out
 
 
-def prune_single_antenna_segments(records: list[ReadRecord]) -> list[ReadRecord]:
-    """Drop acquisition windows detected on fewer than two antennas.
-
-    Keeps exactly the detected rows whose window has detections from both
-    antennas; idempotent.
-    """
-    detected_antennas: dict[int, set[int]] = {}
-    for rec in records:
-        if rec.detected:
-            detected_antennas.setdefault(rec.window_idx, set()).add(rec.antenna)
-    return [rec for rec in records
-            if rec.detected and detected_antennas.get(rec.window_idx) == {1, 2}]
-
-
 def window_segments(records: list[ReadRecord]) -> list[IQWindow]:
     """One tag's snapshot windows, one per acquisition window read on both antennas.
 
     Each ``window_idx``'s antenna-1 and antenna-2 rows become the two rows of
     a 2 x n matrix, trimmed to the shorter one; a window with fewer than two
-    columns is skipped.  Windows keep the log's ``window_idx``, come in index
-    order, and take the mean of their two rows' timestamps as their time.
+    columns is skipped, and so is a window read on one antenna only.  Windows
+    keep the log's ``window_idx``, come in index order, and take the mean of
+    their two rows' timestamps as their time.
     """
     rows: dict[int, dict[int, ReadRecord]] = {}
     for rec in records:
@@ -91,10 +78,10 @@ def window_segments(records: list[ReadRecord]) -> list[IQWindow]:
 
 
 def windows_by_tag(log: ReaderLog) -> dict[str, list[IQWindow]]:
-    "Split, prune and window a reader log per tag; tags without a window are omitted."
+    "Split and window a reader log per tag; tags without a window are omitted."
     out = {}
     for tag, records in split_by_tag(log).items():
-        windows = window_segments(prune_single_antenna_segments(records))
+        windows = window_segments(records)
         if windows:
             out[tag] = windows
     return out

@@ -32,6 +32,11 @@ IQ_FILE = "iq.bin"
 _SPAN = re.compile(r"([0-9]+):([0-9]+)")
 
 
+def _mean(x: np.ndarray) -> float:
+    "Bitwise np.mean of a float64 array at less call overhead; NaN when empty."
+    return float(x.sum()) / x.size if x.size else math.nan
+
+
 @dataclass
 class ReadRecord:
     """One antenna's reads of one tag during one acquisition window."""
@@ -48,11 +53,11 @@ class ReadRecord:
 
     @property
     def i_mean(self) -> float:
-        return float(np.mean(self.iq.real)) if self.detected and self.iq is not None else math.nan
+        return _mean(self.iq.real) if self.detected and self.iq is not None else math.nan
 
     @property
     def q_mean(self) -> float:
-        return float(np.mean(self.iq.imag)) if self.detected and self.iq is not None else math.nan
+        return _mean(self.iq.imag) if self.detected and self.iq is not None else math.nan
 
 
 @dataclass
@@ -124,8 +129,14 @@ def write_reader_log(log: ReaderLog, out_dir: str | Path) -> Path:
     """Write readerlog.csv, the packed iq.bin and the truth sidecar under out_dir.
 
     Sets each written record's ``iq_blob_path`` to its span in iq.bin;
-    a log without IQ writes no iq.bin.
+    a log without IQ writes no iq.bin.  A detected record without IQ
+    samples, which the reader would reject, raises ValueError naming the
+    record before anything is written.
     """
+    for i, rec in enumerate(log.records):
+        if rec.detected and (rec.iq is None or not rec.iq.size):
+            raise ValueError(f"record {i} (window {rec.window_idx}, tag {rec.tag_id}, "
+                             f"antenna {rec.antenna}) is detected but has no IQ samples")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "readerlog.csv"
@@ -137,7 +148,7 @@ def write_reader_log(log: ReaderLog, out_dir: str | Path) -> Path:
         writer.writerow(CSV_HEADER)
         for rec in log.records:
             blob_rel = ""
-            if rec.detected and rec.iq is not None and rec.iq.size:
+            if rec.detected:
                 count = write_blob(iq_fh, rec.iq)
                 blob_rel = f"{IQ_FILE}@{start}:{count}"
                 start += count

@@ -18,12 +18,13 @@ named gestures, and mirrored gesture classes are exact sign-flips.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import ArrayGeometry, steering_vector, unambiguous_fov
+from .geometry import ArrayGeometry, steering_phase, unambiguous_fov
 from .preprocess import IQWindow
 from .readerlog import ReaderLog, ReadRecord
 
@@ -72,9 +73,6 @@ class SASSchedule:
     def global_slots(self, window_idx: int, antenna: int, tag_slot: int) -> np.ndarray:
         k = window_idx * self.cols + np.arange(self.cols)
         return 4 * k + 2 * (antenna - 1) + (tag_slot - 1)
-
-    def sample_times(self, window_idx: int, antenna: int, tag_slot: int) -> np.ndarray:
-        return self.global_slots(window_idx, antenna, tag_slot) * self.sample_period_s
 
     def tx_sequence(self, window_idx: int, antenna: int, tag_slot: int,
                     carrier_freq_hz: float) -> np.ndarray:
@@ -146,6 +144,34 @@ def _angle_factor(scene: SimScene, theta: float) -> complex:
     return mag * np.exp(1j * scene.angle_phase_rad * r)
 
 
+def _tag_steering(scene: SimScene, true_aoa_per_tag: list[float], amp: float) -> list[np.ndarray]:
+    """Each tag's summed steering sum_paths g * factor * amp * a(theta_path).
+
+    The second elements of every path's steering vector come from one numpy
+    evaluation.  Each tag's terms are then added path by path from zero, in
+    the scene's path order; the first elements are the path gains times 1,
+    and a sum from +0 is the same with or without that factor.
+    """
+    angles, gains, counts = [], [], []
+    for (_, paths), theta in zip(scene.tags, true_aoa_per_tag):
+        factor = _angle_factor(scene, theta)
+        for path in paths:
+            angles.append(theta if path.is_los else path.aoa)
+            gains.append(path.gain * factor * amp)
+        counts.append(len(paths))
+    phased = (np.array(gains)
+              * np.exp(1j * steering_phase(np.array(angles), scene.geometry))).tolist()
+    out, start = [], 0
+    for n in counts:
+        s0 = s1 = 0j
+        for g, gp in zip(gains[start:start + n], phased[start:start + n]):
+            s0 += g
+            s1 += gp
+        out.append(np.array([s0, s1]))
+        start += n
+    return out
+
+
 def simulate_window(scene: SimScene, schedule: SASSchedule, true_aoa_per_tag: list[float],
                     rng_seed, window_idx: int = 0) -> list[IQWindow]:
     """Simulate one acquisition window; returns one IQWindow per detected tag.
@@ -154,6 +180,10 @@ def simulate_window(scene: SimScene, schedule: SASSchedule, true_aoa_per_tag: li
     ``true_aoa_per_tag``; NLoS paths keep their fixed scene angles.  A tag
     misdetected on one antenna yields a partial window with that row
     NaN-filled; a tag misdetected on both antennas is omitted.
+
+    Per tag the generator draws the two antennas' misdetection uniforms and
+    then, with noise on, a (2, 2, cols) normal block: row m's noise is
+    ``z[m, 0] + 1j * z[m, 1]``.
     """
     if not scene.tags:
         raise ValueError("scene has no tags")
@@ -166,20 +196,27 @@ def simulate_window(scene: SimScene, schedule: SASSchedule, true_aoa_per_tag: li
     sigma = math.sqrt(scene.noise_var / 2.0)
     cols = schedule.cols
     mid_t = (window_idx + 0.5) * schedule.window_duration_s
+    p1, p2 = scene.misdetect_prob
     out = []
-    for slot, ((tag_id, paths), theta) in enumerate(zip(scene.tags, true_aoa_per_tag), start=1):
-        missing = [rng.random() < scene.misdetect_prob[m] for m in (0, 1)]
-        steer = np.zeros(2, dtype=complex)
-        factor = _angle_factor(scene, theta)
-        for path in paths:
-            path_theta = theta if path.is_los else path.aoa
-            steer += path.gain * factor * amp * steering_vector(path_theta, scene.geometry)
-        matrix = np.empty((2, cols), dtype=complex)
-        for m in (1, 2):
-            tx = schedule.tx_sequence(window_idx, m, min(slot, 2), scene.geometry.carrier_freq_hz)
-            noise = rng.normal(scale=sigma, size=cols) + 1j * rng.normal(scale=sigma, size=cols) \
-                if sigma > 0 else 0.0
-            matrix[m - 1] = steer[m - 1] * tx + noise
+    for slot, ((tag_id, _), steer) in enumerate(
+            zip(scene.tags, _tag_steering(scene, true_aoa_per_tag, amp)), start=1):
+        u1, u2 = rng.random(2).tolist()
+        signal = steer[:, None]
+        if schedule.residual_phase:
+            signal = signal * np.array([
+                schedule.tx_sequence(window_idx, m, min(slot, 2), scene.geometry.carrier_freq_hz)
+                for m in (1, 2)])
+        if sigma > 0:
+            # numpy's normal is 0.0 + sigma * x, never -0.0, so z[m, 0] + 1j * z[m, 1]
+            # is exactly the complex number with those parts
+            z = rng.normal(scale=sigma, size=(2, 2, cols))
+            matrix = np.empty((2, cols), dtype=complex)
+            matrix.real = z[:, 0]
+            matrix.imag = z[:, 1]
+            matrix += signal
+        else:
+            matrix = np.broadcast_to(signal, (2, cols)) + 0.0  # noise-free rows, a new array
+        missing = (u1 < p1, u2 < p2)
         if all(missing):
             continue
         for m in (0, 1):
@@ -328,34 +365,53 @@ class GestureSample:
     dt_s: float = 0.0
 
 
+def _window_seeds(base: list, windows: int) -> list:
+    """Child seeds ``[*base, t]`` of windows t < ``windows``.
+
+    SeedSequence converts a list one int at a time, a third of the cost of
+    ``default_rng``.  When every seed is an int in [0, 2**32), each is one
+    32-bit entropy word either way, so the rows of a uint32 array give the
+    same generators at less cost.
+    """
+    if all(type(v) is int and 0 <= v < 2 ** 32 for v in base):
+        words = np.empty((windows, len(base) + 1), dtype=np.uint32)
+        words[:, :-1] = base
+        words[:, -1] = np.arange(windows)
+        return list(words)
+    return [[*base, t] for t in range(windows)]
+
+
 def simulate_log(scene: SimScene, schedule: SASSchedule, angles: list[np.ndarray],
                  rng_seed) -> ReaderLog:
     """Reader log of one recording; ``angles[i]`` is tag i's LoS angle per window.
 
     Window t uses child seed ``[*rng_seed, t]``, so logs are reproducible
     window by window.  Every window gets one record per tag and antenna,
-    undetected where the read was lost; the angles become the truth sidecar.
+    undetected where the read was lost, stamped with the row's first sample
+    slot; records come in time order.  A row's RSS and phase are those of
+    its mean IQ sample.  The angles become the truth sidecar.
     """
     tag_ids = scene.tag_ids()
     records: list[ReadRecord] = []
     base = list(rng_seed) if isinstance(rng_seed, (list, tuple)) else [rng_seed]
-    for t in range(len(angles[0])):
+    cols, period = schedule.cols, schedule.sample_period_s
+    # rows in time order; a row's first snapshot is global slot 4k + 2(m-1) + (i-1)
+    # with k = t * cols, so it sits at `offset` = 2(m-1) + (i-1) in its window
+    rows = [(m, tag, 2 * (m - 1) + min(slot, 2) - 1)
+            for m in (1, 2) for slot, tag in enumerate(tag_ids, start=1)]
+    for t, seed in enumerate(_window_seeds(base, len(angles[0]))):
         windows = {w.tag_id: w for w in
-                   simulate_window(scene, schedule, [a[t] for a in angles], [*base, t],
-                                   window_idx=t)}
-        for slot, tag in enumerate(tag_ids, start=1):
-            w = windows.get(tag)
-            for m in (1, 2):
-                t_row = float(schedule.sample_times(t, m, min(slot, 2))[0])
-                row = None if w is None else w.matrix[m - 1]
-                if row is not None and not np.isnan(row[0].real):
-                    mean_iq = complex(np.mean(row))
-                    records.append(ReadRecord(t, t_row, tag, m, np.asarray(row),
-                                              20.0 * math.log10(abs(mean_iq)),
-                                              math.atan2(mean_iq.imag, mean_iq.real), True))
-                else:
-                    records.append(ReadRecord(t, t_row, tag, m, None, math.nan, math.nan, False))
-    records.sort(key=lambda r: r.timestamp_s)
+                   simulate_window(scene, schedule, [a[t] for a in angles], seed, window_idx=t)}
+        means = {tag: (w.matrix.sum(axis=1) / cols).tolist() for tag, w in windows.items()}
+        for m, tag, offset in rows:
+            t_row = float(4 * t * cols + offset) * period
+            mean_iq = means[tag][m - 1] if tag in means else math.nan
+            if cmath.isnan(mean_iq):  # lost read: no window, or a NaN-filled row
+                records.append(ReadRecord(t, t_row, tag, m, None, math.nan, math.nan, False))
+            else:
+                records.append(ReadRecord(t, t_row, tag, m, windows[tag].matrix[m - 1],
+                                          20.0 * math.log10(abs(mean_iq)),
+                                          math.atan2(mean_iq.imag, mean_iq.real), True))
     truth = {tag: np.array(a, dtype=float) for tag, a in zip(tag_ids, angles)}
     return ReaderLog(records=records, truth=truth).validate()
 

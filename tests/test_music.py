@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tagtrack.geometry import ScenePose, aoa_from_positions, steering_vector, unambiguous_fov
 from tagtrack.music import (eig2_hermitian, estimate_aoa,
@@ -55,6 +57,45 @@ class TestSampleCovariance:
         w = make_window([[1, 1], [1, 1]], complete=False)
         with pytest.raises(ValueError):
             sample_covariance(w)
+
+
+def ref_eig2(r):
+    "The numpy-array form of eig2_hermitian, kept to pin its bits."
+    scale = float(np.abs(r).max()) or 1.0
+    a, c, b = r[0, 0].real, r[1, 1].real, r[0, 1]
+    disc = math.hypot(a - c, 2.0 * abs(b))
+    lam_s, lam_n = 0.5 * (a + c + disc), 0.5 * (a + c - disc)
+    if abs(b) > 1e-15 * scale:
+        u_s = np.array([b, lam_s - a])
+        u_s = u_s / np.linalg.norm(u_s)
+    else:
+        u_s = np.array([1.0 + 0.0j, 0.0j]) if a >= c else np.array([0.0j, 1.0 + 0.0j])
+    return lam_s, lam_n, u_s, np.array([-np.conj(u_s[1]), np.conj(u_s[0])])
+
+
+@st.composite
+def snapshot_matrices(draw):
+    "2 x n snapshots: independent rows, rank one, one row silent, any scale."
+    n = draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    y = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+    kind = draw(st.sampled_from(["full", "rank1", "silent"]))
+    if kind == "rank1":
+        y[1] = y[0] * np.exp(1j * draw(st.floats(-math.pi, math.pi)))
+    elif kind == "silent":
+        y[draw(st.integers(0, 1))] = 0.0
+    return y * 10.0 ** draw(st.floats(-8, 8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(y=snapshot_matrices(), theta=st.floats(-0.3, 0.3))
+def test_eig2_matches_numpy_reference_bitwise(y, theta):
+    cov = sample_covariance(make_window(y))
+    eig = eig2_hermitian(cov)
+    lam_s, lam_n, u_s, u_n = ref_eig2(cov.matrix)
+    assert (eig.lam_s, eig.lam_n) == (lam_s, lam_n)
+    assert eig.u_s.tobytes() == u_s.tobytes() and eig.u_n.tobytes() == u_n.tobytes()
+    assert music_spectrum(theta, eig.u_n, GEO) == music_spectrum(theta, u_n, GEO)
 
 
 class TestEig2:

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tagtrack.preprocess import (prune_single_antenna_segments, read_windows,
-                                 split_by_tag, window_segments, windows_by_tag,
-                                 write_windows)
+from tagtrack.preprocess import (read_windows, split_by_tag, window_segments,
+                                 windows_by_tag, write_windows)
 from tagtrack.readerlog import ReaderLog, ReadRecord
 from tagtrack.simulate import (PathSpec, SASSchedule, SimScene, anechoic_scene,
                                build_gesture_spec, paper_geometry,
@@ -85,29 +84,42 @@ class TestSplitByTag:
             split_by_tag(ReaderLog(records=[bad]))
 
 
+def single_antenna_windows(records):
+    "window_idx values read on exactly one antenna."
+    read = {(r.window_idx, r.antenna) for r in records if r.detected}
+    return {w for w, a in read if (w, 3 - a) not in read}
+
+
 class TestPrune:
+    "window_segments drops every acquisition window not read on both antennas."
+
     def test_single_antenna_window_removed(self):
         recs = [record(0, "A", 1), record(0, "A", 2), record(1, "A", 1)]
-        kept = prune_single_antenna_segments(recs)
-        assert [r.window_idx for r in kept] == [0, 0]
+        assert [w.window_idx for w in window_segments(recs)] == [0]
 
     def test_complete_window_unchanged(self):
         recs = [record(0, "A", 1), record(0, "A", 2)]
-        assert prune_single_antenna_segments(recs) == recs
+        assert_windows_match_records(window_segments(recs), recs)
+        assert len(window_segments(recs)) == 1
 
     def test_fully_complete_stream_identity(self):
         recs = [record(w, "A", a) for w in range(4) for a in (1, 2)]
-        assert prune_single_antenna_segments(recs) == recs
+        assert [w.window_idx for w in window_segments(recs)] == [0, 1, 2, 3]
+        assert_windows_match_records(window_segments(recs), recs)
 
     def test_undetected_row_means_missing(self):
         recs = [record(0, "A", 1), record(0, "A", 2, detected=False)]
-        assert prune_single_antenna_segments(recs) == []
+        assert window_segments(recs) == []
+        assert windows_by_tag(ReaderLog(records=recs)) == {}
 
     def test_idempotent(self):
+        # windowing only the rows of the windows kept gives the same windows
         recs = [record(0, "A", 1), record(0, "A", 2), record(1, "A", 2),
                 record(2, "A", 1), record(2, "A", 2, detected=False)]
-        once = prune_single_antenna_segments(recs)
-        assert prune_single_antenna_segments(once) == once
+        once = window_segments(recs)
+        kept = {w.window_idx for w in once}
+        again = window_segments([r for r in recs if r.window_idx in kept])
+        assert_same_windows({"A": again}, {"A": once})
 
     def test_removed_rows_are_exactly_single_antenna_windows(self):
         rng = np.random.default_rng(0)
@@ -115,23 +127,19 @@ class TestPrune:
         for w in range(20):
             for a in (1, 2):
                 recs.append(record(w, "A", a, detected=bool(rng.random() > 0.3)))
-        kept = prune_single_antenna_segments(recs)
-        kept_ids = {id(r) for r in kept}
-        for r in recs:
-            window_ants = {x.antenna for x in recs if x.window_idx == r.window_idx and x.detected}
-            if r.detected and window_ants == {1, 2}:
-                assert id(r) in kept_ids
-            else:
-                assert id(r) not in kept_ids
+        windows = window_segments(recs)
+        assert_windows_match_records(windows, recs)
+        dropped = {r.window_idx for r in recs} - {w.window_idx for w in windows}
+        lost = {r.window_idx for r in recs} - {r.window_idx for r in recs if r.detected}
+        assert dropped == single_antenna_windows(recs) | lost
+        assert single_antenna_windows(recs) and lost
 
 
 class TestWindowSegments:
     def test_one_window_per_two_antenna_window_idx(self):
         log = misdetected_log()
         for tag, records in split_by_tag(log).items():
-            pruned = {r.window_idx for r in records} - \
-                {r.window_idx for r in prune_single_antenna_segments(records)}
-            assert pruned  # the log exercises single-antenna and lost windows
+            assert single_antenna_windows(records)  # the log exercises single-antenna windows
             assert_windows_match_records(window_segments(records), records)
 
     def test_rows_trimmed_and_short_windows_skipped(self):
@@ -150,12 +158,12 @@ class TestWindowSegments:
         _, log = simulate_gesture(spec, scene, SASSchedule(), rng_seed=3)
         streams = split_by_tag(log)
         assert sum(len(v) for v in streams.values()) == len(log.records)
+        windows = windows_by_tag(log)
         for tag, records in streams.items():
-            kept = prune_single_antenna_segments(records)
-            removed = [r for r in records if r not in kept]
-            for r in removed:
+            kept = {w.window_idx for w in windows.get(tag, [])}
+            for r in records:
                 ants = {x.antenna for x in records if x.window_idx == r.window_idx and x.detected}
-                assert ants != {1, 2} or not r.detected
+                assert (r.window_idx in kept) == (ants == {1, 2})
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2 ** 16), p1=st.floats(0.0, 0.6), p2=st.floats(0.0, 0.6),

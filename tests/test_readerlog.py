@@ -130,6 +130,15 @@ class TestReaderLogIO:
                                                  rf"detected read has no"):
                 read_reader_log(log_dir)
 
+    @pytest.mark.parametrize("iq", [None, np.empty(0, complex)], ids=["missing", "empty"])
+    def test_detected_record_without_iq_rejected_before_writing(self, tmp_path, iq):
+        log = make_log()
+        log.records[3].iq = iq
+        with pytest.raises(ValueError, match=r"record 3 \(window 1, tag tagA, antenna 2\) "
+                                             r"is detected but has no IQ"):
+            write_reader_log(log, tmp_path / "log")
+        assert not (tmp_path / "log").exists()
+
     def test_duplicate_row_reports_row(self, tmp_path):
         write_reader_log(make_log(), tmp_path)
         csv_path = tmp_path / "readerlog.csv"

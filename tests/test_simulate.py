@@ -1,16 +1,164 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tagtrack.readerlog import read_reader_log, write_reader_log
+from tagtrack.geometry import steering_vector, unambiguous_fov
+from tagtrack.preprocess import IQWindow
+from tagtrack.readerlog import ReaderLog, ReadRecord, read_reader_log, write_reader_log
 from tagtrack.simulate import (GESTURE_CLASSES, GestureSpec, OutOfFovError,
                                PathSpec, SASSchedule, SimScene, TagTrajectory,
                                anechoic_scene, build_gesture_spec,
                                gesture_trajectory, lab_scene, paper_geometry,
-                               simulate_gesture, simulate_window)
+                               simulate_gesture, simulate_log, simulate_window)
 
 GEO = paper_geometry()
+
+
+# --- reference simulation -------------------------------------------------
+# The straightforward per-path, per-row form of simulate_window and
+# simulate_log.  The library's versions must reproduce it bit for bit: same
+# seeds, same draws in the same order, same arithmetic.
+
+def ref_angle_factor(scene, theta):
+    if scene.angle_gain_db == 0.0 and scene.angle_phase_rad == 0.0:
+        return 1.0 + 0.0j
+    r = min(abs(theta) / unambiguous_fov(scene.geometry), 1.0)
+    mag = 10.0 ** (-scene.angle_gain_db * r / 20.0)
+    return mag * np.exp(1j * scene.angle_phase_rad * r)
+
+
+def ref_simulate_window(scene, schedule, true_aoa_per_tag, rng_seed, window_idx=0):
+    rng = np.random.default_rng(rng_seed)
+    amp = math.sqrt(scene.tx_power) * scene.modulation_gain
+    sigma = math.sqrt(scene.noise_var / 2.0)
+    cols = schedule.cols
+    mid_t = (window_idx + 0.5) * schedule.window_duration_s
+    out = []
+    for slot, ((tag_id, paths), theta) in enumerate(zip(scene.tags, true_aoa_per_tag), start=1):
+        missing = [rng.random() < scene.misdetect_prob[m] for m in (0, 1)]
+        steer = np.zeros(2, dtype=complex)
+        factor = ref_angle_factor(scene, theta)
+        for path in paths:
+            path_theta = theta if path.is_los else path.aoa
+            steer += path.gain * factor * amp * steering_vector(path_theta, scene.geometry)
+        matrix = np.empty((2, cols), dtype=complex)
+        for m in (1, 2):
+            tx = schedule.tx_sequence(window_idx, m, min(slot, 2), scene.geometry.carrier_freq_hz)
+            noise = rng.normal(scale=sigma, size=cols) + 1j * rng.normal(scale=sigma, size=cols) \
+                if sigma > 0 else 0.0
+            matrix[m - 1] = steer[m - 1] * tx + noise
+        if all(missing):
+            continue
+        for m in (0, 1):
+            if missing[m]:
+                matrix[m] = np.nan
+        out.append(IQWindow(tag_id=tag_id, window_idx=window_idx, matrix=matrix,
+                            midpoint_time_s=mid_t, complete=not any(missing)))
+    return out
+
+
+def ref_simulate_log(scene, schedule, angles, rng_seed):
+    tag_ids = scene.tag_ids()
+    records = []
+    base = list(rng_seed) if isinstance(rng_seed, (list, tuple)) else [rng_seed]
+    for t in range(len(angles[0])):
+        windows = {w.tag_id: w for w in
+                   ref_simulate_window(scene, schedule, [a[t] for a in angles], [*base, t],
+                                       window_idx=t)}
+        for slot, tag in enumerate(tag_ids, start=1):
+            w = windows.get(tag)
+            for m in (1, 2):
+                t_row = float((schedule.global_slots(t, m, min(slot, 2))
+                               * schedule.sample_period_s)[0])
+                row = None if w is None else w.matrix[m - 1]
+                if row is not None and not np.isnan(row[0].real):
+                    mean_iq = complex(np.mean(row))
+                    records.append(ReadRecord(t, t_row, tag, m, np.asarray(row),
+                                              20.0 * math.log10(abs(mean_iq)),
+                                              math.atan2(mean_iq.imag, mean_iq.real), True))
+                else:
+                    records.append(ReadRecord(t, t_row, tag, m, None, math.nan, math.nan, False))
+    records.sort(key=lambda r: r.timestamp_s)
+    truth = {tag: np.array(a, dtype=float) for tag, a in zip(tag_ids, angles)}
+    return ReaderLog(records=records, truth=truth).validate()
+
+
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def assert_same_windows(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.tag_id, a.window_idx, bits(a.midpoint_time_s), a.complete) == \
+            (b.tag_id, b.window_idx, bits(b.midpoint_time_s), b.complete)
+        assert a.matrix.dtype == b.matrix.dtype and a.matrix.tobytes() == b.matrix.tobytes()
+
+
+def assert_same_logs(got, want):
+    assert len(got.records) == len(want.records)
+    for a, b in zip(got.records, want.records):
+        assert (a.window_idx, bits(a.timestamp_s), a.tag_id, a.antenna, a.detected) == \
+            (b.window_idx, bits(b.timestamp_s), b.tag_id, b.antenna, b.detected)
+        assert (bits(a.rss_dbm), bits(a.phase_rad)) == (bits(b.rss_dbm), bits(b.phase_rad))
+        assert (a.iq is None) == (b.iq is None)
+        if a.iq is not None:
+            assert a.iq.dtype == b.iq.dtype and a.iq.tobytes() == b.iq.tobytes()
+    assert list(got.truth) == list(want.truth)
+    for tag in want.truth:
+        assert got.truth[tag].tobytes() == want.truth[tag].tobytes()
+
+
+ANGLE = st.floats(-0.3, 0.3)
+PROB = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def sim_cases(draw):
+    "A scene, schedule, per-window LoS angles and seed covering every simulation branch."
+    tags = []
+    for tag_id in ("tag1", "tag2")[:draw(st.integers(1, 2))]:
+        los = draw(st.floats(0.2, 2.0)) * np.exp(1j * draw(st.floats(-math.pi, math.pi)))
+        los_gain = draw(st.sampled_from([1.0, complex(los)]) | st.just(np.complex128(los)))
+        paths = [PathSpec(los_gain, 0.0, is_los=True)]
+        for _ in range(draw(st.integers(0, 2))):
+            mag = abs(los_gain) * draw(st.floats(0.01, 0.9))
+            paths.append(PathSpec(mag * np.exp(2j * np.pi * draw(st.floats(0.0, 1.0))),
+                                  draw(ANGLE), is_los=False))
+        tags.append((tag_id, paths))
+    scene = SimScene(
+        GEO, tags, tx_power=draw(st.sampled_from([1.0, 4.0]) | st.floats(0.1, 10.0)),
+        noise_var=draw(st.sampled_from([0.0, 0.1]) | st.floats(1e-6, 2.0)),
+        misdetect_prob=(draw(PROB), draw(PROB)),
+        modulation_gain=draw(st.sampled_from([1.0, 0.5]) | st.floats(0.05, 1.0)),
+        angle_gain_db=draw(st.sampled_from([0.0, 2.5]) | st.floats(-6.0, 6.0)),
+        angle_phase_rad=draw(st.sampled_from([0.0, 1.2]) | st.floats(-3.0, 3.0)))
+    schedule = SASSchedule(samples_per_window=2 * draw(st.integers(2, 30)),
+                           sample_period_s=draw(st.sampled_from([2.5e-4, 2.5037e-4])),
+                           residual_phase=draw(st.booleans()))
+    windows = draw(st.integers(1, 5))
+    angles = [np.array(draw(st.lists(ANGLE, min_size=windows, max_size=windows)))
+              for _ in tags]
+    # seeds of 2**32 and above are more than one SeedSequence word
+    seed = draw(st.lists(st.integers(0, 2 ** 32 - 1) | st.integers(2 ** 32, 2 ** 70),
+                         min_size=1, max_size=3))
+    return scene, schedule, angles, seed
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=sim_cases())
+def test_simulation_matches_reference_bitwise(case):
+    scene, schedule, angles, seed = case
+    assert_same_logs(simulate_log(scene, schedule, angles, seed),
+                     ref_simulate_log(scene, schedule, angles, seed))
+    for t in range(len(angles[0])):
+        args = (scene, schedule, [a[t] for a in angles], [*seed, t])
+        assert_same_windows(simulate_window(*args, window_idx=t),
+                            ref_simulate_window(*args, window_idx=t))
 
 
 def los_scene(**kwargs):

@@ -1,11 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tagtrack.pipeline import DatasetSpec, synthesize_gesture, tracking_rmse
 from tagtrack.readerlog import ReaderLog
-from tagtrack.simulate import SASSchedule, anechoic_scene, paper_geometry, simulate_log
+from tagtrack.simulate import (SASSchedule, anechoic_scene, lab_scene, paper_geometry,
+                               simulate_log)
 from tagtrack.tracking import (KalmanConfig, filter_sequence,
                                predict, rts_smooth, track_aoa, update)
 
@@ -316,7 +320,7 @@ class TestTrackAoA:
                 w = simulate_window(scene, sched, [math.radians(15.0)], [42, seed, t],
                                     window_idx=t)[0]
                 for m in (1, 2):
-                    t_row = float(sched.sample_times(t, m, 1)[0])
+                    t_row = float(sched.global_slots(t, m, 1)[0]) * sched.sample_period_s
                     records.append(ReadRecord(t, t_row, "tag1", m, w.matrix[m - 1],
                                               0.0, 0.0, True))
             records.sort(key=lambda r: r.timestamp_s)
@@ -360,3 +364,28 @@ class TestTrackAoA:
         assert track.n_windows == 1 and track.dt == 1.0
         times = [r.timestamp_s for r in log.records]
         assert track.midpoint_s.tolist() == [0.5 * (times[0] + times[1])]
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), offset_s=st.floats(-2e9, 2e9), p=st.floats(0.0, 0.4),
+       windows=st.integers(2, 30))
+def test_track_unchanged_under_time_shift(seed, offset_s, p, windows):
+    # reader exports stamp rows with wall-clock time; only differences may matter
+    scene = lab_scene(GEO, 15.0, np.random.default_rng([46, seed]), tag_ids=("tag1", "tag2"),
+                      misdetect_prob=p)
+    angles = [np.linspace(-0.2, 0.2, windows), np.full(windows, 0.1)]
+    log = simulate_log(scene, SASSchedule(), angles, [47, seed])
+    shifted = ReaderLog(records=[replace(r, timestamp_s=r.timestamp_s + offset_s)
+                                 for r in log.records], truth=log.truth)
+    plain, moved = track_aoa(log, GEO), track_aoa(shifted, GEO)
+    assert list(plain) == list(moved)
+    for tag, a in plain.items():
+        b = moved[tag]
+        assert (a.first_window, a.n_windows) == (b.first_window, b.n_windows)
+        np.testing.assert_array_equal(a.valid, b.valid)
+        np.testing.assert_array_equal(a.z, b.z)  # measurements do not see time at all
+        # dt comes from time differences, which lose about 1e-6 s at 2e9 s
+        assert b.dt == pytest.approx(a.dt, rel=1e-4)
+        np.testing.assert_allclose(b.smoothed_series(), a.smoothed_series(),
+                                   rtol=0, atol=math.radians(0.01))
+        np.testing.assert_allclose(b.midpoint_s - offset_s, a.midpoint_s, rtol=0, atol=1e-5)
