@@ -16,16 +16,12 @@ import numpy as np
 
 @dataclass
 class LabeledDataset:
-    """Feature matrix or raw series bundles with labels and a seeded split."""
+    """Feature matrix or raw series bundles with their labels."""
 
     labels: list[str]
     features: np.ndarray | None = None
     bundles: list[dict] | None = None
-    config_name: str | None = None
     classes: tuple[str, ...] = ()
-    train_idx: np.ndarray | None = None
-    test_idx: np.ndarray | None = None
-    split_seed: int | None = None
 
     def __post_init__(self):
         if not self.classes:
@@ -33,10 +29,6 @@ class LabeledDataset:
         unknown = set(self.labels) - set(self.classes)
         if unknown:
             raise ValueError(f"labels outside the class set: {sorted(unknown)}")
-        if self.train_idx is not None and self.test_idx is not None:
-            tr, te = set(self.train_idx.tolist()), set(self.test_idx.tolist())
-            if tr & te or tr | te != set(range(len(self.labels))):
-                raise ValueError("split must be disjoint and covering")
 
 
 def stratified_split(labels, test_frac: float = 0.3, seed: int = 0):
@@ -161,10 +153,7 @@ def knn_feature_classify(train: LabeledDataset, query, k: int = 5) -> str:
         raise ValueError("training set has no feature matrix")
     if k < 1 or k % 2 == 0:
         raise ValueError("k must be an odd positive count")
-    qv = query.values if hasattr(query, "values") else np.asarray(query, dtype=float)
-    qname = getattr(query, "config_name", None)
-    if qname is not None and train.config_name is not None and qname != train.config_name:
-        raise ValueError(f"feature config mismatch: query {qname}, train {train.config_name}")
+    qv = np.asarray(query, dtype=float)
     if qv.shape[-1] != train.features.shape[1]:
         raise ValueError("feature dimension mismatch")
     n = train.features.shape[0]

@@ -164,7 +164,8 @@ def cmd_track(cfg: dict, in_path: Path, out: Path) -> int:
     for entry in manifest["samples"]:
         log = read_reader_log(in_path / entry["dir"])
         sample = attach_tracks(gesture_sample(log, entry["label"], sched.window_duration_s),
-                               log, geo, kalman=kalman_from(cfg), schedule=sched)
+                               log, geo, kalman=kalman_from(cfg), schedule=sched,
+                               music_search=music_search_from(cfg))
         series["samples"].append(_series_entry(entry, sample))
     _write_json(out / "series.json", series)
     print(f"wrote {out / 'series.json'} ({len(series['samples'])} samples)")

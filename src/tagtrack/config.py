@@ -13,7 +13,7 @@ import math
 from copy import deepcopy
 from pathlib import Path
 
-from .geometry import SPEED_OF_LIGHT, ArrayGeometry
+from .geometry import SPEED_OF_LIGHT, ArrayGeometry, unambiguous_fov
 from .simulate import GESTURE_CLASSES, SASSchedule
 from .tracking import KalmanConfig
 
@@ -56,7 +56,6 @@ DEFAULT_CONFIG: dict = {
         "sigma_theta": 0.01,
         "sigma_omega": 0.1,
         "sigma_v": 0.035,
-        "seed_rate_from_first_two": False,
     },
     "features": {
         "config": "SPRA",
@@ -82,6 +81,10 @@ def _is_num(v) -> bool:
     return isinstance(v, _NUM) and not isinstance(v, bool)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def validate_config(cfg: dict) -> dict:
     "Validate a full configuration dict; returns it unchanged on success."
     _check(isinstance(cfg, dict), "config", "must be an object")
@@ -95,7 +98,7 @@ def validate_config(cfg: dict) -> dict:
         bad = set(sub) - set(defaults)
         if bad:
             raise ConfigError(f"{block}.{sorted(bad)[0]}: unknown key")
-    _check(isinstance(cfg.get("seed", 0), int), "seed", "must be an integer")
+    _check(_is_int(cfg.get("seed", 0)), "seed", "must be an integer")
 
     g = cfg["geometry"]
     _check(_is_num(g["carrier_freq_hz"]) and g["carrier_freq_hz"] > 0,
@@ -115,7 +118,7 @@ def validate_config(cfg: dict) -> dict:
     _check(isinstance(probs, list) and len(probs) in (1, 2)
            and all(_is_num(q) and 0 <= q <= 1 for q in probs),
            "scene.misdetect_prob", "must be a probability or a pair of them")
-    _check(isinstance(s["nlos_paths"], int) and s["nlos_paths"] >= 0,
+    _check(_is_int(s["nlos_paths"]) and s["nlos_paths"] >= 0,
            "scene.nlos_paths", "must be a non-negative integer")
     _check(_is_num(s["nlos_gain_db"]) and s["nlos_gain_db"] < 0,
            "scene.nlos_gain_db", "must be negative (weaker than LoS)")
@@ -129,13 +132,13 @@ def validate_config(cfg: dict) -> dict:
     _check(isinstance(s["classes"], list) and s["classes"]
            and all(c in GESTURE_CLASSES for c in s["classes"]),
            "scene.classes", f"must be a non-empty subset of {GESTURE_CLASSES}")
-    _check(isinstance(s["samples_per_class"], int) and s["samples_per_class"] >= 1,
+    _check(_is_int(s["samples_per_class"]) and s["samples_per_class"] >= 1,
            "scene.samples_per_class", "must be a positive integer")
-    _check(isinstance(s["windows"], int) and s["windows"] >= 8,
+    _check(_is_int(s["windows"]) and s["windows"] >= 8,
            "scene.windows", "must be an integer >= 8")
 
     sch = cfg["schedule"]
-    _check(isinstance(sch["samples_per_window"], int) and sch["samples_per_window"] >= 4
+    _check(_is_int(sch["samples_per_window"]) and sch["samples_per_window"] >= 4
            and sch["samples_per_window"] % 2 == 0,
            "schedule.samples_per_window", "must be an even integer >= 4")
     _check(_is_num(sch["sample_period_s"]) and sch["sample_period_s"] > 0,
@@ -145,6 +148,10 @@ def validate_config(cfg: dict) -> dict:
     sd = cfg["music"]["search_deg"]
     _check(isinstance(sd, list) and len(sd) == 2 and all(_is_num(v) for v in sd)
            and sd[0] < sd[1], "music.search_deg", "must be [lo, hi] with lo < hi")
+    fov = unambiguous_fov(geometry_from(cfg))
+    # the same 1e-12 rad slack as estimate_aoa's own check
+    _check(all(abs(v) <= fov + 1e-12 for v in music_search_from(cfg)), "music.search_deg",
+           f"must lie within the unambiguous field of view +-{math.degrees(fov):.4g} deg")
 
     k = cfg["kalman"]
     if k["dt"] is not None:
@@ -154,8 +161,6 @@ def validate_config(cfg: dict) -> dict:
     _check(_is_num(k["sigma_omega"]) and k["sigma_omega"] >= 0,
            "kalman.sigma_omega", "must be >= 0")
     _check(_is_num(k["sigma_v"]) and k["sigma_v"] > 0, "kalman.sigma_v", "must be > 0")
-    _check(isinstance(k["seed_rate_from_first_two"], bool),
-           "kalman.seed_rate_from_first_two", "must be a bool")
 
     from .features import FEATURE_CONFIGS
     _check(cfg["features"]["config"] in FEATURE_CONFIGS,
@@ -163,14 +168,14 @@ def validate_config(cfg: dict) -> dict:
 
     c = cfg["classify"]
     _check(c["method"] in ("knn", "dtw"), "classify.method", "must be 'knn' or 'dtw'")
-    _check(isinstance(c["k"], int) and c["k"] >= 1 and c["k"] % 2 == 1,
+    _check(_is_int(c["k"]) and c["k"] >= 1 and c["k"] % 2 == 1,
            "classify.k", "must be an odd positive integer")
     _check(c["channel"] in ("rss", "phase", "aoa"), "classify.channel",
            "must be one of rss/phase/aoa")
     _check(_is_num(c["test_frac"]) and 0 < c["test_frac"] < 1,
            "classify.test_frac", "must be in (0, 1)")
     if c["split_seed"] is not None:
-        _check(isinstance(c["split_seed"], int), "classify.split_seed",
+        _check(_is_int(c["split_seed"]), "classify.split_seed",
                "must be an integer or null")
     return cfg
 
@@ -247,8 +252,7 @@ def schedule_from(cfg: dict) -> SASSchedule:
 def kalman_from(cfg: dict) -> KalmanConfig:
     k = cfg["kalman"]
     return KalmanConfig(dt=k["dt"], sigma_theta=k["sigma_theta"],
-                        sigma_omega=k["sigma_omega"], sigma_v=k["sigma_v"],
-                        seed_rate_from_first_two=k["seed_rate_from_first_two"])
+                        sigma_omega=k["sigma_omega"], sigma_v=k["sigma_v"])
 
 
 def music_search_from(cfg: dict) -> tuple[float, float]:

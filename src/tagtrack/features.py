@@ -27,6 +27,9 @@ STAT_NAMES = ("mode", "median", "q1", "q3", "mean", "max", "min", "range",
 
 CHANNEL_ORDER = ("rss", "phase", "aoa")
 
+WAVELET_ORDER = 4     # Daubechies order of the wavelet configurations (8 taps)
+WAVELET_LEVELS = 2    # analysis levels whose approximation coefficients are features
+
 
 class ConfigMismatchError(ValueError):
     "A sample lacks a channel the feature configuration requires."
@@ -115,52 +118,26 @@ def _qmf(h: np.ndarray) -> np.ndarray:
     return ((-1.0) ** np.arange(h.size)) * h[::-1]
 
 
-def dwt_single(x: np.ndarray, h: np.ndarray, mode: str = "symmetric"):
+def dwt_single(x: np.ndarray, h: np.ndarray):
     """One analysis level; returns (approximation, detail) coefficients.
 
-    symmetric: half-sample symmetric extension, output length
-    floor((n + len(h) - 1) / 2).  periodization: circular, length n/2 for
-    even n (energy-preserving orthogonal transform).
+    Half-sample symmetric extension, output length floor((n + len(h) - 1) / 2).
     """
     x = np.asarray(x, dtype=float)
     n, L = x.size, h.size
     if n < L:
         raise ValueError(f"series length {n} is shorter than the filter ({L})")
-    g = _qmf(h)
-    if mode == "periodization":
-        if n % 2:
-            x = np.append(x, x[-1])
-            n += 1
-        idx = (2 * np.arange(n // 2)[:, None] + np.arange(L)[None, :]) % n
-        return x[idx] @ h, x[idx] @ g
-    if mode == "symmetric":
-        ext = np.r_[x[:L - 1][::-1], x, x[:-L - 1:-1]]
-        pos = 2 * np.arange((n + L - 1) // 2)[:, None] + 1 + np.arange(L)[None, :]
-        return ext[pos] @ h, ext[pos] @ g
-    raise ValueError(f"unknown mode {mode!r}")
+    ext = np.r_[x[:L - 1][::-1], x, x[:-L - 1:-1]]
+    pos = 2 * np.arange((n + L - 1) // 2)[:, None] + 1 + np.arange(L)[None, :]
+    return ext[pos] @ h, ext[pos] @ _qmf(h)
 
 
-def idwt_single(ca: np.ndarray, cd: np.ndarray, h: np.ndarray) -> np.ndarray:
-    "Inverse of the periodization-mode analysis (adjoint of the orthogonal map)."
-    L = h.size
-    n = 2 * ca.size
-    g = _qmf(h)
-    idx = (2 * np.arange(n // 2)[:, None] + np.arange(L)[None, :]) % n
-    x = np.zeros(n)
-    for k in range(ca.size):
-        x[idx[k]] += ca[k] * h + cd[k] * g
-    return x
-
-
-def dwt_coeffs(values: np.ndarray, wavelet_order: int = 4, levels: int = 2,
-               mode: str = "symmetric") -> np.ndarray:
-    "Approximation coefficients after ``levels`` analysis stages."
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
-    h = daubechies_lowpass(wavelet_order)
+def dwt_coeffs(values: np.ndarray) -> np.ndarray:
+    "Approximation coefficients after WAVELET_LEVELS analysis stages."
+    h = daubechies_lowpass(WAVELET_ORDER)
     ca = np.asarray(values, dtype=float)
-    for _ in range(levels):
-        ca, _ = dwt_single(ca, h, mode=mode)
+    for _ in range(WAVELET_LEVELS):
+        ca, _ = dwt_single(ca, h)
     return ca
 
 
@@ -216,8 +193,6 @@ class FeatureConfig:
     name: str
     channels: tuple[str, ...]
     wavelet: bool
-    wavelet_order: int = 4
-    wavelet_levels: int = 2
 
 
 FEATURE_CONFIGS = {
@@ -234,16 +209,8 @@ FEATURE_CONFIGS = {
 class FeatureVector:
     """Fixed-order real feature values plus the name of each index."""
 
-    config_name: str
     values: np.ndarray
     layout: tuple[str, ...]
-
-
-def _sample_channel(sample, kind: str, tag: str) -> np.ndarray | None:
-    series = getattr(sample, kind, None)
-    if series is None:
-        return None
-    return series.get(tag) if isinstance(series, dict) else None
 
 
 def assemble_features(sample, config: FeatureConfig | str,
@@ -267,7 +234,7 @@ def assemble_features(sample, config: FeatureConfig | str,
         for kind in CHANNEL_ORDER:
             if kind not in config.channels:
                 continue
-            raw = _sample_channel(sample, kind, tag)
+            raw = getattr(sample, kind).get(tag)
             if raw is None or np.asarray(raw).size == 0 or not np.isfinite(raw).any():
                 raise ConfigMismatchError(
                     f"config {config.name} needs channel {kind!r} for tag {tag!r}")
@@ -276,7 +243,7 @@ def assemble_features(sample, config: FeatureConfig | str,
             values.extend(stats_vector(series))
             layout.extend(f"{tag}:{kind}:{s}" for s in STAT_NAMES)
             if config.wavelet:
-                coeffs = dwt_coeffs(series, config.wavelet_order, config.wavelet_levels)
+                coeffs = dwt_coeffs(series)
                 want = wavelet_len if wavelet_len is not None else coeffs.size
                 if coeffs.size < want:
                     coeffs = np.pad(coeffs, (0, want - coeffs.size))
@@ -285,7 +252,7 @@ def assemble_features(sample, config: FeatureConfig | str,
     for (ta, ka, sa), (tb, kb, sb) in itertools.combinations(prepared, 2):
         values.append(pearson(sa, sb))
         layout.append(f"corr:{ta}:{ka}|{tb}:{kb}")
-    return FeatureVector(config.name, np.array(values), tuple(layout))
+    return FeatureVector(np.array(values), tuple(layout))
 
 
 def featurize_dataset(samples, config: FeatureConfig | str):
@@ -299,11 +266,11 @@ def featurize_dataset(samples, config: FeatureConfig | str):
         config = FEATURE_CONFIGS[config]
     wavelet_len = None
     if config.wavelet:
-        h_len = 2 * config.wavelet_order
+        h_len = 2 * WAVELET_ORDER
         wavelet_len = 0
         for sample in samples:
             n = sample.n_windows
-            for _ in range(config.wavelet_levels):
+            for _ in range(WAVELET_LEVELS):
                 n = (n + h_len - 1) // 2
             wavelet_len = max(wavelet_len, n)
     rows, labels = [], []

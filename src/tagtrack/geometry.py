@@ -24,15 +24,12 @@ class ArrayGeometry:
 
     carrier_freq_hz: float
     element_spacing_m: float
-    num_elements: int = 2
 
     def __post_init__(self):
         if self.carrier_freq_hz <= 0:
             raise ValueError(f"carrier_freq_hz must be > 0, got {self.carrier_freq_hz}")
         if self.element_spacing_m <= 0:
             raise ValueError(f"element_spacing_m must be > 0, got {self.element_spacing_m}")
-        if self.num_elements != 2:
-            raise ValueError("only two-element arrays are supported")
 
     @property
     def wavelength_m(self) -> float:
@@ -56,11 +53,6 @@ class ScenePose:
                          self.tag_pos[1] - self.reader_pos[1])
         d = geometry.element_spacing_m
         return rng >= 2.0 * d * d / geometry.wavelength_m
-
-
-def wavelength(geometry: ArrayGeometry) -> float:
-    "Carrier wavelength in meters."
-    return geometry.wavelength_m
 
 
 def aoa_from_positions(pose: ScenePose) -> float:

@@ -39,7 +39,6 @@ class DatasetSpec:
     angle_phase_rad: float = 1.2
     tx_power: float = 1.0
     modulation_gain: float = 1.0
-    tag_ids: tuple[str, str] = ("tag1", "tag2")
 
 
 def synthesize_gesture(class_id: str, geometry: ArrayGeometry, schedule: SASSchedule,
@@ -47,7 +46,7 @@ def synthesize_gesture(class_id: str, geometry: ArrayGeometry, schedule: SASSche
     "One labeled gesture recording with per-sample scene nuisances."
     base = list(seed) if isinstance(seed, (list, tuple)) else [seed]
     rng = np.random.default_rng([*base, 0])
-    scene = gesture_scene(geometry, spec.snr_db, rng, tag_ids=spec.tag_ids,
+    scene = gesture_scene(geometry, spec.snr_db, rng,
                           misdetect_prob=spec.misdetect_prob, n_paths=spec.nlos_paths,
                           nlos_gain_db=spec.nlos_gain_db, angle_gain_db=spec.angle_gain_db,
                           angle_phase_rad=spec.angle_phase_rad, tx_power=spec.tx_power,
@@ -88,14 +87,16 @@ def synthesize_fixed_log(geometry: ArrayGeometry, schedule: SASSchedule, spec: D
 
 def attach_tracks(sample: GestureSample, log: ReaderLog, geometry: ArrayGeometry,
                   kalman: KalmanConfig | None = None,
-                  schedule: SASSchedule | None = None) -> GestureSample:
+                  schedule: SASSchedule | None = None,
+                  music_search: tuple[float, float] | None = None) -> GestureSample:
     """Run the tracking chain on the log and fill the sample's AoA channel.
 
     Track slot t is acquisition window ``track.first_window + t``, counted
     like the sample's channels from the log's first window; windows missing
     from the track stay NaN (imputed at feature time).
     """
-    tracks = track_aoa(log, geometry, kalman=kalman, schedule=schedule)
+    tracks = track_aoa(log, geometry, music_search=music_search, kalman=kalman,
+                       schedule=schedule)
     for tag in sample.tag_ids:
         series = np.full(sample.n_windows, np.nan)
         track = tracks.get(tag)
@@ -119,18 +120,10 @@ def truth_on_track(track: AoATrack, truth: np.ndarray, first_window: int) -> np.
 
 
 def synthesize_dataset(geometry: ArrayGeometry, schedule: SASSchedule, spec: DatasetSpec,
-                       seed: int, tracked: bool = True,
-                       kalman: KalmanConfig | None = None,
-                       keep_logs: bool = False):
-    "Full labeled dataset of ``gesture_dataset``; returns samples (and logs when keep_logs)."
-    samples, logs = [], []
-    for sample, log in gesture_dataset(geometry, schedule, spec, seed):
-        if tracked:
-            attach_tracks(sample, log, geometry, kalman=kalman, schedule=schedule)
-        samples.append(sample)
-        if keep_logs:
-            logs.append(log)
-    return (samples, logs) if keep_logs else samples
+                       seed: int, kalman: KalmanConfig | None = None) -> list[GestureSample]:
+    "Full labeled dataset of ``gesture_dataset``, each sample with its AoA channel tracked."
+    return [attach_tracks(sample, log, geometry, kalman=kalman, schedule=schedule)
+            for sample, log in gesture_dataset(geometry, schedule, spec, seed)]
 
 
 def series_bundle(sample: GestureSample, channel: str) -> dict[str, np.ndarray]:
@@ -148,7 +141,7 @@ def knn_feature_experiment(x: np.ndarray, labels: list[str], split_seed: int = 0
     train_idx, test_idx = stratified_split(labels, test_frac=test_frac, seed=split_seed)
     classes = tuple(sorted(set(labels)))
     train = LabeledDataset(labels=[labels[i] for i in train_idx],
-                           features=x[train_idx], classes=classes, split_seed=split_seed)
+                           features=x[train_idx], classes=classes)
     preds = [knn_feature_classify(train, x[i], k=k) for i in test_idx]
     return evaluate(preds, [labels[i] for i in test_idx], classes)
 
@@ -169,7 +162,7 @@ def dtw_experiment(samples: list[GestureSample], channel: str, split_seed: int =
     classes = tuple(sorted(set(labels)))
     train = LabeledDataset(labels=[labels[i] for i in train_idx],
                            bundles=[bundles[i] for i in train_idx],
-                           classes=classes, split_seed=split_seed)
+                           classes=classes)
     preds = [dtw_1nn_classify(train, bundles[i]) for i in test_idx]
     return evaluate(preds, [labels[i] for i in test_idx], classes)
 
@@ -188,7 +181,7 @@ def tracking_rmse(log: ReaderLog, geometry: ArrayGeometry,
         truth = truth_on_track(track, log.truth[tag], log.first_window)
         keep = np.isfinite(truth)
         truth = truth[keep]
-        raw = track.raw_series()[keep]
+        raw = track.z[keep]
         filt = track.filtered_series()[keep]
         smooth = track.smoothed_series()[keep]
         ok = np.isfinite(raw)

@@ -83,8 +83,8 @@ class ReaderLog:
         for i, r in enumerate(self.records):
             if r.antenna not in (1, 2):
                 raise ValueError(f"record {i}: antenna must be 1 or 2, got {r.antenna}")
-            if r.timestamp_s < last_t:
-                raise ValueError(f"record {i}: timestamps must be non-decreasing")
+            if not math.isfinite(r.timestamp_s) or r.timestamp_s < last_t:
+                raise ValueError(f"record {i}: timestamps must be finite and non-decreasing")
             last_t = r.timestamp_s
         return self
 
@@ -191,9 +191,9 @@ def read_reader_log(path: str | Path) -> ReaderLog:
     """Parse a reader log directory (or csv path), loading IQ blobs eagerly.
 
     Each blob file is opened once; records hold views of its values.  A
-    malformed row -- bad antenna, duplicate (window, tag, antenna), a
-    detected read without a readable blob span -- raises ValueError naming
-    the CSV file and row.
+    malformed row -- wrong column count, a non-numeric or non-finite field,
+    bad antenna, duplicate (window, tag, antenna), a detected read without
+    a readable blob span -- raises ValueError naming the CSV file and row.
     """
     path = Path(path)
     if path.is_dir():
@@ -212,30 +212,32 @@ def read_reader_log(path: str | Path) -> ReaderLog:
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
-        window_idx, antenna = int(row[0]), int(row[3])
-        if antenna not in (1, 2):
-            raise ValueError(f"{csv_path} row {lineno}: antenna must be 1 or 2, got {antenna}")
-        key = (window_idx, row[2], antenna)
-        if key in seen:
-            raise ValueError(f"{csv_path} row {lineno}: duplicate row for window {window_idx}, "
-                             f"tag {row[2]}, antenna {antenna}")
-        seen.add(key)
-        detected = row[9].strip().lower() == "true"
-        iq = None
-        if detected:
-            if not row[6]:
-                raise ValueError(f"{csv_path} row {lineno}: detected read has no iq_blob_path")
-            try:
-                iq = _row_iq(base, row[6], blobs)
-            except ValueError as e:
-                raise ValueError(f"{csv_path} row {lineno}: {e}") from None
-        records.append(ReadRecord(
-            window_idx=window_idx, timestamp_s=float(row[1]), tag_id=row[2],
-            antenna=antenna, iq=iq,
-            rss_dbm=float(row[7]) if row[7] else math.nan,
-            phase_rad=float(row[8]) if row[8] else math.nan,
-            detected=detected, iq_blob_path=row[6],
-        ))
+        try:
+            if len(row) != len(CSV_HEADER):
+                raise ValueError(f"has {len(row)} columns, expected {len(CSV_HEADER)}")
+            window_idx, antenna = int(row[0]), int(row[3])
+            if antenna not in (1, 2):
+                raise ValueError(f"antenna must be 1 or 2, got {antenna}")
+            key = (window_idx, row[2], antenna)
+            if key in seen:
+                raise ValueError(f"duplicate row for window {window_idx}, tag {row[2]}, "
+                                 f"antenna {antenna}")
+            seen.add(key)
+            timestamp = float(row[1])
+            if not math.isfinite(timestamp):
+                raise ValueError(f"timestamp_s {row[1]!r} is not finite")
+            detected = row[9].strip().lower() == "true"
+            if detected and not row[6]:
+                raise ValueError("detected read has no iq_blob_path")
+            records.append(ReadRecord(
+                window_idx=window_idx, timestamp_s=timestamp, tag_id=row[2], antenna=antenna,
+                iq=_row_iq(base, row[6], blobs) if detected else None,
+                rss_dbm=float(row[7]) if row[7] else math.nan,
+                phase_rad=float(row[8]) if row[8] else math.nan,
+                detected=detected, iq_blob_path=row[6],
+            ))
+        except ValueError as e:
+            raise ValueError(f"{csv_path} row {lineno}: {e}") from None
     truth = None
     truth_path = base / "truth.json"
     if truth_path.exists():

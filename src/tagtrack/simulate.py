@@ -229,8 +229,6 @@ def simulate_window(scene: SimScene, schedule: SASSchedule, true_aoa_per_tag: li
 
 # --- gesture trajectories ------------------------------------------------
 
-TRAJECTORY_KINDS = ("ramp", "sine", "arc", "const")
-
 
 @dataclass(frozen=True)
 class TagTrajectory:
@@ -458,6 +456,9 @@ def simulate_gesture(spec: GestureSpec, scene: SimScene, schedule: SASSchedule,
 
 # --- canned scenes ---------------------------------------------------------
 
+GAIN_JITTER_DB = 1.0     # gesture_scene's per-sample tag level draw, +- dB
+PHASE_JITTER_RAD = 0.4   # gesture_scene's per-sample tag phase draw, +- rad
+
 def paper_geometry() -> ArrayGeometry:
     "865.7 MHz carrier with 0.8-wavelength element spacing."
     from .geometry import SPEED_OF_LIGHT
@@ -501,8 +502,7 @@ def gesture_scene(geometry: ArrayGeometry, snr_db: float, rng: np.random.Generat
                   tag_ids: tuple[str, str] = ("tag1", "tag2"),
                   misdetect_prob: float = 0.05, n_paths: int = 2,
                   nlos_gain_db: float = -13.5, angle_gain_db: float = 2.5,
-                  angle_phase_rad: float = 1.2, gain_jitter_db: float = 1.0,
-                  phase_jitter_rad: float = 0.4, tx_power: float = 1.0,
+                  angle_phase_rad: float = 1.2, tx_power: float = 1.0,
                   modulation_gain: float = 1.0) -> SimScene:
     """Lab-like two-tag scene with per-sample nuisance draws.
 
@@ -515,8 +515,8 @@ def gesture_scene(geometry: ArrayGeometry, snr_db: float, rng: np.random.Generat
                       modulation_gain=modulation_gain)
     tags = []
     for tag_id, paths in scene.tags:
-        level = 10.0 ** (rng.uniform(-gain_jitter_db, gain_jitter_db) / 20.0)
-        rot = np.exp(1j * rng.uniform(-phase_jitter_rad, phase_jitter_rad))
+        level = 10.0 ** (rng.uniform(-GAIN_JITTER_DB, GAIN_JITTER_DB) / 20.0)
+        rot = np.exp(1j * rng.uniform(-PHASE_JITTER_RAD, PHASE_JITTER_RAD))
         tags.append((tag_id, [replace(p, gain=p.gain * level * rot) for p in paths]))
     scene.tags = tags
     return scene

@@ -29,18 +29,15 @@ class KalmanConfig:
 
     Defaults: process noise stds 0.01 rad / 0.1 rad/s, measurement std
     0.035 rad (about 2 deg, the order of lab MUSIC scatter).  dt filled from
-    the measurement grid when None.  x0 defaults to (first valid
-    measurement, 0); the rate can optionally be seeded from the first two
-    measurements instead.
+    the measurement grid when None.  The start state is (first valid
+    measurement, 0) with covariance ``p0``.
     """
 
     dt: float | None = None
     sigma_theta: float = 0.01
     sigma_omega: float = 0.1
     sigma_v: float = 0.035
-    x0: np.ndarray | None = None
     p0: np.ndarray = field(default_factory=lambda: np.eye(2))
-    seed_rate_from_first_two: bool = False
 
     def __post_init__(self):
         if self.dt is not None and self.dt <= 0:
@@ -101,7 +98,6 @@ class AoATrack:
     gains: np.ndarray               # (T, 2), NaN rows where update skipped
     smoothed: np.ndarray | None = None
     smoothed_covs: np.ndarray | None = None
-    smoother_gains: np.ndarray | None = None
     low_confidence: bool = False
     first_window: int = 0           # reader-log window index of slot 0
     midpoint_s: np.ndarray | None = None
@@ -110,9 +106,6 @@ class AoATrack:
     @property
     def n_windows(self) -> int:
         return self.z.size
-
-    def raw_series(self) -> np.ndarray:
-        return self.z
 
     def filtered_series(self) -> np.ndarray:
         return self.posts[:, 0]
@@ -123,12 +116,12 @@ class AoATrack:
         return self.smoothed[:, 0]
 
 
-def filter_sequence(z: np.ndarray, cfg: KalmanConfig,
-                    valid: np.ndarray | None = None) -> AoATrack:
+def filter_sequence(z: np.ndarray, cfg: KalmanConfig) -> AoATrack:
     """Forward Kalman pass over a measurement sequence with gaps.
 
-    ``z`` entries that are NaN (or masked out by ``valid``) skip the update:
-    the posterior and its covariance are the prior, unchanged.  The
+    NaN entries of ``z`` skip the update: the posterior and its covariance
+    are the prior, unchanged.  The filter's dt (1.0 when ``cfg.dt`` is None)
+    is stored on the track for ``rts_smooth``.  The
     recursion is that of ``predict`` and ``update``, written out on Python
     floats because per-step 2x2 array operations cost more than the
     arithmetic.
@@ -136,21 +129,14 @@ def filter_sequence(z: np.ndarray, cfg: KalmanConfig,
     z = np.asarray(z, dtype=float)
     if z.ndim != 1 or z.size == 0:
         raise ValueError("z must be a non-empty 1-D sequence")
-    valid = np.isfinite(z) if valid is None else np.asarray(valid, bool) & np.isfinite(z)
+    valid = np.isfinite(z)
     T = z.size
-    if cfg.dt is None:
-        cfg = replace(cfg, dt=1.0)
-    x0 = cfg.x0
-    if x0 is None:
-        idx = np.nonzero(valid)[0]
-        theta0 = z[idx[0]] if idx.size else 0.0
-        rate0 = 0.0
-        if cfg.seed_rate_from_first_two and idx.size >= 2:
-            rate0 = (z[idx[1]] - z[idx[0]]) / ((idx[1] - idx[0]) * cfg.dt)
-        x0 = np.array([theta0, rate0])
-    dt, r = cfg.dt, cfg.sigma_v ** 2
+    idx = np.nonzero(valid)[0]
+    x = float(z[idx[0]]) if idx.size else 0.0
+    v = 0.0
+    dt = 1.0 if cfg.dt is None else cfg.dt
+    r = cfg.sigma_v ** 2
     q0, q1 = cfg.sigma_theta ** 2, cfg.sigma_omega ** 2
-    x, v = np.asarray(x0, float).tolist()
     (p00, p01), (p10, p11) = np.asarray(cfg.p0, float).tolist()
     priors, posts, gains = np.empty((T, 2)), np.empty((T, 2)), np.full((T, 2), np.nan)
     prior_covs, post_covs = np.empty((T, 2, 2)), np.empty((T, 2, 2))
@@ -180,22 +166,22 @@ def filter_sequence(z: np.ndarray, cfg: KalmanConfig,
         poc[j], poc[j + 1], poc[j + 2], poc[j + 3] = p00, p01, p10, p11
     return AoATrack(z=z, valid=valid, priors=priors, prior_covs=prior_covs,
                     posts=posts, post_covs=post_covs, gains=gains,
-                    low_confidence=not valid.any(), dt=cfg.dt)
+                    low_confidence=not valid.any(), dt=dt)
 
 
-def rts_smooth(track: AoATrack, cfg: KalmanConfig) -> AoATrack:
+def rts_smooth(track: AoATrack) -> AoATrack:
     """Backward smoothing pass; fills the smoothed fields of the track.
 
-    A singular next-step prior covariance gets 1e-12 diagonal loading
-    (logged) before inversion.  Like ``filter_sequence`` it runs the 2x2
-    algebra on Python floats, with the closed-form 2x2 inverse.
+    The transition uses the filter's own ``track.dt``.  A singular
+    next-step prior covariance gets 1e-12 diagonal loading (logged) before
+    inversion.  Like ``filter_sequence`` it runs the 2x2 algebra on Python
+    floats, with the closed-form 2x2 inverse.
     """
     T = track.n_windows
-    dt = cfg.dt if cfg.dt is not None else (track.dt or 1.0)
+    dt = track.dt
     xs, ps = track.posts.copy(), track.post_covs.copy()
-    gs = np.empty((max(T - 1, 0), 2, 2))
     pr, pc, po, poc = map(_flat, (track.priors, track.prior_covs, track.posts, track.post_covs))
-    xo, so, go = map(_flat, (xs, ps, gs))
+    xo, so = _flat(xs), _flat(ps)
     i, j = 2 * (T - 1), 4 * (T - 1)
     x, v = po[i], po[i + 1]
     s00, s01, s10, s11 = poc[j], poc[j + 1], poc[j + 2], poc[j + 3]
@@ -225,10 +211,8 @@ def rts_smooth(track: AoATrack, cfg: KalmanConfig) -> AoATrack:
         s01 = s10 = 0.5 * ((c01 + (h00 * g10 + h01 * g11)) + (c10 + (h10 * g00 + h11 * g01)))
         xo[i], xo[i + 1] = x, v
         so[j], so[j + 1], so[j + 2], so[j + 3] = s00, s01, s10, s11
-        go[j], go[j + 1], go[j + 2], go[j + 3] = g00, g01, g10, g11
     track.smoothed = xs
     track.smoothed_covs = ps
-    track.smoother_gains = gs
     return track
 
 
@@ -282,7 +266,7 @@ def track_aoa(log: ReaderLog, geometry: ArrayGeometry,
         dt = (last.midpoint_time_s - first.midpoint_time_s) / span if span else 0.0
         base = kalman or KalmanConfig()
         cfg = replace(base, dt=base.dt if base.dt is not None else (dt if dt > 0 else 1.0))
-        track = rts_smooth(filter_sequence(z, cfg), cfg)
+        track = rts_smooth(filter_sequence(z, cfg))
         track.first_window = first.window_idx
         track.midpoint_s = first.midpoint_time_s + np.arange(span + 1) * dt
         out[tag] = track

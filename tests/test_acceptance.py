@@ -144,7 +144,7 @@ def test_criterion_05_smoother_oracle_and_rmse_ordering():
     for seed in range(20):
         rng = np.random.default_rng([500, seed])
         _, z = _simulate_linear(20, cfg, rng)
-        track = rts_smooth(filter_sequence(z, cfg), cfg)
+        track = rts_smooth(filter_sequence(z, cfg))
         oracle = _batch_map(z, np.ones(20, bool), cfg, np.array([z[0], 0.0]))
         worst_gap = max(worst_gap, float(np.abs(track.smoothed - oracle).max()))
         for t in range(20):
@@ -154,7 +154,7 @@ def test_criterion_05_smoother_oracle_and_rmse_ordering():
     for seed in range(200):
         rng = np.random.default_rng([501, seed])
         truth, z = _simulate_linear(20, cfg, rng)
-        track = rts_smooth(filter_sequence(z, cfg), cfg)
+        track = rts_smooth(filter_sequence(z, cfg))
         sq["raw"] += float(np.sum((z - truth[:, 0]) ** 2))
         sq["filt"] += float(np.sum((track.posts[:, 0] - truth[:, 0]) ** 2))
         sq["smooth"] += float(np.sum((track.smoothed[:, 0] - truth[:, 0]) ** 2))
@@ -180,7 +180,7 @@ def test_criterion_06_missing_measurement_contract():
         rng = np.random.default_rng([601, seed])
         deleted = rng.choice(T, size=max(1, T // 5), replace=False)
         z[deleted] = np.nan
-        gap_track = rts_smooth(filter_sequence(z, cfg), cfg)
+        gap_track = rts_smooth(filter_sequence(z, cfg))
         for t in deleted:
             if not (np.array_equal(gap_track.posts[t], gap_track.priors[t]) and
                     np.array_equal(gap_track.post_covs[t], gap_track.prior_covs[t])):

@@ -163,14 +163,6 @@ class TestKnn:
         with pytest.raises(ValueError):
             knn_feature_classify(ds, x[0], k=4)
 
-    def test_config_mismatch(self):
-        x, labels = self._blobs(n=5)
-        ds = LabeledDataset(labels=labels, features=x, config_name="SPR")
-        from tagtrack.features import FeatureVector
-        fv = FeatureVector("SPRA", x[0], ("f",) * x.shape[1])
-        with pytest.raises(ValueError, match="mismatch"):
-            knn_feature_classify(ds, fv, k=1)
-
     def test_training_permutation_invariance(self):
         x, labels = self._blobs(seed=7)
         rng = np.random.default_rng(8)

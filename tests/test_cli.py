@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import re
 import shutil
 import tempfile
@@ -12,14 +13,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from logfiles import both_layouts, read_csv, row_blob, set_row_blob, set_row_path, span
+from logfiles import (both_layouts, read_csv, row_blob, set_row_blob, set_row_path, span,
+                      write_csv)
 
 from tagtrack.cli import main
 from tagtrack.config import (ConfigError, config_hash, geometry_from,
                              load_config, schedule_from, validate_config)
+from tagtrack.geometry import unambiguous_fov
 from tagtrack.pipeline import (DatasetSpec, dtw_experiment, knn_experiment,
                                synthesize_dataset)
-from tagtrack.readerlog import read_reader_log, write_reader_log
+from tagtrack.readerlog import CSV_HEADER, read_reader_log, write_reader_log
 
 TINY = ["--set", "scene.samples_per_class=2", "--set", "scene.windows=12",
         "--set", "scene.classes=[\"SL\",\"SR\"]"]
@@ -81,6 +84,25 @@ class TestConfig:
         cfg["extra"] = 1
         with pytest.raises(ConfigError):
             validate_config(cfg)
+
+    @pytest.mark.parametrize("value", ["true", "false"])
+    @pytest.mark.parametrize("key", ["seed", "scene.nlos_paths", "scene.samples_per_class",
+                                     "scene.windows", "schedule.samples_per_window",
+                                     "classify.k", "classify.split_seed"])
+    def test_bool_is_not_an_integer(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)}: "):
+            load_config(overrides=[f"{key}={value}"])
+
+    def test_search_range_must_lie_in_fov(self, tmp_path, capsys):
+        spacing = "geometry.element_spacing_m=0.4"          # FOV +-12.5 deg
+        with pytest.raises(ConfigError, match="music.search_deg: .*field of view"):
+            load_config(overrides=[spacing])
+        fov = math.degrees(unambiguous_fov(geometry_from(
+            load_config(overrides=[spacing, "music.search_deg=[-12,12]"]))))
+        load_config(overrides=[spacing, f"music.search_deg=[{-fov!r},{fov!r}]"])
+        assert main(["estimate", "--in", str(tmp_path), "--out", str(tmp_path / "est"),
+                     "--set", spacing]) == 2
+        assert "config error: music.search_deg: " in capsys.readouterr().err
 
 
 class TestSimulateCli:
@@ -207,13 +229,30 @@ class TestPipelineCli:
         assert layout["config"] == "SA"
         assert len(layout["layout"]) == 2 * 14 + 1
         rep = tmp_path / "rep"
-        assert main(["classify", "--in", str(feats / "features.csv"),
-                     "--out", str(rep), "--seed", "5"]) == 0
+        with pytest.warns(UserWarning, match="k=5 exceeds training size 2"):
+            assert main(["classify", "--in", str(feats / "features.csv"),
+                         "--out", str(rep), "--seed", "5"]) == 0
         report = json.loads((rep / "report.json").read_text())
         assert report["method"] == "knn"
         assert 0.0 <= report["metrics"]["accuracy"] <= 100.0
         conf = (rep / "confusion.csv").read_text().splitlines()
         assert conf[1].startswith("true\\pred")
+
+    def test_dataset_track_uses_search_range(self, tmp_path):
+        "Dataset `track` searches music.search_deg, like `track` on one of its logs."
+        args = ["--seed", "4", "--set", "scene.samples_per_class=1",
+                "--set", "scene.classes=[\"SL\",\"SR\"]", "--set", "music.search_deg=[-5,5]"]
+        data = tmp_path / "data"
+        assert main(["simulate", "--out", str(data), *args]) == 0
+        assert main(["track", "--in", str(data), "--out", str(tmp_path / "trk"), *args]) == 0
+        series = json.loads((tmp_path / "trk" / "series.json").read_text())["samples"]
+        for entry in series:
+            one = tmp_path / entry["id"]
+            assert main(["track", "--in", str(data / "samples" / entry["id"]),
+                         "--out", str(one), *args]) == 0
+            for tag, tr in json.loads((one / "tracks.json").read_text())["tags"].items():
+                got = [math.degrees(v) for v in entry["channels"][f"{tag}:aoa"] if v is not None]
+                np.testing.assert_allclose(got, tr["smoothed_deg"], rtol=0, atol=1e-5)
 
     def test_classify_dtw_on_series(self, tmp_path):
         data = tmp_path / "data"
@@ -464,16 +503,40 @@ def packed_log(tmp_path_factory) -> Path:
     return log
 
 
-MALFORMED = st.text(st.characters(blacklist_categories=("Cc", "Cs")), max_size=8).filter(
-    lambda s: not re.fullmatch(r"[0-9]+:[0-9]+", s))
+TEXT = st.text(st.characters(blacklist_categories=("Cc", "Cs")), max_size=8)
+MALFORMED = TEXT.filter(lambda s: not re.fullmatch(r"[0-9]+:[0-9]+", s))
+
+
+def _parses(kind, text: str) -> bool:
+    try:
+        kind(text)
+    except ValueError:
+        return False
+    return True
+
+
+# a line starting with "#" is a comment line, not a row
+NOT_INT = TEXT.filter(lambda s: not s.startswith("#") and not _parses(int, s))
+NOT_FLOAT = TEXT.filter(lambda s: s and not s.startswith("#") and not _parses(float, s))
+ROW_EDITS = ("short", "int_field", "float_field", "nonfinite")
 
 
 @st.composite
 def corruptions(draw):
     "A kind of damage to a packed log, its parameters, and the CSV row it must be reported at."
     kind = draw(st.sampled_from(["malformed", "negative", "overflow", "past_eof", "odd",
-                                 "truncated", "missing"]))
+                                 "truncated", "missing", *ROW_EDITS]))
     row = draw(st.integers(2, 25))
+    if kind == "short":
+        return kind, row, draw(st.integers(1, len(CSV_HEADER) - 1))
+    if kind == "int_field":
+        return kind, row, (draw(st.sampled_from(["window_idx", "antenna"])), draw(NOT_INT))
+    if kind == "float_field":
+        return kind, row, (draw(st.sampled_from(["timestamp_s", "rss_dbm", "phase_rad"])),
+                           draw(NOT_FLOAT))
+    if kind == "nonfinite":
+        return kind, row, ("timestamp_s", draw(st.sampled_from(["nan", "inf", "-inf", "NaN",
+                                                                "-Infinity"])))
     if kind == "malformed":
         return kind, row, draw(MALFORMED)
     if kind == "negative":
@@ -485,7 +548,7 @@ def corruptions(draw):
     return kind, None, draw(st.integers(0, 10 ** 6))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(case=corruptions())
 def test_corrupt_packed_log_fails_cleanly(packed_log, case):
     "A damaged packed log exits non-zero naming the CSV file and row, without a traceback."
@@ -493,9 +556,16 @@ def test_corrupt_packed_log_fails_cleanly(packed_log, case):
     with tempfile.TemporaryDirectory() as tmp:
         log = Path(tmp) / "log"
         shutil.copytree(packed_log, log)
-        rows = read_csv(log)[1]
+        comments, rows = read_csv(log)
         size = (log / "iq.bin").stat().st_size
-        if row is not None:
+        if kind in ROW_EDITS:
+            if kind == "short":
+                rows[row - 1] = rows[row - 1][:arg]
+            else:
+                column, text = arg
+                rows[row - 1][CSV_HEADER.index(column)] = text
+            write_csv(log, comments, rows)
+        elif row is not None:
             name, start, count = span(rows[row - 1][6])
             if kind == "malformed":
                 ref = f"{name}@{arg}"

@@ -11,7 +11,6 @@ from tagtrack.geometry import (
     steering_phase,
     steering_vector,
     unambiguous_fov,
-    wavelength,
 )
 
 
@@ -23,18 +22,18 @@ def paper_geometry(spacing_wavelengths=0.8):
 class TestWavelength:
     def test_paper_carrier(self):
         geo = paper_geometry()
-        lam = wavelength(geo)
+        lam = geo.wavelength_m
         assert lam == pytest.approx(SPEED_OF_LIGHT / 865.7e6, rel=1e-12)
         # the published 34.65 cm figure was rounded from c ~= 3e8 m/s
         assert lam == pytest.approx(0.3465, abs=2.5e-3)
 
     def test_unit_wavelength(self):
         geo = ArrayGeometry(SPEED_OF_LIGHT, 0.1)
-        assert wavelength(geo) == 1.0
+        assert geo.wavelength_m == 1.0
 
     def test_half_meter(self):
         geo = ArrayGeometry(2 * SPEED_OF_LIGHT, 0.1)
-        assert wavelength(geo) == 0.5
+        assert geo.wavelength_m == 0.5
 
     def test_rejects_nonpositive_frequency(self):
         with pytest.raises(ValueError):

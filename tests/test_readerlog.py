@@ -101,6 +101,9 @@ class TestReaderLogIO:
                    ReadRecord(1, 0.5, "t", 1, np.ones(2, complex), 0.0, 0.0, True)]
         with pytest.raises(ValueError, match="non-decreasing"):
             ReaderLog(records=records).validate()
+        records[1].timestamp_s = math.nan   # NaN compares false, so it is checked on its own
+        with pytest.raises(ValueError, match="record 1: timestamps must be finite"):
+            ReaderLog(records=records).validate()
 
     def test_undetected_record_has_no_blob(self, tmp_path):
         log = make_log(n_windows=1)

@@ -199,7 +199,7 @@ class TestRtsSmooth:
             _, z = simulate_linear(40, c, rng)
             z[rng.random(40) < 0.2] = np.nan
             z[0] = 0.1
-            track = rts_smooth(filter_sequence(z, c), c)
+            track = rts_smooth(filter_sequence(z, c))
             got = (track.priors, track.prior_covs, track.posts, track.post_covs,
                    track.smoothed, track.smoothed_covs)
             for a, b in zip(got, matrix_reference(z, c)):
@@ -211,21 +211,21 @@ class TestRtsSmooth:
         c = cfg(st=0.0, so=0.0, p0=np.zeros((2, 2)))
         z = 0.01 * np.arange(6.0)
         with caplog.at_level("WARNING", logger="tagtrack.tracking"):
-            track = rts_smooth(filter_sequence(z, c), c)
+            track = rts_smooth(filter_sequence(z, c))
         assert "singular prior covariance" in caplog.text
         np.testing.assert_allclose(track.smoothed, matrix_reference(z, c)[4],
                                    rtol=0, atol=1e-12)
 
     def test_single_window_identity(self):
         c = cfg()
-        track = rts_smooth(filter_sequence(np.array([0.2]), c), c)
+        track = rts_smooth(filter_sequence(np.array([0.2]), c))
         np.testing.assert_array_equal(track.smoothed, track.posts)
         np.testing.assert_array_equal(track.smoothed_covs, track.post_covs)
 
     def test_deterministic_dynamics_exact(self):
         c = cfg(dt=1.0, st=0.0, so=0.0, sv=1e-7)
         z = 0.05 * np.arange(1, 13)
-        track = rts_smooth(filter_sequence(z, c), c)
+        track = rts_smooth(filter_sequence(z, c))
         np.testing.assert_allclose(track.smoothed[3:, 0], z[3:], atol=1e-6)
         np.testing.assert_allclose(track.smoothed[3:, 0], track.posts[3:, 0], atol=1e-6)
 
@@ -235,7 +235,7 @@ class TestRtsSmooth:
         for _ in range(20):
             _, z = simulate_linear(25, c, rng)
             z[rng.random(25) < 0.2] = np.nan
-            track = rts_smooth(filter_sequence(z, c), c)
+            track = rts_smooth(filter_sequence(z, c))
             for t in range(25):
                 assert np.trace(track.smoothed_covs[t]) <= np.trace(track.post_covs[t]) + 1e-9
 
@@ -248,7 +248,7 @@ class TestRtsSmooth:
             t_grid = np.arange(1, 16)
             z = 0.1 * t_grid + rng.normal(size=15) * 0.005
             z[7] = np.nan
-            track = rts_smooth(filter_sequence(z, c), c)
+            track = rts_smooth(filter_sequence(z, c))
             lo = track.posts[6, 0]
             hi = track.posts[8, 0]
             assert lo <= track.smoothed[7, 0] <= hi
@@ -258,7 +258,7 @@ class TestRtsSmooth:
         for seed in range(10):
             rng = np.random.default_rng(seed)
             _, z = simulate_linear(20, c, rng)
-            track = rts_smooth(filter_sequence(z, c), c)
+            track = rts_smooth(filter_sequence(z, c))
             x0 = np.array([z[0], 0.0])
             oracle = batch_map_oracle(z, np.ones(20, bool), c, x0)
             np.testing.assert_allclose(track.smoothed, oracle, atol=1e-8)
@@ -268,7 +268,7 @@ class TestRtsSmooth:
         rng = np.random.default_rng(11)
         _, z = simulate_linear(20, c, rng)
         z[[4, 5, 11]] = np.nan
-        track = rts_smooth(filter_sequence(z, c), c)
+        track = rts_smooth(filter_sequence(z, c))
         valid = np.isfinite(z)
         x0 = np.array([z[np.nonzero(valid)[0][0]], 0.0])
         oracle = batch_map_oracle(np.nan_to_num(z), valid, c, x0)
@@ -282,7 +282,7 @@ class TestRtsSmooth:
         for seed in range(200):
             rng = np.random.default_rng(seed)
             truth, z = simulate_linear(20, c, rng)
-            track = rts_smooth(filter_sequence(z, c), c)
+            track = rts_smooth(filter_sequence(z, c))
             sq["raw"] += float(np.sum((z - truth[:, 0]) ** 2))
             sq["filt"] += float(np.sum((track.posts[:, 0] - truth[:, 0]) ** 2))
             sq["smooth"] += float(np.sum((track.smoothed[:, 0] - truth[:, 0]) ** 2))
