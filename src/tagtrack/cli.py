@@ -174,16 +174,53 @@ def cmd_track(cfg: dict, in_path: Path, out: Path) -> int:
 
 # --- featurize ----------------------------------------------------------------
 
-def _samples_from_series(series: dict) -> list[GestureSample]:
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _series_samples(path: Path) -> list[GestureSample]:
+    """The samples of a track ``series.json``.
+
+    A sample that lacks a key, or whose channel is not ``n_windows`` numbers
+    or nulls, raises ValueError naming the file and the sample id.
+    """
+    try:
+        series = json.loads(path.read_text())
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{path} is not JSON: {e}") from None
+    if not isinstance(series, dict) or not isinstance(series.get("samples"), list):
+        raise ValueError(f"{path} has no 'samples' list")
     out = []
-    for entry in series["samples"]:
-        chans = {key: np.array([np.nan if v is None else v for v in vals], dtype=float)
-                 for key, vals in entry["channels"].items()}
+    for i, entry in enumerate(series["samples"]):
+        if not isinstance(entry, dict):
+            raise ValueError(f"{path} sample #{i}: not an object")
+        where = f"{path} sample {entry.get('id', f'#{i}')}"
+        for key in ("id", "label", "n_windows", "dt_s", "channels"):
+            if key not in entry:
+                raise ValueError(f"{where}: no {key!r}")
+        if not isinstance(entry["channels"], dict):
+            raise ValueError(f"{where}: channels is not an object")
+        n = entry["n_windows"]
+        if not (isinstance(n, int) and not isinstance(n, bool) and n > 0):
+            raise ValueError(f"{where}: n_windows {n!r} is not a positive integer")
+        if not _is_number(entry["dt_s"]):
+            raise ValueError(f"{where}: dt_s {entry['dt_s']!r} is not a number")
+        chans = {}
+        for key, vals in entry["channels"].items():
+            if not isinstance(vals, list):
+                raise ValueError(f"{where}: channel {key!r} is not a list")
+            if len(vals) != n:
+                raise ValueError(f"{where}: channel {key!r} has {len(vals)} values, "
+                                 f"n_windows is {n}")
+            bad = next((v for v in vals if v is not None and not _is_number(v)), None)
+            if bad is not None:
+                raise ValueError(f"{where}: channel {key!r} holds {bad!r}, not a number")
+            chans[key] = np.array([np.nan if v is None else v for v in vals], dtype=float)
         tags = sorted({key.split(":")[0] for key in chans})
         kinds = {kind: {t: chans[f"{t}:{kind}"] for t in tags if f"{t}:{kind}" in chans}
                  for kind in ("rss", "phase", "aoa")}
         out.append(GestureSample(label=entry["label"], tag_ids=tags, truth={}, **kinds,
-                                 n_windows=entry["n_windows"], dt_s=entry["dt_s"]))
+                                 n_windows=n, dt_s=entry["dt_s"]))
     return out
 
 
@@ -191,7 +228,7 @@ def cmd_featurize(cfg: dict, in_path: Path, out: Path) -> int:
     series_path = in_path if in_path.name == "series.json" else in_path / "series.json"
     if not series_path.exists():
         raise FileNotFoundError(f"{series_path} not found; run `track` on the dataset first")
-    samples = _samples_from_series(json.loads(series_path.read_text()))
+    samples = _series_samples(series_path)
     config_name = cfg["features"]["config"]
     x, layout, labels = featurize_dataset(samples, FEATURE_CONFIGS[config_name])
     out.mkdir(parents=True, exist_ok=True)
@@ -210,15 +247,32 @@ def cmd_featurize(cfg: dict, in_path: Path, out: Path) -> int:
 # --- classify / eval -----------------------------------------------------------
 
 def _read_features_csv(path: Path):
+    """Feature matrix, layout and labels of a ``features.csv``.
+
+    A row whose field count differs from the header's, or with a feature
+    that is not a number, raises ValueError naming the file and row (the
+    header is row 1; comment lines are not counted).
+    """
     with open(path, newline="") as fh:
         rows = [ln for ln in fh if not ln.startswith("#")]
     reader = csv.reader(rows)
-    header = next(reader)
+    header = next(reader, None)
+    if not header:
+        raise ValueError(f"{path} has no header row")
     labels, data = [], []
-    for row in reader:
+    for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
-        data.append([float(v) for v in row[:-1]])
+        if len(row) != len(header):
+            raise ValueError(f"{path} row {lineno}: has {len(row)} fields, "
+                             f"expected {len(header)}")
+        values = []
+        for name, v in zip(header, row[:-1]):
+            try:
+                values.append(float(v))
+            except ValueError:
+                raise ValueError(f"{path} row {lineno}: {name} {v!r} is not a number") from None
+        data.append(values)
         labels.append(row[-1])
     return np.array(data), header[:-1], labels
 
@@ -247,7 +301,7 @@ def cmd_classify(cfg: dict, in_path: Path, out: Path) -> int:
                  "feature_config": cfg["features"]["config"], "split_seed": split_seed}
     else:
         series_path = in_path if in_path.name == "series.json" else in_path / "series.json"
-        samples = _samples_from_series(json.loads(series_path.read_text()))
+        samples = _series_samples(series_path)
         report = dtw_experiment(samples, c["channel"], split_seed=split_seed,
                                 test_frac=c["test_frac"])
         extra = {"method": "dtw", "channel": c["channel"], "split_seed": split_seed}

@@ -2,7 +2,11 @@
 
 Each included channel contributes 14 statistics (and optionally Daubechies
 approximation coefficients); every pair of included series contributes one
-Pearson correlation.  Conventions for the ambiguous statistics:
+Pearson correlation.  The statistics and correlations are computed per
+sample, in one pass over its prepared series stacked as a (series,
+n_windows) matrix; each value has the bits of the one-series definition
+(numpy's histogram and percentile, one dot product per pair), which the
+tests keep as the reference.  Conventions for the ambiguous statistics:
 
 * mode: midpoint of the fullest of 16 equal-width bins over [min, max];
   a constant series is its own mode.
@@ -27,8 +31,12 @@ STAT_NAMES = ("mode", "median", "q1", "q3", "mean", "max", "min", "range",
 
 CHANNEL_ORDER = ("rss", "phase", "aoa")
 
-WAVELET_ORDER = 4     # Daubechies order of the wavelet configurations (8 taps)
 WAVELET_LEVELS = 2    # analysis levels whose approximation coefficients are features
+# Order-4 extremal-phase Daubechies scaling filter (8 taps, summing to sqrt(2));
+# each literal is the repr of the spectral-factorization result.
+WAVELET_LOWPASS = (0.23037781330889645, 0.7148465705529156, 0.630880767929859,
+                   -0.02798376941685959, -0.18703481171909309, 0.03084138183556063,
+                   0.03288301166688517, -0.010597401785069018)
 
 
 class ConfigMismatchError(ValueError):
@@ -37,81 +45,84 @@ class ConfigMismatchError(ValueError):
 
 # --- statistics -------------------------------------------------------------
 
-def stats_vector(values: np.ndarray) -> np.ndarray:
-    "The 14 per-series statistics, in STAT_NAMES order."
-    v = np.asarray(values, dtype=float)
-    if v.size < 2:
+def _stack_statistics(m: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """Statistics and correlations of the rows of m, shape (series, n).
+
+    Returns the (series, 14) statistics in STAT_NAMES order and the Pearson
+    correlation of every row pair in ``itertools.combinations`` order.  Each
+    value has the bits of the one-series definition: axis-1 sums for the
+    moments, numpy's linear quantile (type 7) after its own partition, the
+    bins of ``np.histogram(v, 16, range=(min, max))`` for mode and entropy,
+    one ``ddot`` per pair, and skewness and kurtosis finished on Python
+    floats.
+    """
+    rows, n = m.shape
+    if n < 2:
         raise ValueError("need at least 2 samples")
-    if not np.isfinite(v).all():
+    if not np.isfinite(m).all():
         raise ValueError("series contains non-finite values; impute first")
-    vmin, vmax = float(v.min()), float(v.max())
-    if vmax == vmin:
-        mean = vmin
-        var = std = m3 = skew = kurt = 0.0
-    else:
-        mean = float(v.mean())
-        var = float(np.mean((v - mean) ** 2))
-        std = math.sqrt(var)
-        m3 = float(np.mean((v - mean) ** 3))
-        skew = m3 / std ** 3
-        kurt = float(np.mean((v - mean) ** 4)) / var ** 2 - 3.0
-    if vmax > vmin:
-        counts, edges = np.histogram(v, bins=16, range=(vmin, vmax))
-        k = int(np.argmax(counts))
-        mode = 0.5 * (edges[k] + edges[k + 1])
-        p = counts[counts > 0] / v.size
-        entropy = float(-(p * np.log(p)).sum())
-    else:
-        mode = vmin
-        entropy = 0.0
-    q1, med, q3 = (float(x) for x in np.percentile(v, [25, 50, 75]))
-    return np.array([mode, med, q1, q3, mean, vmax, vmin, vmax - vmin,
-                     var, std, m3, kurt, skew, entropy])
+    vmin, vmax = m.min(axis=1), m.max(axis=1)
+    rng = vmax - vmin
+    varies = rng > 0
+    mean = m.sum(axis=1) / n
+    d = m - mean[:, None]
+    var = (d ** 2).sum(axis=1) / n
+    std = np.sqrt(var)
+    m3, m4 = (d ** np.array([3.0, 4.0])[:, None, None]).sum(axis=2) / n
+    skew = [a / s ** 3 if v else 0.0
+            for a, s, v in zip(m3.tolist(), std.tolist(), varies.tolist())]
+    kurt = [b / w ** 2 - 3.0 if v else 0.0
+            for b, w, v in zip(m4.tolist(), var.tolist(), varies.tolist())]
 
+    # np.percentile's partition (the same kth list), so that tied zeros of
+    # either sign land where its own interpolation reads them
+    pos = [(n - 1) * frac for frac in (0.25, 0.5, 0.75)]
+    los = [int(x) for x in pos]
+    part = np.partition(m, sorted({0, -1, *los, *(lo + 1 for lo in los)}), axis=1)
+    quartiles = []
+    for x, lo in zip(pos, los):
+        g = x - lo
+        a, b = part[:, lo], part[:, lo + 1]
+        diff = b - a
+        quartiles.append(b - diff * (1 - g) if g >= 0.5 else a + diff * g)
 
-def pearson(a: np.ndarray, b: np.ndarray) -> float:
-    "Pearson correlation; 0 by convention when either series is constant."
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.size != b.size or a.size < 2:
-        raise ValueError("series must have equal length >= 2")
-    da, db = a - a.mean(), b - b.mean()
-    denom = math.sqrt(float(da @ da) * float(db @ db))
-    if denom == 0:
-        return 0.0
-    return float(np.clip((da @ db) / denom, -1.0, 1.0))
+    # np.histogram(v, 16, range=(min, max)): its edges, and its bins, which its
+    # corrected index formula makes exactly [e_k, e_k+1), the last one closed
+    edges = np.arange(17.0) * (rng / 16)[:, None] + vmin[:, None]
+    edges[:, 16] = vmax
+    if ((edges[:, 1:] <= edges[:, :-1]) & varies[:, None]).any():
+        raise ValueError("Too many bins for data range. Cannot create 16 finite-sized bins.")
+    below = np.empty((rows, 17), dtype=np.intp)  # values below each edge
+    below[:, 0], below[:, 16] = 0, n
+    below[:, 1:16] = (m[:, None, :] < edges[:, 1:16, None]).sum(axis=2)
+    counts = below[:, 1:] - below[:, :-1]
+    k = counts.argmax(axis=1)
+    r = np.arange(rows)
+    mode = 0.5 * (edges[r, k] + edges[r, k + 1])
+    full = counts > 0
+    p = counts[full] / n
+    terms = -(p * np.log(p))
+    ends = full.sum(axis=1).cumsum().tolist()
+    entropy = [float(terms[a:b].sum()) for a, b in zip([0, *ends], ends)]
+
+    stats = np.array([mode, quartiles[1], quartiles[0], quartiles[2], mean, vmax, vmin,
+                      rng, var, std, m3, kurt, skew, entropy]).T
+    if not varies.all():
+        flat = ~varies
+        stats[flat, 0] = stats[flat, 4] = vmin[flat]
+        stats[flat, 8:] = 0.0
+
+    d_rows = list(d)
+    sq = [float(a.dot(a)) for a in d_rows]
+    corr = []
+    for i, j in itertools.combinations(range(rows), 2):
+        denom = math.sqrt(sq[i] * sq[j])
+        corr.append(min(max(float(d_rows[i].dot(d_rows[j])) / denom, -1.0), 1.0)
+                    if denom else 0.0)
+    return stats, corr
 
 
 # --- Daubechies wavelet filterbank ------------------------------------------
-
-def daubechies_lowpass(order: int) -> np.ndarray:
-    """Orthonormal Daubechies scaling filter of the given order (2*order taps).
-
-    Obtained by spectral factorization of the half-band polynomial, keeping
-    the roots inside the unit circle (the classical extremal-phase family);
-    normalized so the coefficients sum to sqrt(2).
-    """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if order == 1:
-        return np.array([1.0, 1.0]) / math.sqrt(2.0)
-    binom = [math.comb(order - 1 + k, k) for k in range(order)]
-    y_roots = np.roots(binom[::-1])
-    z_roots = []
-    for y in y_roots:
-        b = 2.0 - 4.0 * y
-        disc = np.sqrt(b * b - 4.0 + 0j)
-        for z in ((b + disc) / 2.0, (b - disc) / 2.0):
-            if abs(z) < 1.0:
-                z_roots.append(z)
-    poly = np.array([1.0 + 0.0j])
-    for _ in range(order):
-        poly = np.convolve(poly, [1.0, 1.0])
-    for zk in z_roots:
-        poly = np.convolve(poly, [1.0, -zk])
-    h = np.real(poly)
-    return h * (math.sqrt(2.0) / h.sum())
-
 
 def _qmf(h: np.ndarray) -> np.ndarray:
     "Wavelet (highpass) filter paired with scaling filter h."
@@ -134,7 +145,7 @@ def dwt_single(x: np.ndarray, h: np.ndarray):
 
 def dwt_coeffs(values: np.ndarray) -> np.ndarray:
     "Approximation coefficients after WAVELET_LEVELS analysis stages."
-    h = daubechies_lowpass(WAVELET_ORDER)
+    h = np.array(WAVELET_LOWPASS)
     ca = np.asarray(values, dtype=float)
     for _ in range(WAVELET_LEVELS):
         ca, _ = dwt_single(ca, h)
@@ -225,12 +236,9 @@ def assemble_features(sample, config: FeatureConfig | str,
     """
     if isinstance(config, str):
         config = FEATURE_CONFIGS[config]
-    tags = sorted(sample.tag_ids)
-    target_len = sample.n_windows
-    prepared: list[tuple[str, str, np.ndarray]] = []
-    values: list[float] = []
-    layout: list[str] = []
-    for tag in tags:
+    names: list[tuple[str, str]] = []
+    series: list[np.ndarray] = []
+    for tag in sorted(sample.tag_ids):
         for kind in CHANNEL_ORDER:
             if kind not in config.channels:
                 continue
@@ -238,21 +246,25 @@ def assemble_features(sample, config: FeatureConfig | str,
             if raw is None or np.asarray(raw).size == 0 or not np.isfinite(raw).any():
                 raise ConfigMismatchError(
                     f"config {config.name} needs channel {kind!r} for tag {tag!r}")
-            series = prepare_channel(kind, raw, target_len)
-            prepared.append((tag, kind, series))
-            values.extend(stats_vector(series))
-            layout.extend(f"{tag}:{kind}:{s}" for s in STAT_NAMES)
-            if config.wavelet:
-                coeffs = dwt_coeffs(series)
-                want = wavelet_len if wavelet_len is not None else coeffs.size
-                if coeffs.size < want:
-                    coeffs = np.pad(coeffs, (0, want - coeffs.size))
-                values.extend(coeffs[:want])
-                layout.extend(f"{tag}:{kind}:w{j}" for j in range(want))
-    for (ta, ka, sa), (tb, kb, sb) in itertools.combinations(prepared, 2):
-        values.append(pearson(sa, sb))
-        layout.append(f"corr:{ta}:{ka}|{tb}:{kb}")
-    return FeatureVector(np.array(values), tuple(layout))
+            names.append((tag, kind))
+            series.append(prepare_channel(kind, raw, sample.n_windows))
+    stats, corr = _stack_statistics(np.array(series))
+    pieces: list[np.ndarray] = []
+    layout: list[str] = []
+    for (tag, kind), row, v in zip(names, stats, series):
+        pieces.append(row)
+        layout += [f"{tag}:{kind}:{s}" for s in STAT_NAMES]
+        if config.wavelet:
+            coeffs = dwt_coeffs(v)
+            want = wavelet_len if wavelet_len is not None else coeffs.size
+            if coeffs.size < want:
+                coeffs = np.pad(coeffs, (0, want - coeffs.size))
+            pieces.append(coeffs[:want])
+            layout += [f"{tag}:{kind}:w{j}" for j in range(want)]
+    pieces.append(np.array(corr))
+    layout += [f"corr:{ta}:{ka}|{tb}:{kb}"
+               for (ta, ka), (tb, kb) in itertools.combinations(names, 2)]
+    return FeatureVector(np.concatenate(pieces), tuple(layout))
 
 
 def featurize_dataset(samples, config: FeatureConfig | str):
@@ -266,7 +278,7 @@ def featurize_dataset(samples, config: FeatureConfig | str):
         config = FEATURE_CONFIGS[config]
     wavelet_len = None
     if config.wavelet:
-        h_len = 2 * WAVELET_ORDER
+        h_len = len(WAVELET_LOWPASS)
         wavelet_len = 0
         for sample in samples:
             n = sample.n_windows

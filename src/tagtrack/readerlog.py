@@ -79,6 +79,7 @@ class ReaderLog:
         return min((r.window_idx for r in self.records), default=0)
 
     def validate(self):
+        "Check an in-memory log: antennas 1 or 2, finite non-decreasing timestamps."
         last_t = -math.inf
         for i, r in enumerate(self.records):
             if r.antenna not in (1, 2):
@@ -134,9 +135,14 @@ def write_reader_log(log: ReaderLog, out_dir: str | Path) -> Path:
     record before anything is written.
     """
     for i, rec in enumerate(log.records):
-        if rec.detected and (rec.iq is None or not rec.iq.size):
-            raise ValueError(f"record {i} (window {rec.window_idx}, tag {rec.tag_id}, "
-                             f"antenna {rec.antenna}) is detected but has no IQ samples")
+        if not rec.detected:
+            continue
+        where = f"record {i} (window {rec.window_idx}, tag {rec.tag_id}, antenna {rec.antenna})"
+        if rec.iq is None or not rec.iq.size:
+            raise ValueError(f"{where} is detected but has no IQ samples")
+        if not (math.isfinite(rec.rss_dbm) and math.isfinite(rec.phase_rad)):
+            raise ValueError(f"{where} is detected but has rss_dbm {rec.rss_dbm!r} and "
+                             f"phase_rad {rec.phase_rad!r}; both must be finite")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "readerlog.csv"
@@ -191,9 +197,11 @@ def read_reader_log(path: str | Path) -> ReaderLog:
     """Parse a reader log directory (or csv path), loading IQ blobs eagerly.
 
     Each blob file is opened once; records hold views of its values.  A
-    malformed row -- wrong column count, a non-numeric or non-finite field,
-    bad antenna, duplicate (window, tag, antenna), a detected read without
-    a readable blob span -- raises ValueError naming the CSV file and row.
+    malformed row -- wrong column count, a non-numeric field, a non-finite
+    timestamp or one earlier than the row before, bad antenna, duplicate
+    (window, tag, antenna), a detected read without a finite RSS and phase
+    or without a readable blob span -- raises ValueError naming the CSV
+    file and row.
     """
     path = Path(path)
     if path.is_dir():
@@ -203,6 +211,7 @@ def read_reader_log(path: str | Path) -> ReaderLog:
     records = []
     seen: set[tuple[int, str, int]] = set()
     blobs: dict[str, np.ndarray] = {}
+    last_t = -math.inf
     with open(csv_path, newline="") as fh:
         rows = [ln for ln in fh if not ln.startswith("#")]
     reader = csv.reader(rows)
@@ -226,15 +235,23 @@ def read_reader_log(path: str | Path) -> ReaderLog:
             timestamp = float(row[1])
             if not math.isfinite(timestamp):
                 raise ValueError(f"timestamp_s {row[1]!r} is not finite")
+            if timestamp < last_t:
+                raise ValueError(f"timestamp_s {row[1]} is earlier than the row before "
+                                 f"({last_t!r}); rows must be in time order")
+            last_t = timestamp
+            rss = float(row[7]) if row[7] else math.nan
+            phase = float(row[8]) if row[8] else math.nan
             detected = row[9].strip().lower() == "true"
-            if detected and not row[6]:
-                raise ValueError("detected read has no iq_blob_path")
+            if detected:
+                if not row[6]:
+                    raise ValueError("detected read has no iq_blob_path")
+                if not (math.isfinite(rss) and math.isfinite(phase)):
+                    raise ValueError(f"detected read has rss_dbm {row[7]!r} and phase_rad "
+                                     f"{row[8]!r}; both must be finite")
             records.append(ReadRecord(
                 window_idx=window_idx, timestamp_s=timestamp, tag_id=row[2], antenna=antenna,
                 iq=_row_iq(base, row[6], blobs) if detected else None,
-                rss_dbm=float(row[7]) if row[7] else math.nan,
-                phase_rad=float(row[8]) if row[8] else math.nan,
-                detected=detected, iq_blob_path=row[6],
+                rss_dbm=rss, phase_rad=phase, detected=detected, iq_blob_path=row[6],
             ))
         except ValueError as e:
             raise ValueError(f"{csv_path} row {lineno}: {e}") from None
@@ -243,4 +260,4 @@ def read_reader_log(path: str | Path) -> ReaderLog:
     if truth_path.exists():
         truth_deg = json.loads(truth_path.read_text())
         truth = {tag: np.radians(np.asarray(v, dtype=float)) for tag, v in truth_deg.items()}
-    return ReaderLog(records=records, truth=truth).validate()
+    return ReaderLog(records=records, truth=truth)

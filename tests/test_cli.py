@@ -357,6 +357,23 @@ class TestImportedLogs:
         assert f"{csv_path} row 4" in err  # CSV rows count from the header, comments skipped
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("column, text, message", [
+        ("timestamp_s", "0.0", "timestamp_s 0.0 is earlier than the row before"),
+        ("rss_dbm", "nan", "detected read has rss_dbm 'nan'"),
+        ("phase_rad", "-inf", "and phase_rad '-inf'; both must be finite"),
+    ], ids=["out_of_order", "nan_rss", "inf_phase"])
+    def test_bad_row_value_fails_cleanly(self, tmp_path, capsys, column, text, message):
+        log = tmp_path / "log"
+        main(["simulate", "--seed", "2", "--out", str(log), *FIXED, "--set", "scene.windows=8"])
+        comments, rows = read_csv(log)
+        rows[6][CSV_HEADER.index(column)] = text  # CSV row 7, a detected read
+        write_csv(log, comments, rows)
+        capsys.readouterr()
+        assert main(["track", "--in", str(log), "--out", str(tmp_path / "trk")]) != 0
+        err = capsys.readouterr().err
+        assert f"{log / 'readerlog.csv'} row 7: " in err and message in err
+        assert "Traceback" not in err
+
     def test_odd_blob_fails_cleanly(self, tmp_path, capsys):
         main(["simulate", "--seed", "2", "--out", str(tmp_path / "log"), *FIXED,
               "--set", "scene.windows=8"])
@@ -518,7 +535,7 @@ def _parses(kind, text: str) -> bool:
 # a line starting with "#" is a comment line, not a row
 NOT_INT = TEXT.filter(lambda s: not s.startswith("#") and not _parses(int, s))
 NOT_FLOAT = TEXT.filter(lambda s: s and not s.startswith("#") and not _parses(float, s))
-ROW_EDITS = ("short", "int_field", "float_field", "nonfinite")
+ROW_EDITS = ("short", "int_field", "float_field", "nonfinite", "earlier")
 
 
 @st.composite
@@ -534,9 +551,11 @@ def corruptions(draw):
     if kind == "float_field":
         return kind, row, (draw(st.sampled_from(["timestamp_s", "rss_dbm", "phase_rad"])),
                            draw(NOT_FLOAT))
-    if kind == "nonfinite":
-        return kind, row, ("timestamp_s", draw(st.sampled_from(["nan", "inf", "-inf", "NaN",
-                                                                "-Infinity"])))
+    if kind == "nonfinite":  # every row of the packed log is a detected read
+        return kind, row, (draw(st.sampled_from(["timestamp_s", "rss_dbm", "phase_rad"])),
+                           draw(st.sampled_from(["nan", "inf", "-inf", "NaN", "-Infinity"])))
+    if kind == "earlier":
+        return kind, max(row, 3), draw(st.floats(1e-6, 1e9))
     if kind == "malformed":
         return kind, row, draw(MALFORMED)
     if kind == "negative":
@@ -561,6 +580,8 @@ def test_corrupt_packed_log_fails_cleanly(packed_log, case):
         if kind in ROW_EDITS:
             if kind == "short":
                 rows[row - 1] = rows[row - 1][:arg]
+            elif kind == "earlier":
+                rows[row - 1][1] = repr(float(rows[row - 2][1]) - arg)
             else:
                 column, text = arg
                 rows[row - 1][CSV_HEADER.index(column)] = text
@@ -594,4 +615,112 @@ def test_corrupt_packed_log_fails_cleanly(packed_log, case):
             code = main(["track", "--in", str(log), "--out", str(Path(tmp) / "trk")])
     assert code != 0
     assert f"{log / 'readerlog.csv'} row {row}: " in err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def tracked_dataset(tmp_path_factory) -> Path:
+    "Track output (series.json) of a 4-sample dataset, and its SA features.csv."
+    root = tmp_path_factory.mktemp("tracked")
+    assert main(["simulate", "--seed", "5", "--out", str(root / "data"), *TINY]) == 0
+    assert main(["track", "--in", str(root / "data"), "--out", str(root / "tracks")]) == 0
+    assert main(["featurize", "--in", str(root / "tracks"), "--out", str(root / "features"),
+                 "--set", "features.config=\"SA\""]) == 0
+    return root
+
+
+SERIES_KEYS = ["id", "label", "n_windows", "dt_s", "channels"]
+NOT_NUMBER = st.one_of(TEXT, st.booleans(), st.lists(st.integers(), max_size=2))
+
+
+@st.composite
+def series_corruptions(draw):
+    "A damaged sample of series.json: which sample, the kind of damage and its parameter."
+    kind = draw(st.sampled_from(["no_key", "length", "not_number", "n_windows", "not_list",
+                                 "not_object"]))
+    sample = draw(st.integers(0, 3))
+    channel = draw(st.sampled_from(["tag1:rss", "tag2:phase", "tag1:aoa"]))
+    if kind == "no_key":
+        return kind, sample, draw(st.sampled_from(SERIES_KEYS))
+    if kind == "length":  # the sample has 12 windows
+        return kind, sample, (channel, draw(st.integers(0, 30).filter(lambda n: n != 12)))
+    if kind == "not_number":
+        return kind, sample, (channel, draw(st.integers(0, 11)), draw(NOT_NUMBER))
+    if kind == "n_windows":
+        return kind, sample, draw(st.one_of(st.integers(-3, 0), st.booleans(), TEXT,
+                                            st.floats(1.0, 30.0)))
+    if kind == "not_object":
+        return kind, sample, (draw(st.sampled_from(["sample", "channels"])),
+                              draw(st.one_of(TEXT, st.integers(), st.lists(st.integers()))))
+    return kind, sample, (channel, draw(st.one_of(TEXT, st.integers(), st.none())))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=series_corruptions(), command=st.sampled_from(["featurize", "dtw"]))
+def test_corrupt_series_fails_cleanly(tracked_dataset, case, command):
+    "featurize and dtw classify exit non-zero naming series.json and the sample id."
+    kind, index, arg = case
+    series = json.loads((tracked_dataset / "tracks" / "series.json").read_text())
+    entry = series["samples"][index]
+    sample_id = entry["id"]
+    if kind == "no_key":
+        del entry[arg]
+        if arg == "id":
+            sample_id = f"#{index}"
+    elif kind == "length":
+        channel, n = arg
+        entry["channels"][channel] = (entry["channels"][channel] * 3)[:n]
+    elif kind == "not_number":
+        channel, at, value = arg
+        entry["channels"][channel][at] = value
+    elif kind == "n_windows":
+        entry["n_windows"] = arg
+    elif kind == "not_object":
+        what, value = arg
+        if what == "channels":
+            entry["channels"] = value
+        else:
+            series["samples"][index] = value
+            sample_id = f"#{index}"
+    else:
+        channel, value = arg
+        entry["channels"][channel] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        series_path = Path(tmp) / "series.json"
+        series_path.write_text(json.dumps(series))
+        argv = ["featurize"] if command == "featurize" else \
+            ["classify", "--set", "classify.method=\"dtw\""]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([*argv, "--in", str(series_path), "--out", str(Path(tmp) / "out")])
+    assert code != 0
+    assert f"{series_path} sample {sample_id}: " in err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["short", "long", "not_number"]), row=st.integers(2, 5),
+       field=st.integers(0, 28), text=TEXT.filter(lambda t: not _parses(float, t)))
+def test_corrupt_features_csv_fails_cleanly(tracked_dataset, kind, row, field, text):
+    "knn classify exits non-zero naming features.csv and the row."
+    with open(tracked_dataset / "features" / "features.csv", newline="") as fh:
+        lines = fh.readlines()
+    rows = list(csv.reader(lines[1:]))  # rows[0] is the header, CSV row 1
+    fields = rows[row - 1]
+    if kind == "short":  # keep one field: a blank line is no row
+        del fields[field + 1:]
+    elif kind == "long":
+        fields.insert(field, "0.5")
+    else:
+        fields[field] = text
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "features.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write(lines[0])
+            csv.writer(fh).writerows(rows)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["classify", "--in", str(path), "--out", str(Path(tmp) / "out")])
+    assert code != 0
+    assert f"{path} row {row}: " in err.getvalue()
     assert "Traceback" not in err.getvalue()

@@ -1,14 +1,93 @@
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tagtrack.features import (FEATURE_CONFIGS, STAT_NAMES, ConfigMismatchError,
-                               assemble_features, daubechies_lowpass, dwt_coeffs,
-                               dwt_single, featurize_dataset,
-                               impute_linear, pearson, prepare_channel,
-                               resample_linear, stats_vector, unwrap_valid)
+from tagtrack.features import (FEATURE_CONFIGS, STAT_NAMES, WAVELET_LOWPASS,
+                               ConfigMismatchError, _stack_statistics, assemble_features,
+                               dwt_coeffs, dwt_single, featurize_dataset, impute_linear,
+                               prepare_channel, resample_linear, unwrap_valid)
 from tagtrack.simulate import GestureSample
+
+# --- one-series references: the definitions the stacked pass reproduces bit for bit ---
+
+
+def stats_vector(values: np.ndarray) -> np.ndarray:
+    "The 14 per-series statistics, in STAT_NAMES order."
+    v = np.asarray(values, dtype=float)
+    if v.size < 2:
+        raise ValueError("need at least 2 samples")
+    if not np.isfinite(v).all():
+        raise ValueError("series contains non-finite values; impute first")
+    vmin, vmax = float(v.min()), float(v.max())
+    if vmax == vmin:
+        mean = vmin
+        var = std = m3 = skew = kurt = 0.0
+    else:
+        mean = float(v.mean())
+        var = float(np.mean((v - mean) ** 2))
+        std = math.sqrt(var)
+        m3 = float(np.mean((v - mean) ** 3))
+        skew = m3 / std ** 3
+        kurt = float(np.mean((v - mean) ** 4)) / var ** 2 - 3.0
+    if vmax > vmin:
+        counts, edges = np.histogram(v, bins=16, range=(vmin, vmax))
+        k = int(np.argmax(counts))
+        mode = 0.5 * (edges[k] + edges[k + 1])
+        p = counts[counts > 0] / v.size
+        entropy = float(-(p * np.log(p)).sum())
+    else:
+        mode = vmin
+        entropy = 0.0
+    q1, med, q3 = (float(x) for x in np.percentile(v, [25, 50, 75]))
+    return np.array([mode, med, q1, q3, mean, vmax, vmin, vmax - vmin,
+                     var, std, m3, kurt, skew, entropy])
+
+
+def pearson(a: np.ndarray, b: np.ndarray) -> float:
+    "Pearson correlation; 0 by convention when either series is constant."
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.size != b.size or a.size < 2:
+        raise ValueError("series must have equal length >= 2")
+    da, db = a - a.mean(), b - b.mean()
+    denom = math.sqrt(float(da @ da) * float(db @ db))
+    if denom == 0:
+        return 0.0
+    return float(np.clip((da @ db) / denom, -1.0, 1.0))
+
+
+def daubechies_lowpass(order: int) -> np.ndarray:
+    """Orthonormal Daubechies scaling filter of the given order (2*order taps).
+
+    Obtained by spectral factorization of the half-band polynomial, keeping
+    the roots inside the unit circle (the classical extremal-phase family);
+    normalized so the coefficients sum to sqrt(2).
+    """
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    if order == 1:
+        return np.array([1.0, 1.0]) / math.sqrt(2.0)
+    binom = [math.comb(order - 1 + k, k) for k in range(order)]
+    y_roots = np.roots(binom[::-1])
+    z_roots = []
+    for y in y_roots:
+        b = 2.0 - 4.0 * y
+        disc = np.sqrt(b * b - 4.0 + 0j)
+        for z in ((b + disc) / 2.0, (b - disc) / 2.0):
+            if abs(z) < 1.0:
+                z_roots.append(z)
+    poly = np.array([1.0 + 0.0j])
+    for _ in range(order):
+        poly = np.convolve(poly, [1.0, 1.0])
+    for zk in z_roots:
+        poly = np.convolve(poly, [1.0, -zk])
+    h = np.real(poly)
+    return h * (math.sqrt(2.0) / h.sum())
 
 
 def stat(vec, name):
@@ -130,9 +209,13 @@ class TestDaubechies:
         for p in range(order):
             assert sum(g[n] * n ** p for n in range(h.size)) == pytest.approx(0, abs=1e-8)
 
+    def test_literal_taps_are_the_factorization(self):
+        assert np.array(WAVELET_LOWPASS).tobytes() == \
+            daubechies_lowpass(4).tobytes()
+
     def test_constant_series_dc_gain(self):
         c = 2.5
-        ca, cd = dwt_single(np.full(32, c), daubechies_lowpass(4))
+        ca, cd = dwt_single(np.full(32, c), np.array(WAVELET_LOWPASS))
         np.testing.assert_allclose(ca, c * math.sqrt(2), atol=1e-9)
         np.testing.assert_allclose(cd, 0.0, atol=1e-9)
 
@@ -225,3 +308,93 @@ class TestAssembleFeatures:
             "corr:tag1:phase|tag2:phase",
             "corr:tag2:rss|tag2:phase",
         ]
+
+
+# --- the stacked pass against the one-series references, bit for bit -----------------
+
+@st.composite
+def stat_matrices(draw):
+    "(series, n) matrices: 1-6 rows, lengths 2-130, scales 1e-3 to 1e3, ties, edges, constants."
+    rows, n = draw(st.integers(1, 6)), draw(st.integers(2, 130))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    kind = draw(st.sampled_from(["normal", "rounded", "bin_edges", "few_values", "ulps"]))
+    m = rng.normal(size=(rows, n)) * scale + rng.normal(size=(rows, 1)) * scale
+    if kind == "rounded":  # ties, and exact zeros of both signs
+        m = np.round(m / scale, draw(st.integers(0, 2))) * scale
+    elif kind == "bin_edges":  # every value on one of the 17 edges np.histogram builds
+        lo, hi = np.sort(m[:, :2], axis=1).T
+        edges = np.linspace(lo, hi, 17, axis=1)
+        pick = rng.integers(0, 17, size=(rows, n))
+        pick[:, 0], pick[:, -1] = 0, 16
+        m = np.take_along_axis(edges, pick, axis=1)
+    elif kind == "few_values":
+        m = rng.choice(rng.normal(size=3) * scale, size=(rows, n))
+    elif kind == "ulps":  # a spread of a few ulps: bins about one ulp wide, or narrower
+        base = m[:, :1]
+        m = base + np.spacing(base) * rng.integers(0, draw(st.integers(1, 64)), size=(rows, n))
+    constant = draw(st.sampled_from(["none", "one", "all"]))
+    if constant == "all":
+        m[:] = m[:, :1]
+    elif constant == "one":
+        r = draw(st.integers(0, rows - 1))
+        m[r] = m[r, 0]
+    return np.ascontiguousarray(m)
+
+
+def assert_stack_matches_reference(m):
+    try:
+        want = np.array([stats_vector(row) for row in m])
+    except (ValueError, ZeroDivisionError) as e:  # the reference's refusals hold too
+        with pytest.raises(type(e), match=re.escape(str(e))):
+            _stack_statistics(m)
+        return
+    want_corr = np.array([pearson(a, b) for a, b in itertools.combinations(m, 2)])
+    stats, corr = _stack_statistics(m)
+    assert stats.shape == want.shape
+    mismatch = [(r, STAT_NAMES[c]) for r, c in zip(*np.nonzero(
+        stats.view(np.uint64) != want.view(np.uint64)))]
+    assert not mismatch, f"statistics differ in bits at {mismatch}"
+    assert np.array(corr, dtype=float).tobytes() == want_corr.tobytes()
+
+
+class TestStackStatistics:
+    @settings(max_examples=300, deadline=None)
+    @given(m=stat_matrices())
+    def test_bitwise_equal_to_one_series_reference(self, m):
+        assert_stack_matches_reference(m)
+
+    @pytest.mark.parametrize("rows", [[1.0, 1.0 + 2 ** -52], [0.0, 5e-324], [1.0, 1.0]],
+                             ids=["one_ulp", "subnormal", "constant"])
+    def test_degenerate_ranges_as_reference(self, rows):
+        assert_stack_matches_reference(np.array([rows, [0.0, 1.0]]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=stat_matrices(), bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+           at=st.tuples(st.integers(0, 5), st.integers(0, 129)))
+    def test_nonfinite_rejected(self, m, bad, at):
+        m[at[0] % m.shape[0], at[1] % m.shape[1]] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            _stack_statistics(m)
+
+    def test_too_short_rejected(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            _stack_statistics(np.ones((3, 1)))
+
+    @pytest.mark.parametrize("config", sorted(FEATURE_CONFIGS))
+    def test_assembled_sample_matches_reference(self, config):
+        cfg = FEATURE_CONFIGS[config]
+        for seed in range(8):
+            sample = make_sample(seed=seed, n=24 + seed)
+            sample.phase["tag1"][[0, 5]] = np.nan  # imputed gaps, phase unwrapped
+            series = [prepare_channel(kind, getattr(sample, kind)[tag], sample.n_windows)
+                      for tag in sample.tag_ids for kind in ("rss", "phase", "aoa")
+                      if kind in cfg.channels]
+            want = []
+            for v in series:
+                want.extend(stats_vector(v))
+                if cfg.wavelet:
+                    want.extend(dwt_coeffs(v))
+            want.extend(pearson(a, b) for a, b in itertools.combinations(series, 2))
+            got = assemble_features(sample, cfg).values
+            assert got.tobytes() == np.array(want).tobytes()

@@ -142,6 +142,30 @@ class TestReaderLogIO:
             write_reader_log(log, tmp_path / "log")
         assert not (tmp_path / "log").exists()
 
+    @pytest.mark.parametrize("field, value", [("rss_dbm", math.nan), ("phase_rad", math.inf),
+                                              ("rss_dbm", -math.inf)])
+    def test_detected_record_with_nonfinite_level_rejected_before_writing(self, tmp_path,
+                                                                        field, value):
+        log = make_log()
+        setattr(log.records[3], field, value)
+        with pytest.raises(ValueError, match=r"record 3 \(window 1, tag tagA, antenna 2\) "
+                                             r"is detected but has rss_dbm .* must be finite"):
+            write_reader_log(log, tmp_path / "log")
+        assert not (tmp_path / "log").exists()
+
+    @pytest.mark.parametrize("column, text", [(7, "nan"), (7, ""), (8, "inf"), (8, "-Infinity")])
+    def test_detected_row_with_nonfinite_level_reports_row(self, tmp_path, column, text):
+        write_reader_log(make_log(), tmp_path)
+        csv_path = tmp_path / "readerlog.csv"
+        lines = csv_path.read_text().splitlines()
+        fields = lines[4].split(",")
+        fields[column] = text
+        lines[4] = ",".join(fields)
+        csv_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"readerlog\.csv row 4: detected read has rss_dbm "
+                                             r".* both must be finite"):
+            read_reader_log(tmp_path)
+
     def test_duplicate_row_reports_row(self, tmp_path):
         write_reader_log(make_log(), tmp_path)
         csv_path = tmp_path / "readerlog.csv"
@@ -171,11 +195,16 @@ class TestReaderLogIO:
 
 FINITE = st.floats(-1e300, 1e300)
 MAYBE_NAN = st.one_of(st.just(math.nan), st.floats(allow_nan=False))
+ANY_FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
 def reader_logs(draw):
-    "Valid logs: unique (window, tag, antenna) rows, sorted times, detected or not, truth or not."
+    """Valid logs: unique (window, tag, antenna) rows, sorted times, detected or not, truth or not.
+
+    Detected rows carry a finite RSS and phase; undetected rows may carry
+    anything, NaN included.
+    """
     tags = draw(st.lists(st.text(alphabet="abXY09_ ,\"", min_size=1, max_size=4),
                          min_size=1, max_size=3, unique=True))
     keys = draw(st.lists(st.tuples(st.integers(0, 10 ** 6), st.sampled_from(tags),
@@ -190,8 +219,9 @@ def reader_logs(draw):
             iq = np.empty(n, dtype=complex)
             iq.real = draw(st.lists(FINITE, min_size=n, max_size=n))
             iq.imag = draw(st.lists(FINITE, min_size=n, max_size=n))
-        records.append(ReadRecord(window, t, tag, antenna, iq, draw(MAYBE_NAN),
-                                  draw(MAYBE_NAN), detected))
+        level = ANY_FINITE if detected else MAYBE_NAN
+        records.append(ReadRecord(window, t, tag, antenna, iq, draw(level), draw(level),
+                                  detected))
     truth = draw(st.none() | st.fixed_dictionaries(
         {tag: st.lists(st.floats(-1.5, 1.5), max_size=5).map(np.array) for tag in tags}))
     return ReaderLog(records=records, truth=truth, meta={"seed": 1})
