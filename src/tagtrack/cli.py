@@ -21,6 +21,7 @@ from .classify import evaluate
 from .config import (ConfigError, config_hash, geometry_from, kalman_from,
                      load_config, music_search_from, schedule_from)
 from .features import FEATURE_CONFIGS, featurize_dataset
+from .music import spectrum_peak
 from .pipeline import (DatasetSpec, attach_tracks, dtw_experiment, gesture_dataset,
                        knn_feature_experiment, synthesize_fixed_log, truth_on_track)
 from .preprocess import read_windows, windows_by_tag, write_windows
@@ -80,9 +81,10 @@ def cmd_simulate(cfg: dict, out: Path) -> int:
 # --- estimate ----------------------------------------------------------------
 
 def _write_measurements(path: Path, cfg: dict, measurements: dict) -> int:
+    geometry = geometry_from(cfg)
     rows = [[tag, m.window_idx,
              _fmt(math.degrees(m.theta_hat)) if m.valid else "",
-             _fmt(m.spectrum_peak) if m.valid else "",
+             _fmt(spectrum_peak(m, geometry)),
              "true" if m.valid else "false"]
             for tag, tag_meas in measurements.items() for m in tag_meas]
     with open(path, "w", newline="") as fh:
@@ -311,19 +313,28 @@ def cmd_classify(cfg: dict, in_path: Path, out: Path) -> int:
 
 
 def cmd_eval(cfg: dict, in_path: Path, out: Path) -> int:
-    "Metrics from a predictions CSV with columns pred,truth."
+    """Metrics from a predictions CSV with columns pred,truth.
+
+    A row with fewer than two fields raises ValueError naming the file and
+    row (the header is row 1; comment lines are not counted).
+    """
     out.mkdir(parents=True, exist_ok=True)
     with open(in_path, newline="") as fh:
         rows = [ln for ln in fh if not ln.startswith("#")]
     reader = csv.reader(rows)
-    header = next(reader)
-    if header[:2] != ["pred", "truth"]:
+    header = next(reader, None)
+    if not header or header[:2] != ["pred", "truth"]:
         raise ConfigError(f"{in_path}: expected columns pred,truth")
     preds, truths = [], []
-    for row in reader:
-        if row:
-            preds.append(row[0])
-            truths.append(row[1])
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) < 2:
+            raise ValueError(f"{in_path} row {lineno}: has {len(row)} field, expected pred,truth")
+        preds.append(row[0])
+        truths.append(row[1])
+    if not preds:
+        raise ValueError(f"{in_path} has no prediction rows")
     classes = tuple(sorted(set(preds) | set(truths)))
     report = evaluate(preds, truths, classes)
     _write_report(out, cfg, report, {"method": "eval"})

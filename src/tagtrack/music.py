@@ -1,10 +1,14 @@
 """Per-window subspace AoA estimation for the two-antenna reader.
 
-The snapshot covariance of a window is eigendecomposed in closed form (2x2
-Hermitian), and the eigenvector of the smaller eigenvalue spans the noise
-subspace.  With two elements the pseudospectrum 1 / |a(theta)^H u_n|^2 peaks
-where the steering phase equals arg R[1, 0] (root-MUSIC for M = 2, the same
-answer as phase interferometry), so the peak is found in closed form.
+With two elements the MUSIC pseudospectrum 1 / |a(theta)^H u_n|^2, u_n the
+noise eigenvector of the window's 2x2 snapshot covariance R, peaks where the
+steering phase equals arg R[1, 0] (root-MUSIC for M = 2, the same answer as
+phase interferometry).  The angle is therefore computed from arg R[1, 0]
+alone.  The closed-form eigendecomposition and the pseudospectrum are
+evaluated only where they are needed: to choose an endpoint when the angle
+falls outside the search range, and for the spectrum peak of a measurement
+(``spectrum_peak``), which only the ``peak`` column of ``measurements.csv``
+reads.
 """
 
 from __future__ import annotations
@@ -41,12 +45,16 @@ class Eig2:
 
 @dataclass
 class AoAMeasurement:
-    """One window's AoA estimate; invalid when the window was incomplete."""
+    """One window's AoA estimate; invalid when the window was incomplete.
+
+    ``covariance`` is the window's 2x2 snapshot covariance (None when
+    invalid), kept for ``spectrum_peak``.
+    """
 
     theta_hat: float
-    spectrum_peak: float
     window_idx: int
     valid: bool
+    covariance: np.ndarray | None
 
 
 def sample_covariance(window: IQWindow) -> CovEstimate:
@@ -117,7 +125,8 @@ def estimate_aoa(window: IQWindow, geometry: ArrayGeometry,
                  tx_sequence: np.ndarray | None = None) -> AoAMeasurement:
     """Closed-form peak of the pseudospectrum within the search range.
 
-    The unconstrained peak is theta = asin(arg R[1, 0] / (4*pi*d/lambda)).
+    The unconstrained peak is theta = asin(arg R[1, 0] / (4*pi*d/lambda)),
+    so a window whose angle lies in ``search`` needs no eigendecomposition.
     The pseudospectrum falls off with the circular distance of the steering
     phase from arg R[1, 0], so when that angle lies outside ``search`` the
     maximum over the range sits at one of its endpoints -- not necessarily
@@ -137,20 +146,25 @@ def estimate_aoa(window: IQWindow, geometry: ArrayGeometry,
     if abs(lo) > fov or abs(hi) > fov:
         raise ValueError("search range must lie within the unambiguous field of view")
     if not window.complete:
-        return AoAMeasurement(math.nan, math.nan, window.window_idx, False)
+        return AoAMeasurement(math.nan, window.window_idx, False, None)
     w = window
     if tx_sequence is not None:
         w = IQWindow(window.tag_id, window.window_idx, window.matrix / tx_sequence,
                      window.midpoint_time_s, window.complete)
-    cov = sample_covariance(w)
-    eig = eig2_hermitian(cov)
-    sin_theta = cmath.phase(cov.matrix[1, 0]) / \
+    cov = sample_covariance(w).matrix
+    sin_theta = cmath.phase(cov[1, 0]) / \
         (4.0 * math.pi * geometry.element_spacing_m / geometry.wavelength_m)
     # spacings below lambda/4 can put the phase past sin = +-1: no angle, NaN
     theta = math.asin(sin_theta) if abs(sin_theta) <= 1.0 else math.nan
     if not lo <= theta <= hi:
-        ends = music_spectrum(np.array([lo, hi]), eig.u_n, geometry)
+        ends = music_spectrum(np.array([lo, hi]), eig2_hermitian(cov).u_n, geometry)
         theta = (lo, hi)[int(np.argmax(ends))]
-    return AoAMeasurement(theta_hat=float(theta),
-                          spectrum_peak=music_spectrum(theta, eig.u_n, geometry),
-                          window_idx=window.window_idx, valid=True)
+    return AoAMeasurement(float(theta), window.window_idx, True, cov)
+
+
+def spectrum_peak(measurement: AoAMeasurement, geometry: ArrayGeometry) -> float:
+    "Pseudospectrum of a measurement's window at its angle; NaN when invalid."
+    if not measurement.valid:
+        return math.nan
+    u_n = eig2_hermitian(measurement.covariance).u_n
+    return music_spectrum(measurement.theta_hat, u_n, geometry)

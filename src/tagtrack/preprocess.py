@@ -10,6 +10,7 @@ AoA estimation.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -70,8 +71,11 @@ def window_segments(records: list[ReadRecord]) -> list[IQWindow]:
         cols = min(a1.iq.size, a2.iq.size)
         if cols < 2:
             continue
+        matrix = np.empty((2, cols), complex)
+        matrix[0] = a1.iq[:cols]
+        matrix[1] = a2.iq[:cols]
         windows.append(IQWindow(
-            tag_id=a1.tag_id, window_idx=idx, matrix=np.vstack([a1.iq[:cols], a2.iq[:cols]]),
+            tag_id=a1.tag_id, window_idx=idx, matrix=matrix,
             midpoint_time_s=0.5 * (a1.timestamp_s + a2.timestamp_s), complete=True,
         ))
     return windows
@@ -115,31 +119,62 @@ def write_windows(windows_by_tag: dict[str, list[IQWindow]], out_dir: str | Path
     return out_dir / "windows.json"
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def read_windows(path: str | Path) -> dict[str, list[IQWindow]]:
     """Read a windowed IQ index written by write_windows.
 
-    A window whose span runs past the end of windows.bin or holds a
-    non-finite value raises ValueError naming the index, tag and window.
+    An entry that lacks a key, whose ``window_idx`` or ``offset`` is not an
+    integer or whose ``cols`` is not an integer of at least 2, whose
+    ``midpoint_s`` is not a finite number or whose ``complete`` is not a
+    boolean, or whose span runs past the end of windows.bin or holds a
+    non-finite value, raises ValueError naming the index, tag and window (by
+    position, ``#<n>``, when its ``window_idx`` is unusable).
     """
     path = Path(path)
     if path.is_dir():
         path = path / "windows.json"
-    index = json.loads(path.read_text())
+    try:
+        index = json.loads(path.read_text())
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{path} is not JSON: {e}") from None
+    if not isinstance(index, dict) or not isinstance(index.get("tags"), dict):
+        raise ValueError(f"{path} has no 'tags' object")
     blob = path.parent / WINDOWS_FILE
     raw = read_blob(blob)
     out: dict[str, list[IQWindow]] = {}
     for tag, entries in index["tags"].items():
+        if not isinstance(entries, list):
+            raise ValueError(f"{path} tag {tag}: not a list of windows")
         windows = []
-        for e in entries:
-            cols = int(e["cols"])
+        for n, e in enumerate(entries):
+            idx = e.get("window_idx") if isinstance(e, dict) else None
+            where = f"{path} tag {tag} window {idx if _is_int(idx) else f'#{n}'}"
+            if not isinstance(e, dict):
+                raise ValueError(f"{where}: not an object")
+            for key in ("window_idx", "midpoint_s", "complete", "cols", "offset"):
+                if key not in e:
+                    raise ValueError(f"{where}: no {key!r}")
+            for key in ("window_idx", "offset", "cols"):
+                if not _is_int(e[key]):
+                    raise ValueError(f"{where}: {key} {e[key]!r} is not an integer")
+            cols, mid = e["cols"], e["midpoint_s"]
+            if cols < 2:
+                raise ValueError(f"{where}: cols {cols} is under 2 snapshots")
+            if not (isinstance(mid, (int, float)) and not isinstance(mid, bool)
+                    and math.isfinite(mid)):
+                raise ValueError(f"{where}: midpoint_s {mid!r} is not a finite number")
+            if not isinstance(e["complete"], bool):
+                raise ValueError(f"{where}: complete {e['complete']!r} is not a boolean")
             try:
-                flat = blob_iq(raw, int(e["offset"]), 4 * cols)
+                flat = blob_iq(raw, e["offset"], 4 * cols)
             except ValueError as err:
-                raise ValueError(f"{path} tag {tag} window {e['window_idx']}: "
-                                 f"blob {blob} {err}") from None
+                raise ValueError(f"{where}: blob {blob} {err}") from None
             windows.append(IQWindow(
-                tag_id=tag, window_idx=int(e["window_idx"]), matrix=flat.reshape(2, cols),
-                midpoint_time_s=float(e["midpoint_s"]), complete=bool(e["complete"]),
+                tag_id=tag, window_idx=idx, matrix=flat.reshape(2, cols),
+                midpoint_time_s=float(mid), complete=e["complete"],
             ))
         out[tag] = windows
     return out

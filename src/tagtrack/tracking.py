@@ -56,33 +56,9 @@ class KalmanConfig:
         return np.diag([self.sigma_theta ** 2, self.sigma_omega ** 2])
 
 
-H = np.array([1.0, 0.0])
-
-
-def _sym(p: np.ndarray) -> np.ndarray:
-    return 0.5 * (p + p.T)
-
-
 def _flat(a: np.ndarray) -> memoryview:
     "Flat float view of a C-contiguous array: element access without numpy scalars."
     return memoryview(a.reshape(-1))
-
-
-def predict(state: np.ndarray, cov: np.ndarray, cfg: KalmanConfig):
-    "Prior state F x and covariance F P F^T + Q (symmetrized)."
-    f = cfg.f_matrix
-    return f @ state, _sym(f @ cov @ f.T + cfg.q_matrix)
-
-
-def update(prior_state: np.ndarray, prior_cov: np.ndarray, z: float, cfg: KalmanConfig):
-    """Measurement update; returns (posterior state, posterior cov, gain)."""
-    s = prior_cov[0, 0] + cfg.sigma_v ** 2
-    if s <= 0:
-        raise FloatingPointError("innovation variance is not positive")
-    gain = prior_cov @ H / s
-    post = prior_state + gain * (z - prior_state[0])
-    post_cov = _sym((np.eye(2) - np.outer(gain, H)) @ prior_cov)
-    return post, post_cov, gain
 
 
 @dataclass
@@ -122,8 +98,8 @@ def filter_sequence(z: np.ndarray, cfg: KalmanConfig) -> AoATrack:
     NaN entries of ``z`` skip the update: the posterior and its covariance
     are the prior, unchanged.  The filter's dt (1.0 when ``cfg.dt`` is None)
     is stored on the track for ``rts_smooth``.  The
-    recursion is that of ``predict`` and ``update``, written out on Python
-    floats because per-step 2x2 array operations cost more than the
+    predict (F x, sym(F P F^T + Q)) and update steps are written out on
+    Python floats because per-step 2x2 array operations cost more than the
     arithmetic.
     """
     z = np.asarray(z, dtype=float)

@@ -301,6 +301,19 @@ class TestCliErrors:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("text, message", [
+        ("pred,truth\nswipe_left\n", "row 2: has 1 field"),
+        ("# run 1\npred,truth\na,a\n\nb\n", "row 4: has 1 field"),
+        ("pred,truth\n", "has no prediction rows"),
+    ])
+    def test_eval_bad_predictions_name_file_and_row(self, tmp_path, capsys, text, message):
+        pred = tmp_path / "pred.csv"
+        pred.write_text(text)
+        assert main(["eval", "--in", str(pred), "--out", str(tmp_path / "out")]) != 0
+        err = capsys.readouterr().err
+        assert f"{pred} {message}" in err
+        assert "Traceback" not in err
+
 
 FIXED = ["--set", "scene.mode=\"fixed\"", "--set", "scene.misdetect_prob=0.0"]
 EPOCH_S = 1.7e9  # a real reader export stamps rows with Unix time
@@ -724,3 +737,79 @@ def test_corrupt_features_csv_fails_cleanly(tracked_dataset, kind, row, field, t
     assert code != 0
     assert f"{path} row {row}: " in err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def estimated_windows(packed_log, tmp_path_factory) -> Path:
+    "The windows/ directory (windows.json and windows.bin) that estimate writes for packed_log."
+    out = tmp_path_factory.mktemp("estimated")
+    assert main(["estimate", "--in", str(packed_log), "--out", str(out)]) == 0
+    return out / "windows"
+
+
+WINDOW_KEYS = ["window_idx", "midpoint_s", "complete", "cols", "offset"]
+ABSENT = object()
+NOT_INT = st.one_of(TEXT, st.booleans(), st.none(), st.floats(), st.lists(st.integers(), max_size=2))
+
+
+@st.composite
+def window_corruptions(draw):
+    """A damaged windows.json entry: tag, position, the key and the value it gets, or
+    ABSENT; key None replaces the whole entry."""
+    tag, at = draw(st.sampled_from(["tag1", "tag2"])), draw(st.integers(0, 7))
+    kind = draw(st.sampled_from(["no_key", "not_int", "few_cols", "midpoint", "complete",
+                                 "not_object"]))
+    if kind == "not_object":
+        return tag, at, None, draw(st.one_of(TEXT, st.integers(), st.lists(st.integers())))
+    if kind == "no_key":
+        return tag, at, draw(st.sampled_from(WINDOW_KEYS)), ABSENT
+    if kind == "not_int":
+        return tag, at, draw(st.sampled_from(["window_idx", "offset", "cols"])), draw(NOT_INT)
+    if kind == "few_cols":
+        return tag, at, "cols", draw(st.integers(-5, 1))
+    if kind == "midpoint":
+        return tag, at, "midpoint_s", draw(st.one_of(
+            st.sampled_from([math.nan, math.inf, -math.inf]), TEXT, st.booleans(), st.none()))
+    return tag, at, "complete", draw(st.one_of(TEXT, st.integers(), st.none()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=window_corruptions())
+def test_corrupt_windows_index_fails_cleanly(estimated_windows, case):
+    "estimate on a damaged windows.json exits non-zero naming the file, tag and window."
+    tag, at, key, value = case
+    index = json.loads((estimated_windows / "windows.json").read_text())
+    entry = index["tags"][tag][at]
+    window = f"#{at}" if key in ("window_idx", None) else entry["window_idx"]
+    if key is None:
+        index["tags"][tag][at] = value
+    elif value is ABSENT:
+        del entry[key]
+    else:
+        entry[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        windows = Path(tmp) / "windows"
+        shutil.copytree(estimated_windows, windows)
+        (windows / "windows.json").write_text(json.dumps(index))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["estimate", "--in", str(windows), "--out", str(Path(tmp) / "est")])
+    assert code != 0
+    assert f"{windows / 'windows.json'} tag {tag} window {window}: " in err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{", "is not JSON"),
+    ("[]", "has no 'tags' object"),
+    ('{"tags": []}', "has no 'tags' object"),
+    ('{"tags": {"tag1": {}}}', "tag tag1: not a list of windows"),
+])
+def test_damaged_windows_index_fails_cleanly(estimated_windows, tmp_path, capsys, text, message):
+    windows = tmp_path / "windows"
+    shutil.copytree(estimated_windows, windows)
+    (windows / "windows.json").write_text(text)
+    assert main(["estimate", "--in", str(windows), "--out", str(tmp_path / "est")]) != 0
+    err = capsys.readouterr().err
+    assert f"{windows / 'windows.json'} {message}" in err
+    assert "Traceback" not in err

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -5,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tagtrack.geometry import ScenePose, aoa_from_positions, steering_vector, unambiguous_fov
-from tagtrack.music import (eig2_hermitian, estimate_aoa,
-                            music_spectrum, sample_covariance)
+from tagtrack import music
+from tagtrack.geometry import (ArrayGeometry, ScenePose, aoa_from_positions, steering_vector,
+                               unambiguous_fov)
+from tagtrack.music import (default_search_range, eig2_hermitian, estimate_aoa,
+                            music_spectrum, sample_covariance, spectrum_peak)
 from tagtrack.preprocess import IQWindow
 from tagtrack.simulate import (PathSpec, SASSchedule, SimScene, anechoic_scene,
                                lab_scene, paper_geometry, simulate_window)
@@ -96,6 +99,96 @@ def test_eig2_matches_numpy_reference_bitwise(y, theta):
     assert (eig.lam_s, eig.lam_n) == (lam_s, lam_n)
     assert eig.u_s.tobytes() == u_s.tobytes() and eig.u_n.tobytes() == u_n.tobytes()
     assert music_spectrum(theta, eig.u_n, GEO) == music_spectrum(theta, u_n, GEO)
+
+
+def ref_estimate_aoa(window, geometry, search=None, tx_sequence=None):
+    """The eager estimate_aoa, kept to pin the bits of the angle and the peak.
+
+    Returns (theta_hat, spectrum_peak, window_idx, valid).
+    """
+    if search is None:
+        search = default_search_range(geometry)
+    lo, hi = search
+    fov = unambiguous_fov(geometry) + 1e-12
+    if not lo < hi:
+        raise ValueError("search range must satisfy theta_min < theta_max")
+    if abs(lo) > fov or abs(hi) > fov:
+        raise ValueError("search range must lie within the unambiguous field of view")
+    if not window.complete:
+        return math.nan, math.nan, window.window_idx, False
+    w = window
+    if tx_sequence is not None:
+        w = IQWindow(window.tag_id, window.window_idx, window.matrix / tx_sequence,
+                     window.midpoint_time_s, window.complete)
+    cov = sample_covariance(w)
+    eig = eig2_hermitian(cov)
+    sin_theta = cmath.phase(cov.matrix[1, 0]) / \
+        (4.0 * math.pi * geometry.element_spacing_m / geometry.wavelength_m)
+    theta = math.asin(sin_theta) if abs(sin_theta) <= 1.0 else math.nan
+    if not lo <= theta <= hi:
+        ends = music_spectrum(np.array([lo, hi]), eig.u_n, geometry)
+        theta = (lo, hi)[int(np.argmax(ends))]
+    return float(theta), music_spectrum(theta, eig.u_n, geometry), window.window_idx, True
+
+
+# the paper's array, and one spaced under lambda/4, whose arg R[1, 0] can map
+# past sin = +-1 (no angle: the endpoint branch)
+GEOMETRIES = [GEO, ArrayGeometry(GEO.carrier_freq_hz, GEO.wavelength_m / 8)]
+
+
+@st.composite
+def search_ranges(draw, geometry):
+    "None (the default range) or lo < hi inside the field of view, often narrow."
+    if draw(st.booleans()):
+        return None
+    fov = unambiguous_fov(geometry)
+    lo = draw(st.floats(-fov, fov))
+    hi = draw(st.floats(lo, fov).filter(lambda h: h > lo))
+    return lo, hi
+
+
+@st.composite
+def aoa_cases(draw):
+    "A window (maybe incomplete), geometry, search range and maybe a transmit sequence."
+    y = draw(snapshot_matrices())
+    geometry = draw(st.sampled_from(GEOMETRIES))
+    complete = draw(st.booleans()) or draw(st.booleans())
+    if not complete:
+        y[draw(st.integers(0, 1))] = np.nan
+    tx = None
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        tx = np.exp(1j * rng.uniform(-math.pi, math.pi, size=y.shape))
+    window = make_window(y, complete=complete, idx=draw(st.integers(0, 10 ** 6)))
+    return window, geometry, draw(search_ranges(geometry)), tx
+
+
+def bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=aoa_cases())
+def test_estimate_aoa_matches_eager_reference_bitwise(case):
+    window, geometry, search, tx = case
+    m = estimate_aoa(window, geometry, search=search, tx_sequence=tx)
+    theta, peak, idx, valid = ref_estimate_aoa(window, geometry, search=search, tx_sequence=tx)
+    assert (m.window_idx, m.valid) == (idx, valid)
+    assert bits(m.theta_hat) == bits(theta)
+    assert bits(spectrum_peak(m, geometry)) == bits(peak)
+    assert (m.covariance is None) == (not valid)
+
+
+def test_in_range_window_skips_subspace_work(monkeypatch):
+    "An angle inside the search range comes from arg R[1, 0] alone."
+    def called(*args, **kwargs):
+        raise AssertionError("subspace work for an in-range window")
+
+    w = noiseless_window(0.1)
+    monkeypatch.setattr(music, "eig2_hermitian", called)
+    monkeypatch.setattr(music, "music_spectrum", called)
+    m = estimate_aoa(w, GEO)
+    assert m.valid and abs(m.theta_hat - 0.1) <= 1e-6
 
 
 class TestEig2:
@@ -252,7 +345,7 @@ class TestEstimateAoA:
             assert abs(math.degrees(m.theta_hat - brute)) <= 0.001
             if end is not None:
                 assert m.theta_hat == (lo, hi)[end]
-                assert m.spectrum_peak == music_spectrum(m.theta_hat, eig.u_n, GEO)
+                assert spectrum_peak(m, GEO) == music_spectrum(m.theta_hat, eig.u_n, GEO)
 
     def test_two_tag_independence(self):
         errs = {"-15": [], "-10": []}

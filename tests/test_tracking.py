@@ -10,10 +10,35 @@ from tagtrack.pipeline import DatasetSpec, synthesize_gesture, tracking_rmse
 from tagtrack.readerlog import ReaderLog
 from tagtrack.simulate import (SASSchedule, anechoic_scene, lab_scene, paper_geometry,
                                simulate_log)
-from tagtrack.tracking import (KalmanConfig, filter_sequence,
-                               predict, rts_smooth, track_aoa, update)
+from tagtrack.tracking import KalmanConfig, filter_sequence, rts_smooth, track_aoa
 
 GEO = paper_geometry()
+
+# The scalar Kalman steps in 2x2 matrix form: the reference that
+# filter_sequence and rts_smooth are checked against.
+
+H = np.array([1.0, 0.0])
+
+
+def _sym(p: np.ndarray) -> np.ndarray:
+    return 0.5 * (p + p.T)
+
+
+def predict(state: np.ndarray, cov: np.ndarray, cfg: KalmanConfig):
+    "Prior state F x and covariance F P F^T + Q (symmetrized)."
+    f = cfg.f_matrix
+    return f @ state, _sym(f @ cov @ f.T + cfg.q_matrix)
+
+
+def update(prior_state: np.ndarray, prior_cov: np.ndarray, z: float, cfg: KalmanConfig):
+    """Measurement update; returns (posterior state, posterior cov, gain)."""
+    s = prior_cov[0, 0] + cfg.sigma_v ** 2
+    if s <= 0:
+        raise FloatingPointError("innovation variance is not positive")
+    gain = prior_cov @ H / s
+    post = prior_state + gain * (z - prior_state[0])
+    post_cov = _sym((np.eye(2) - np.outer(gain, H)) @ prior_cov)
+    return post, post_cov, gain
 
 
 def cfg(dt=1.0, st=0.01, so=0.1, sv=0.035, **kw):
