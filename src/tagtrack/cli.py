@@ -20,7 +20,7 @@ import numpy as np
 from .classify import evaluate
 from .config import (ConfigError, config_hash, geometry_from, kalman_from,
                      load_config, music_search_from, schedule_from)
-from .features import FEATURE_CONFIGS, featurize_dataset
+from .features import FEATURE_CONFIGS, SampleFeatureError, featurize_dataset
 from .music import spectrum_peak
 from .pipeline import (DatasetSpec, attach_tracks, dtw_experiment, gesture_dataset,
                        knn_feature_experiment, synthesize_fixed_log, truth_on_track)
@@ -111,6 +111,15 @@ def cmd_estimate(cfg: dict, in_path: Path, out: Path) -> int:
 
 # --- track -------------------------------------------------------------------
 
+def _cov_traces(covs: np.ndarray) -> np.ndarray:
+    """Trace of each 2x2 covariance of a (T, 2, 2) stack, in one call.
+
+    np.trace sums from +0.0, so a (-0.0, -0.0) diagonal has trace +0.0, not
+    the -0.0 of ``covs[:, 0, 0] + covs[:, 1, 1]``.
+    """
+    return np.trace(covs, axis1=1, axis2=2)
+
+
 def _track_one(cfg: dict, log_dir: Path, out: Path) -> dict:
     log = read_reader_log(log_dir)
     tracks = track_aoa(log, geometry_from(cfg), music_search=music_search_from(cfg),
@@ -120,28 +129,28 @@ def _track_one(cfg: dict, log_dir: Path, out: Path) -> dict:
     for tag, tr in sorted(tracks.items()):
         payload["tags"][tag] = {
             "dt_s": tr.dt,
-            "missing": [bool(not v) for v in tr.valid],
-            "raw_deg": [None if not np.isfinite(z) else round(deg(z), 6) for z in tr.z],
-            "filtered_deg": [round(deg(v), 6) for v in tr.filtered_series()],
-            "smoothed_deg": [round(deg(v), 6) for v in tr.smoothed_series()],
-            "cov_trace": [round(float(np.trace(p)), 9) for p in tr.post_covs],
-            "smoothed_cov_trace": [round(float(np.trace(p)), 9) for p in tr.smoothed_covs],
-            "midpoint_s": [round(float(m), 9) for m in tr.midpoint_s],
+            "missing": (~tr.valid).tolist(),
+            "raw_deg": [round(deg(v), 6) if math.isfinite(v) else None for v in tr.z.tolist()],
+            "filtered_deg": [round(deg(v), 6) for v in tr.filtered_series().tolist()],
+            "smoothed_deg": [round(deg(v), 6) for v in tr.smoothed_series().tolist()],
+            "cov_trace": [round(v, 9) for v in _cov_traces(tr.post_covs).tolist()],
+            "smoothed_cov_trace": [round(v, 9) for v in _cov_traces(tr.smoothed_covs).tolist()],
+            "midpoint_s": [round(v, 9) for v in tr.midpoint_s.tolist()],
         }
     _write_json(out / "tracks.json", payload)
     # plot-ready per-tag CSV: window, truth, raw, filtered, smoothed (degrees)
     for tag, tr in sorted(tracks.items()):
-        truth = np.full(tr.n_windows, np.nan)
+        truth = [math.nan] * tr.n_windows
         if log.truth and tag in log.truth:
-            truth = truth_on_track(tr, log.truth[tag], log.first_window)
+            truth = truth_on_track(tr, log.truth[tag], log.first_window).tolist()
+        columns = zip(truth, tr.z.tolist(), tr.filtered_series().tolist(),
+                      tr.smoothed_series().tolist())
         with open(out / f"track_plot_{tag}.csv", "w", newline="") as fh:
             fh.write(f"# config_hash={config_hash(cfg)},seed={cfg['seed']}\n")
             writer = csv.writer(fh)
             writer.writerow(["window", "truth", "raw", "filtered", "smoothed"])
-            writer.writerows([t, _fmt(deg(truth[t])), _fmt(deg(tr.z[t])),
-                              _fmt(deg(tr.filtered_series()[t])),
-                              _fmt(deg(tr.smoothed_series()[t]))]
-                             for t in range(tr.n_windows))
+            writer.writerows([t, *(_fmt(deg(v)) for v in values)]
+                             for t, values in enumerate(columns))
     return payload
 
 
@@ -180,8 +189,8 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _series_samples(path: Path) -> list[GestureSample]:
-    """The samples of a track ``series.json``.
+def _series_samples(path: Path) -> tuple[list[str], list[GestureSample]]:
+    """The sample ids and samples of a track ``series.json``.
 
     A sample that lacks a key, or whose channel is not ``n_windows`` numbers
     or nulls, raises ValueError naming the file and the sample id.
@@ -192,7 +201,7 @@ def _series_samples(path: Path) -> list[GestureSample]:
         raise ValueError(f"{path} is not JSON: {e}") from None
     if not isinstance(series, dict) or not isinstance(series.get("samples"), list):
         raise ValueError(f"{path} has no 'samples' list")
-    out = []
+    ids, out = [], []
     for i, entry in enumerate(series["samples"]):
         if not isinstance(entry, dict):
             raise ValueError(f"{path} sample #{i}: not an object")
@@ -221,18 +230,22 @@ def _series_samples(path: Path) -> list[GestureSample]:
         tags = sorted({key.split(":")[0] for key in chans})
         kinds = {kind: {t: chans[f"{t}:{kind}"] for t in tags if f"{t}:{kind}" in chans}
                  for kind in ("rss", "phase", "aoa")}
+        ids.append(entry["id"])
         out.append(GestureSample(label=entry["label"], tag_ids=tags, truth={}, **kinds,
                                  n_windows=n, dt_s=entry["dt_s"]))
-    return out
+    return ids, out
 
 
 def cmd_featurize(cfg: dict, in_path: Path, out: Path) -> int:
     series_path = in_path if in_path.name == "series.json" else in_path / "series.json"
     if not series_path.exists():
         raise FileNotFoundError(f"{series_path} not found; run `track` on the dataset first")
-    samples = _series_samples(series_path)
+    ids, samples = _series_samples(series_path)
     config_name = cfg["features"]["config"]
-    x, layout, labels = featurize_dataset(samples, FEATURE_CONFIGS[config_name])
+    try:
+        x, layout, labels = featurize_dataset(samples, FEATURE_CONFIGS[config_name])
+    except SampleFeatureError as e:
+        raise ValueError(f"{series_path} sample {ids[e.index]}: {e}") from None
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "features.csv", "w", newline="") as fh:
         fh.write(f"# config_hash={config_hash(cfg)},seed={cfg['seed']}\n")
@@ -303,7 +316,7 @@ def cmd_classify(cfg: dict, in_path: Path, out: Path) -> int:
                  "feature_config": cfg["features"]["config"], "split_seed": split_seed}
     else:
         series_path = in_path if in_path.name == "series.json" else in_path / "series.json"
-        samples = _series_samples(series_path)
+        _, samples = _series_samples(series_path)
         report = dtw_experiment(samples, c["channel"], split_seed=split_seed,
                                 test_frac=c["test_frac"])
         extra = {"method": "dtw", "channel": c["channel"], "split_seed": split_seed}

@@ -43,6 +43,14 @@ class ConfigMismatchError(ValueError):
     "A sample lacks a channel the feature configuration requires."
 
 
+class SampleFeatureError(ValueError):
+    "One sample of a dataset cannot be featurized; ``index`` is its position in the list."
+
+    def __init__(self, index: int, label: str, cause: Exception):
+        super().__init__(f"sample {index} (label {label!r}): {type(cause).__name__}: {cause}")
+        self.index = index
+
+
 # --- statistics -------------------------------------------------------------
 
 def _stack_statistics(m: np.ndarray) -> tuple[np.ndarray, list[float]]:
@@ -272,7 +280,10 @@ def featurize_dataset(samples, config: FeatureConfig | str):
 
     The wavelet block length is fixed dataset-wide at the longest observed
     coefficient vector (shorter blocks zero-padded) so every row shares one
-    layout.
+    layout.  A sample whose features cannot be computed -- a missing
+    channel, or one so nearly constant that its histogram bins or its
+    variance degenerate -- raises SampleFeatureError naming its index and
+    label.
     """
     if isinstance(config, str):
         config = FEATURE_CONFIGS[config]
@@ -287,8 +298,11 @@ def featurize_dataset(samples, config: FeatureConfig | str):
             wavelet_len = max(wavelet_len, n)
     rows, labels = [], []
     layout: tuple[str, ...] | None = None
-    for sample in samples:
-        fv = assemble_features(sample, config, wavelet_len=wavelet_len)
+    for i, sample in enumerate(samples):
+        try:
+            fv = assemble_features(sample, config, wavelet_len=wavelet_len)
+        except (ValueError, ZeroDivisionError) as e:
+            raise SampleFeatureError(i, sample.label, e) from e
         if layout is None:
             layout = fv.layout
         elif fv.layout != layout:

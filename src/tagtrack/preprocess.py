@@ -144,6 +144,7 @@ def read_windows(path: str | Path) -> dict[str, list[IQWindow]]:
         raise ValueError(f"{path} has no 'tags' object")
     blob = path.parent / WINDOWS_FILE
     raw = read_blob(blob)
+    finite = bool(np.isfinite(raw).all())
     out: dict[str, list[IQWindow]] = {}
     for tag, entries in index["tags"].items():
         if not isinstance(entries, list):
@@ -169,7 +170,7 @@ def read_windows(path: str | Path) -> dict[str, list[IQWindow]]:
             if not isinstance(e["complete"], bool):
                 raise ValueError(f"{where}: complete {e['complete']!r} is not a boolean")
             try:
-                flat = blob_iq(raw, e["offset"], 4 * cols)
+                flat = blob_iq(raw, e["offset"], 4 * cols, raw_finite=finite)
             except ValueError as err:
                 raise ValueError(f"{where}: blob {blob} {err}") from None
             windows.append(IQWindow(

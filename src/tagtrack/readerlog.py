@@ -110,20 +110,69 @@ def read_blob(path: Path) -> np.ndarray:
         return np.fromfile(fh, dtype="<f8")
 
 
-def blob_iq(raw: np.ndarray, start: int, count: int) -> np.ndarray:
+def blob_iq(raw: np.ndarray, start: int, count: int, raw_finite: bool = False) -> np.ndarray:
     """Zero-copy complex view of ``count`` float64 values of raw from ``start`` on.
 
     Rejects an odd count, a span outside raw and non-finite values with a
-    ValueError whose message follows the blob's name.
+    ValueError whose message follows the blob's name.  A reader checks each
+    blob file once as a whole, ``np.isfinite(raw).all()``, and passes the
+    result as ``raw_finite``: the span's own check then runs only for a file
+    that holds a non-finite value somewhere, so that the error can name the
+    row while a value no span covers does no harm.
     """
     if count % 2:
         raise ValueError(f"holds an odd number of floats ({count})")
     if start < 0 or count < 0 or start + count > raw.size:
         raise ValueError(f"runs past the end of its file ({raw.size} floats)")
     iq = raw[start:start + count].view("<c16")
-    if not np.isfinite(iq).all():
+    if not raw_finite and not np.isfinite(iq).all():
         raise ValueError("holds non-finite IQ values")
     return iq
+
+
+_MEAN_ROWS = 256   # IQ arrays stacked per sum: bounds the copy that _iq_means makes
+
+
+def _iq_means(iqs: list[np.ndarray]) -> list[tuple[float, float]]:
+    """I and Q means of each IQ array, with the bits of ``_mean`` on each.
+
+    Arrays of one dtype and length are stacked ``_MEAN_ROWS`` at a time and
+    summed along axis 1, which is numpy's pairwise sum of each row, as the
+    sum of a 1-D array is.
+    """
+    out: list[tuple[float, float]] = [(math.nan, math.nan)] * len(iqs)
+    groups: dict[tuple[np.dtype, int], list[int]] = {}
+    for k, iq in enumerate(iqs):
+        groups.setdefault((iq.dtype, iq.size), []).append(k)
+    for (_, n), ks in groups.items():
+        for b in range(0, len(ks), _MEAN_ROWS):
+            part = ks[b:b + _MEAN_ROWS]
+            m = np.array([iqs[k] for k in part])
+            for k, i, q in zip(part, m.real.sum(axis=1).tolist(), m.imag.sum(axis=1).tolist()):
+                out[k] = i / n, q / n
+    return out
+
+
+def _csv_rows(records: list[ReadRecord], iq_fh):
+    """The readerlog.csv rows of records, made in one pass.
+
+    As its row is made, a detected record's IQ is appended to iq_fh and its
+    ``iq_blob_path`` set to that span.  Rows are yielded, not listed, so that
+    a long log is never held as text.
+    """
+    means = iter(_iq_means([rec.iq for rec in records if rec.detected]))
+    start = 0
+    for rec in records:
+        blob_rel = i_mean = q_mean = ""
+        if rec.detected:
+            count = write_blob(iq_fh, rec.iq)
+            blob_rel = f"{IQ_FILE}@{start}:{count}"
+            start += count
+            i_mean, q_mean = map(_fmt, next(means))
+        rec.iq_blob_path = blob_rel
+        yield [rec.window_idx, _fmt(rec.timestamp_s), rec.tag_id, rec.antenna,
+               i_mean, q_mean, blob_rel, _fmt(rec.rss_dbm), _fmt(rec.phase_rad),
+               "true" if rec.detected else "false"]
 
 
 def write_reader_log(log: ReaderLog, out_dir: str | Path) -> Path:
@@ -146,26 +195,14 @@ def write_reader_log(log: ReaderLog, out_dir: str | Path) -> Path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "readerlog.csv"
-    start = 0
     with open(csv_path, "w", newline="") as fh, open(out_dir / IQ_FILE, "wb") as iq_fh:
         if log.meta:
             fh.write("# " + ",".join(f"{k}={v}" for k, v in sorted(log.meta.items())) + "\n")
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for rec in log.records:
-            blob_rel = ""
-            if rec.detected:
-                count = write_blob(iq_fh, rec.iq)
-                blob_rel = f"{IQ_FILE}@{start}:{count}"
-                start += count
-            rec.iq_blob_path = blob_rel
-            writer.writerow([
-                rec.window_idx, _fmt(rec.timestamp_s), rec.tag_id, rec.antenna,
-                _fmt(rec.i_mean), _fmt(rec.q_mean), blob_rel,
-                _fmt(rec.rss_dbm), _fmt(rec.phase_rad),
-                "true" if rec.detected else "false",
-            ])
-    if not start:
+        writer.writerows(_csv_rows(log.records, iq_fh))
+        wrote_iq = iq_fh.tell() > 0
+    if not wrote_iq:
         (out_dir / IQ_FILE).unlink()
     if log.truth is not None:
         truth_deg = {tag: [float(np.degrees(v)) for v in series]
@@ -174,8 +211,12 @@ def write_reader_log(log: ReaderLog, out_dir: str | Path) -> Path:
     return csv_path
 
 
-def _row_iq(base: Path, ref: str, blobs: dict[str, np.ndarray]) -> np.ndarray:
-    "IQ of one row's ``iq_blob_path``; each blob file is read once into blobs."
+def _row_iq(base: Path, ref: str, blobs: dict[str, tuple[np.ndarray, bool]]) -> np.ndarray:
+    """IQ of one row's ``iq_blob_path``.
+
+    Each blob file is read and checked for non-finite values once, into
+    blobs as (values, all finite).
+    """
     name, at, span = ref.rpartition("@")
     if not at:
         name = ref
@@ -183,12 +224,14 @@ def _row_iq(base: Path, ref: str, blobs: dict[str, np.ndarray]) -> np.ndarray:
         raise ValueError(f"malformed iq_blob_path {ref!r}: expected <file>@<start>:<count>")
     if name not in blobs:
         try:
-            blobs[name] = read_blob(base / name)
+            raw = read_blob(base / name)
         except OSError as e:
             raise ValueError(f"blob {base / name} cannot be read: {e.strerror}") from None
-    raw = blobs[name]
+        blobs[name] = raw, bool(np.isfinite(raw).all())
+    raw, finite = blobs[name]
+    start, count = (int(m[1]), int(m[2])) if at else (0, raw.size)
     try:
-        return blob_iq(raw, int(m[1]), int(m[2])) if at else blob_iq(raw, 0, raw.size)
+        return blob_iq(raw, start, count, raw_finite=finite)
     except ValueError as e:
         raise ValueError(f"blob {base / ref} {e}") from None
 
@@ -210,7 +253,7 @@ def read_reader_log(path: str | Path) -> ReaderLog:
         base, csv_path = path.parent, path
     records = []
     seen: set[tuple[int, str, int]] = set()
-    blobs: dict[str, np.ndarray] = {}
+    blobs: dict[str, tuple[np.ndarray, bool]] = {}
     last_t = -math.inf
     with open(csv_path, newline="") as fh:
         rows = [ln for ln in fh if not ln.startswith("#")]

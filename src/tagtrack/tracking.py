@@ -71,10 +71,8 @@ class AoATrack:
     prior_covs: np.ndarray          # (T, 2, 2)
     posts: np.ndarray               # (T, 2)
     post_covs: np.ndarray           # (T, 2, 2)
-    gains: np.ndarray               # (T, 2), NaN rows where update skipped
     smoothed: np.ndarray | None = None
     smoothed_covs: np.ndarray | None = None
-    low_confidence: bool = False
     first_window: int = 0           # reader-log window index of slot 0
     midpoint_s: np.ndarray | None = None
     dt: float = 0.0
@@ -114,9 +112,9 @@ def filter_sequence(z: np.ndarray, cfg: KalmanConfig) -> AoATrack:
     r = cfg.sigma_v ** 2
     q0, q1 = cfg.sigma_theta ** 2, cfg.sigma_omega ** 2
     (p00, p01), (p10, p11) = np.asarray(cfg.p0, float).tolist()
-    priors, posts, gains = np.empty((T, 2)), np.empty((T, 2)), np.full((T, 2), np.nan)
+    priors, posts = np.empty((T, 2)), np.empty((T, 2))
     prior_covs, post_covs = np.empty((T, 2, 2)), np.empty((T, 2, 2))
-    pr, pc, po, poc, ga = map(_flat, (priors, prior_covs, posts, post_covs, gains))
+    pr, pc, po, poc = map(_flat, (priors, prior_covs, posts, post_covs))
     for t, (zt, ok) in enumerate(zip(z.tolist(), valid.tolist())):
         # predict: F x, sym(F P F^T + Q)
         x = x + dt * v
@@ -137,12 +135,10 @@ def filter_sequence(z: np.ndarray, cfg: KalmanConfig) -> AoATrack:
             p00, p01, p10, p11 = ((1.0 - g0) * p00, (1.0 - g0) * p01,
                                   -g1 * p00 + p10, -g1 * p01 + p11)
             p01 = p10 = 0.5 * (p01 + p10)
-            ga[i], ga[i + 1] = g0, g1
         po[i], po[i + 1] = x, v
         poc[j], poc[j + 1], poc[j + 2], poc[j + 3] = p00, p01, p10, p11
     return AoATrack(z=z, valid=valid, priors=priors, prior_covs=prior_covs,
-                    posts=posts, post_covs=post_covs, gains=gains,
-                    low_confidence=not valid.any(), dt=dt)
+                    posts=posts, post_covs=post_covs, dt=dt)
 
 
 def rts_smooth(track: AoATrack) -> AoATrack:

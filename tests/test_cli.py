@@ -11,12 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from logfiles import (both_layouts, read_csv, row_blob, set_row_blob, set_row_path, span,
                       write_csv)
 
-from tagtrack.cli import main
+from tagtrack.cli import _cov_traces, main
 from tagtrack.config import (ConfigError, config_hash, geometry_from,
                              load_config, schedule_from, validate_config)
 from tagtrack.geometry import unambiguous_fov
@@ -212,6 +212,17 @@ class TestEstimateTrackCli:
         assert plot[1].split(",") == ["window", "truth", "raw", "filtered", "smoothed"]
         first = plot[2].split(",")
         assert float(first[1]) == pytest.approx(-15.0, abs=1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(covs=st.lists(st.lists(st.floats(), min_size=4, max_size=4), min_size=1, max_size=20))
+@example(covs=[[-0.0, 1.0, 1.0, -0.0], [1e308, 0.0, 0.0, 1e308], [math.inf, 0.0, 0.0, -math.inf]])
+def test_cov_traces_are_np_trace(covs):
+    "The cov_trace columns of tracks.json have the bits of np.trace on each 2x2 matrix."
+    p = np.array(covs).reshape(-1, 2, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.array([np.trace(m) for m in p])
+        assert _cov_traces(p).tobytes() == want.tobytes()
 
 
 class TestPipelineCli:
@@ -709,6 +720,24 @@ def test_corrupt_series_fails_cleanly(tracked_dataset, case, command):
     assert code != 0
     assert f"{series_path} sample {sample_id}: " in err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("head", [[1.0, 1.0 + 2 ** -52], [0.0, 5e-324]],
+                         ids=["too_many_bins", "variance_underflow"])
+def test_degenerate_channel_names_sample(tracked_dataset, tmp_path, capsys, head):
+    "A channel too nearly constant for its statistics fails naming series.json and the sample."
+    series = json.loads((tracked_dataset / "tracks" / "series.json").read_text())
+    entry = series["samples"][2]
+    n = entry["n_windows"]
+    entry["channels"]["tag1:rss"] = (head * n)[:n]
+    series_path = tmp_path / "series.json"
+    series_path.write_text(json.dumps(series))
+    code = main(["featurize", "--in", str(series_path), "--out", str(tmp_path / "out"),
+                 "--set", "features.config=\"SPR\""])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"{series_path} sample {entry['id']}: " in err
+    assert "Traceback" not in err
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,17 +1,53 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from tagtrack.geometry import (
-    SPEED_OF_LIGHT,
-    ArrayGeometry,
-    ScenePose,
-    aoa_from_positions,
-    steering_phase,
-    steering_vector,
-    unambiguous_fov,
-)
+from tagtrack.geometry import SPEED_OF_LIGHT, ArrayGeometry, steering_phase, unambiguous_fov
+
+# --- scene geometry for the tests -----------------------------------------
+# Tag poses and the steering vector, which test_music and test_simulate use
+# as references; the library itself needs only steering_phase.
+
+
+@dataclass(frozen=True)
+class ScenePose:
+    """Reader and tag positions in the 2-D reader frame (meters)."""
+
+    reader_pos: tuple[float, float]
+    tag_pos: tuple[float, float]
+
+    def __post_init__(self):
+        if np.allclose(self.reader_pos, self.tag_pos):
+            raise ValueError("reader and tag positions must be distinct")
+
+    def is_far_field(self, geometry: ArrayGeometry) -> bool:
+        "True when the tag range is at least 2*D^2/lambda, D the array aperture."
+        rng = math.hypot(self.tag_pos[0] - self.reader_pos[0],
+                         self.tag_pos[1] - self.reader_pos[1])
+        d = geometry.element_spacing_m
+        return rng >= 2.0 * d * d / geometry.wavelength_m
+
+
+def aoa_from_positions(pose: ScenePose) -> float:
+    """Azimuth angle of the tag relative to array broadside, in radians.
+
+    Zero is broadside (+y), positive toward +x; tags in front of the array
+    map into (-pi/2, pi/2).
+    """
+    dx = pose.tag_pos[0] - pose.reader_pos[0]
+    dy = pose.tag_pos[1] - pose.reader_pos[1]
+    return math.atan2(dy, dx) - math.pi / 2.0
+
+
+def steering_vector(theta: float, geometry: ArrayGeometry) -> np.ndarray:
+    """Round-trip steering vector [1, exp(j*(4*pi*d/lambda)*sin(theta))].
+
+    The phase doubling relative to a one-way array comes from the
+    backscatter path traversing the reader-tag distance twice.
+    """
+    return np.array([1.0 + 0.0j, np.exp(1j * steering_phase(theta, geometry))])
 
 
 def paper_geometry(spacing_wavelengths=0.8):

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_geometry import ScenePose, aoa_from_positions, steering_vector
+
 from tagtrack import music
-from tagtrack.geometry import (ArrayGeometry, ScenePose, aoa_from_positions, steering_vector,
-                               unambiguous_fov)
+from tagtrack.geometry import ArrayGeometry, unambiguous_fov
 from tagtrack.music import (default_search_range, eig2_hermitian, estimate_aoa,
                             music_spectrum, sample_covariance, spectrum_peak)
 from tagtrack.preprocess import IQWindow

@@ -207,3 +207,19 @@ class TestWindowedIQFormat:
         with pytest.raises(ValueError, match=rf"windows\.json tag {tag} window "
                                              rf"{last.window_idx}: blob .*windows\.bin runs past"):
             read_windows(tmp_path)
+
+    @pytest.mark.parametrize("inside", [True, False], ids=["in_span", "outside_spans"])
+    def test_nonfinite_value_named_only_inside_a_span(self, tmp_path, inside):
+        "windows.bin is checked as a whole, then per window only where it holds a non-finite value."
+        windows = windows_by_tag(misdetected_log())
+        write_windows(windows, tmp_path)
+        tag, last = list(windows)[-1], windows[list(windows)[-1]][-1]
+        with open(tmp_path / "windows.bin", "r+b") as fh:
+            fh.seek(-8 if inside else 0, 2)
+            fh.write(np.float64(np.nan).tobytes())
+        if inside:
+            with pytest.raises(ValueError, match=rf"windows\.json tag {tag} window "
+                                                 rf"{last.window_idx}: blob .* non-finite"):
+                read_windows(tmp_path)
+        else:
+            assert_same_windows(read_windows(tmp_path), windows)

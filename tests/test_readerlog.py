@@ -1,15 +1,149 @@
+import csv
+import json
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from logfiles import both_layouts, set_row_blob, set_row_path
+from logfiles import both_layouts, set_row_blob, set_row_path, unpack_log
 
-from tagtrack.readerlog import (CSV_HEADER, ReaderLog, ReadRecord, blob_iq, read_blob,
-                                read_reader_log, write_blob, write_reader_log)
+from tagtrack import readerlog
+from tagtrack.readerlog import (_SPAN, CSV_HEADER, IQ_FILE, ReaderLog, ReadRecord, blob_iq,
+                                read_blob, read_reader_log, write_blob, write_reader_log)
+
+
+# --- reference log I/O ----------------------------------------------------
+# The straightforward per-row forms of write_reader_log and read_reader_log:
+# one np.mean-like sum per row and field, one writerow per row, and one
+# np.isfinite check per row's span.  The library's versions must give the
+# same bytes and the same records, bit for bit.
+
+def ref_fmt(x: float) -> str:
+    return "" if isinstance(x, float) and math.isnan(x) else repr(float(x))
+
+
+def ref_write_reader_log(log: ReaderLog, out_dir) -> Path:
+    for i, rec in enumerate(log.records):
+        if not rec.detected:
+            continue
+        where = f"record {i} (window {rec.window_idx}, tag {rec.tag_id}, antenna {rec.antenna})"
+        if rec.iq is None or not rec.iq.size:
+            raise ValueError(f"{where} is detected but has no IQ samples")
+        if not (math.isfinite(rec.rss_dbm) and math.isfinite(rec.phase_rad)):
+            raise ValueError(f"{where} is detected but has rss_dbm {rec.rss_dbm!r} and "
+                             f"phase_rad {rec.phase_rad!r}; both must be finite")
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    csv_path = out_dir / "readerlog.csv"
+    start = 0
+    with open(csv_path, "w", newline="") as fh, open(out_dir / IQ_FILE, "wb") as iq_fh:
+        if log.meta:
+            fh.write("# " + ",".join(f"{k}={v}" for k, v in sorted(log.meta.items())) + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(CSV_HEADER)
+        for rec in log.records:
+            blob_rel = ""
+            if rec.detected:
+                count = write_blob(iq_fh, rec.iq)
+                blob_rel = f"{IQ_FILE}@{start}:{count}"
+                start += count
+            rec.iq_blob_path = blob_rel
+            writer.writerow([
+                rec.window_idx, ref_fmt(rec.timestamp_s), rec.tag_id, rec.antenna,
+                ref_fmt(rec.i_mean), ref_fmt(rec.q_mean), blob_rel,
+                ref_fmt(rec.rss_dbm), ref_fmt(rec.phase_rad),
+                "true" if rec.detected else "false",
+            ])
+    if not start:
+        (out_dir / IQ_FILE).unlink()
+    if log.truth is not None:
+        truth_deg = {tag: [float(np.degrees(v)) for v in series]
+                     for tag, series in log.truth.items()}
+        (out_dir / "truth.json").write_text(json.dumps(truth_deg, sort_keys=True, indent=1))
+    return csv_path
+
+
+def ref_row_iq(base: Path, ref: str, blobs: dict[str, np.ndarray]) -> np.ndarray:
+    name, at, span = ref.rpartition("@")
+    if not at:
+        name = ref
+    elif not (m := _SPAN.fullmatch(span)):
+        raise ValueError(f"malformed iq_blob_path {ref!r}: expected <file>@<start>:<count>")
+    if name not in blobs:
+        try:
+            blobs[name] = read_blob(base / name)
+        except OSError as e:
+            raise ValueError(f"blob {base / name} cannot be read: {e.strerror}") from None
+    raw = blobs[name]
+    try:
+        return blob_iq(raw, int(m[1]), int(m[2])) if at else blob_iq(raw, 0, raw.size)
+    except ValueError as e:
+        raise ValueError(f"blob {base / ref} {e}") from None
+
+
+def ref_read_reader_log(path) -> ReaderLog:
+    path = Path(path)
+    if path.is_dir():
+        base, csv_path = path, path / "readerlog.csv"
+    else:
+        base, csv_path = path.parent, path
+    records = []
+    seen: set[tuple[int, str, int]] = set()
+    blobs: dict[str, np.ndarray] = {}
+    last_t = -math.inf
+    with open(csv_path, newline="") as fh:
+        rows = [ln for ln in fh if not ln.startswith("#")]
+    reader = csv.reader(rows)
+    header = next(reader)
+    if header != CSV_HEADER:
+        raise ValueError(f"unexpected reader log header: {header}")
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        try:
+            if len(row) != len(CSV_HEADER):
+                raise ValueError(f"has {len(row)} columns, expected {len(CSV_HEADER)}")
+            window_idx, antenna = int(row[0]), int(row[3])
+            if antenna not in (1, 2):
+                raise ValueError(f"antenna must be 1 or 2, got {antenna}")
+            key = (window_idx, row[2], antenna)
+            if key in seen:
+                raise ValueError(f"duplicate row for window {window_idx}, tag {row[2]}, "
+                                 f"antenna {antenna}")
+            seen.add(key)
+            timestamp = float(row[1])
+            if not math.isfinite(timestamp):
+                raise ValueError(f"timestamp_s {row[1]!r} is not finite")
+            if timestamp < last_t:
+                raise ValueError(f"timestamp_s {row[1]} is earlier than the row before "
+                                 f"({last_t!r}); rows must be in time order")
+            last_t = timestamp
+            rss = float(row[7]) if row[7] else math.nan
+            phase = float(row[8]) if row[8] else math.nan
+            detected = row[9].strip().lower() == "true"
+            if detected:
+                if not row[6]:
+                    raise ValueError("detected read has no iq_blob_path")
+                if not (math.isfinite(rss) and math.isfinite(phase)):
+                    raise ValueError(f"detected read has rss_dbm {row[7]!r} and phase_rad "
+                                     f"{row[8]!r}; both must be finite")
+            records.append(ReadRecord(
+                window_idx=window_idx, timestamp_s=timestamp, tag_id=row[2], antenna=antenna,
+                iq=ref_row_iq(base, row[6], blobs) if detected else None,
+                rss_dbm=rss, phase_rad=phase, detected=detected, iq_blob_path=row[6],
+            ))
+        except ValueError as e:
+            raise ValueError(f"{csv_path} row {lineno}: {e}") from None
+    truth = None
+    truth_path = base / "truth.json"
+    if truth_path.exists():
+        truth_deg = json.loads(truth_path.read_text())
+        truth = {tag: np.radians(np.asarray(v, dtype=float)) for tag, v in truth_deg.items()}
+    return ReaderLog(records=records, truth=truth)
 
 
 def make_log(n_windows=3, tag="tagA"):
@@ -199,11 +333,24 @@ ANY_FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def reader_logs(draw):
+def long_iq(draw):
+    """IQ of a length around the blocks of numpy's pairwise sum (8 lanes, 128 values).
+
+    Scaled near the float64 limit, a row's sum can overflow to inf or NaN.
+    """
+    n = draw(st.sampled_from([1, 2, 7, 8, 9, 16, 127, 128, 129, 255, 257, 300]))
+    scale = draw(st.sampled_from([1.0, 1e-300, 1e300, 1e307]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return (rng.normal(size=n) + 1j * rng.normal(size=n)) * scale
+
+
+@st.composite
+def reader_logs(draw, long_rows=False):
     """Valid logs: unique (window, tag, antenna) rows, sorted times, detected or not, truth or not.
 
     Detected rows carry a finite RSS and phase; undetected rows may carry
-    anything, NaN included.
+    anything, NaN included.  With ``long_rows`` a detected row's IQ comes
+    from ``long_iq``.
     """
     tags = draw(st.lists(st.text(alphabet="abXY09_ ,\"", min_size=1, max_size=4),
                          min_size=1, max_size=3, unique=True))
@@ -214,7 +361,9 @@ def reader_logs(draw):
     records = []
     for (window, tag, antenna), t in zip(keys, times):
         iq = None
-        if detected := draw(st.booleans()):
+        if (detected := draw(st.booleans())) and long_rows:
+            iq = draw(long_iq())
+        elif detected:
             n = draw(st.integers(1, 6))
             iq = np.empty(n, dtype=complex)
             iq.real = draw(st.lists(FINITE, min_size=n, max_size=n))
@@ -256,3 +405,71 @@ def test_write_read_is_identity(log):
         assert sorted(back.truth) == sorted(log.truth)
         for tag, series in log.truth.items():  # degrees on disk: equal to rounding
             np.testing.assert_allclose(back.truth[tag], series, rtol=1e-14, atol=1e-300)
+
+
+ANY_LOG = st.one_of(reader_logs(), reader_logs(long_rows=True))
+
+
+def assert_same_files(a: Path, b: Path):
+    assert sorted(p.name for p in a.iterdir()) == sorted(p.name for p in b.iterdir())
+    for p in a.iterdir():
+        assert p.read_bytes() == (b / p.name).read_bytes(), p.name
+
+
+def assert_same_records(got: ReaderLog, want: ReaderLog):
+    "Field by field, IQ bits and dtype included."
+    assert len(got.records) == len(want.records)
+    for rg, rw in zip(got.records, want.records):
+        assert (rg.window_idx, rg.tag_id, rg.antenna, rg.detected, rg.iq_blob_path) == \
+            (rw.window_idx, rw.tag_id, rw.antenna, rw.detected, rw.iq_blob_path)
+        for field in ("timestamp_s", "rss_dbm", "phase_rad"):
+            assert same_float(getattr(rg, field), getattr(rw, field))
+        if rw.iq is None:
+            assert rg.iq is None
+        else:
+            assert rg.iq.dtype == rw.iq.dtype and rg.iq.tobytes() == rw.iq.tobytes()
+    assert (got.truth is None) == (want.truth is None)
+    for tag in want.truth or {}:
+        assert got.truth[tag].tobytes() == want.truth[tag].tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(log=ANY_LOG, batch=st.sampled_from([1, 2, 3, readerlog._MEAN_ROWS]))
+def test_writer_matches_reference(log, batch):
+    "readerlog.csv, iq.bin and truth.json equal the per-row writer's, byte for byte."
+    # rows near 1e308 overflow their i_mean/q_mean sums, as in the reference
+    with tempfile.TemporaryDirectory() as tmp, np.errstate(over="ignore", invalid="ignore"):
+        ref_write_reader_log(log, Path(tmp) / "ref")
+        with mock.patch.object(readerlog, "_MEAN_ROWS", batch):
+            write_reader_log(log, Path(tmp) / "new")
+        assert_same_files(Path(tmp) / "new", Path(tmp) / "ref")
+
+
+def test_writer_matches_reference_mixed_dtypes(tmp_path):
+    "complex64 rows keep their float32 sums beside complex128 rows of the same length."
+    log = make_log(n_windows=4)
+    for rec in log.records[::3]:
+        rec.iq = rec.iq.astype(np.complex64)
+    ref_write_reader_log(log, tmp_path / "ref")
+    write_reader_log(log, tmp_path / "new")
+    assert_same_files(tmp_path / "new", tmp_path / "ref")
+
+
+@settings(max_examples=60, deadline=None)
+@given(log=ANY_LOG)
+def test_reader_matches_reference(log):
+    "Both layouts read into the per-row reader's records, bit for bit."
+    with tempfile.TemporaryDirectory() as tmp:
+        packed = Path(tmp) / "log"
+        with np.errstate(over="ignore", invalid="ignore"):  # i_mean of rows near 1e308
+            write_reader_log(log, packed)
+        for log_dir in (packed, unpack_log(packed, Path(tmp) / "per_row")):
+            assert_same_records(read_reader_log(log_dir), ref_read_reader_log(log_dir))
+
+
+def test_nonfinite_value_outside_every_span_parses(tmp_path):
+    "A blob file is checked as a whole, then per row only where it holds a non-finite value."
+    write_reader_log(make_log(), tmp_path)
+    with open(tmp_path / "iq.bin", "ab") as fh:
+        fh.write(np.array([np.nan, np.inf, -np.inf, 0.0]).tobytes())
+    assert_same_records(read_reader_log(tmp_path), ref_read_reader_log(tmp_path))

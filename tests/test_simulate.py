@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_geometry import steering_vector
 
-from tagtrack.geometry import steering_vector, unambiguous_fov
+from tagtrack.geometry import unambiguous_fov
 from tagtrack.preprocess import IQWindow
 from tagtrack.readerlog import ReaderLog, ReadRecord, read_reader_log, write_reader_log
 from tagtrack.simulate import (GESTURE_CLASSES, GestureSpec, OutOfFovError,

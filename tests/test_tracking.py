@@ -185,8 +185,7 @@ class TestFilterSequence:
         track = filter_sequence(z, c)
         np.testing.assert_array_equal(track.posts[5], track.priors[5])
         np.testing.assert_array_equal(track.post_covs[5], track.prior_covs[5])
-        assert np.isnan(track.gains[5]).all()
-        assert track.valid[5] == False  # noqa: E712
+        assert track.valid.tolist() == [t != 5 for t in range(10)]
 
     def test_single_window(self):
         c = cfg()
@@ -197,8 +196,9 @@ class TestFilterSequence:
     def test_all_missing_low_confidence(self):
         c = cfg()
         track = filter_sequence(np.array([np.nan] * 5), c)
-        assert track.low_confidence
+        assert not track.valid.any()
         np.testing.assert_array_equal(track.posts, track.priors)
+        np.testing.assert_array_equal(track.post_covs, track.prior_covs)
 
     def test_deleting_later_measurement_preserves_earlier_estimates(self):
         c = cfg()
