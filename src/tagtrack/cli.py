@@ -24,7 +24,7 @@ from .features import FEATURE_CONFIGS, SampleFeatureError, featurize_dataset
 from .music import spectrum_peak
 from .pipeline import (DatasetSpec, attach_tracks, dtw_experiment, gesture_dataset,
                        knn_feature_experiment, synthesize_fixed_log, truth_on_track)
-from .preprocess import read_windows, windows_by_tag, write_windows
+from .preprocess import windows_by_tag
 from .readerlog import read_reader_log, write_reader_log
 from .simulate import GestureSample, gesture_sample
 from .tracking import measure_windows, track_aoa
@@ -97,11 +97,7 @@ def _write_measurements(path: Path, cfg: dict, measurements: dict) -> int:
 
 def cmd_estimate(cfg: dict, in_path: Path, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
-    if in_path.is_dir() and (in_path / "windows.json").exists() or in_path.name == "windows.json":
-        windows = read_windows(in_path)
-    else:
-        windows = windows_by_tag(read_reader_log(in_path))
-        write_windows(windows, out / "windows", meta=_meta(cfg))
+    windows = windows_by_tag(read_reader_log(in_path))
     measurements = measure_windows(windows, geometry_from(cfg), schedule_from(cfg),
                                    music_search_from(cfg))
     n = _write_measurements(out / "measurements.csv", cfg, measurements)

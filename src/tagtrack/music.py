@@ -26,14 +26,6 @@ SPECTRUM_FLOOR = 1e-15
 "Denominator clamp; exact orthogonality would otherwise divide by zero."
 
 @dataclass
-class CovEstimate:
-    """Snapshot sample covariance (Hermitian 2x2) and its snapshot count."""
-
-    matrix: np.ndarray
-    num_snapshots: int
-
-
-@dataclass
 class Eig2:
     """Ordered eigenpairs of a 2x2 Hermitian matrix: lam_s >= lam_n."""
 
@@ -57,8 +49,8 @@ class AoAMeasurement:
     covariance: np.ndarray | None
 
 
-def sample_covariance(window: IQWindow) -> CovEstimate:
-    "Snapshot covariance Y Y^H / n of a complete window (n >= 2 snapshots)."
+def sample_covariance(window: IQWindow) -> np.ndarray:
+    "Snapshot covariance Y Y^H / n (2x2) of a complete window (n >= 2 snapshots)."
     if not window.complete:
         raise ValueError("sample covariance needs both antenna rows; "
                          "incomplete windows become missing measurements")
@@ -66,10 +58,10 @@ def sample_covariance(window: IQWindow) -> CovEstimate:
     n = y.shape[1]
     if n < 2:
         raise ValueError("need at least 2 snapshots")
-    return CovEstimate(matrix=y @ y.conj().T / n, num_snapshots=n)
+    return y @ y.conj().T / n
 
 
-def eig2_hermitian(cov: CovEstimate | np.ndarray) -> Eig2:
+def eig2_hermitian(r: np.ndarray) -> Eig2:
     """Closed-form eigendecomposition of a Hermitian 2x2 matrix.
 
     The noise eigenvector is built as the exact orthogonal complement of the
@@ -78,7 +70,6 @@ def eig2_hermitian(cov: CovEstimate | np.ndarray) -> Eig2:
     two BLAS dot products ``np.linalg.norm`` takes (the BLAS may fuse their
     multiply-adds, which Python floats cannot reproduce).
     """
-    r = cov.matrix if isinstance(cov, CovEstimate) else np.asarray(cov)
     (r00, r01), (r10, r11) = r.tolist()
     scale = max(abs(r00), abs(r01), abs(r10), abs(r11)) or 1.0
     if abs(r01 - r10.conjugate()) > 1e-9 * scale or \
@@ -151,7 +142,7 @@ def estimate_aoa(window: IQWindow, geometry: ArrayGeometry,
     if tx_sequence is not None:
         w = IQWindow(window.tag_id, window.window_idx, window.matrix / tx_sequence,
                      window.midpoint_time_s, window.complete)
-    cov = sample_covariance(w).matrix
+    cov = sample_covariance(w)
     sin_theta = cmath.phase(cov[1, 0]) / \
         (4.0 * math.pi * geometry.element_spacing_m / geometry.wavelength_m)
     # spacings below lambda/4 can put the phase past sin = +-1: no angle, NaN

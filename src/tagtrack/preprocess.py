@@ -9,16 +9,11 @@ AoA estimation.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .readerlog import ReaderLog, ReadRecord, blob_iq, read_blob, write_blob
-
-WINDOWS_FILE = "windows.bin"
+from .readerlog import ReaderLog, ReadRecord
 
 
 @dataclass
@@ -35,10 +30,6 @@ class IQWindow:
     matrix: np.ndarray
     midpoint_time_s: float
     complete: bool
-
-    @property
-    def num_snapshots(self) -> int:
-        return self.matrix.shape[1]
 
 
 def split_by_tag(log: ReaderLog) -> dict[str, list[ReadRecord]]:
@@ -90,92 +81,3 @@ def windows_by_tag(log: ReaderLog) -> dict[str, list[IQWindow]]:
             out[tag] = windows
     return out
 
-
-def write_windows(windows_by_tag: dict[str, list[IQWindow]], out_dir: str | Path,
-                  meta: dict | None = None) -> Path:
-    """Write windowed IQ: every matrix packed into windows.bin plus a JSON index.
-
-    An entry's ``offset`` is where its row-major 2 x cols matrix starts in
-    windows.bin, in float64 values (4 x cols of them).
-    """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    index: dict = {"meta": meta or {}, "tags": {}}
-    offset = 0
-    with open(out_dir / WINDOWS_FILE, "wb") as fh:
-        for tag, windows in windows_by_tag.items():
-            entries = []
-            for w in windows:
-                entries.append({
-                    "window_idx": w.window_idx,
-                    "midpoint_s": w.midpoint_time_s,
-                    "complete": w.complete,
-                    "cols": int(w.matrix.shape[1]),
-                    "offset": offset,
-                })
-                offset += write_blob(fh, w.matrix)
-            index["tags"][tag] = entries
-    (out_dir / "windows.json").write_text(json.dumps(index, sort_keys=True, indent=1))
-    return out_dir / "windows.json"
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def read_windows(path: str | Path) -> dict[str, list[IQWindow]]:
-    """Read a windowed IQ index written by write_windows.
-
-    An entry that lacks a key, whose ``window_idx`` or ``offset`` is not an
-    integer or whose ``cols`` is not an integer of at least 2, whose
-    ``midpoint_s`` is not a finite number or whose ``complete`` is not a
-    boolean, or whose span runs past the end of windows.bin or holds a
-    non-finite value, raises ValueError naming the index, tag and window (by
-    position, ``#<n>``, when its ``window_idx`` is unusable).
-    """
-    path = Path(path)
-    if path.is_dir():
-        path = path / "windows.json"
-    try:
-        index = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise ValueError(f"{path} is not JSON: {e}") from None
-    if not isinstance(index, dict) or not isinstance(index.get("tags"), dict):
-        raise ValueError(f"{path} has no 'tags' object")
-    blob = path.parent / WINDOWS_FILE
-    raw = read_blob(blob)
-    finite = bool(np.isfinite(raw).all())
-    out: dict[str, list[IQWindow]] = {}
-    for tag, entries in index["tags"].items():
-        if not isinstance(entries, list):
-            raise ValueError(f"{path} tag {tag}: not a list of windows")
-        windows = []
-        for n, e in enumerate(entries):
-            idx = e.get("window_idx") if isinstance(e, dict) else None
-            where = f"{path} tag {tag} window {idx if _is_int(idx) else f'#{n}'}"
-            if not isinstance(e, dict):
-                raise ValueError(f"{where}: not an object")
-            for key in ("window_idx", "midpoint_s", "complete", "cols", "offset"):
-                if key not in e:
-                    raise ValueError(f"{where}: no {key!r}")
-            for key in ("window_idx", "offset", "cols"):
-                if not _is_int(e[key]):
-                    raise ValueError(f"{where}: {key} {e[key]!r} is not an integer")
-            cols, mid = e["cols"], e["midpoint_s"]
-            if cols < 2:
-                raise ValueError(f"{where}: cols {cols} is under 2 snapshots")
-            if not (isinstance(mid, (int, float)) and not isinstance(mid, bool)
-                    and math.isfinite(mid)):
-                raise ValueError(f"{where}: midpoint_s {mid!r} is not a finite number")
-            if not isinstance(e["complete"], bool):
-                raise ValueError(f"{where}: complete {e['complete']!r} is not a boolean")
-            try:
-                flat = blob_iq(raw, e["offset"], 4 * cols, raw_finite=finite)
-            except ValueError as err:
-                raise ValueError(f"{where}: blob {blob} {err}") from None
-            windows.append(IQWindow(
-                tag_id=tag, window_idx=idx, matrix=flat.reshape(2, cols),
-                midpoint_time_s=float(mid), complete=e["complete"],
-            ))
-        out[tag] = windows
-    return out

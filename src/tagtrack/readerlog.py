@@ -32,11 +32,6 @@ IQ_FILE = "iq.bin"
 _SPAN = re.compile(r"([0-9]+):([0-9]+)")
 
 
-def _mean(x: np.ndarray) -> float:
-    "Bitwise np.mean of a float64 array at less call overhead; NaN when empty."
-    return float(x.sum()) / x.size if x.size else math.nan
-
-
 @dataclass
 class ReadRecord:
     """One antenna's reads of one tag during one acquisition window."""
@@ -50,14 +45,6 @@ class ReadRecord:
     phase_rad: float
     detected: bool
     iq_blob_path: str = ""
-
-    @property
-    def i_mean(self) -> float:
-        return _mean(self.iq.real) if self.detected and self.iq is not None else math.nan
-
-    @property
-    def q_mean(self) -> float:
-        return _mean(self.iq.imag) if self.detected and self.iq is not None else math.nan
 
 
 @dataclass
@@ -114,11 +101,11 @@ def blob_iq(raw: np.ndarray, start: int, count: int, raw_finite: bool = False) -
     """Zero-copy complex view of ``count`` float64 values of raw from ``start`` on.
 
     Rejects an odd count, a span outside raw and non-finite values with a
-    ValueError whose message follows the blob's name.  A reader checks each
-    blob file once as a whole, ``np.isfinite(raw).all()``, and passes the
-    result as ``raw_finite``: the span's own check then runs only for a file
-    that holds a non-finite value somewhere, so that the error can name the
-    row while a value no span covers does no harm.
+    ValueError whose message follows the blob's name.  ``read_reader_log``
+    checks each blob file once as a whole, ``np.isfinite(raw).all()``, and
+    passes the result as ``raw_finite``: the span's own check then runs only
+    for a file that holds a non-finite value somewhere, so that the error can
+    name the CSV row while a value no row's span covers does no harm.
     """
     if count % 2:
         raise ValueError(f"holds an odd number of floats ({count})")
@@ -134,7 +121,7 @@ _MEAN_ROWS = 256   # IQ arrays stacked per sum: bounds the copy that _iq_means m
 
 
 def _iq_means(iqs: list[np.ndarray]) -> list[tuple[float, float]]:
-    """I and Q means of each IQ array, with the bits of ``_mean`` on each.
+    """I and Q means of each IQ array, with the bits of ``np.mean`` on each.
 
     Arrays of one dtype and length are stacked ``_MEAN_ROWS`` at a time and
     summed along axis 1, which is numpy's pairwise sum of each row, as the

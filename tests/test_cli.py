@@ -160,10 +160,10 @@ class TestEstimateTrackCli:
               "--set", "scene.misdetect_prob=0.0"])
         return out
 
-    def test_estimate_writes_measurements_and_windows(self, fixed_log, tmp_path):
+    def test_estimate_writes_measurements(self, fixed_log, tmp_path):
         out = tmp_path / "est"
         assert main(["estimate", "--in", str(fixed_log), "--out", str(out)]) == 0
-        assert (out / "windows" / "windows.json").exists()
+        assert [p.name for p in out.rglob("*")] == ["measurements.csv"]
         with open(out / "measurements.csv") as fh:
             lines = [ln for ln in fh if not ln.startswith("#")]
         rows = list(csv.reader(lines))
@@ -191,15 +191,6 @@ class TestEstimateTrackCli:
             rows = list(csv.reader(ln for ln in fh if not ln.startswith("#")))[1:]
         t1 = [float(r[2]) for r in rows if r[0] == "tag1" and r[4] == "true"]
         assert np.mean(np.abs(np.array(t1) + 15.0)) < 1.0
-
-    def test_estimate_from_windows_index(self, fixed_log, tmp_path):
-        out1 = tmp_path / "e1"
-        main(["estimate", "--in", str(fixed_log), "--out", str(out1)])
-        out2 = tmp_path / "e2"
-        assert main(["estimate", "--in", str(out1 / "windows"), "--out", str(out2)]) == 0
-        m1 = (out1 / "measurements.csv").read_text()
-        m2 = (out2 / "measurements.csv").read_text()
-        assert m1 == m2
 
     def test_track_single_log(self, fixed_log, tmp_path):
         out = tmp_path / "trk"
@@ -455,6 +446,7 @@ class TestImportedLogs:
             assert both != list(range(len(both)))  # a window before the last was pruned
 
     def test_epoch_residual_phase_windows_index_matches_log(self, tmp_path):
+        "The transmit sequence follows window_idx, not timestamps: an epoch shift changes nothing."
         args = [*FIXED, "--set", "scene.windows=12", "--set", "schedule.residual_phase=true",
                 "--set", "schedule.sample_period_s=2.5037e-4"]
         log, shifted = tmp_path / "log", tmp_path / "shifted"
@@ -462,8 +454,19 @@ class TestImportedLogs:
         shift_log(log, shifted, EPOCH_S)
         e1, e2 = tmp_path / "e1", tmp_path / "e2"
         assert main(["estimate", "--in", str(shifted), "--out", str(e1), *args]) == 0
-        assert main(["estimate", "--in", str(e1 / "windows"), "--out", str(e2), *args]) == 0
-        assert (e1 / "measurements.csv").read_text() == (e2 / "measurements.csv").read_text()
+        assert main(["estimate", "--in", str(log), "--out", str(e2), *args]) == 0
+        assert (e1 / "measurements.csv").read_bytes() == (e2 / "measurements.csv").read_bytes()
+
+    def test_windowed_iq_directory_is_not_a_log(self, tmp_path, capsys):
+        "A directory of windows.json + windows.bin fails as any directory without readerlog.csv."
+        windows = tmp_path / "windows"
+        windows.mkdir()
+        (windows / "windows.json").write_text('{"meta": {}, "tags": {}}')
+        (windows / "windows.bin").write_bytes(np.zeros(8).tobytes())
+        assert main(["estimate", "--in", str(windows), "--out", str(tmp_path / "est")]) != 0
+        err = capsys.readouterr().err
+        assert str(windows / "readerlog.csv") in err
+        assert "Traceback" not in err
 
     def test_epoch_timestamps_gesture_dataset(self, tmp_path):
         data, shifted = tmp_path / "data", tmp_path / "shifted"
@@ -766,79 +769,3 @@ def test_corrupt_features_csv_fails_cleanly(tracked_dataset, kind, row, field, t
     assert code != 0
     assert f"{path} row {row}: " in err.getvalue()
     assert "Traceback" not in err.getvalue()
-
-
-@pytest.fixture(scope="module")
-def estimated_windows(packed_log, tmp_path_factory) -> Path:
-    "The windows/ directory (windows.json and windows.bin) that estimate writes for packed_log."
-    out = tmp_path_factory.mktemp("estimated")
-    assert main(["estimate", "--in", str(packed_log), "--out", str(out)]) == 0
-    return out / "windows"
-
-
-WINDOW_KEYS = ["window_idx", "midpoint_s", "complete", "cols", "offset"]
-ABSENT = object()
-NOT_INT = st.one_of(TEXT, st.booleans(), st.none(), st.floats(), st.lists(st.integers(), max_size=2))
-
-
-@st.composite
-def window_corruptions(draw):
-    """A damaged windows.json entry: tag, position, the key and the value it gets, or
-    ABSENT; key None replaces the whole entry."""
-    tag, at = draw(st.sampled_from(["tag1", "tag2"])), draw(st.integers(0, 7))
-    kind = draw(st.sampled_from(["no_key", "not_int", "few_cols", "midpoint", "complete",
-                                 "not_object"]))
-    if kind == "not_object":
-        return tag, at, None, draw(st.one_of(TEXT, st.integers(), st.lists(st.integers())))
-    if kind == "no_key":
-        return tag, at, draw(st.sampled_from(WINDOW_KEYS)), ABSENT
-    if kind == "not_int":
-        return tag, at, draw(st.sampled_from(["window_idx", "offset", "cols"])), draw(NOT_INT)
-    if kind == "few_cols":
-        return tag, at, "cols", draw(st.integers(-5, 1))
-    if kind == "midpoint":
-        return tag, at, "midpoint_s", draw(st.one_of(
-            st.sampled_from([math.nan, math.inf, -math.inf]), TEXT, st.booleans(), st.none()))
-    return tag, at, "complete", draw(st.one_of(TEXT, st.integers(), st.none()))
-
-
-@settings(max_examples=60, deadline=None)
-@given(case=window_corruptions())
-def test_corrupt_windows_index_fails_cleanly(estimated_windows, case):
-    "estimate on a damaged windows.json exits non-zero naming the file, tag and window."
-    tag, at, key, value = case
-    index = json.loads((estimated_windows / "windows.json").read_text())
-    entry = index["tags"][tag][at]
-    window = f"#{at}" if key in ("window_idx", None) else entry["window_idx"]
-    if key is None:
-        index["tags"][tag][at] = value
-    elif value is ABSENT:
-        del entry[key]
-    else:
-        entry[key] = value
-    with tempfile.TemporaryDirectory() as tmp:
-        windows = Path(tmp) / "windows"
-        shutil.copytree(estimated_windows, windows)
-        (windows / "windows.json").write_text(json.dumps(index))
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main(["estimate", "--in", str(windows), "--out", str(Path(tmp) / "est")])
-    assert code != 0
-    assert f"{windows / 'windows.json'} tag {tag} window {window}: " in err.getvalue()
-    assert "Traceback" not in err.getvalue()
-
-
-@pytest.mark.parametrize("text, message", [
-    ("{", "is not JSON"),
-    ("[]", "has no 'tags' object"),
-    ('{"tags": []}', "has no 'tags' object"),
-    ('{"tags": {"tag1": {}}}', "tag tag1: not a list of windows"),
-])
-def test_damaged_windows_index_fails_cleanly(estimated_windows, tmp_path, capsys, text, message):
-    windows = tmp_path / "windows"
-    shutil.copytree(estimated_windows, windows)
-    (windows / "windows.json").write_text(text)
-    assert main(["estimate", "--in", str(windows), "--out", str(tmp_path / "est")]) != 0
-    err = capsys.readouterr().err
-    assert f"{windows / 'windows.json'} {message}" in err
-    assert "Traceback" not in err

@@ -32,26 +32,25 @@ def noiseless_window(theta, n=50, gain=1.0):
 class TestSampleCovariance:
     def test_all_ones(self):
         cov = sample_covariance(make_window([[1, 1], [1, 1]]))
-        np.testing.assert_allclose(cov.matrix, [[1, 1], [1, 1]], atol=1e-15)
-        assert cov.num_snapshots == 2
+        assert cov.shape == (2, 2)
+        np.testing.assert_allclose(cov, [[1, 1], [1, 1]], atol=1e-15)
 
     def test_identity_pair(self):
         cov = sample_covariance(make_window([[1, 0], [0, 1]]))
-        np.testing.assert_allclose(cov.matrix, 0.5 * np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(cov, 0.5 * np.eye(2), atol=1e-15)
 
     def test_offdiagonal_phase_at_15deg(self):
         w = noiseless_window(math.radians(15.0))
         cov = sample_covariance(w)
-        assert np.angle(cov.matrix[0, 1]) == pytest.approx(-2.6018, abs=1e-3)
+        assert np.angle(cov[0, 1]) == pytest.approx(-2.6018, abs=1e-3)
 
     def test_hermitian_psd_and_trace(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             y = rng.normal(size=(2, 20)) + 1j * rng.normal(size=(2, 20))
-            cov = sample_covariance(make_window(y))
-            r = cov.matrix
+            r = sample_covariance(make_window(y))
             assert abs(r[0, 1] - np.conj(r[1, 0])) < 1e-12 * np.abs(r).max()
-            eig = eig2_hermitian(cov)
+            eig = eig2_hermitian(r)
             assert eig.lam_n >= -1e-10 * np.trace(r).real
             # trace equals squared Frobenius norm over snapshot count
             assert np.trace(r).real == pytest.approx(
@@ -96,7 +95,7 @@ def snapshot_matrices(draw):
 def test_eig2_matches_numpy_reference_bitwise(y, theta):
     cov = sample_covariance(make_window(y))
     eig = eig2_hermitian(cov)
-    lam_s, lam_n, u_s, u_n = ref_eig2(cov.matrix)
+    lam_s, lam_n, u_s, u_n = ref_eig2(cov)
     assert (eig.lam_s, eig.lam_n) == (lam_s, lam_n)
     assert eig.u_s.tobytes() == u_s.tobytes() and eig.u_n.tobytes() == u_n.tobytes()
     assert music_spectrum(theta, eig.u_n, GEO) == music_spectrum(theta, u_n, GEO)
@@ -123,7 +122,7 @@ def ref_estimate_aoa(window, geometry, search=None, tx_sequence=None):
                      window.midpoint_time_s, window.complete)
     cov = sample_covariance(w)
     eig = eig2_hermitian(cov)
-    sin_theta = cmath.phase(cov.matrix[1, 0]) / \
+    sin_theta = cmath.phase(cov[1, 0]) / \
         (4.0 * math.pi * geometry.element_spacing_m / geometry.wavelength_m)
     theta = math.asin(sin_theta) if abs(sin_theta) <= 1.0 else math.nan
     if not lo <= theta <= hi:

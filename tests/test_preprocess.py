@@ -1,14 +1,11 @@
-import json
 import math
-import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tagtrack.preprocess import (read_windows, split_by_tag, window_segments,
-                                 windows_by_tag, write_windows)
+from tagtrack.preprocess import split_by_tag, window_segments, windows_by_tag
 from tagtrack.readerlog import ReaderLog, ReadRecord
 from tagtrack.simulate import (PathSpec, SASSchedule, SimScene, anechoic_scene,
                                build_gesture_spec, paper_geometry,
@@ -176,50 +173,4 @@ class TestWindowSegments:
             r.timestamp_s += offset_s
         for records in split_by_tag(log).values():
             assert_windows_match_records(window_segments(records), records)
-        windows = windows_by_tag(log)
-        with tempfile.TemporaryDirectory() as tmp:
-            write_windows(windows, tmp)
-            assert_same_windows(read_windows(tmp), windows)
 
-
-class TestWindowedIQFormat:
-    def test_roundtrip(self, tmp_path):
-        windows = windows_by_tag(misdetected_log())
-        write_windows(windows, tmp_path, meta={"seed": 1})
-        assert_same_windows(read_windows(tmp_path), windows)
-
-    def test_packed_layout(self, tmp_path):
-        windows = windows_by_tag(misdetected_log())
-        write_windows(windows, tmp_path)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["windows.bin", "windows.json"]
-        entries = [e for tag_entries in json.loads((tmp_path / "windows.json").read_text())[
-            "tags"].values() for e in tag_entries]
-        ends = np.cumsum([4 * e["cols"] for e in entries])
-        assert [e["offset"] for e in entries] == [0, *ends[:-1]]
-        assert (tmp_path / "windows.bin").stat().st_size == 8 * ends[-1]
-
-    def test_bad_span_reports_window(self, tmp_path):
-        windows = windows_by_tag(misdetected_log())
-        write_windows(windows, tmp_path)
-        tag, last = list(windows)[-1], windows[list(windows)[-1]][-1]
-        with open(tmp_path / "windows.bin", "r+b") as fh:
-            fh.truncate((tmp_path / "windows.bin").stat().st_size - 16)
-        with pytest.raises(ValueError, match=rf"windows\.json tag {tag} window "
-                                             rf"{last.window_idx}: blob .*windows\.bin runs past"):
-            read_windows(tmp_path)
-
-    @pytest.mark.parametrize("inside", [True, False], ids=["in_span", "outside_spans"])
-    def test_nonfinite_value_named_only_inside_a_span(self, tmp_path, inside):
-        "windows.bin is checked as a whole, then per window only where it holds a non-finite value."
-        windows = windows_by_tag(misdetected_log())
-        write_windows(windows, tmp_path)
-        tag, last = list(windows)[-1], windows[list(windows)[-1]][-1]
-        with open(tmp_path / "windows.bin", "r+b") as fh:
-            fh.seek(-8 if inside else 0, 2)
-            fh.write(np.float64(np.nan).tobytes())
-        if inside:
-            with pytest.raises(ValueError, match=rf"windows\.json tag {tag} window "
-                                                 rf"{last.window_idx}: blob .* non-finite"):
-                read_windows(tmp_path)
-        else:
-            assert_same_windows(read_windows(tmp_path), windows)

@@ -26,6 +26,14 @@ def ref_fmt(x: float) -> str:
     return "" if isinstance(x, float) and math.isnan(x) else repr(float(x))
 
 
+def ref_iq_means(rec: ReadRecord) -> tuple[float, float]:
+    "I and Q means of a record's IQ, each the bits of np.mean; NaN when not read."
+    if not rec.detected or rec.iq is None or not rec.iq.size:
+        return math.nan, math.nan
+    n = rec.iq.size
+    return float(rec.iq.real.sum()) / n, float(rec.iq.imag.sum()) / n
+
+
 def ref_write_reader_log(log: ReaderLog, out_dir) -> Path:
     for i, rec in enumerate(log.records):
         if not rec.detected:
@@ -52,9 +60,10 @@ def ref_write_reader_log(log: ReaderLog, out_dir) -> Path:
                 blob_rel = f"{IQ_FILE}@{start}:{count}"
                 start += count
             rec.iq_blob_path = blob_rel
+            i_mean, q_mean = ref_iq_means(rec)
             writer.writerow([
                 rec.window_idx, ref_fmt(rec.timestamp_s), rec.tag_id, rec.antenna,
-                ref_fmt(rec.i_mean), ref_fmt(rec.q_mean), blob_rel,
+                ref_fmt(i_mean), ref_fmt(q_mean), blob_rel,
                 ref_fmt(rec.rss_dbm), ref_fmt(rec.phase_rad),
                 "true" if rec.detected else "false",
             ])
