@@ -39,6 +39,7 @@ def _meta(cfg: dict) -> dict:
 
 
 def _write_json(path: Path, payload: dict):
+    "Write payload as JSON, creating the directory: a command makes --out only once it writes."
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
@@ -96,10 +97,10 @@ def _write_measurements(path: Path, cfg: dict, measurements: dict) -> int:
 
 
 def cmd_estimate(cfg: dict, in_path: Path, out: Path) -> int:
-    out.mkdir(parents=True, exist_ok=True)
     windows = windows_by_tag(read_reader_log(in_path))
     measurements = measure_windows(windows, geometry_from(cfg), schedule_from(cfg),
                                    music_search_from(cfg))
+    out.mkdir(parents=True, exist_ok=True)
     n = _write_measurements(out / "measurements.csv", cfg, measurements)
     print(f"wrote {out / 'measurements.csv'} ({n} measurements)")
     return 0
@@ -159,7 +160,6 @@ def _series_entry(entry: dict, sample: GestureSample) -> dict:
 
 
 def cmd_track(cfg: dict, in_path: Path, out: Path) -> int:
-    out.mkdir(parents=True, exist_ok=True)
     manifest_path = in_path / "manifest.json"
     if not manifest_path.exists():
         _track_one(cfg, in_path, out)
@@ -169,7 +169,10 @@ def cmd_track(cfg: dict, in_path: Path, out: Path) -> int:
     geo, sched = geometry_from(cfg), schedule_from(cfg)
     series = {"samples": [], **_meta(cfg)}
     for entry in manifest["samples"]:
-        log = read_reader_log(in_path / entry["dir"])
+        log_dir = in_path / entry["dir"]
+        log = read_reader_log(log_dir)
+        if not log.records:
+            raise ValueError(f"{log_dir / 'readerlog.csv'} has no read rows")
         sample = attach_tracks(gesture_sample(log, entry["label"], sched.window_duration_s),
                                log, geo, kalman=kalman_from(cfg), schedule=sched,
                                music_search=music_search_from(cfg))
@@ -300,7 +303,6 @@ def _write_report(out: Path, cfg: dict, report, extra: dict):
 
 
 def cmd_classify(cfg: dict, in_path: Path, out: Path) -> int:
-    out.mkdir(parents=True, exist_ok=True)
     c = cfg["classify"]
     split_seed = cfg["seed"] if c["split_seed"] is None else c["split_seed"]
     if c["method"] == "knn":
@@ -327,7 +329,6 @@ def cmd_eval(cfg: dict, in_path: Path, out: Path) -> int:
     A row with fewer than two fields raises ValueError naming the file and
     row (the header is row 1; comment lines are not counted).
     """
-    out.mkdir(parents=True, exist_ok=True)
     with open(in_path, newline="") as fh:
         rows = [ln for ln in fh if not ln.startswith("#")]
     reader = csv.reader(rows)

@@ -11,6 +11,14 @@ downconversion cancels the carrier, so s_m(k) = 1 by default; the true
 per-slot carrier phase can be re-enabled through the schedule for
 sensitivity studies.
 
+``tag_steering`` computes a log's summed path steering in one numpy pass
+per tag and path; ``simulate_window`` takes one window's rows of it and
+makes the window's draws.  numpy's vectorized complex multiply may fuse
+multiply-adds and ``np.power`` may round unlike ``pow``, so the gain
+products are formed from real and imaginary parts and the angle gain's
+``10.0 ** x`` is taken per element: the bits are those of a per-window
+scalar evaluation.
+
 Gesture trajectories are parametric synthetic shapes (ramps, sinusoids,
 arcs); only their coarse direction-of-motion character is modeled after the
 named gestures, and mirrored gesture classes are exact sign-flips.
@@ -136,50 +144,50 @@ class SimScene:
         return [t for t, _ in self.tags]
 
 
-def _angle_factor(scene: SimScene, theta: float) -> complex:
-    if scene.angle_gain_db == 0.0 and scene.angle_phase_rad == 0.0:
-        return 1.0 + 0.0j
-    r = min(abs(theta) / unambiguous_fov(scene.geometry), 1.0)
-    mag = 10.0 ** (-scene.angle_gain_db * r / 20.0)
-    return mag * np.exp(1j * scene.angle_phase_rad * r)
+def tag_steering(scene: SimScene, angles: list[np.ndarray]) -> np.ndarray:
+    """Every window's summed tag steering, shape (T, n_tags, 2).
 
-
-def _tag_steering(scene: SimScene, true_aoa_per_tag: list[float], amp: float) -> list[np.ndarray]:
-    """Each tag's summed steering sum_paths g * factor * amp * a(theta_path).
-
-    The second elements of every path's steering vector come from one numpy
-    evaluation.  Each tag's terms are then added path by path from zero, in
-    the scene's path order; the first elements are the path gains times 1,
-    and a sum from +0 is the same with or without that factor.
+    Row [t, i] is sum_paths g * factor * amp * a(theta_path) for tag i at
+    window t: ``angles[i][t]`` steers the LoS path, NLoS paths keep their
+    scene angles, and factor is the angle modulation of ``angle_gain_db``
+    and ``angle_phase_rad``.  Each tag and path is one numpy pass over the
+    windows; the paths are added from zero in the scene's path order.
     """
-    angles, gains, counts = [], [], []
-    for (_, paths), theta in zip(scene.tags, true_aoa_per_tag):
-        factor = _angle_factor(scene, theta)
-        for path in paths:
-            angles.append(theta if path.is_los else path.aoa)
-            gains.append(path.gain * factor * amp)
-        counts.append(len(paths))
-    phased = (np.array(gains)
-              * np.exp(1j * steering_phase(np.array(angles), scene.geometry))).tolist()
-    out, start = [], 0
-    for n in counts:
-        s0 = s1 = 0j
-        for g, gp in zip(gains[start:start + n], phased[start:start + n]):
-            s0 += g
-            s1 += gp
-        out.append(np.array([s0, s1]))
-        start += n
+    if len(angles) != len(scene.tags):
+        raise ValueError("need one angle series per scene tag")
+    thetas = np.array(angles, dtype=float)
+    amp = math.sqrt(scene.tx_power) * scene.modulation_gain
+    out = np.empty((thetas.shape[-1], len(scene.tags), 2), dtype=complex)
+    for i, ((_, paths), theta) in enumerate(zip(scene.tags, thetas)):
+        factor = np.ones(len(theta), dtype=complex)
+        if scene.angle_gain_db != 0.0 or scene.angle_phase_rad != 0.0:
+            r = np.minimum(np.abs(theta) / unambiguous_fov(scene.geometry), 1.0)
+            mag = np.array([10.0 ** x for x in (-scene.angle_gain_db * r / 20.0).tolist()])
+            factor = mag * np.exp(1j * scene.angle_phase_rad * r)
+        path_angles = np.array([theta if path.is_los else np.full(len(theta), path.aoa)
+                                for path in paths])
+        phased = np.exp(1j * steering_phase(path_angles, scene.geometry))
+        s0 = s1 = 0.0
+        for path, e_path in zip(paths, phased):
+            gain = complex(path.gain)
+            g = np.empty(len(theta), dtype=complex)
+            g.real = (gain.real * factor.real - gain.imag * factor.imag) * amp
+            g.imag = (gain.real * factor.imag + gain.imag * factor.real) * amp
+            s0 = s0 + g
+            s1 = s1 + g * e_path
+        out[:, i, 0] = s0
+        out[:, i, 1] = s1
     return out
 
 
-def simulate_window(scene: SimScene, schedule: SASSchedule, true_aoa_per_tag: list[float],
+def simulate_window(scene: SimScene, schedule: SASSchedule, steering: np.ndarray,
                     rng_seed, window_idx: int = 0) -> list[IQWindow]:
     """Simulate one acquisition window; returns one IQWindow per detected tag.
 
-    The LoS path of each tag is steered to the corresponding entry of
-    ``true_aoa_per_tag``; NLoS paths keep their fixed scene angles.  A tag
-    misdetected on one antenna yields a partial window with that row
-    NaN-filled; a tag misdetected on both antennas is omitted.
+    ``steering`` holds the window's summed steering row per scene tag, row
+    ``window_idx`` of ``tag_steering``.  A tag misdetected on one antenna
+    yields a partial window with that row NaN-filled; a tag misdetected on
+    both antennas is omitted.
 
     Per tag the generator draws the two antennas' misdetection uniforms and
     then, with noise on, a (2, 2, cols) normal block: row m's noise is
@@ -189,17 +197,15 @@ def simulate_window(scene: SimScene, schedule: SASSchedule, true_aoa_per_tag: li
         raise ValueError("scene has no tags")
     if len(scene.tags) > 2:
         raise ValueError("the 4-slot switching cycle serves at most two tags")
-    if len(true_aoa_per_tag) != len(scene.tags):
-        raise ValueError("need one true AoA per scene tag")
+    if len(steering) != len(scene.tags):
+        raise ValueError("need one steering row per scene tag")
     rng = np.random.default_rng(rng_seed)
-    amp = math.sqrt(scene.tx_power) * scene.modulation_gain
     sigma = math.sqrt(scene.noise_var / 2.0)
     cols = schedule.cols
     mid_t = (window_idx + 0.5) * schedule.window_duration_s
     p1, p2 = scene.misdetect_prob
     out = []
-    for slot, ((tag_id, _), steer) in enumerate(
-            zip(scene.tags, _tag_steering(scene, true_aoa_per_tag, amp)), start=1):
+    for slot, ((tag_id, _), steer) in enumerate(zip(scene.tags, steering), start=1):
         u1, u2 = rng.random(2).tolist()
         signal = steer[:, None]
         if schedule.residual_phase:
@@ -390,24 +396,34 @@ def simulate_log(scene: SimScene, schedule: SASSchedule, angles: list[np.ndarray
     its mean IQ sample.  The angles become the truth sidecar.
     """
     tag_ids = scene.tag_ids()
-    records: list[ReadRecord] = []
     base = list(rng_seed) if isinstance(rng_seed, (list, tuple)) else [rng_seed]
     cols, period = schedule.cols, schedule.sample_period_s
+    steering = tag_steering(scene, angles)
+    # every detected window's matrix, stacked; found[t][tag] is its index
+    iq = np.empty((len(steering) * len(tag_ids), 2, cols), dtype=complex)
+    found: list[dict[str, int]] = []
+    n = 0
+    for t, seed in enumerate(_window_seeds(base, len(steering))):
+        found.append({})
+        for w in simulate_window(scene, schedule, steering[t], seed, window_idx=t):
+            iq[n] = w.matrix
+            found[t][w.tag_id] = n
+            n += 1
+    means = (iq[:n].sum(axis=2) / cols).tolist()
     # rows in time order; a row's first snapshot is global slot 4k + 2(m-1) + (i-1)
     # with k = t * cols, so it sits at `offset` = 2(m-1) + (i-1) in its window
     rows = [(m, tag, 2 * (m - 1) + min(slot, 2) - 1)
             for m in (1, 2) for slot, tag in enumerate(tag_ids, start=1)]
-    for t, seed in enumerate(_window_seeds(base, len(angles[0]))):
-        windows = {w.tag_id: w for w in
-                   simulate_window(scene, schedule, [a[t] for a in angles], seed, window_idx=t)}
-        means = {tag: (w.matrix.sum(axis=1) / cols).tolist() for tag, w in windows.items()}
+    records: list[ReadRecord] = []
+    for t, index in enumerate(found):
         for m, tag, offset in rows:
             t_row = float(4 * t * cols + offset) * period
-            mean_iq = means[tag][m - 1] if tag in means else math.nan
+            j = index.get(tag)
+            mean_iq = math.nan if j is None else means[j][m - 1]
             if cmath.isnan(mean_iq):  # lost read: no window, or a NaN-filled row
                 records.append(ReadRecord(t, t_row, tag, m, None, math.nan, math.nan, False))
             else:
-                records.append(ReadRecord(t, t_row, tag, m, windows[tag].matrix[m - 1],
+                records.append(ReadRecord(t, t_row, tag, m, iq[j, m - 1],
                                           20.0 * math.log10(abs(mean_iq)),
                                           math.atan2(mean_iq.imag, mean_iq.real), True))
     truth = {tag: np.array(a, dtype=float) for tag, a in zip(tag_ids, angles)}

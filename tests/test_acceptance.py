@@ -12,6 +12,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+from test_simulate import simulate_at
 
 from tagtrack.classify import LabeledDataset, dtw_1nn_classify, evaluate, \
     knn_feature_classify, stratified_split
@@ -21,8 +22,7 @@ from tagtrack.music import eig2_hermitian, estimate_aoa, music_spectrum, sample_
 from tagtrack.pipeline import (DatasetSpec, dtw_experiment, knn_experiment,
                                series_bundle, synthesize_dataset, synthesize_gesture)
 from tagtrack.preprocess import IQWindow
-from tagtrack.simulate import (SASSchedule, anechoic_scene, lab_scene,
-                               paper_geometry, simulate_window)
+from tagtrack.simulate import SASSchedule, anechoic_scene, lab_scene, paper_geometry
 from tagtrack.tracking import KalmanConfig, filter_sequence, rts_smooth, track_aoa
 
 GEO = paper_geometry()
@@ -40,7 +40,7 @@ def mean_abs_error_deg(scene_fn, theta_deg, n_seeds=100, seed_base=0):
     theta = math.radians(theta_deg)
     for s in range(n_seeds):
         scene = scene_fn(np.random.default_rng([seed_base, s]))
-        w = simulate_window(scene, SCHED, [theta], [seed_base + 1, s])[0]
+        w = simulate_at(scene, SCHED, [theta], [seed_base + 1, s])[0]
         m = estimate_aoa(w, GEO)
         errs.append(abs(math.degrees(m.theta_hat) - theta_deg))
     return float(np.mean(errs))
@@ -68,7 +68,7 @@ def test_criterion_01_noiseless_exactness():
     scene.noise_var = 0.0
     worst = 0.0
     for deg in np.arange(-18.0, 18.0001, 0.5):
-        w = simulate_window(scene, SCHED, [math.radians(deg)], 0)[0]
+        w = simulate_at(scene, SCHED, [math.radians(deg)], 0)[0]
         m = estimate_aoa(w, GEO)
         worst = max(worst, abs(math.degrees(m.theta_hat) - deg))
     elapsed = time.perf_counter() - t0
@@ -95,8 +95,8 @@ def test_criterion_04_two_tags():
     for s in range(100):
         rng = np.random.default_rng([400, s])
         scene = lab_scene(GEO, 20.0, rng, tag_ids=("A", "B"))
-        ws = simulate_window(scene, SCHED, [math.radians(-15.0), math.radians(-10.0)],
-                             [401, s])
+        ws = simulate_at(scene, SCHED, [math.radians(-15.0), math.radians(-10.0)],
+                         [401, s])
         errs[-15.0].append(abs(math.degrees(estimate_aoa(ws[0], GEO).theta_hat) + 15.0))
         errs[-10.0].append(abs(math.degrees(estimate_aoa(ws[1], GEO).theta_hat) + 10.0))
     m15, m10 = float(np.mean(errs[-15.0])), float(np.mean(errs[-10.0]))

@@ -316,6 +316,35 @@ class TestCliErrors:
         assert f"{pred} {message}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, name, text, code, message", [
+        ("estimate", "readerlog.csv", None, 2, "error: [Errno 2] No such file or directory"),
+        ("estimate", "readerlog.csv", "bogus\n", 1,
+         "runtime error: ValueError: unexpected reader log header: ['bogus']"),
+        ("track", "readerlog.csv", None, 2, "error: [Errno 2] No such file or directory"),
+        ("track", "readerlog.csv", "bogus\n", 1,
+         "runtime error: ValueError: unexpected reader log header: ['bogus']"),
+        ("classify", "features.csv", None, 2, "error: [Errno 2] No such file or directory"),
+        ("classify", "features.csv", "a,label\nx,SL\n", 1,
+         "runtime error: ValueError: {in_path} row 2: a 'x' is not a number"),
+        ("eval", "pred.csv", None, 2, "error: [Errno 2] No such file or directory"),
+        ("eval", "pred.csv", "pred,truth\nSL\n", 1,
+         "runtime error: ValueError: {in_path} row 2: has 1 field, expected pred,truth"),
+    ], ids=[f"{command}-{kind}" for command in ("estimate", "track", "classify", "eval")
+            for kind in ("missing", "malformed")])
+    def test_failed_run_leaves_no_out_dir(self, tmp_path, capsys, command, name, text, code,
+                                          message):
+        "A missing or malformed input fails as before and creates no --out directory."
+        in_path = tmp_path / "in" / name
+        if text is not None:
+            in_path.parent.mkdir()
+            in_path.write_text(text)
+        out = tmp_path / "out"
+        assert main([command, "--in", str(in_path), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert message.format(in_path=in_path) in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 FIXED = ["--set", "scene.mode=\"fixed\"", "--set", "scene.misdetect_prob=0.0"]
 EPOCH_S = 1.7e9  # a real reader export stamps rows with Unix time
@@ -467,6 +496,25 @@ class TestImportedLogs:
         err = capsys.readouterr().err
         assert str(windows / "readerlog.csv") in err
         assert "Traceback" not in err
+        assert not (tmp_path / "est").exists()
+
+    def test_dataset_log_without_rows_names_file(self, tmp_path, capsys):
+        "A dataset sample whose readerlog.csv holds only the header fails naming that file."
+        data = tmp_path / "data"
+        main(["simulate", "--seed", "5", "--out", str(data), *TINY])
+        entry = json.loads((data / "manifest.json").read_text())["samples"][1]
+        csv_path = data / entry["dir"] / "readerlog.csv"
+        comments, rows = read_csv(csv_path.parent)
+        write_csv(csv_path.parent, comments, rows[:1])
+        capsys.readouterr()
+        assert main(["track", "--in", str(data), "--out", str(tmp_path / "trk")]) == 1
+        err = capsys.readouterr().err
+        assert f"runtime error: ValueError: {csv_path} has no read rows" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "trk").exists()
+        # on its own the same log tracks to an empty tracks.json
+        assert main(["track", "--in", str(csv_path.parent), "--out", str(tmp_path / "one")]) == 0
+        assert json.loads((tmp_path / "one" / "tracks.json").read_text())["tags"] == {}
 
     def test_epoch_timestamps_gesture_dataset(self, tmp_path):
         data, shifted = tmp_path / "data", tmp_path / "shifted"

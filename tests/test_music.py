@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_geometry import ScenePose, aoa_from_positions, steering_vector
+from test_simulate import simulate_at
 
 from tagtrack import music
 from tagtrack.geometry import ArrayGeometry, unambiguous_fov
@@ -14,7 +15,7 @@ from tagtrack.music import (default_search_range, eig2_hermitian, estimate_aoa,
                             music_spectrum, sample_covariance, spectrum_peak)
 from tagtrack.preprocess import IQWindow
 from tagtrack.simulate import (PathSpec, SASSchedule, SimScene, anechoic_scene,
-                               lab_scene, paper_geometry, simulate_window)
+                               lab_scene, paper_geometry)
 
 GEO = paper_geometry()
 SCHED = SASSchedule()
@@ -26,7 +27,7 @@ def make_window(matrix, complete=True, idx=0):
 
 def noiseless_window(theta, n=50, gain=1.0):
     scene = SimScene(GEO, [("t", [PathSpec(gain, 0.0, is_los=True)])])
-    return simulate_window(scene, SASSchedule(samples_per_window=2 * n), [theta], 0)[0]
+    return simulate_at(scene, SASSchedule(samples_per_window=2 * n), [theta], 0)[0]
 
 
 class TestSampleCovariance:
@@ -283,7 +284,7 @@ class TestEstimateAoA:
         errs = []
         scene = anechoic_scene(GEO, 20.0)
         for s in range(100):
-            w = simulate_window(scene, SCHED, [math.radians(15.0)], [30, s])[0]
+            w = simulate_at(scene, SCHED, [math.radians(15.0)], [30, s])[0]
             errs.append(abs(math.degrees(estimate_aoa(w, GEO).theta_hat) - 15.0))
         assert np.mean(errs) <= 1.5
 
@@ -292,7 +293,7 @@ class TestEstimateAoA:
         for s in range(100):
             rng = np.random.default_rng([31, s])
             scene = lab_scene(GEO, 20.0, rng)
-            w = simulate_window(scene, SCHED, [math.radians(15.0)], [32, s])[0]
+            w = simulate_at(scene, SCHED, [math.radians(15.0)], [32, s])[0]
             errs.append(abs(math.degrees(estimate_aoa(w, GEO).theta_hat) - 15.0))
         assert np.mean(errs) <= 4.5
 
@@ -300,7 +301,7 @@ class TestEstimateAoA:
         rng = np.random.default_rng(5)
         scene = anechoic_scene(GEO, 15.0)
         for s in range(10):
-            w = simulate_window(scene, SCHED, [0.15], [33, s])[0]
+            w = simulate_at(scene, SCHED, [0.15], [33, s])[0]
             c = (rng.normal() + 1j * rng.normal()) or 1.0
             scaled = make_window(c * w.matrix)
             t1 = estimate_aoa(w, GEO).theta_hat
@@ -321,7 +322,7 @@ class TestEstimateAoA:
         for s in range(15):
             rng = np.random.default_rng([34, s])
             scene = lab_scene(GEO, 10.0, rng)
-            w = simulate_window(scene, SCHED, [rng.uniform(-0.25, 0.25)], [35, s])[0]
+            w = simulate_at(scene, SCHED, [rng.uniform(-0.25, 0.25)], [35, s])[0]
             eig = eig2_hermitian(sample_covariance(w))
             sp = music_spectrum(fine, eig.u_n, GEO)
             brute = fine[int(np.argmax(sp))]
@@ -338,7 +339,7 @@ class TestEstimateAoA:
         for s in range(10):
             rng = np.random.default_rng([38, s])
             scene = lab_scene(GEO, 10.0, rng)
-            w = simulate_window(scene, SCHED, [math.radians(true_deg)], [39, s])[0]
+            w = simulate_at(scene, SCHED, [math.radians(true_deg)], [39, s])[0]
             eig = eig2_hermitian(sample_covariance(w))
             brute = fine[int(np.argmax(music_spectrum(fine, eig.u_n, GEO)))]
             m = estimate_aoa(w, GEO, search=(lo, hi))
@@ -351,8 +352,8 @@ class TestEstimateAoA:
         errs = {"-15": [], "-10": []}
         for s in range(100):
             scene = anechoic_scene(GEO, 20.0, tag_ids=("A", "B"))
-            ws = simulate_window(scene, SCHED,
-                                 [math.radians(-15.0), math.radians(-10.0)], [36, s])
+            ws = simulate_at(scene, SCHED,
+                             [math.radians(-15.0), math.radians(-10.0)], [36, s])
             errs["-15"].append(abs(math.degrees(estimate_aoa(ws[0], GEO).theta_hat) + 15))
             errs["-10"].append(abs(math.degrees(estimate_aoa(ws[1], GEO).theta_hat) + 10))
         assert np.mean(errs["-15"]) <= 1.5
@@ -364,7 +365,7 @@ class TestEstimateAoA:
         sched = SASSchedule(sample_period_s=2.5037e-4, residual_phase=True)
         scene = SimScene(GEO, [("t", [PathSpec(1.0, 0.0, is_los=True)])])
         theta = math.radians(9.0)
-        w = simulate_window(scene, sched, [theta], 0)[0]
+        w = simulate_at(scene, sched, [theta], 0)[0]
         tx = np.vstack([sched.tx_sequence(0, m, 1, GEO.carrier_freq_hz) for m in (1, 2)])
         m = estimate_aoa(w, GEO, tx_sequence=tx)
         assert abs(math.degrees(m.theta_hat) - 9.0) <= 0.01
@@ -385,7 +386,7 @@ class TestEstimateAoA:
             scene = anechoic_scene(GEO, snr)
             sq = []
             for s in range(200):
-                w = simulate_window(scene, SCHED, [math.radians(15.0)], [37, int(snr), s])[0]
+                w = simulate_at(scene, SCHED, [math.radians(15.0)], [37, int(snr), s])[0]
                 sq.append((math.degrees(estimate_aoa(w, GEO).theta_hat) - 15.0) ** 2)
             rmse.append(math.sqrt(np.mean(sq)))
         assert all(hi >= lo for hi, lo in zip(rmse[:-1], rmse[1:]))

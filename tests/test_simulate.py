@@ -1,5 +1,6 @@
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,14 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_geometry import steering_vector
 
-from tagtrack.geometry import unambiguous_fov
+from tagtrack.geometry import steering_phase, unambiguous_fov
 from tagtrack.preprocess import IQWindow
 from tagtrack.readerlog import ReaderLog, ReadRecord, read_reader_log, write_reader_log
 from tagtrack.simulate import (GESTURE_CLASSES, GestureSpec, OutOfFovError,
                                PathSpec, SASSchedule, SimScene, TagTrajectory,
                                anechoic_scene, build_gesture_spec,
                                gesture_trajectory, lab_scene, paper_geometry,
-                               simulate_gesture, simulate_log, simulate_window)
+                               simulate_gesture, simulate_log, simulate_window,
+                               tag_steering)
 
 GEO = paper_geometry()
 
@@ -30,6 +32,33 @@ def ref_angle_factor(scene, theta):
     r = min(abs(theta) / unambiguous_fov(scene.geometry), 1.0)
     mag = 10.0 ** (-scene.angle_gain_db * r / 20.0)
     return mag * np.exp(1j * scene.angle_phase_rad * r)
+
+
+def ref_tag_steering(scene, true_aoa_per_tag, amp):
+    """One window's summed steering per tag, as simulate_window once computed it.
+
+    The second elements of every path's steering vector come from one numpy
+    evaluation.  Each tag's terms are then added path by path from zero, in
+    the scene's path order.
+    """
+    angles, gains, counts = [], [], []
+    for (_, paths), theta in zip(scene.tags, true_aoa_per_tag):
+        factor = ref_angle_factor(scene, theta)
+        for path in paths:
+            angles.append(theta if path.is_los else path.aoa)
+            gains.append(path.gain * factor * amp)
+        counts.append(len(paths))
+    phased = (np.array(gains)
+              * np.exp(1j * steering_phase(np.array(angles), scene.geometry))).tolist()
+    out, start = [], 0
+    for n in counts:
+        s0 = s1 = 0j
+        for g, gp in zip(gains[start:start + n], phased[start:start + n]):
+            s0 += g
+            s1 += gp
+        out.append(np.array([s0, s1]))
+        start += n
+    return out
 
 
 def ref_simulate_window(scene, schedule, true_aoa_per_tag, rng_seed, window_idx=0):
@@ -88,6 +117,12 @@ def ref_simulate_log(scene, schedule, angles, rng_seed):
     return ReaderLog(records=records, truth=truth).validate()
 
 
+def simulate_at(scene, schedule, true_aoa_per_tag, rng_seed, window_idx=0):
+    "simulate_window with its tags' LoS angles in place of their steering rows."
+    steering = tag_steering(scene, [[theta] for theta in true_aoa_per_tag])[0]
+    return simulate_window(scene, schedule, steering, rng_seed, window_idx)
+
+
 def bits(x: float) -> bytes:
     return struct.pack("<d", x)
 
@@ -114,7 +149,7 @@ def assert_same_logs(got, want):
         assert got.truth[tag].tobytes() == want.truth[tag].tobytes()
 
 
-ANGLE = st.floats(-0.3, 0.3)
+ANGLE = st.floats(-0.3, 0.3) | st.sampled_from([0.0, -0.0])
 PROB = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
 
 
@@ -141,7 +176,7 @@ def sim_cases(draw):
     schedule = SASSchedule(samples_per_window=2 * draw(st.integers(2, 30)),
                            sample_period_s=draw(st.sampled_from([2.5e-4, 2.5037e-4])),
                            residual_phase=draw(st.booleans()))
-    windows = draw(st.integers(1, 5))
+    windows = draw(st.integers(1, 40))
     angles = [np.array(draw(st.lists(ANGLE, min_size=windows, max_size=windows)))
               for _ in tags]
     # seeds of 2**32 and above are more than one SeedSequence word
@@ -158,8 +193,22 @@ def test_simulation_matches_reference_bitwise(case):
                      ref_simulate_log(scene, schedule, angles, seed))
     for t in range(len(angles[0])):
         args = (scene, schedule, [a[t] for a in angles], [*seed, t])
-        assert_same_windows(simulate_window(*args, window_idx=t),
+        assert_same_windows(simulate_at(*args, window_idx=t),
                             ref_simulate_window(*args, window_idx=t))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=sim_cases(), unit_factor=st.booleans())
+def test_tag_steering_matches_reference_bitwise(case, unit_factor):
+    scene, _, angles, _ = case
+    if unit_factor:
+        scene = replace(scene, angle_gain_db=0.0, angle_phase_rad=0.0)
+    amp = math.sqrt(scene.tx_power) * scene.modulation_gain
+    steering = tag_steering(scene, angles)
+    assert steering.shape == (len(angles[0]), len(scene.tags), 2)
+    for t, rows in enumerate(steering):
+        want = np.array(ref_tag_steering(scene, [a[t] for a in angles], amp))
+        assert rows.tobytes() == want.tobytes()
 
 
 def los_scene(**kwargs):
@@ -206,12 +255,12 @@ class TestSASSchedule:
 class TestSimulateWindow:
     def test_broadside_noiseless_all_ones(self):
         scene = los_scene()
-        w = simulate_window(scene, SASSchedule(), [0.0], rng_seed=0)[0]
+        w = simulate_at(scene, SASSchedule(), [0.0], rng_seed=0)[0]
         np.testing.assert_allclose(w.matrix, np.ones((2, 50)), atol=1e-15)
 
     def test_fifteen_degree_row_ratio(self):
         scene = los_scene()
-        w = simulate_window(scene, SASSchedule(), [math.radians(15.0)], rng_seed=0)[0]
+        w = simulate_at(scene, SASSchedule(), [math.radians(15.0)], rng_seed=0)[0]
         ratio = w.matrix[1] / w.matrix[0]
         np.testing.assert_allclose(np.angle(ratio), 2.6018, atol=1e-3)
         assert np.ptp(np.angle(ratio)) < 1e-12
@@ -219,25 +268,25 @@ class TestSimulateWindow:
     def test_forced_partial_on_antenna2(self):
         scene = los_scene(misdetect_prob=(0.0, 1.0))
         for seed in range(5):
-            w = simulate_window(scene, SASSchedule(), [0.0], rng_seed=seed)[0]
+            w = simulate_at(scene, SASSchedule(), [0.0], rng_seed=seed)[0]
             assert not w.complete
             assert np.isnan(w.matrix[1]).all()
             assert np.isfinite(w.matrix[0]).all()
 
     def test_fully_misdetected_tag_omitted(self):
         scene = los_scene(misdetect_prob=1.0)
-        assert simulate_window(scene, SASSchedule(), [0.0], rng_seed=3) == []
+        assert simulate_at(scene, SASSchedule(), [0.0], rng_seed=3) == []
 
     def test_empty_tag_list_rejected(self):
         scene = los_scene()
         scene.tags = []
         with pytest.raises(ValueError):
-            simulate_window(scene, SASSchedule(), [], rng_seed=0)
+            simulate_window(scene, SASSchedule(), np.empty((0, 2), dtype=complex), rng_seed=0)
 
     def test_deterministic_for_seed(self):
         scene = los_scene(noise_var=0.1, misdetect_prob=0.2)
-        a = simulate_window(scene, SASSchedule(), [0.1], rng_seed=42)
-        b = simulate_window(scene, SASSchedule(), [0.1], rng_seed=42)
+        a = simulate_at(scene, SASSchedule(), [0.1], rng_seed=42)
+        b = simulate_at(scene, SASSchedule(), [0.1], rng_seed=42)
         assert len(a) == len(b)
         for wa, wb in zip(a, b):
             np.testing.assert_array_equal(wa.matrix, wb.matrix)
@@ -247,18 +296,18 @@ class TestSimulateWindow:
         # sample variance of (noisy - noiseless) matches noise_var within 5%
         sched = SASSchedule(samples_per_window=10_000)
         sigma2 = 0.37
-        clean = simulate_window(los_scene(), sched, [0.2], rng_seed=0)[0].matrix
+        clean = simulate_at(los_scene(), sched, [0.2], rng_seed=0)[0].matrix
         for seed in (1, 2, 3):
-            noisy = simulate_window(los_scene(noise_var=sigma2), sched, [0.2],
-                                    rng_seed=seed)[0].matrix
+            noisy = simulate_at(los_scene(noise_var=sigma2), sched, [0.2],
+                                rng_seed=seed)[0].matrix
             resid = noisy - clean
             var = float(np.mean(np.abs(resid) ** 2))
             assert var == pytest.approx(sigma2, rel=0.05)
 
     def test_modulation_gain_scales_amplitude(self):
-        full = simulate_window(los_scene(), SASSchedule(), [0.0], rng_seed=0)[0]
-        half = simulate_window(los_scene(modulation_gain=0.5), SASSchedule(), [0.0],
-                               rng_seed=0)[0]
+        full = simulate_at(los_scene(), SASSchedule(), [0.0], rng_seed=0)[0]
+        half = simulate_at(los_scene(modulation_gain=0.5), SASSchedule(), [0.0],
+                           rng_seed=0)[0]
         np.testing.assert_allclose(half.matrix, 0.5 * full.matrix, atol=1e-15)
 
     def test_nlos_must_be_weaker(self):
@@ -298,7 +347,7 @@ class TestTrajectories:
             gesture_trajectory(spec, 5)
 
     def test_all_classes_inside_fov(self):
-        from tagtrack.geometry import unambiguous_fov
+        from tagtrack.geometry import steering_phase, unambiguous_fov
         fov = unambiguous_fov(GEO)
         for cls in GESTURE_CLASSES:
             for seed in range(10):
@@ -308,7 +357,7 @@ class TestTrajectories:
 
 
     def test_fov_shift_only_moves_specs_outside_fov(self):
-        from tagtrack.geometry import unambiguous_fov
+        from tagtrack.geometry import steering_phase, unambiguous_fov
         fov = unambiguous_fov(GEO)
         shifted = 0
         # seeds 3110, 3269 and 5292 draw a 2HLR/2HLD offset past the FOV

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_simulate import simulate_at
 
 from tagtrack.pipeline import DatasetSpec, synthesize_gesture, tracking_rmse
 from tagtrack.readerlog import ReaderLog
@@ -335,15 +336,14 @@ class TestTrackAoA:
     def test_zero_motion_variance_reduction(self):
         sched = SASSchedule()
         stds = {"raw": [], "smoothed": []}
-        from tagtrack.simulate import lab_scene, simulate_window
         from tagtrack.readerlog import ReadRecord
         for seed in range(20):
             rng = np.random.default_rng([41, seed])
             scene = lab_scene(GEO, 20.0, rng)
             records = []
             for t in range(30):
-                w = simulate_window(scene, sched, [math.radians(15.0)], [42, seed, t],
-                                    window_idx=t)[0]
+                w = simulate_at(scene, sched, [math.radians(15.0)], [42, seed, t],
+                                window_idx=t)[0]
                 for m in (1, 2):
                     t_row = float(sched.global_slots(t, m, 1)[0]) * sched.sample_period_s
                     records.append(ReadRecord(t, t_row, "tag1", m, w.matrix[m - 1],
