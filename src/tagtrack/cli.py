@@ -21,7 +21,7 @@ from .classify import evaluate
 from .config import (ConfigError, config_hash, geometry_from, kalman_from,
                      load_config, music_search_from, schedule_from)
 from .features import FEATURE_CONFIGS, SampleFeatureError, featurize_dataset
-from .music import spectrum_peak
+from .music import spectrum_peaks
 from .pipeline import (DatasetSpec, attach_tracks, dtw_experiment, gesture_dataset,
                        knn_feature_experiment, synthesize_fixed_log, truth_on_track)
 from .preprocess import windows_by_tag
@@ -30,18 +30,40 @@ from .simulate import GestureSample, gesture_sample
 from .tracking import measure_windows, track_aoa
 
 
-def _fmt(x: float) -> str:
-    return "" if x is None or (isinstance(x, float) and math.isnan(x)) else repr(float(x))
+def _fmt(values) -> list[str]:
+    "repr of each float, '' for NaN."
+    return ["" if v != v else repr(v) for v in values]
 
 
 def _meta(cfg: dict) -> dict:
     return {"config_hash": config_hash(cfg), "seed": cfg["seed"]}
 
 
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=1)`` of str-keyed dicts, lists and leaves.
+
+    With an indent json encodes in pure Python.  Here only dicts and lists
+    that hold containers are walked in Python; a list of leaves is one call
+    of json's C encoder, whose item separator carries the indent.
+    """
+    inner = indent + " "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return "{" + inner + ("," + inner).join(
+            f"{json.dumps(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items())) \
+            + indent + "}"
+    if not isinstance(value, (list, tuple)) or not value:
+        return json.dumps(value)
+    if any(issubclass(t, (dict, list, tuple)) for t in set(map(type, value))):
+        return "[" + inner + ("," + inner).join(_json_text(v, inner) for v in value) + indent + "]"
+    return "[" + inner + json.dumps(value, separators=("," + inner, ": "))[1:-1] + indent + "]"
+
+
 def _write_json(path: Path, payload: dict):
     "Write payload as JSON, creating the directory: a command makes --out only once it writes."
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    path.write_text(_json_text(payload) + "\n")
 
 
 def _dataset_spec(cfg: dict) -> DatasetSpec:
@@ -82,12 +104,11 @@ def cmd_simulate(cfg: dict, out: Path) -> int:
 # --- estimate ----------------------------------------------------------------
 
 def _write_measurements(path: Path, cfg: dict, measurements: dict) -> int:
-    geometry = geometry_from(cfg)
-    rows = [[tag, m.window_idx,
-             _fmt(math.degrees(m.theta_hat)) if m.valid else "",
-             _fmt(spectrum_peak(m, geometry)),
-             "true" if m.valid else "false"]
-            for tag, tag_meas in measurements.items() for m in tag_meas]
+    flat = [(tag, m) for tag, tag_meas in measurements.items() for m in tag_meas]
+    thetas = _fmt([math.degrees(m.theta_hat) if m.valid else math.nan for _, m in flat])
+    peaks = _fmt(spectrum_peaks([m for _, m in flat], geometry_from(cfg)).tolist())
+    rows = [[tag, m.window_idx, theta, peak, "true" if m.valid else "false"]
+            for (tag, m), theta, peak in zip(flat, thetas, peaks)]
     with open(path, "w", newline="") as fh:
         fh.write(f"# config_hash={config_hash(cfg)},seed={cfg['seed']}\n")
         writer = csv.writer(fh)
@@ -140,14 +161,14 @@ def _track_one(cfg: dict, log_dir: Path, out: Path) -> dict:
         truth = [math.nan] * tr.n_windows
         if log.truth and tag in log.truth:
             truth = truth_on_track(tr, log.truth[tag], log.first_window).tolist()
-        columns = zip(truth, tr.z.tolist(), tr.filtered_series().tolist(),
-                      tr.smoothed_series().tolist())
+        columns = [_fmt(map(deg, values))
+                   for values in (truth, tr.z.tolist(), tr.filtered_series().tolist(),
+                                  tr.smoothed_series().tolist())]
         with open(out / f"track_plot_{tag}.csv", "w", newline="") as fh:
             fh.write(f"# config_hash={config_hash(cfg)},seed={cfg['seed']}\n")
             writer = csv.writer(fh)
             writer.writerow(["window", "truth", "raw", "filtered", "smoothed"])
-            writer.writerows([t, *(_fmt(deg(v)) for v in values)]
-                             for t, values in enumerate(columns))
+            writer.writerows(zip(range(tr.n_windows), *columns))
     return payload
 
 
@@ -159,19 +180,39 @@ def _series_entry(entry: dict, sample: GestureSample) -> dict:
             "dt_s": sample.dt_s, "channels": channels}
 
 
+def _manifest_samples(path: Path) -> list[dict]:
+    """The sample entries of a dataset ``manifest.json``.
+
+    Invalid JSON, no ``samples`` list, or an entry without an ``id``,
+    ``dir`` and ``label`` string raises ValueError naming the file and entry.
+    """
+    try:
+        manifest = json.loads(path.read_text())
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{path} is not JSON: {e}") from None
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("samples"), list):
+        raise ValueError(f"{path} has no 'samples' list")
+    for i, entry in enumerate(manifest["samples"]):
+        if not isinstance(entry, dict):
+            raise ValueError(f"{path} sample #{i}: not an object")
+        for key in ("id", "dir", "label"):
+            if not isinstance(entry.get(key), str):
+                raise ValueError(f"{path} sample #{i}: no {key!r} string")
+    return manifest["samples"]
+
+
 def cmd_track(cfg: dict, in_path: Path, out: Path) -> int:
     manifest_path = in_path / "manifest.json"
     if not manifest_path.exists():
         _track_one(cfg, in_path, out)
         print(f"wrote {out / 'tracks.json'}")
         return 0
-    manifest = json.loads(manifest_path.read_text())
     geo, sched = geometry_from(cfg), schedule_from(cfg)
     series = {"samples": [], **_meta(cfg)}
-    for entry in manifest["samples"]:
+    for entry in _manifest_samples(manifest_path):
         log_dir = in_path / entry["dir"]
         log = read_reader_log(log_dir)
-        if not log.records:
+        if not len(log):
             raise ValueError(f"{log_dir / 'readerlog.csv'} has no read rows")
         sample = attach_tracks(gesture_sample(log, entry["label"], sched.window_duration_s),
                                log, geo, kalman=kalman_from(cfg), schedule=sched,

@@ -7,7 +7,7 @@ phase interferometry).  The angle is therefore computed from arg R[1, 0]
 alone.  The closed-form eigendecomposition and the pseudospectrum are
 evaluated only where they are needed: to choose an endpoint when the angle
 falls outside the search range, and for the spectrum peak of a measurement
-(``spectrum_peak``), which only the ``peak`` column of ``measurements.csv``
+(``spectrum_peaks``), which only the ``peak`` column of ``measurements.csv``
 reads.
 """
 
@@ -40,7 +40,7 @@ class AoAMeasurement:
     """One window's AoA estimate; invalid when the window was incomplete.
 
     ``covariance`` is the window's 2x2 snapshot covariance (None when
-    invalid), kept for ``spectrum_peak``.
+    invalid), kept for ``spectrum_peaks``.
     """
 
     theta_hat: float
@@ -61,47 +61,74 @@ def sample_covariance(window: IQWindow) -> np.ndarray:
     return y @ y.conj().T / n
 
 
+def _eig2_stack(r: np.ndarray):
+    """Closed-form eigenpairs of a (W, 2, 2) stack of Hermitian matrices.
+
+    Returns lam_s, lam_n (W,) and u_s, u_n (W, 2).  Each matrix gets the
+    bits of a scalar evaluation: moduli are C ``hypot`` of the parts, as
+    Python's complex ``abs`` is, ``disc`` takes ``math.hypot`` per matrix,
+    and the signal eigenvector's norm takes the two BLAS dot products
+    ``np.linalg.norm`` takes, through one matmul over the stack (the BLAS may
+    fuse their multiply-adds, which elementwise numpy cannot reproduce).
+    """
+    r00, r01, r10, r11 = r[:, 0, 0], r[:, 0, 1], r[:, 1, 0], r[:, 1, 1]
+    mods = [np.hypot(z.real, z.imag) for z in (r00, r01, r10, r11)]
+    scale = np.maximum.reduce(mods)
+    scale[scale == 0.0] = 1.0
+    skew = r01 - r10.conj()
+    if np.any(np.hypot(skew.real, skew.imag) > 1e-9 * scale) or \
+            np.any(np.maximum(np.abs(r00.imag), np.abs(r11.imag)) > 1e-9 * scale):
+        raise ValueError("matrix is not Hermitian within tolerance")
+    a, c, b = r00.real, r11.real, r01
+    disc = np.array([math.hypot(x, y)
+                     for x, y in zip((a - c).tolist(), (2.0 * mods[1]).tolist())])
+    lam_s = 0.5 * (a + c + disc)
+    lam_n = 0.5 * (a + c - disc)
+    x = np.stack([b, (lam_s - a).astype(complex)], axis=1)
+    norm2 = x.real[:, None, :] @ x.real[:, :, None] + x.imag[:, None, :] @ x.imag[:, :, None]
+    signal = mods[1] > 1e-15 * scale
+    first = a >= c
+    with np.errstate(divide="ignore", invalid="ignore"):  # the matrices without signal
+        # numpy divides a complex by a real norm as a product with 1 / norm
+        inv = 1.0 / np.sqrt(norm2[:, 0, 0])
+        u0r = np.where(signal, b.real * inv, first.astype(float))
+        u0i = np.where(signal, b.imag * inv, 0.0)
+        u1r = np.where(signal, (lam_s - a) * inv, (~first).astype(float))
+    u = np.zeros((r.shape[0], 2, 2), dtype=complex)   # [u_s, u_n] per matrix
+    u[:, 0, 0].real, u[:, 0, 0].imag, u[:, 0, 1].real = u0r, u0i, u1r
+    u[:, 1, 0].real, u[:, 1, 1].real, u[:, 1, 1].imag = -u1r, u0r, -u0i
+    return lam_s, lam_n, u[:, 0], u[:, 1]
+
+
 def eig2_hermitian(r: np.ndarray) -> Eig2:
     """Closed-form eigendecomposition of a Hermitian 2x2 matrix.
 
     The noise eigenvector is built as the exact orthogonal complement of the
-    signal eigenvector, so u_s^H u_n = 0 to machine precision.  The work is
-    on Python scalars except the signal eigenvector's norm, which takes the
-    two BLAS dot products ``np.linalg.norm`` takes (the BLAS may fuse their
-    multiply-adds, which Python floats cannot reproduce).
+    signal eigenvector, so u_s^H u_n = 0 to machine precision.
     """
-    (r00, r01), (r10, r11) = r.tolist()
-    scale = max(abs(r00), abs(r01), abs(r10), abs(r11)) or 1.0
-    if abs(r01 - r10.conjugate()) > 1e-9 * scale or \
-            max(abs(r00.imag), abs(r11.imag)) > 1e-9 * scale:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    a = r00.real
-    c = r11.real
-    b = r01
-    disc = math.hypot(a - c, 2.0 * abs(b))
-    lam_s = 0.5 * (a + c + disc)
-    lam_n = 0.5 * (a + c - disc)
-    if abs(b) > 1e-15 * scale:
-        x = np.array([b, lam_s - a])
-        # numpy divides a complex by a real norm as a product with 1 / norm
-        inv = 1.0 / math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
-        u0, u1 = complex(b.real * inv, b.imag * inv), complex((lam_s - a) * inv, 0.0)
-    else:
-        u0, u1 = (1.0 + 0.0j, 0.0j) if a >= c else (0.0j, 1.0 + 0.0j)
-    return Eig2(lam_s=lam_s, lam_n=lam_n, u_s=np.array([u0, u1]),
-                u_n=np.array([-u1.conjugate(), u0.conjugate()]))
+    lam_s, lam_n, u_s, u_n = _eig2_stack(np.asarray(r)[None])
+    return Eig2(lam_s=float(lam_s[0]), lam_n=float(lam_n[0]), u_s=u_s[0], u_n=u_n[0])
 
 
 def music_spectrum(theta, noise_vec: np.ndarray, geometry: ArrayGeometry):
     """Pseudospectrum 1 / (a^H u_n u_n^H a); accepts scalar or array theta.
 
-    The denominator is clamped at SPECTRUM_FLOOR, so a noiseless window
-    produces a finite, very large peak at the true angle.
+    ``noise_vec`` is one noise vector (2,) or one per angle (..., 2).  The
+    complex product is formed from real parts, as numpy's scalar multiply
+    forms it, and the modulus squared with C pow, so the bits are those of a
+    scalar evaluation whatever the shapes.  The denominator is clamped at
+    SPECTRUM_FLOOR, so a noiseless window produces a finite, very large peak
+    at the true angle.
     """
-    phase = steering_phase(np.asarray(theta, dtype=float), geometry)
-    proj = noise_vec[0] + np.exp(-1j * phase) * noise_vec[1]
-    denom = np.maximum(np.abs(proj) ** 2, SPECTRUM_FLOOR)
-    out = 1.0 / denom
+    e = np.exp(-1j * steering_phase(np.asarray(theta, dtype=float), geometry))
+    u0, u1 = noise_vec[..., 0], noise_vec[..., 1]
+    proj = np.empty(np.broadcast(e, u1).shape, dtype=complex)
+    proj.real = u0.real + (e.real * u1.real - e.imag * u1.imag)
+    proj.imag = u0.imag + (e.real * u1.imag + e.imag * u1.real)
+    mod = np.abs(proj)
+    # numpy's scalar ``** 2`` is C pow, as Python's is; the array square rounds otherwise
+    power = np.array([m ** 2 for m in mod.ravel().tolist()]).reshape(mod.shape)
+    out = 1.0 / np.maximum(power, SPECTRUM_FLOOR)
     return float(out) if np.isscalar(theta) else out
 
 
@@ -153,9 +180,17 @@ def estimate_aoa(window: IQWindow, geometry: ArrayGeometry,
     return AoAMeasurement(float(theta), window.window_idx, True, cov)
 
 
-def spectrum_peak(measurement: AoAMeasurement, geometry: ArrayGeometry) -> float:
-    "Pseudospectrum of a measurement's window at its angle; NaN when invalid."
-    if not measurement.valid:
-        return math.nan
-    u_n = eig2_hermitian(measurement.covariance).u_n
-    return music_spectrum(measurement.theta_hat, u_n, geometry)
+def spectrum_peaks(measurements: list[AoAMeasurement], geometry: ArrayGeometry) -> np.ndarray:
+    """Pseudospectrum of each measurement's window at its angle; NaN when invalid.
+
+    One eigendecomposition and one spectrum evaluation over all valid
+    windows, with the bits of ``music_spectrum(m.theta_hat,
+    eig2_hermitian(m.covariance).u_n, geometry)`` per window.
+    """
+    out = np.full(len(measurements), np.nan)
+    valid = [k for k, m in enumerate(measurements) if m.valid]
+    if valid:
+        u_n = _eig2_stack(np.array([measurements[k].covariance for k in valid]))[3]
+        out[valid] = music_spectrum(np.array([measurements[k].theta_hat for k in valid]),
+                                    u_n, geometry)
+    return out

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .readerlog import ReaderLog, ReadRecord
+from .readerlog import ReaderLog
 
 
 @dataclass
@@ -32,52 +32,66 @@ class IQWindow:
     complete: bool
 
 
-def split_by_tag(log: ReaderLog) -> dict[str, list[ReadRecord]]:
-    "Partition records per tag, preserving time order."
+# windows gathered per stack: small stacks keep to the heap, as per-window copies
+# would, rather than mapping and unmapping megabytes per log
+_STACK_WINDOWS = 64
+ROW_FIELDS = ("window_idx", "timestamp_s", "antenna", "detected", "start", "count")
+_ROW_DTYPE = np.dtype([("window_idx", np.int64), ("timestamp_s", float), ("antenna", np.int64),
+                       ("detected", bool), ("start", np.int64), ("count", np.int64)])
+
+
+def split_by_tag(log: ReaderLog) -> dict[str, np.recarray]:
+    "Each tag's rows, in time order, as a record array of the ROW_FIELDS columns."
     log.validate()
-    out: dict[str, list[ReadRecord]] = {}
-    for rec in log.records:
-        out.setdefault(rec.tag_id, []).append(rec)
-    return out
+    rows = np.empty(len(log), dtype=_ROW_DTYPE)
+    for name in ROW_FIELDS:
+        rows[name] = getattr(log, name)
+    return {tag: rows[log.tag == i].view(np.recarray) for i, tag in enumerate(log.tag_ids)}
 
 
-def window_segments(records: list[ReadRecord]) -> list[IQWindow]:
+def window_segments(rows: np.recarray, iq: np.ndarray, tag_id: str) -> list[IQWindow]:
     """One tag's snapshot windows, one per acquisition window read on both antennas.
 
-    Each ``window_idx``'s antenna-1 and antenna-2 rows become the two rows of
-    a 2 x n matrix, trimmed to the shorter one; a window with fewer than two
-    columns is skipped, and so is a window read on one antenna only.  Windows
-    keep the log's ``window_idx``, come in index order, and take the mean of
-    their two rows' timestamps as their time.
+    ``rows`` are the tag's rows from ``split_by_tag`` and iq is their log's
+    IQ buffer.  Each ``window_idx``'s antenna-1 and antenna-2 rows become the
+    two rows of a 2 x n matrix, trimmed to the shorter one; a window with
+    fewer than two columns is skipped, and so is a window read on one
+    antenna only.  Windows keep the log's ``window_idx``, come in index order, and
+    take the mean of their two rows' timestamps as their time.  A window's
+    matrix is a row of a C-contiguous (k, 2, n) stack of up to
+    ``_STACK_WINDOWS`` windows of its width, gathered in one copy.
     """
-    rows: dict[int, dict[int, ReadRecord]] = {}
-    for rec in records:
-        if rec.detected and rec.iq is not None:
-            rows.setdefault(rec.window_idx, {})[rec.antenna] = rec
-    windows: list[IQWindow] = []
-    for idx, pair in sorted(rows.items()):
-        if len(pair) < 2:
-            continue
-        a1, a2 = pair[1], pair[2]
-        cols = min(a1.iq.size, a2.iq.size)
-        if cols < 2:
-            continue
-        matrix = np.empty((2, cols), complex)
-        matrix[0] = a1.iq[:cols]
-        matrix[1] = a2.iq[:cols]
-        windows.append(IQWindow(
-            tag_id=a1.tag_id, window_idx=idx, matrix=matrix,
-            midpoint_time_s=0.5 * (a1.timestamp_s + a2.timestamp_s), complete=True,
-        ))
-    return windows
+    d = rows.view(np.ndarray)   # plain field access: record-array attributes are slow
+    detected = d["detected"]
+    # the detected rows in (window, antenna) order
+    d = d[np.lexsort((d["antenna"], d["window_idx"], ~detected))[:np.count_nonzero(detected)]]
+    window, start, count, time = (d[name] for name in ("window_idx", "start", "count",
+                                                        "timestamp_s"))
+    # antenna 1 at pair[:, 0], antenna 2 at pair[:, 1]
+    pair = np.flatnonzero(window[1:] == window[:-1])[:, None] + np.arange(2)
+    cols = count[pair].min(axis=1) // 2
+    keep = cols >= 2
+    if not keep.all():
+        pair, cols = pair[keep], cols[keep]
+    starts = start[pair]
+    matrices: list = [None] * len(pair)
+    for n in sorted(set(cols.tolist())):   # np.unique would import numpy.ma
+        sel = np.flatnonzero(cols == n)
+        for b in range(0, sel.size, _STACK_WINDOWS):
+            part = sel[b:b + _STACK_WINDOWS]
+            stack = iq[starts[part, :, None] + np.arange(2 * n)].view(complex)
+            for k, matrix in zip(part.tolist(), stack):
+                matrices[k] = matrix
+    midpoints = 0.5 * (time[pair[:, 0]] + time[pair[:, 1]])
+    return [IQWindow(tag_id, idx, matrix, t, True)
+            for idx, matrix, t in zip(window[pair[:, 0]].tolist(), matrices, midpoints.tolist())]
 
 
 def windows_by_tag(log: ReaderLog) -> dict[str, list[IQWindow]]:
     "Split and window a reader log per tag; tags without a window are omitted."
     out = {}
-    for tag, records in split_by_tag(log).items():
-        windows = window_segments(records)
+    for tag, rows in split_by_tag(log).items():
+        windows = window_segments(rows, log.iq, tag)
         if windows:
             out[tag] = windows
     return out
-

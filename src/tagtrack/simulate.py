@@ -26,7 +26,6 @@ named gestures, and mirrored gesture classes are exact sign-flips.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field, replace
 
@@ -34,7 +33,7 @@ import numpy as np
 
 from .geometry import ArrayGeometry, steering_phase, unambiguous_fov
 from .preprocess import IQWindow
-from .readerlog import ReaderLog, ReadRecord
+from .readerlog import ReaderLog
 
 
 class OutOfFovError(ValueError):
@@ -390,44 +389,49 @@ def simulate_log(scene: SimScene, schedule: SASSchedule, angles: list[np.ndarray
     """Reader log of one recording; ``angles[i]`` is tag i's LoS angle per window.
 
     Window t uses child seed ``[*rng_seed, t]``, so logs are reproducible
-    window by window.  Every window gets one record per tag and antenna,
+    window by window.  Every window gets one row per tag and antenna,
     undetected where the read was lost, stamped with the row's first sample
-    slot; records come in time order.  A row's RSS and phase are those of
-    its mean IQ sample.  The angles become the truth sidecar.
+    slot; rows come in time order.  A row's RSS and phase are those of its
+    mean IQ sample.  The log's IQ buffer is the stack of detected window
+    matrices.  The angles become the truth sidecar.
     """
     tag_ids = scene.tag_ids()
+    n_tags = len(tag_ids)
     base = list(rng_seed) if isinstance(rng_seed, (list, tuple)) else [rng_seed]
     cols, period = schedule.cols, schedule.sample_period_s
     steering = tag_steering(scene, angles)
-    # every detected window's matrix, stacked; found[t][tag] is its index
-    iq = np.empty((len(steering) * len(tag_ids), 2, cols), dtype=complex)
-    found: list[dict[str, int]] = []
+    T = len(steering)
+    # every detected window's matrix, stacked; found[t, i] is tag i's index, -1 for none
+    iq = np.empty((T * n_tags, 2, cols), dtype=complex)
+    found = np.full((T, n_tags), -1)
+    slot = {tag: i for i, tag in enumerate(tag_ids)}
     n = 0
-    for t, seed in enumerate(_window_seeds(base, len(steering))):
-        found.append({})
+    for t, seed in enumerate(_window_seeds(base, T)):
         for w in simulate_window(scene, schedule, steering[t], seed, window_idx=t):
             iq[n] = w.matrix
-            found[t][w.tag_id] = n
+            found[t, slot[w.tag_id]] = n
             n += 1
-    means = (iq[:n].sum(axis=2) / cols).tolist()
-    # rows in time order; a row's first snapshot is global slot 4k + 2(m-1) + (i-1)
-    # with k = t * cols, so it sits at `offset` = 2(m-1) + (i-1) in its window
-    rows = [(m, tag, 2 * (m - 1) + min(slot, 2) - 1)
-            for m in (1, 2) for slot, tag in enumerate(tag_ids, start=1)]
-    records: list[ReadRecord] = []
-    for t, index in enumerate(found):
-        for m, tag, offset in rows:
-            t_row = float(4 * t * cols + offset) * period
-            j = index.get(tag)
-            mean_iq = math.nan if j is None else means[j][m - 1]
-            if cmath.isnan(mean_iq):  # lost read: no window, or a NaN-filled row
-                records.append(ReadRecord(t, t_row, tag, m, None, math.nan, math.nan, False))
-            else:
-                records.append(ReadRecord(t, t_row, tag, m, iq[j, m - 1],
-                                          20.0 * math.log10(abs(mean_iq)),
-                                          math.atan2(mean_iq.imag, mean_iq.real), True))
-    truth = {tag: np.array(a, dtype=float) for tag, a in zip(tag_ids, angles)}
-    return ReaderLog(records=records, truth=truth).validate()
+    # rows in time order: per window, antenna 1 then 2, each over the tags; a row's
+    # first snapshot is global slot 4k + 2(m-1) + (i-1) with k = t * cols
+    antenna = np.tile(np.repeat([1, 2], n_tags), T)
+    tag = np.tile(np.arange(n_tags), 2 * T)
+    window_idx = np.repeat(np.arange(T), 2 * n_tags)
+    offset = 2 * (antenna - 1) + np.minimum(tag + 1, 2) - 1
+    j = found[window_idx, tag]
+    mean_iq = np.full(len(j), np.nan, dtype=complex)
+    mean_iq[j >= 0] = (iq[:n].sum(axis=2) / cols)[j[j >= 0], antenna[j >= 0] - 1]
+    detected = ~np.isnan(mean_iq)   # a lost read: no window, or a NaN-filled row
+    levels = [(20.0 * math.log10(abs(z)), math.atan2(z.imag, z.real))
+              for z in mean_iq[detected].tolist()]
+    rss, phase = np.full(len(j), np.nan), np.full(len(j), np.nan)
+    if levels:
+        rss[detected], phase[detected] = np.array(levels).T
+    return ReaderLog(
+        window_idx=window_idx, timestamp_s=(4 * cols * window_idx + offset) * period,
+        tag=tag, antenna=antenna, rss_dbm=rss, phase_rad=phase, detected=detected,
+        start=np.where(detected, (2 * j + antenna - 1) * 2 * cols, 0),
+        count=np.where(detected, 2 * cols, 0), iq=iq[:n].view(float).reshape(-1),
+        tag_ids=tag_ids, truth={tag: np.array(a, dtype=float) for tag, a in zip(tag_ids, angles)})
 
 
 def gesture_sample(log: ReaderLog, label: str, dt_s: float) -> GestureSample:
@@ -436,16 +440,16 @@ def gesture_sample(log: ReaderLog, label: str, dt_s: float) -> GestureSample:
     RSS and phase are the antenna-1 window aggregates on the window grid
     starting at the log's first window index, NaN where the read was lost.
     """
-    tags = log.tag_ids
     first = log.first_window
-    T = 1 + max(r.window_idx for r in log.records) - first
-    rss = {t: np.full(T, np.nan) for t in tags}
-    phase = {t: np.full(T, np.nan) for t in tags}
-    for r in log.records:
-        if r.detected and r.antenna == 1:
-            rss[r.tag_id][r.window_idx - first] = r.rss_dbm
-            phase[r.tag_id][r.window_idx - first] = r.phase_rad
-    return GestureSample(label=label, tag_ids=tags, truth=log.truth or {}, rss=rss,
+    T = 1 + int(log.window_idx.max()) - first
+    rss, phase = {}, {}
+    for i, tag in enumerate(log.tag_ids):
+        rows = log.detected & (log.antenna == 1) & (log.tag == i)
+        at = log.window_idx[rows] - first
+        rss[tag], phase[tag] = np.full(T, np.nan), np.full(T, np.nan)
+        rss[tag][at] = log.rss_dbm[rows]
+        phase[tag][at] = log.phase_rad[rows]
+    return GestureSample(label=label, tag_ids=list(log.tag_ids), truth=log.truth or {}, rss=rss,
                          phase=phase, n_windows=T, dt_s=dt_s)
 
 

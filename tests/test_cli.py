@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from logfiles import (both_layouts, read_csv, row_blob, set_row_blob, set_row_path, span,
-                      write_csv)
+from logfiles import (TEXT, both_layouts, corrupt, corruptions, parses, read_csv, records,
+                      row_blob, set_row_blob, write_csv)
 
-from tagtrack.cli import _cov_traces, main
+from tagtrack.cli import _cov_traces, _json_text, main
 from tagtrack.config import (ConfigError, config_hash, geometry_from,
                              load_config, schedule_from, validate_config)
 from tagtrack.geometry import unambiguous_fov
@@ -216,6 +216,32 @@ def test_cov_traces_are_np_trace(covs):
         assert _cov_traces(p).tobytes() == want.tobytes()
 
 
+JSON_FLOATS = st.one_of(st.floats(), st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308, 1e-7,
+     1e16, 0.1]))
+JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), JSON_FLOATS,
+                        st.text(max_size=6))
+JSON_PAYLOADS = st.recursive(JSON_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=5), st.dictionaries(st.text(max_size=6), inner, max_size=5)),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=JSON_PAYLOADS)
+def test_json_writer_matches_json_dumps(payload):
+    "NaN, infinities, -0.0, subnormals, escapes and empty containers come out as json writes them."
+    assert _json_text(payload) == json.dumps(payload, sort_keys=True, indent=1)
+
+
+def test_json_writer_matches_json_dumps_on_tuples_and_subclasses():
+    class Level(float):
+        def __repr__(self):
+            return "level"
+
+    payload = {"b": (1, 2.5, (None,)), "a": [Level(0.5), np.float64(-0.0), True], "\u00e9\n": {}}
+    assert _json_text(payload) == json.dumps(payload, sort_keys=True, indent=1)
+
+
 class TestPipelineCli:
     def test_track_featurize_classify_dataset(self, tmp_path):
         data = tmp_path / "data"
@@ -319,10 +345,10 @@ class TestCliErrors:
     @pytest.mark.parametrize("command, name, text, code, message", [
         ("estimate", "readerlog.csv", None, 2, "error: [Errno 2] No such file or directory"),
         ("estimate", "readerlog.csv", "bogus\n", 1,
-         "runtime error: ValueError: unexpected reader log header: ['bogus']"),
+         "runtime error: ValueError: {in_path}: unexpected reader log header: ['bogus']"),
         ("track", "readerlog.csv", None, 2, "error: [Errno 2] No such file or directory"),
         ("track", "readerlog.csv", "bogus\n", 1,
-         "runtime error: ValueError: unexpected reader log header: ['bogus']"),
+         "runtime error: ValueError: {in_path}: unexpected reader log header: ['bogus']"),
         ("classify", "features.csv", None, 2, "error: [Errno 2] No such file or directory"),
         ("classify", "features.csv", "a,label\nx,SL\n", 1,
          "runtime error: ValueError: {in_path} row 2: a 'x' is not a number"),
@@ -353,8 +379,7 @@ EPOCH_S = 1.7e9  # a real reader export stamps rows with Unix time
 def shift_log(src: Path, dst: Path, offset_s: float):
     "Copy a reader log with every timestamp moved by offset_s."
     log = read_reader_log(src)
-    for r in log.records:
-        r.timestamp_s += offset_s
+    log.timestamp_s += offset_s
     write_reader_log(log, dst)
 
 
@@ -467,9 +492,10 @@ class TestImportedLogs:
               "--set", "scene.windows=12", "--set", "scene.misdetect_prob=0.3"])
         assert main(["estimate", "--in", str(log), "--out", str(tmp_path / "est")]) == 0
         rows = read_rows(tmp_path / "est" / "measurements.csv")
-        records = read_reader_log(log).records
+        log_rows = records(read_reader_log(log))
         for tag in ("tag1", "tag2"):
-            read = {(r.window_idx, r.antenna) for r in records if r.tag_id == tag and r.detected}
+            read = {(r.window_idx, r.antenna) for r in log_rows
+                    if r.tag_id == tag and r.detected}
             both = sorted({w for w, a in read if a == 1 and (w, 2) in read})
             assert [int(r["window_idx"]) for r in rows if r["tag_id"] == tag] == both
             assert both != list(range(len(both)))  # a window before the last was pruned
@@ -515,6 +541,91 @@ class TestImportedLogs:
         # on its own the same log tracks to an empty tracks.json
         assert main(["track", "--in", str(csv_path.parent), "--out", str(tmp_path / "one")]) == 0
         assert json.loads((tmp_path / "one" / "tracks.json").read_text())["tags"] == {}
+
+    @pytest.mark.parametrize("spelling", [("1", "0"), ("TRUE", "False")], ids=["digits", "case"])
+    def test_detected_spellings_track_like_true_false(self, tmp_path, spelling):
+        "1/0 and true/false in any case read as true/false: the log tracks as before."
+        args = [*FIXED, "--set", "scene.windows=8"]
+        log, edited = tmp_path / "log", tmp_path / "edited"
+        assert main(["simulate", "--seed", "2", "--out", str(log), *args]) == 0
+        shutil.copytree(log, edited)
+        comments, rows = read_csv(edited)
+        rows[-1][9] = "false"   # one undetected row, so that both spellings occur
+        write_csv(log, comments, rows)
+        for row in rows[1:]:
+            row[9] = spelling[row[9] == "false"]
+        write_csv(edited, comments, rows)
+        outputs = []
+        for src in (log, edited):
+            out = tmp_path / f"out_{src.name}"
+            assert main(["track", "--in", str(src), "--out", str(out), *args]) == 0
+            outputs.append(tree_digest(out))
+        assert outputs[0] == outputs[1]
+        tracks = json.loads((tmp_path / "out_edited" / "tracks.json").read_text())
+        assert sorted(tracks["tags"]) == ["tag1", "tag2"]
+
+    @pytest.mark.parametrize("text", ["yes", "", "t", "2"])
+    def test_bad_detected_value_names_row(self, tmp_path, capsys, text):
+        log = tmp_path / "log"
+        main(["simulate", "--seed", "2", "--out", str(log), *FIXED, "--set", "scene.windows=8"])
+        comments, rows = read_csv(log)
+        rows[4][9] = text  # CSV row 5
+        write_csv(log, comments, rows)
+        capsys.readouterr()
+        assert main(["track", "--in", str(log), "--out", str(tmp_path / "trk")]) == 1
+        err = capsys.readouterr().err
+        assert f"{log / 'readerlog.csv'} row 5: detected {text!r} is not true, false, 1 or 0" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("{", "is not JSON"), ("[1.0, 2.0]", "is not an object"),
+        ('{"tag1": 3}', "tag 'tag1': not a list"),
+        ('{"tag1": [1.0, "x"]}', "tag 'tag1': not a list of numbers or nulls"),
+        ('{"tag2": [true]}', "tag 'tag2': not a list of numbers or nulls"),
+        ('{"tag1": [[1.0]]}', "tag 'tag1': not a list of numbers or nulls"),
+    ], ids=["invalid", "list", "number", "string", "bool", "nested"])
+    def test_bad_truth_json_names_file(self, tmp_path, capsys, text, message):
+        log = tmp_path / "log"
+        main(["simulate", "--seed", "2", "--out", str(log), *FIXED, "--set", "scene.windows=8"])
+        (log / "truth.json").write_text(text)
+        capsys.readouterr()
+        for command in ("estimate", "track"):
+            assert main([command, "--in", str(log), "--out", str(tmp_path / command)]) == 1
+            err = capsys.readouterr().err
+            assert f"runtime error: ValueError: {log / 'truth.json'} {message}" in err
+            assert "Traceback" not in err
+            assert not (tmp_path / command).exists()
+
+    def test_truth_json_nulls_are_missing_angles(self, tmp_path):
+        log = tmp_path / "log"
+        main(["simulate", "--seed", "2", "--out", str(log), *FIXED, "--set", "scene.windows=8"])
+        truth = json.loads((log / "truth.json").read_text())
+        truth["tag1"][2] = None
+        (log / "truth.json").write_text(json.dumps(truth))
+        assert np.isnan(read_reader_log(log).truth["tag1"][2])
+        assert main(["track", "--in", str(log), "--out", str(tmp_path / "trk")]) == 0
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: "{", "is not JSON"),
+        (lambda m: json.dumps(m["samples"]), "has no 'samples' list"),
+        (lambda m: json.dumps({**m, "samples": 3}), "has no 'samples' list"),
+        (lambda m: json.dumps({**m, "samples": [3, *m["samples"]]}), "sample #0: not an object"),
+        (lambda m: json.dumps({**m, "samples": [*m["samples"][:1], {"id": "x", "label": "SL"}]}),
+         "sample #1: no 'dir' string"),
+        (lambda m: json.dumps({**m, "samples": [{**m["samples"][0], "label": 1}]}),
+         "sample #0: no 'label' string"),
+    ], ids=["invalid", "list", "samples_number", "entry_number", "no_dir", "label_number"])
+    def test_bad_manifest_names_file_and_entry(self, tmp_path, capsys, edit, message):
+        data = tmp_path / "data"
+        main(["simulate", "--seed", "5", "--out", str(data), *TINY])
+        manifest = data / "manifest.json"
+        manifest.write_text(edit(json.loads(manifest.read_text())))
+        capsys.readouterr()
+        assert main(["track", "--in", str(data), "--out", str(tmp_path / "trk")]) == 1
+        err = capsys.readouterr().err
+        assert f"runtime error: ValueError: {manifest} {message}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "trk").exists()
 
     def test_epoch_timestamps_gesture_dataset(self, tmp_path):
         data, shifted = tmp_path / "data", tmp_path / "shifted"
@@ -595,96 +706,14 @@ def packed_log(tmp_path_factory) -> Path:
     return log
 
 
-TEXT = st.text(st.characters(blacklist_categories=("Cc", "Cs")), max_size=8)
-MALFORMED = TEXT.filter(lambda s: not re.fullmatch(r"[0-9]+:[0-9]+", s))
-
-
-def _parses(kind, text: str) -> bool:
-    try:
-        kind(text)
-    except ValueError:
-        return False
-    return True
-
-
-# a line starting with "#" is a comment line, not a row
-NOT_INT = TEXT.filter(lambda s: not s.startswith("#") and not _parses(int, s))
-NOT_FLOAT = TEXT.filter(lambda s: s and not s.startswith("#") and not _parses(float, s))
-ROW_EDITS = ("short", "int_field", "float_field", "nonfinite", "earlier")
-
-
-@st.composite
-def corruptions(draw):
-    "A kind of damage to a packed log, its parameters, and the CSV row it must be reported at."
-    kind = draw(st.sampled_from(["malformed", "negative", "overflow", "past_eof", "odd",
-                                 "truncated", "missing", *ROW_EDITS]))
-    row = draw(st.integers(2, 25))
-    if kind == "short":
-        return kind, row, draw(st.integers(1, len(CSV_HEADER) - 1))
-    if kind == "int_field":
-        return kind, row, (draw(st.sampled_from(["window_idx", "antenna"])), draw(NOT_INT))
-    if kind == "float_field":
-        return kind, row, (draw(st.sampled_from(["timestamp_s", "rss_dbm", "phase_rad"])),
-                           draw(NOT_FLOAT))
-    if kind == "nonfinite":  # every row of the packed log is a detected read
-        return kind, row, (draw(st.sampled_from(["timestamp_s", "rss_dbm", "phase_rad"])),
-                           draw(st.sampled_from(["nan", "inf", "-inf", "NaN", "-Infinity"])))
-    if kind == "earlier":
-        return kind, max(row, 3), draw(st.floats(1e-6, 1e9))
-    if kind == "malformed":
-        return kind, row, draw(MALFORMED)
-    if kind == "negative":
-        return kind, row, draw(st.sampled_from(["start", "count"]))
-    if kind == "overflow":
-        return kind, row, (draw(st.sampled_from(["start", "count"])), draw(st.integers(64, 200)))
-    if kind in ("past_eof", "odd"):
-        return kind, row, draw(st.integers(1, 50))
-    return kind, None, draw(st.integers(0, 10 ** 6))
-
-
 @settings(max_examples=100, deadline=None)
 @given(case=corruptions())
 def test_corrupt_packed_log_fails_cleanly(packed_log, case):
     "A damaged packed log exits non-zero naming the CSV file and row, without a traceback."
-    kind, row, arg = case
     with tempfile.TemporaryDirectory() as tmp:
         log = Path(tmp) / "log"
         shutil.copytree(packed_log, log)
-        comments, rows = read_csv(log)
-        size = (log / "iq.bin").stat().st_size
-        if kind in ROW_EDITS:
-            if kind == "short":
-                rows[row - 1] = rows[row - 1][:arg]
-            elif kind == "earlier":
-                rows[row - 1][1] = repr(float(rows[row - 2][1]) - arg)
-            else:
-                column, text = arg
-                rows[row - 1][CSV_HEADER.index(column)] = text
-            write_csv(log, comments, rows)
-        elif row is not None:
-            name, start, count = span(rows[row - 1][6])
-            if kind == "malformed":
-                ref = f"{name}@{arg}"
-            elif kind == "negative":
-                ref = f"{name}@-{start}:{count}" if arg == "start" else f"{name}@{start}:-{count}"
-            elif kind == "overflow":
-                field, bits = arg
-                ref = f"{name}@{start + 2 ** bits}:{count}" if field == "start" \
-                    else f"{name}@{start}:{count + 2 ** bits}"
-            elif kind == "past_eof":
-                ref = f"{name}@{size // 8 - count + 2 * arg}:{count}"
-            else:  # odd
-                ref = f"{name}@{start}:{2 * arg - 1}"
-            set_row_path(log, row, ref)
-        elif kind == "truncated":
-            cut = arg % size
-            with open(log / "iq.bin", "r+b") as fh:
-                fh.truncate(cut)
-            ends = [sum(span(r[6])[1:]) for r in rows[1:]]
-            row = 2 if cut % 8 else 2 + next(i for i, end in enumerate(ends) if 8 * end > cut)
-        else:
-            (log / "iq.bin").unlink()
-            row = 2
+        row = corrupt(log, case)
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = main(["track", "--in", str(log), "--out", str(Path(tmp) / "trk")])
@@ -793,7 +822,7 @@ def test_degenerate_channel_names_sample(tracked_dataset, tmp_path, capsys, head
 
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(["short", "long", "not_number"]), row=st.integers(2, 5),
-       field=st.integers(0, 28), text=TEXT.filter(lambda t: not _parses(float, t)))
+       field=st.integers(0, 28), text=TEXT.filter(lambda t: not parses(float, t)))
 def test_corrupt_features_csv_fails_cleanly(tracked_dataset, kind, row, field, text):
     "knn classify exits non-zero naming features.csv and the row."
     with open(tracked_dataset / "features" / "features.csv", newline="") as fh:

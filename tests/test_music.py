@@ -10,9 +10,9 @@ from test_geometry import ScenePose, aoa_from_positions, steering_vector
 from test_simulate import simulate_at
 
 from tagtrack import music
-from tagtrack.geometry import ArrayGeometry, unambiguous_fov
-from tagtrack.music import (default_search_range, eig2_hermitian, estimate_aoa,
-                            music_spectrum, sample_covariance, spectrum_peak)
+from tagtrack.geometry import ArrayGeometry, steering_phase, unambiguous_fov
+from tagtrack.music import (SPECTRUM_FLOOR, default_search_range, eig2_hermitian,
+                            estimate_aoa, music_spectrum, sample_covariance, spectrum_peaks)
 from tagtrack.preprocess import IQWindow
 from tagtrack.simulate import (PathSpec, SASSchedule, SimScene, anechoic_scene,
                                lab_scene, paper_geometry)
@@ -102,6 +102,21 @@ def test_eig2_matches_numpy_reference_bitwise(y, theta):
     assert music_spectrum(theta, eig.u_n, GEO) == music_spectrum(theta, u_n, GEO)
 
 
+def ref_music_spectrum(theta, noise_vec, geometry):
+    "The complex-arithmetic music_spectrum, kept to pin the bits of the peak."
+    phase = steering_phase(np.asarray(theta, dtype=float), geometry)
+    proj = noise_vec[0] + np.exp(-1j * phase) * noise_vec[1]
+    out = 1.0 / np.maximum(np.abs(proj) ** 2, SPECTRUM_FLOOR)
+    return float(out) if np.isscalar(theta) else out
+
+
+def spectrum_peak(m, geometry) -> float:
+    "One measurement's peak, evaluated on its own as the reference for spectrum_peaks."
+    if not m.valid:
+        return math.nan
+    return ref_music_spectrum(m.theta_hat, eig2_hermitian(m.covariance).u_n, geometry)
+
+
 def ref_estimate_aoa(window, geometry, search=None, tx_sequence=None):
     """The eager estimate_aoa, kept to pin the bits of the angle and the peak.
 
@@ -127,9 +142,9 @@ def ref_estimate_aoa(window, geometry, search=None, tx_sequence=None):
         (4.0 * math.pi * geometry.element_spacing_m / geometry.wavelength_m)
     theta = math.asin(sin_theta) if abs(sin_theta) <= 1.0 else math.nan
     if not lo <= theta <= hi:
-        ends = music_spectrum(np.array([lo, hi]), eig.u_n, geometry)
+        ends = ref_music_spectrum(np.array([lo, hi]), eig.u_n, geometry)
         theta = (lo, hi)[int(np.argmax(ends))]
-    return float(theta), music_spectrum(theta, eig.u_n, geometry), window.window_idx, True
+    return float(theta), ref_music_spectrum(theta, eig.u_n, geometry), window.window_idx, True
 
 
 # the paper's array, and one spaced under lambda/4, whose arg R[1, 0] can map
@@ -176,8 +191,21 @@ def test_estimate_aoa_matches_eager_reference_bitwise(case):
     theta, peak, idx, valid = ref_estimate_aoa(window, geometry, search=search, tx_sequence=tx)
     assert (m.window_idx, m.valid) == (idx, valid)
     assert bits(m.theta_hat) == bits(theta)
-    assert bits(spectrum_peak(m, geometry)) == bits(peak)
+    assert bits(spectrum_peaks([m], geometry)[0]) == bits(peak)
     assert (m.covariance is None) == (not valid)
+
+
+@settings(max_examples=100, deadline=None)
+@given(geometry=st.sampled_from(GEOMETRIES),
+       windows=st.lists(st.tuples(snapshot_matrices(), st.booleans()), max_size=24),
+       search=st.none() | st.just((-0.05, 0.05)))
+def test_spectrum_peaks_match_per_window_bitwise(geometry, windows, search):
+    "The peaks of all windows at once are each window's own, bit for bit; NaN when invalid."
+    ms = [estimate_aoa(make_window(y, complete=complete), geometry, search=search)
+          for y, complete in windows]
+    got = spectrum_peaks(ms, geometry)
+    assert got.shape == (len(ms),)
+    assert [bits(p) for p in got.tolist()] == [bits(spectrum_peak(m, geometry)) for m in ms]
 
 
 def test_in_range_window_skips_subspace_work(monkeypatch):
@@ -346,7 +374,7 @@ class TestEstimateAoA:
             assert abs(math.degrees(m.theta_hat - brute)) <= 0.001
             if end is not None:
                 assert m.theta_hat == (lo, hi)[end]
-                assert spectrum_peak(m, GEO) == music_spectrum(m.theta_hat, eig.u_n, GEO)
+                assert spectrum_peaks([m], GEO)[0] == music_spectrum(m.theta_hat, eig.u_n, GEO)
 
     def test_two_tag_independence(self):
         errs = {"-15": [], "-10": []}

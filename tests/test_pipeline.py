@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from logfiles import records
 
 from tagtrack.geometry import unambiguous_fov
 from tagtrack.pipeline import (DatasetSpec, attach_tracks, dtw_experiment,
@@ -31,8 +32,8 @@ class TestSynthesis:
         spec = small_spec()
         _, log_a = synthesize_gesture("SL", GEO, SCHED, spec, seed=[1, 0, 0])
         _, log_b = synthesize_gesture("SL", GEO, SCHED, spec, seed=[1, 0, 0])
-        assert len(log_a.records) == len(log_b.records)
-        for ra, rb in zip(log_a.records, log_b.records):
+        assert len(log_a) == len(log_b)
+        for ra, rb in zip(records(log_a), records(log_b)):
             assert ra.detected == rb.detected
             if ra.detected:
                 np.testing.assert_array_equal(ra.iq, rb.iq)

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logfiles import ReadRecord, from_records, records
+
 from tagtrack.preprocess import split_by_tag, window_segments, windows_by_tag
-from tagtrack.readerlog import ReaderLog, ReadRecord
 from tagtrack.simulate import (PathSpec, SASSchedule, SimScene, anechoic_scene,
                                build_gesture_spec, paper_geometry,
                                simulate_gesture, simulate_log)
@@ -19,6 +20,17 @@ def record(window, tag, antenna, detected=True, n=10, t0=None):
     iq = np.full(n, 1.0 + 0.0j) if detected else None
     return ReadRecord(window, t, tag, antenna, iq, 0.0 if detected else math.nan,
                       0.0 if detected else math.nan, detected)
+
+
+def segments(recs):
+    "window_segments of one tag's records."
+    log = from_records(recs)
+    (rows,) = split_by_tag(log).values()
+    return window_segments(rows, log.iq, log.tag_ids[0])
+
+
+def tag_records(log, tag):
+    return [r for r in records(log) if r.tag_id == tag]
 
 
 def misdetected_log(misdetect_prob=0.3, seed=3):
@@ -54,31 +66,38 @@ def assert_same_windows(a, b):
 
 class TestSplitByTag:
     def test_partition_sizes(self):
-        log = ReaderLog(records=[record(0, "A", 1), record(0, "A", 2),
-                                 record(0, "B", 1, t0=0.5), record(1, "B", 2, t0=1.5)])
+        log = from_records([record(0, "A", 1), record(0, "A", 2),
+                            record(0, "B", 1, t0=0.5), record(1, "B", 2, t0=1.5)])
         streams = split_by_tag(log)
         assert set(streams) == {"A", "B"}
         assert len(streams["A"]) + len(streams["B"]) == 4
 
     def test_empty_log(self):
-        assert split_by_tag(ReaderLog()) == {}
+        assert split_by_tag(from_records([])) == {}
 
     def test_single_tag_identity(self):
         recs = [record(0, "A", 1), record(0, "A", 2)]
-        streams = split_by_tag(ReaderLog(records=recs))
-        assert streams == {"A": recs}
+        streams = split_by_tag(from_records(recs))
+        assert list(streams) == ["A"]
+        assert [(r.window_idx, r.timestamp_s, r.antenna, r.detected) for r in streams["A"]] == \
+            [(r.window_idx, r.timestamp_s, r.antenna, r.detected) for r in recs]
 
     def test_time_order_preserved(self):
         recs = [record(w, "A", a, t0=w + 0.1 * a) for w in range(3) for a in (1, 2)]
-        streams = split_by_tag(ReaderLog(records=recs))
-        times = [r.timestamp_s for r in streams["A"]]
+        streams = split_by_tag(from_records(recs))
+        times = streams["A"].timestamp_s.tolist()
         assert times == sorted(times)
+
+    def test_repeated_row_rejected(self):
+        recs = [record(0, "A", 1), record(0, "A", 2), record(0, "A", 1, t0=0.5)]
+        with pytest.raises(ValueError, match="record 2: repeats window 0, tag A, antenna 1"):
+            split_by_tag(from_records(recs))
 
     def test_unknown_antenna_rejected(self):
         bad = record(0, "A", 1)
         bad.antenna = 3
         with pytest.raises(ValueError, match="antenna"):
-            split_by_tag(ReaderLog(records=[bad]))
+            split_by_tag(from_records([bad]))
 
 
 def single_antenna_windows(records):
@@ -92,30 +111,30 @@ class TestPrune:
 
     def test_single_antenna_window_removed(self):
         recs = [record(0, "A", 1), record(0, "A", 2), record(1, "A", 1)]
-        assert [w.window_idx for w in window_segments(recs)] == [0]
+        assert [w.window_idx for w in segments(recs)] == [0]
 
     def test_complete_window_unchanged(self):
         recs = [record(0, "A", 1), record(0, "A", 2)]
-        assert_windows_match_records(window_segments(recs), recs)
-        assert len(window_segments(recs)) == 1
+        assert_windows_match_records(segments(recs), recs)
+        assert len(segments(recs)) == 1
 
     def test_fully_complete_stream_identity(self):
         recs = [record(w, "A", a) for w in range(4) for a in (1, 2)]
-        assert [w.window_idx for w in window_segments(recs)] == [0, 1, 2, 3]
-        assert_windows_match_records(window_segments(recs), recs)
+        assert [w.window_idx for w in segments(recs)] == [0, 1, 2, 3]
+        assert_windows_match_records(segments(recs), recs)
 
     def test_undetected_row_means_missing(self):
         recs = [record(0, "A", 1), record(0, "A", 2, detected=False)]
-        assert window_segments(recs) == []
-        assert windows_by_tag(ReaderLog(records=recs)) == {}
+        assert segments(recs) == []
+        assert windows_by_tag(from_records(recs)) == {}
 
     def test_idempotent(self):
         # windowing only the rows of the windows kept gives the same windows
         recs = [record(0, "A", 1), record(0, "A", 2), record(1, "A", 2),
                 record(2, "A", 1), record(2, "A", 2, detected=False)]
-        once = window_segments(recs)
+        once = segments(recs)
         kept = {w.window_idx for w in once}
-        again = window_segments([r for r in recs if r.window_idx in kept])
+        again = segments([r for r in recs if r.window_idx in kept])
         assert_same_windows({"A": again}, {"A": once})
 
     def test_removed_rows_are_exactly_single_antenna_windows(self):
@@ -124,7 +143,7 @@ class TestPrune:
         for w in range(20):
             for a in (1, 2):
                 recs.append(record(w, "A", a, detected=bool(rng.random() > 0.3)))
-        windows = window_segments(recs)
+        windows = segments(recs)
         assert_windows_match_records(windows, recs)
         dropped = {r.window_idx for r in recs} - {w.window_idx for w in windows}
         lost = {r.window_idx for r in recs} - {r.window_idx for r in recs if r.detected}
@@ -135,15 +154,16 @@ class TestPrune:
 class TestWindowSegments:
     def test_one_window_per_two_antenna_window_idx(self):
         log = misdetected_log()
-        for tag, records in split_by_tag(log).items():
-            assert single_antenna_windows(records)  # the log exercises single-antenna windows
-            assert_windows_match_records(window_segments(records), records)
+        for tag, rows in split_by_tag(log).items():
+            recs = tag_records(log, tag)
+            assert single_antenna_windows(recs)  # the log exercises single-antenna windows
+            assert_windows_match_records(window_segments(rows, log.iq, tag), recs)
 
     def test_rows_trimmed_and_short_windows_skipped(self):
         recs = [record(0, "A", 1, n=6), record(0, "A", 2, n=4),
                 record(1, "A", 1, n=1), record(1, "A", 2, n=5),
                 record(2, "A", 1, n=3), record(2, "A", 2, detected=False)]
-        windows = window_segments(recs)
+        windows = segments(recs)
         assert [w.window_idx for w in windows] == [0]
         assert windows[0].matrix.shape == (2, 4)
 
@@ -154,7 +174,7 @@ class TestWindowSegments:
                          misdetect_prob=0.3)
         _, log = simulate_gesture(spec, scene, SASSchedule(), rng_seed=3)
         streams = split_by_tag(log)
-        assert sum(len(v) for v in streams.values()) == len(log.records)
+        assert sum(len(v) for v in streams.values()) == len(log)
         windows = windows_by_tag(log)
         for tag, records in streams.items():
             kept = {w.window_idx for w in windows.get(tag, [])}
@@ -169,8 +189,20 @@ class TestWindowSegments:
         scene = anechoic_scene(GEO, 20.0, tag_ids=("tag1", "tag2"), misdetect_prob=(p1, p2))
         angles = [np.full(n_windows, 0.1), np.full(n_windows, -0.2)]
         log = simulate_log(scene, SASSchedule(samples_per_window=8), angles, [seed])
-        for r in log.records:
-            r.timestamp_s += offset_s
-        for records in split_by_tag(log).values():
-            assert_windows_match_records(window_segments(records), records)
+        log.timestamp_s += offset_s
+        for tag, rows in split_by_tag(log).items():
+            assert_windows_match_records(window_segments(rows, log.iq, tag),
+                                         tag_records(log, tag))
+
+    def test_windows_are_rows_of_stacks(self):
+        "Windows are C-contiguous rows of (k, 2, n) copies of the IQ, consecutive in a stack."
+        scene = anechoic_scene(GEO, 20.0, misdetect_prob=0.1)
+        log = simulate_log(scene, SASSchedule(samples_per_window=8), [np.full(150, 0.1)], [3])
+        windows = windows_by_tag(log)["tag1"]
+        stacks = [w.matrix.base for w in windows]
+        assert len(windows) > 100 and len({id(s) for s in stacks}) == -(-len(windows) // 64)
+        for k, w in enumerate(windows):
+            assert w.matrix.flags.c_contiguous and not np.shares_memory(w.matrix, log.iq)
+            assert stacks[k].shape[1:] == (2, 2 * w.matrix.shape[1])
+            assert np.shares_memory(w.matrix, stacks[k][k % 64])
 

@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import re
+import shutil
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -9,18 +11,39 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from logfiles import both_layouts, set_row_blob, set_row_path, unpack_log
+from logfiles import (ReadRecord, both_layouts, corrupt, corruptions, from_records, read_csv,
+                      records, set_row_blob, set_row_path, unpack_log, write_csv)
 
 from tagtrack import readerlog
-from tagtrack.readerlog import (_SPAN, CSV_HEADER, IQ_FILE, ReaderLog, ReadRecord, blob_iq,
-                                read_blob, read_reader_log, write_blob, write_reader_log)
+from tagtrack.cli import main
+from tagtrack.readerlog import (CSV_HEADER, IQ_FILE, ReaderLog, read_blob,
+                                read_reader_log, write_reader_log)
 
 
 # --- reference log I/O ----------------------------------------------------
 # The straightforward per-row forms of write_reader_log and read_reader_log:
-# one np.mean-like sum per row and field, one writerow per row, and one
-# np.isfinite check per row's span.  The library's versions must give the
-# same bytes and the same records, bit for bit.
+# one np.mean-like sum per record and field, one writerow per record, one
+# parse and one np.isfinite check per row.  The library's columnar versions
+# must give the same bytes, the same columns and IQ bits, and the same first
+# error, bit for bit.
+
+def write_blob(fh, iq: np.ndarray) -> int:
+    "Append iq to an open binary file as little-endian f64 I/Q; returns the values written."
+    buf = np.ascontiguousarray(iq, dtype="<c16")
+    fh.write(buf)
+    return 2 * buf.size
+
+
+def blob_iq(raw: np.ndarray, start: int, count: int) -> np.ndarray:
+    "Complex view of count float64 values of raw from start on; a bad span raises ValueError."
+    if count % 2:
+        raise ValueError(f"holds an odd number of floats ({count})")
+    if start < 0 or count < 0 or start + count > raw.size:
+        raise ValueError(f"runs past the end of its file ({raw.size} floats)")
+    iq = raw[start:start + count].view("<c16")
+    if not np.isfinite(iq).all():
+        raise ValueError("holds non-finite IQ values")
+    return iq
 
 def ref_fmt(x: float) -> str:
     return "" if isinstance(x, float) and math.isnan(x) else repr(float(x))
@@ -35,7 +58,8 @@ def ref_iq_means(rec: ReadRecord) -> tuple[float, float]:
 
 
 def ref_write_reader_log(log: ReaderLog, out_dir) -> Path:
-    for i, rec in enumerate(log.records):
+    recs = records(log)
+    for i, rec in enumerate(recs):
         if not rec.detected:
             continue
         where = f"record {i} (window {rec.window_idx}, tag {rec.tag_id}, antenna {rec.antenna})"
@@ -53,7 +77,7 @@ def ref_write_reader_log(log: ReaderLog, out_dir) -> Path:
             fh.write("# " + ",".join(f"{k}={v}" for k, v in sorted(log.meta.items())) + "\n")
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for rec in log.records:
+        for rec in recs:
             blob_rel = ""
             if rec.detected:
                 count = write_blob(iq_fh, rec.iq)
@@ -80,7 +104,7 @@ def ref_row_iq(base: Path, ref: str, blobs: dict[str, np.ndarray]) -> np.ndarray
     name, at, span = ref.rpartition("@")
     if not at:
         name = ref
-    elif not (m := _SPAN.fullmatch(span)):
+    elif not (m := re.fullmatch(r"([0-9]+):([0-9]+)", span)):
         raise ValueError(f"malformed iq_blob_path {ref!r}: expected <file>@<start>:<count>")
     if name not in blobs:
         try:
@@ -100,23 +124,26 @@ def ref_read_reader_log(path) -> ReaderLog:
         base, csv_path = path, path / "readerlog.csv"
     else:
         base, csv_path = path.parent, path
-    records = []
+    recs = []
     seen: set[tuple[int, str, int]] = set()
     blobs: dict[str, np.ndarray] = {}
     last_t = -math.inf
     with open(csv_path, newline="") as fh:
         rows = [ln for ln in fh if not ln.startswith("#")]
     reader = csv.reader(rows)
-    header = next(reader)
+    header = next(reader, None)
     if header != CSV_HEADER:
-        raise ValueError(f"unexpected reader log header: {header}")
+        raise ValueError(f"{csv_path}: unexpected reader log header: {header}")
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
         try:
             if len(row) != len(CSV_HEADER):
                 raise ValueError(f"has {len(row)} columns, expected {len(CSV_HEADER)}")
-            window_idx, antenna = int(row[0]), int(row[3])
+            window_idx = int(row[0])
+            if not -2 ** 63 <= window_idx < 2 ** 63:
+                raise ValueError(f"window_idx {window_idx} is outside 64 bits")
+            antenna = int(row[3])
             if antenna not in (1, 2):
                 raise ValueError(f"antenna must be 1 or 2, got {antenna}")
             key = (window_idx, row[2], antenna)
@@ -133,14 +160,17 @@ def ref_read_reader_log(path) -> ReaderLog:
             last_t = timestamp
             rss = float(row[7]) if row[7] else math.nan
             phase = float(row[8]) if row[8] else math.nan
-            detected = row[9].strip().lower() == "true"
+            detected = {"true": True, "1": True, "false": False, "0": False}.get(
+                row[9].strip().lower())
+            if detected is None:
+                raise ValueError(f"detected {row[9]!r} is not true, false, 1 or 0")
             if detected:
                 if not row[6]:
                     raise ValueError("detected read has no iq_blob_path")
                 if not (math.isfinite(rss) and math.isfinite(phase)):
                     raise ValueError(f"detected read has rss_dbm {row[7]!r} and phase_rad "
                                      f"{row[8]!r}; both must be finite")
-            records.append(ReadRecord(
+            recs.append(ReadRecord(
                 window_idx=window_idx, timestamp_s=timestamp, tag_id=row[2], antenna=antenna,
                 iq=ref_row_iq(base, row[6], blobs) if detected else None,
                 rss_dbm=rss, phase_rad=phase, detected=detected, iq_blob_path=row[6],
@@ -152,21 +182,25 @@ def ref_read_reader_log(path) -> ReaderLog:
     if truth_path.exists():
         truth_deg = json.loads(truth_path.read_text())
         truth = {tag: np.radians(np.asarray(v, dtype=float)) for tag, v in truth_deg.items()}
-    return ReaderLog(records=records, truth=truth)
+    return from_records(recs, truth)
 
 
-def make_log(n_windows=3, tag="tagA"):
+def make_records(n_windows=3, tag="tagA") -> list[ReadRecord]:
     rng = np.random.default_rng(0)
-    records = []
+    recs = []
     for w in range(n_windows):
         for a in (1, 2):
             iq = rng.normal(size=8) + 1j * rng.normal(size=8)
             mean = complex(np.mean(iq))
-            records.append(ReadRecord(w, w * 0.05 + 0.01 * a, tag, a, iq,
-                                      20 * math.log10(abs(mean)),
-                                      math.atan2(mean.imag, mean.real), True))
+            recs.append(ReadRecord(w, w * 0.05 + 0.01 * a, tag, a, iq,
+                                   20 * math.log10(abs(mean)),
+                                   math.atan2(mean.imag, mean.real), True))
+    return recs
+
+
+def make_log(n_windows=3, tag="tagA", recs=None) -> ReaderLog:
     truth = {tag: np.linspace(-0.1, 0.1, n_windows)}
-    return ReaderLog(records=records, truth=truth, meta={"seed": 3})
+    return from_records(recs or make_records(n_windows, tag), truth=truth, meta={"seed": 3})
 
 
 class TestBlobs:
@@ -208,8 +242,8 @@ class TestReaderLogIO:
         log = make_log()
         write_reader_log(log, tmp_path)
         back = read_reader_log(tmp_path)
-        assert len(back.records) == len(log.records)
-        for ra, rb in zip(log.records, back.records):
+        assert len(back) == len(log)
+        for ra, rb in zip(records(log), records(back)):
             np.testing.assert_array_equal(ra.iq, rb.iq)
             assert ra.rss_dbm == rb.rss_dbm  # repr() round-trips exactly
             assert ra.phase_rad == rb.phase_rad
@@ -236,37 +270,38 @@ class TestReaderLogIO:
 
     def test_bad_header_rejected(self, tmp_path):
         (tmp_path / "readerlog.csv").write_text("a,b,c\n")
-        with pytest.raises(ValueError, match="header"):
+        with pytest.raises(ValueError, match=rf"{tmp_path}/readerlog\.csv: unexpected reader "
+                                             rf"log header: \['a', 'b', 'c'\]"):
             read_reader_log(tmp_path)
 
     def test_timestamps_must_be_ordered(self):
         records = [ReadRecord(0, 1.0, "t", 1, np.ones(2, complex), 0.0, 0.0, True),
                    ReadRecord(1, 0.5, "t", 1, np.ones(2, complex), 0.0, 0.0, True)]
         with pytest.raises(ValueError, match="non-decreasing"):
-            ReaderLog(records=records).validate()
+            from_records(records).validate()
         records[1].timestamp_s = math.nan   # NaN compares false, so it is checked on its own
         with pytest.raises(ValueError, match="record 1: timestamps must be finite"):
-            ReaderLog(records=records).validate()
+            from_records(records).validate()
 
     def test_undetected_record_has_no_blob(self, tmp_path):
-        log = make_log(n_windows=1)
-        log.records.append(ReadRecord(1, 1.0, "tagA", 1, None, math.nan, math.nan, False))
-        log.records.append(ReadRecord(1, 1.01, "tagA", 2, None, math.nan, math.nan, False))
-        write_reader_log(log, tmp_path)
-        back = read_reader_log(tmp_path)
-        undetected = [r for r in back.records if not r.detected]
+        recs = make_records(n_windows=1)
+        recs.append(ReadRecord(1, 1.0, "tagA", 1, None, math.nan, math.nan, False))
+        recs.append(ReadRecord(1, 1.01, "tagA", 2, None, math.nan, math.nan, False))
+        write_reader_log(make_log(n_windows=1, recs=recs), tmp_path)
+        undetected = [r for r in records(read_reader_log(tmp_path)) if not r.detected]
         assert len(undetected) == 2
-        assert all(r.iq is None and r.iq_blob_path == "" for r in undetected)
+        assert all(r.iq is None for r in undetected)
+        assert [row[6] for row in read_csv(tmp_path)[1][-2:]] == ["", ""]
 
     def test_packed_layout(self, tmp_path):
         log = make_log()
         write_reader_log(log, tmp_path)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["iq.bin", "readerlog.csv",
                                                               "truth.json"]
-        assert [r.iq_blob_path for r in log.records[:3]] == [
+        assert [row[6] for row in read_csv(tmp_path)[1][1:4]] == [
             "iq.bin@0:16", "iq.bin@16:16", "iq.bin@32:16"]
         raw = np.frombuffer((tmp_path / "iq.bin").read_bytes(), dtype="<f8")
-        np.testing.assert_array_equal(raw[16:32:2], log.records[1].iq.real)
+        np.testing.assert_array_equal(raw[16:32:2], records(log)[1].iq.real)
 
     def test_detected_row_without_blob_reports_row(self, tmp_path):
         write_reader_log(make_log(), tmp_path / "log")
@@ -278,8 +313,9 @@ class TestReaderLogIO:
 
     @pytest.mark.parametrize("iq", [None, np.empty(0, complex)], ids=["missing", "empty"])
     def test_detected_record_without_iq_rejected_before_writing(self, tmp_path, iq):
-        log = make_log()
-        log.records[3].iq = iq
+        recs = make_records()
+        recs[3].iq = iq
+        log = make_log(recs=recs)
         with pytest.raises(ValueError, match=r"record 3 \(window 1, tag tagA, antenna 2\) "
                                              r"is detected but has no IQ"):
             write_reader_log(log, tmp_path / "log")
@@ -289,8 +325,9 @@ class TestReaderLogIO:
                                               ("rss_dbm", -math.inf)])
     def test_detected_record_with_nonfinite_level_rejected_before_writing(self, tmp_path,
                                                                         field, value):
-        log = make_log()
-        setattr(log.records[3], field, value)
+        recs = make_records()
+        setattr(recs[3], field, value)
+        log = make_log(recs=recs)
         with pytest.raises(ValueError, match=r"record 3 \(window 1, tag tagA, antenna 2\) "
                                              r"is detected but has rss_dbm .* must be finite"):
             write_reader_log(log, tmp_path / "log")
@@ -367,7 +404,7 @@ def reader_logs(draw, long_rows=False):
                                    st.sampled_from((1, 2))), max_size=12, unique=True))
     times = sorted(draw(st.lists(st.floats(-2e9, 2e9), min_size=len(keys),
                                  max_size=len(keys))))
-    records = []
+    recs = []
     for (window, tag, antenna), t in zip(keys, times):
         iq = None
         if (detected := draw(st.booleans())) and long_rows:
@@ -378,11 +415,10 @@ def reader_logs(draw, long_rows=False):
             iq.real = draw(st.lists(FINITE, min_size=n, max_size=n))
             iq.imag = draw(st.lists(FINITE, min_size=n, max_size=n))
         level = ANY_FINITE if detected else MAYBE_NAN
-        records.append(ReadRecord(window, t, tag, antenna, iq, draw(level), draw(level),
-                                  detected))
+        recs.append(ReadRecord(window, t, tag, antenna, iq, draw(level), draw(level), detected))
     truth = draw(st.none() | st.fixed_dictionaries(
         {tag: st.lists(st.floats(-1.5, 1.5), max_size=5).map(np.array) for tag in tags}))
-    return ReaderLog(records=records, truth=truth, meta={"seed": 1})
+    return from_records(recs, truth=truth, meta={"seed": 1})
 
 
 def same_float(a: float, b: float) -> bool:
@@ -397,17 +433,17 @@ def test_write_read_is_identity(log):
     with tempfile.TemporaryDirectory() as tmp:
         write_reader_log(log, tmp)
         back = read_reader_log(tmp)
-        assert (Path(tmp) / "iq.bin").exists() == any(r.detected for r in log.records)
-    assert len(back.records) == len(log.records)
-    for ra, rb in zip(log.records, back.records):
-        assert (ra.window_idx, ra.tag_id, ra.antenna, ra.detected, ra.iq_blob_path) == \
-            (rb.window_idx, rb.tag_id, rb.antenna, rb.detected, rb.iq_blob_path)
+        assert (Path(tmp) / "iq.bin").exists() == log.detected.any()
+    assert len(back) == len(log) and back.tag_ids == log.tag_ids
+    for ra, rb in zip(records(log), records(back)):
+        assert (ra.window_idx, ra.tag_id, ra.antenna, ra.detected) == \
+            (rb.window_idx, rb.tag_id, rb.antenna, rb.detected)
         assert same_float(ra.timestamp_s, rb.timestamp_s)
         assert same_float(ra.rss_dbm, rb.rss_dbm) and same_float(ra.phase_rad, rb.phase_rad)
         if ra.detected:
             assert rb.iq.dtype == np.complex128 and rb.iq.tobytes() == ra.iq.tobytes()
         else:
-            assert rb.iq is None and rb.iq_blob_path == ""
+            assert rb.iq is None
     if log.truth is None:
         assert back.truth is None
     else:
@@ -426,11 +462,11 @@ def assert_same_files(a: Path, b: Path):
 
 
 def assert_same_records(got: ReaderLog, want: ReaderLog):
-    "Field by field, IQ bits and dtype included."
-    assert len(got.records) == len(want.records)
-    for rg, rw in zip(got.records, want.records):
-        assert (rg.window_idx, rg.tag_id, rg.antenna, rg.detected, rg.iq_blob_path) == \
-            (rw.window_idx, rw.tag_id, rw.antenna, rw.detected, rw.iq_blob_path)
+    "Row by row, IQ bits and dtype included."
+    assert len(got) == len(want) and got.tag_ids == want.tag_ids
+    for rg, rw in zip(records(got), records(want)):
+        assert (rg.window_idx, rg.tag_id, rg.antenna, rg.detected) == \
+            (rw.window_idx, rw.tag_id, rw.antenna, rw.detected)
         for field in ("timestamp_s", "rss_dbm", "phase_rad"):
             assert same_float(getattr(rg, field), getattr(rw, field))
         if rw.iq is None:
@@ -454,20 +490,10 @@ def test_writer_matches_reference(log, batch):
         assert_same_files(Path(tmp) / "new", Path(tmp) / "ref")
 
 
-def test_writer_matches_reference_mixed_dtypes(tmp_path):
-    "complex64 rows keep their float32 sums beside complex128 rows of the same length."
-    log = make_log(n_windows=4)
-    for rec in log.records[::3]:
-        rec.iq = rec.iq.astype(np.complex64)
-    ref_write_reader_log(log, tmp_path / "ref")
-    write_reader_log(log, tmp_path / "new")
-    assert_same_files(tmp_path / "new", tmp_path / "ref")
-
-
 @settings(max_examples=60, deadline=None)
 @given(log=ANY_LOG)
 def test_reader_matches_reference(log):
-    "Both layouts read into the per-row reader's records, bit for bit."
+    "Both layouts, packed and per-row blobs, read into the per-row reader's columns, bit for bit."
     with tempfile.TemporaryDirectory() as tmp:
         packed = Path(tmp) / "log"
         with np.errstate(over="ignore", invalid="ignore"):  # i_mean of rows near 1e308
@@ -476,9 +502,85 @@ def test_reader_matches_reference(log):
             assert_same_records(read_reader_log(log_dir), ref_read_reader_log(log_dir))
 
 
+@pytest.mark.parametrize("end", ["\r\n", "\r", "\n"], ids=["crlf", "cr", "lf"])
+@pytest.mark.parametrize("tag", ["tagA", 'ta"g', "t,ag"], ids=["plain", "quote", "comma"])
+def test_line_ends_blank_lines_and_quoting_read_as_csv(tmp_path, end, tag):
+    "Logs with and without quoted fields read as csv.reader reads them, blank lines skipped."
+    write_reader_log(make_log(tag=tag), tmp_path)
+    lines = (tmp_path / "readerlog.csv").read_text().splitlines()
+    lines[3:3] = ["", ""]
+    (tmp_path / "readerlog.csv").write_bytes((end.join(lines) + end).encode())
+    back = read_reader_log(tmp_path)
+    assert_same_records(back, ref_read_reader_log(tmp_path))
+    assert back.tag_ids == [tag] and len(back) == 6
+
+
 def test_nonfinite_value_outside_every_span_parses(tmp_path):
     "A blob file is checked as a whole, then per row only where it holds a non-finite value."
     write_reader_log(make_log(), tmp_path)
     with open(tmp_path / "iq.bin", "ab") as fh:
         fh.write(np.array([np.nan, np.inf, -np.inf, 0.0]).tobytes())
     assert_same_records(read_reader_log(tmp_path), ref_read_reader_log(tmp_path))
+
+
+@pytest.fixture(scope="module")
+def fixed_log(tmp_path_factory) -> Path:
+    "A fixed-tag log whose 32 rows (8 windows x 2 tags x 2 antennas) are all detected."
+    log = tmp_path_factory.mktemp("fuzz") / "log"
+    assert main(["simulate", "--seed", "2", "--out", str(log), "--set", "scene.mode=\"fixed\"",
+                 "--set", "scene.misdetect_prob=0.0", "--set", "scene.windows=8"]) == 0
+    return log
+
+
+def first_error(read, log_dir) -> str:
+    with pytest.raises(ValueError) as e:
+        read(log_dir)
+    return str(e.value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=corruptions())
+def test_reader_errors_match_reference(fixed_log, case):
+    "A damaged log fails with the per-row reader's first error, naming the same row."
+    with tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp) / "log"
+        shutil.copytree(fixed_log, log)
+        row = corrupt(log, case)
+        message = first_error(read_reader_log, log)
+        assert message == first_error(ref_read_reader_log, log)
+    assert message.startswith(f"{log / 'readerlog.csv'} row {row}: ")
+
+
+@pytest.mark.parametrize("edits", [
+    {3: (0, "x"), 5: (1, "nan")}, {4: (9, "yes"), 3: (7, "inf")}, {2: (6, "iq.bin@1:2:3")},
+    {6: (0, str(2 ** 64)), 7: (3, "3")}, {3: (6, "")}, {5: (6, "blobs/none.bin")},
+], ids=["int_then_float", "levels_before_detected", "malformed", "window_64_bits",
+        "no_path", "missing_file"])
+def test_reader_reports_first_of_several_errors(fixed_log, tmp_path, edits):
+    "With several bad rows the first is reported, with its first bad field, as row by row."
+    log = tmp_path / "log"
+    shutil.copytree(fixed_log, log)
+    comments, rows = read_csv(log)
+    for row, (column, text) in edits.items():
+        rows[row - 1][column] = text
+    write_csv(log, comments, rows)
+    message = first_error(read_reader_log, log)
+    assert message == first_error(ref_read_reader_log, log)
+    assert message.startswith(f"{log / 'readerlog.csv'} row {min(edits)}: ")
+
+
+@pytest.mark.parametrize("ref", ["iq.bin@0:0015", "iq.bin@0016:16", "iq.bin@00:" + "9" * 23,
+                                 "iq.bin@" + "1" * 19 + ":16", "iq.bin@1:16", "iq.bin@96:16x",
+                                 "iq.bin@@96:16", "iq.bin"],
+                         ids=["odd_leading_zeros", "leading_zeros", "huge_count", "huge_start",
+                              "odd_start", "malformed", "double_at", "bare"])
+def test_span_texts_read_as_reference(tmp_path, ref):
+    "Span numbers of any length and spelling give the per-row reader's result or error."
+    write_reader_log(make_log(), tmp_path)
+    set_row_path(tmp_path, 3, ref)
+    try:
+        got = read_reader_log(tmp_path)
+    except ValueError as e:
+        assert str(e) == first_error(ref_read_reader_log, tmp_path)
+    else:
+        assert_same_records(got, ref_read_reader_log(tmp_path))

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from logfiles import ReadRecord, from_records, records
 from test_geometry import steering_vector
 
 from tagtrack.geometry import steering_phase, unambiguous_fov
 from tagtrack.preprocess import IQWindow
-from tagtrack.readerlog import ReaderLog, ReadRecord, read_reader_log, write_reader_log
+from tagtrack.readerlog import read_reader_log, write_reader_log
 from tagtrack.simulate import (GESTURE_CLASSES, GestureSpec, OutOfFovError,
                                PathSpec, SASSchedule, SimScene, TagTrajectory,
                                anechoic_scene, build_gesture_spec,
@@ -114,7 +115,7 @@ def ref_simulate_log(scene, schedule, angles, rng_seed):
                     records.append(ReadRecord(t, t_row, tag, m, None, math.nan, math.nan, False))
     records.sort(key=lambda r: r.timestamp_s)
     truth = {tag: np.array(a, dtype=float) for tag, a in zip(tag_ids, angles)}
-    return ReaderLog(records=records, truth=truth).validate()
+    return from_records(records, truth=truth).validate()
 
 
 def simulate_at(scene, schedule, true_aoa_per_tag, rng_seed, window_idx=0):
@@ -136,8 +137,8 @@ def assert_same_windows(got, want):
 
 
 def assert_same_logs(got, want):
-    assert len(got.records) == len(want.records)
-    for a, b in zip(got.records, want.records):
+    assert len(got) == len(want) and got.tag_ids == want.tag_ids
+    for a, b in zip(records(got), records(want)):
         assert (a.window_idx, bits(a.timestamp_s), a.tag_id, a.antenna, a.detected) == \
             (b.window_idx, bits(b.timestamp_s), b.tag_id, b.antenna, b.detected)
         assert (bits(a.rss_dbm), bits(a.phase_rad)) == (bits(b.rss_dbm), bits(b.phase_rad))
@@ -395,8 +396,8 @@ class TestSimulateGesture:
         scene = self._scene(misdetect_prob=0.2, noise_var=0.01)
         _, log_a = simulate_gesture(spec, scene, SASSchedule(), rng_seed=9)
         _, log_b = simulate_gesture(spec, scene, SASSchedule(), rng_seed=9)
-        mask_a = [(r.window_idx, r.tag_id, r.antenna, r.detected) for r in log_a.records]
-        mask_b = [(r.window_idx, r.tag_id, r.antenna, r.detected) for r in log_b.records]
+        mask_a = [(r.window_idx, r.tag_id, r.antenna, r.detected) for r in records(log_a)]
+        mask_b = [(r.window_idx, r.tag_id, r.antenna, r.detected) for r in records(log_b)]
         assert mask_a == mask_b
 
     def test_two_tags_present_in_log(self):
@@ -416,8 +417,8 @@ class TestSimulateGesture:
         _, log = simulate_gesture(spec, scene, SASSchedule(), rng_seed=4)
         write_reader_log(log, tmp_path)
         back = read_reader_log(tmp_path)
-        assert len(back.records) == len(log.records)
-        for ra, rb in zip(log.records, back.records):
+        assert len(back) == len(log)
+        for ra, rb in zip(records(log), records(back)):
             assert (ra.window_idx, ra.tag_id, ra.antenna, ra.detected) == \
                    (rb.window_idx, rb.tag_id, rb.antenna, rb.detected)
             if ra.detected:

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from logfiles import ReadRecord, from_records
 from test_simulate import simulate_at
 
 from tagtrack.pipeline import DatasetSpec, synthesize_gesture, tracking_rmse
-from tagtrack.readerlog import ReaderLog
 from tagtrack.simulate import (SASSchedule, anechoic_scene, lab_scene, paper_geometry,
                                simulate_log)
 from tagtrack.tracking import KalmanConfig, filter_sequence, rts_smooth, track_aoa
@@ -319,7 +319,7 @@ class TestRtsSmooth:
 
 class TestTrackAoA:
     def test_empty_log(self):
-        assert track_aoa(ReaderLog(), GEO) == {}
+        assert track_aoa(from_records([]), GEO) == {}
 
     def test_smoothed_beats_raw_on_gestures(self):
         sched = SASSchedule()
@@ -336,7 +336,6 @@ class TestTrackAoA:
     def test_zero_motion_variance_reduction(self):
         sched = SASSchedule()
         stds = {"raw": [], "smoothed": []}
-        from tagtrack.readerlog import ReadRecord
         for seed in range(20):
             rng = np.random.default_rng([41, seed])
             scene = lab_scene(GEO, 20.0, rng)
@@ -349,7 +348,7 @@ class TestTrackAoA:
                     records.append(ReadRecord(t, t_row, "tag1", m, w.matrix[m - 1],
                                               0.0, 0.0, True))
             records.sort(key=lambda r: r.timestamp_s)
-            log = ReaderLog(records=records)
+            log = from_records(records)
             track = track_aoa(log, GEO)["tag1"]
             stds["raw"].append(np.nanstd(track.z))
             stds["smoothed"].append(np.std(track.smoothed_series()))
@@ -372,10 +371,9 @@ class TestTrackAoA:
         # a reader counter that does not start at 0, and window 103 read on one antenna
         sched = SASSchedule()
         log = simulate_log(anechoic_scene(GEO, 20.0), sched, [np.full(6, 0.1)], [44])
-        for r in log.records:
-            r.window_idx += 100
-            if r.window_idx == 103 and r.antenna == 2:
-                r.detected, r.iq = False, None
+        log.window_idx += 100
+        lost = (log.window_idx == 103) & (log.antenna == 2)
+        log.detected[lost], log.count[lost] = False, 0
         track = track_aoa(log, GEO)["tag1"]
         assert track.first_window == 100 and track.n_windows == 6
         assert track.valid.tolist() == [True, True, True, False, True, True]
@@ -387,7 +385,7 @@ class TestTrackAoA:
         log = simulate_log(anechoic_scene(GEO, 20.0), SASSchedule(), [np.full(1, 0.1)], [45])
         track = track_aoa(log, GEO)["tag1"]
         assert track.n_windows == 1 and track.dt == 1.0
-        times = [r.timestamp_s for r in log.records]
+        times = log.timestamp_s.tolist()
         assert track.midpoint_s.tolist() == [0.5 * (times[0] + times[1])]
 
 
@@ -400,8 +398,7 @@ def test_track_unchanged_under_time_shift(seed, offset_s, p, windows):
                       misdetect_prob=p)
     angles = [np.linspace(-0.2, 0.2, windows), np.full(windows, 0.1)]
     log = simulate_log(scene, SASSchedule(), angles, [47, seed])
-    shifted = ReaderLog(records=[replace(r, timestamp_s=r.timestamp_s + offset_s)
-                                 for r in log.records], truth=log.truth)
+    shifted = replace(log, timestamp_s=log.timestamp_s + offset_s)
     plain, moved = track_aoa(log, GEO), track_aoa(shifted, GEO)
     assert list(plain) == list(moved)
     for tag, a in plain.items():
