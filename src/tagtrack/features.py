@@ -132,13 +132,8 @@ def _stack_statistics(m: np.ndarray) -> tuple[np.ndarray, list[float]]:
 
 # --- Daubechies wavelet filterbank ------------------------------------------
 
-def _qmf(h: np.ndarray) -> np.ndarray:
-    "Wavelet (highpass) filter paired with scaling filter h."
-    return ((-1.0) ** np.arange(h.size)) * h[::-1]
-
-
-def dwt_single(x: np.ndarray, h: np.ndarray):
-    """One analysis level; returns (approximation, detail) coefficients.
+def dwt_single(x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """One analysis level's approximation coefficients.
 
     Half-sample symmetric extension, output length floor((n + len(h) - 1) / 2).
     """
@@ -148,7 +143,7 @@ def dwt_single(x: np.ndarray, h: np.ndarray):
         raise ValueError(f"series length {n} is shorter than the filter ({L})")
     ext = np.r_[x[:L - 1][::-1], x, x[:-L - 1:-1]]
     pos = 2 * np.arange((n + L - 1) // 2)[:, None] + 1 + np.arange(L)[None, :]
-    return ext[pos] @ h, ext[pos] @ _qmf(h)
+    return ext[pos] @ h
 
 
 def dwt_coeffs(values: np.ndarray) -> np.ndarray:
@@ -156,7 +151,7 @@ def dwt_coeffs(values: np.ndarray) -> np.ndarray:
     h = np.array(WAVELET_LOWPASS)
     ca = np.asarray(values, dtype=float)
     for _ in range(WAVELET_LEVELS):
-        ca, _ = dwt_single(ca, h)
+        ca = dwt_single(ca, h)
     return ca
 
 
@@ -183,18 +178,12 @@ def unwrap_valid(phase: np.ndarray) -> np.ndarray:
     return v
 
 
-def resample_linear(values: np.ndarray, n: int) -> np.ndarray:
-    "Linear resampling onto an n-point grid over the same support."
+def prepare_channel(kind: str, values: np.ndarray, n_windows: int) -> np.ndarray:
+    "Impute a channel of ``n_windows`` values, unwrapping phase first."
     v = np.asarray(values, dtype=float)
-    if v.size == n:
-        return v
-    return np.interp(np.linspace(0.0, 1.0, n), np.linspace(0.0, 1.0, v.size), v)
-
-
-def prepare_channel(kind: str, values: np.ndarray, target_len: int) -> np.ndarray:
-    "Impute (unwrapping phase first) and align a channel to the AoA grid."
-    v = unwrap_valid(values) if kind == "phase" else np.asarray(values, dtype=float)
-    return resample_linear(impute_linear(v), target_len)
+    if v.size != n_windows:
+        raise ValueError(f"channel {kind!r} has {v.size} values, not n_windows = {n_windows}")
+    return impute_linear(unwrap_valid(v) if kind == "phase" else v)
 
 
 # --- feature configurations -------------------------------------------------
@@ -255,7 +244,10 @@ def assemble_features(sample, config: FeatureConfig | str,
                 raise ConfigMismatchError(
                     f"config {config.name} needs channel {kind!r} for tag {tag!r}")
             names.append((tag, kind))
-            series.append(prepare_channel(kind, raw, sample.n_windows))
+            try:
+                series.append(prepare_channel(kind, raw, sample.n_windows))
+            except ValueError as e:
+                raise ValueError(f"tag {tag!r}: {e}") from e
     stats, corr = _stack_statistics(np.array(series))
     pieces: list[np.ndarray] = []
     layout: list[str] = []

@@ -37,23 +37,21 @@ class Eig2:
 
 @dataclass
 class AoAMeasurement:
-    """One window's AoA estimate; invalid when the window was incomplete.
+    """One window's AoA estimate.
 
-    ``covariance`` is the window's 2x2 snapshot covariance (None when
-    invalid), kept for ``spectrum_peaks``.
+    ``covariance`` is the window's 2x2 snapshot covariance, kept for
+    ``spectrum_peaks``.  ``valid`` is always True, and not a field: a window
+    that yields no angle raises in ``estimate_aoa`` instead.
     """
 
     theta_hat: float
     window_idx: int
-    valid: bool
-    covariance: np.ndarray | None
+    covariance: np.ndarray
+    valid = True
 
 
 def sample_covariance(window: IQWindow) -> np.ndarray:
-    "Snapshot covariance Y Y^H / n (2x2) of a complete window (n >= 2 snapshots)."
-    if not window.complete:
-        raise ValueError("sample covariance needs both antenna rows; "
-                         "incomplete windows become missing measurements")
+    "Snapshot covariance Y Y^H / n (2x2) of a window (n >= 2 snapshots)."
     y = window.matrix
     n = y.shape[1]
     if n < 2:
@@ -153,7 +151,10 @@ def estimate_aoa(window: IQWindow, geometry: ArrayGeometry,
 
     ``tx_sequence`` (2 x n) divides out a known non-constant transmit
     sequence before the covariance, the reader knowing its own signal.
-    Incomplete windows return an invalid measurement rather than raising.
+    Every snapshot of both rows enters R[1, 0], so a window holding a NaN or
+    infinite IQ value (such as a NaN-filled lost row) has no finite R[1, 0]
+    and raises ValueError naming its tag and window; numpy may first warn of
+    the invalid value that an infinite one makes in the product.
     """
     if search is None:
         search = default_search_range(geometry)
@@ -163,13 +164,14 @@ def estimate_aoa(window: IQWindow, geometry: ArrayGeometry,
         raise ValueError("search range must satisfy theta_min < theta_max")
     if abs(lo) > fov or abs(hi) > fov:
         raise ValueError("search range must lie within the unambiguous field of view")
-    if not window.complete:
-        return AoAMeasurement(math.nan, window.window_idx, False, None)
     w = window
     if tx_sequence is not None:
         w = IQWindow(window.tag_id, window.window_idx, window.matrix / tx_sequence,
-                     window.midpoint_time_s, window.complete)
+                     window.midpoint_time_s)
     cov = sample_covariance(w)
+    if not cmath.isfinite(cov[1, 0]):
+        raise ValueError(f"tag {window.tag_id!r} window {window.window_idx}: snapshot "
+                         "covariance is not finite (a NaN or infinite IQ value)")
     sin_theta = cmath.phase(cov[1, 0]) / \
         (4.0 * math.pi * geometry.element_spacing_m / geometry.wavelength_m)
     # spacings below lambda/4 can put the phase past sin = +-1: no angle, NaN
@@ -177,20 +179,17 @@ def estimate_aoa(window: IQWindow, geometry: ArrayGeometry,
     if not lo <= theta <= hi:
         ends = music_spectrum(np.array([lo, hi]), eig2_hermitian(cov).u_n, geometry)
         theta = (lo, hi)[int(np.argmax(ends))]
-    return AoAMeasurement(float(theta), window.window_idx, True, cov)
+    return AoAMeasurement(float(theta), window.window_idx, cov)
 
 
 def spectrum_peaks(measurements: list[AoAMeasurement], geometry: ArrayGeometry) -> np.ndarray:
-    """Pseudospectrum of each measurement's window at its angle; NaN when invalid.
+    """Pseudospectrum of each measurement's window at its angle.
 
-    One eigendecomposition and one spectrum evaluation over all valid
-    windows, with the bits of ``music_spectrum(m.theta_hat,
+    One eigendecomposition and one spectrum evaluation over all windows,
+    with the bits of ``music_spectrum(m.theta_hat,
     eig2_hermitian(m.covariance).u_n, geometry)`` per window.
     """
-    out = np.full(len(measurements), np.nan)
-    valid = [k for k, m in enumerate(measurements) if m.valid]
-    if valid:
-        u_n = _eig2_stack(np.array([measurements[k].covariance for k in valid]))[3]
-        out[valid] = music_spectrum(np.array([measurements[k].theta_hat for k in valid]),
-                                    u_n, geometry)
-    return out
+    if not measurements:
+        return np.empty(0)
+    u_n = _eig2_stack(np.array([m.covariance for m in measurements]))[3]
+    return music_spectrum(np.array([m.theta_hat for m in measurements]), u_n, geometry)

@@ -8,7 +8,6 @@ parses arguments and writes artifacts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,28 +165,3 @@ def dtw_experiment(samples: list[GestureSample], channel: str, split_seed: int =
     preds = [dtw_1nn_classify(train, bundles[i]) for i in test_idx]
     return evaluate(preds, [labels[i] for i in test_idx], classes)
 
-
-def tracking_rmse(log: ReaderLog, geometry: ArrayGeometry,
-                  kalman: KalmanConfig | None = None,
-                  schedule: SASSchedule | None = None) -> dict[str, dict[str, float]]:
-    """Raw / filtered / smoothed RMSE vs ground truth per tag (radians).
-
-    Only windows with a raw measurement enter the raw RMSE; filtered and
-    smoothed RMSEs cover every tracked window with ground truth.
-    """
-    tracks = track_aoa(log, geometry, kalman=kalman, schedule=schedule)
-    out = {}
-    for tag, track in tracks.items():
-        truth = truth_on_track(track, log.truth[tag], log.first_window)
-        keep = np.isfinite(truth)
-        truth = truth[keep]
-        raw = track.z[keep]
-        filt = track.filtered_series()[keep]
-        smooth = track.smoothed_series()[keep]
-        ok = np.isfinite(raw)
-        out[tag] = {
-            "raw": float(np.sqrt(np.mean((raw[ok] - truth[ok]) ** 2))) if ok.any() else math.nan,
-            "filtered": float(np.sqrt(np.mean((filt - truth) ** 2))),
-            "smoothed": float(np.sqrt(np.mean((smooth - truth) ** 2))),
-        }
-    return out

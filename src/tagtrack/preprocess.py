@@ -20,8 +20,8 @@ from .readerlog import ReaderLog
 class IQWindow:
     """One tag's 2 x n complex snapshot matrix over one acquisition window.
 
-    Row m holds antenna m's snapshots.  A missing antenna row is NaN-filled
-    and clears the ``complete`` flag.  ``window_idx`` is the acquisition
+    Row m holds antenna m's snapshots; ``simulate_window`` NaN-fills the row
+    of an antenna that lost the read.  ``window_idx`` is the acquisition
     window's index in the reader log.
     """
 
@@ -29,7 +29,6 @@ class IQWindow:
     window_idx: int
     matrix: np.ndarray
     midpoint_time_s: float
-    complete: bool
 
 
 # windows gathered per stack: small stacks keep to the heap, as per-window copies
@@ -83,7 +82,7 @@ def window_segments(rows: np.recarray, iq: np.ndarray, tag_id: str) -> list[IQWi
             for k, matrix in zip(part.tolist(), stack):
                 matrices[k] = matrix
     midpoints = 0.5 * (time[pair[:, 0]] + time[pair[:, 1]])
-    return [IQWindow(tag_id, idx, matrix, t, True)
+    return [IQWindow(tag_id, idx, matrix, t)
             for idx, matrix, t in zip(window[pair[:, 0]].tolist(), matrices, midpoints.tolist())]
 
 

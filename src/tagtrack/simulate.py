@@ -228,7 +228,7 @@ def simulate_window(scene: SimScene, schedule: SASSchedule, steering: np.ndarray
             if missing[m]:
                 matrix[m] = np.nan
         out.append(IQWindow(tag_id=tag_id, window_idx=window_idx, matrix=matrix,
-                            midpoint_time_s=mid_t, complete=not any(missing)))
+                            midpoint_time_s=mid_t))
     return out
 
 
@@ -478,12 +478,6 @@ def simulate_gesture(spec: GestureSpec, scene: SimScene, schedule: SASSchedule,
 
 GAIN_JITTER_DB = 1.0     # gesture_scene's per-sample tag level draw, +- dB
 PHASE_JITTER_RAD = 0.4   # gesture_scene's per-sample tag phase draw, +- rad
-
-def paper_geometry() -> ArrayGeometry:
-    "865.7 MHz carrier with 0.8-wavelength element spacing."
-    from .geometry import SPEED_OF_LIGHT
-    lam = SPEED_OF_LIGHT / 865.7e6
-    return ArrayGeometry(865.7e6, 0.8 * lam)
 
 
 def los_paths() -> list[PathSpec]:

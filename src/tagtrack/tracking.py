@@ -1,7 +1,7 @@
 """Constant-rate Kalman filtering and RTS smoothing of per-window AoA measurements.
 
 State is [angle, angular rate]; dynamics x_t = F x_{t-1} + w with
-F = [[1, dt], [0, 1]], measurements z_t = angle + v.  Windows without a valid
+F = [[1, dt], [0, 1]], measurements z_t = angle + v.  Windows without a
 measurement skip the update step (posterior := prior), and the smoother runs
 the standard backward recursion over the stored forward sequences.
 """
@@ -46,14 +46,6 @@ class KalmanConfig:
             raise ValueError("process noise stds must be >= 0")
         if self.sigma_v <= 0:
             raise ValueError("sigma_v must be > 0")
-
-    @property
-    def f_matrix(self) -> np.ndarray:
-        return np.array([[1.0, self.dt], [0.0, 1.0]])
-
-    @property
-    def q_matrix(self) -> np.ndarray:
-        return np.diag([self.sigma_theta ** 2, self.sigma_omega ** 2])
 
 
 def _flat(a: np.ndarray) -> memoryview:
@@ -233,8 +225,7 @@ def track_aoa(log: ReaderLog, geometry: ArrayGeometry,
         span = last.window_idx - first.window_idx
         z = np.full(span + 1, np.nan)
         for m in meas:
-            if m.valid:
-                z[m.window_idx - first.window_idx] = m.theta_hat
+            z[m.window_idx - first.window_idx] = m.theta_hat
         dt = (last.midpoint_time_s - first.midpoint_time_s) / span if span else 0.0
         base = kalman or KalmanConfig()
         cfg = replace(base, dt=base.dt if base.dt is not None else (dt if dt > 0 else 1.0))

@@ -12,7 +12,9 @@ import time
 from pathlib import Path
 
 import numpy as np
+from test_geometry import paper_geometry
 from test_simulate import simulate_at
+from test_tracking import batch_map_oracle, simulate_linear
 
 from tagtrack.classify import LabeledDataset, dtw_1nn_classify, evaluate, \
     knn_feature_classify, stratified_split
@@ -22,7 +24,7 @@ from tagtrack.music import eig2_hermitian, estimate_aoa, music_spectrum, sample_
 from tagtrack.pipeline import (DatasetSpec, dtw_experiment, knn_experiment,
                                series_bundle, synthesize_dataset, synthesize_gesture)
 from tagtrack.preprocess import IQWindow
-from tagtrack.simulate import SASSchedule, anechoic_scene, lab_scene, paper_geometry
+from tagtrack.simulate import SASSchedule, anechoic_scene, lab_scene
 from tagtrack.tracking import KalmanConfig, filter_sequence, rts_smooth, track_aoa
 
 GEO = paper_geometry()
@@ -104,48 +106,15 @@ def test_criterion_04_two_tags():
            f"two tags: mean errors {m15:.3f} / {m10:.3f} deg (each <= 4.0)")
 
 
-def _simulate_linear(T, cfg, rng):
-    x = np.array([0.0, 0.05])
-    truth = np.empty((T, 2))
-    z = np.empty(T)
-    for t in range(T):
-        x = cfg.f_matrix @ x + rng.normal(size=2) * [cfg.sigma_theta, cfg.sigma_omega]
-        truth[t] = x
-        z[t] = x[0] + rng.normal() * cfg.sigma_v
-    return truth, z
-
-
-def _batch_map(z, valid, cfg, x0):
-    T = z.size
-    f = cfg.f_matrix
-    qi = np.linalg.inv(cfg.q_matrix)
-    n = 2 * (T + 1)
-    a = np.zeros((n, n))
-    b = np.zeros(n)
-    a[:2, :2] += np.linalg.inv(cfg.p0)
-    b[:2] += np.linalg.inv(cfg.p0) @ x0
-    r = cfg.sigma_v ** 2
-    for t in range(1, T + 1):
-        i0, i1 = 2 * (t - 1), 2 * t
-        a[i1:i1 + 2, i1:i1 + 2] += qi
-        a[i0:i0 + 2, i0:i0 + 2] += f.T @ qi @ f
-        a[i1:i1 + 2, i0:i0 + 2] -= qi @ f
-        a[i0:i0 + 2, i1:i1 + 2] -= f.T @ qi
-        if valid[t - 1]:
-            a[i1, i1] += 1.0 / r
-            b[i1] += z[t - 1] / r
-    return np.linalg.solve(a, b)[2:].reshape(T, 2)
-
-
 def test_criterion_05_smoother_oracle_and_rmse_ordering():
     cfg = KalmanConfig(dt=1.0)
     # (a) smoothed == batch MAP within 1e-8 rad on fully observed T=20 tracks
     worst_gap = 0.0
     for seed in range(20):
         rng = np.random.default_rng([500, seed])
-        _, z = _simulate_linear(20, cfg, rng)
+        _, z = simulate_linear(20, cfg, rng)
         track = rts_smooth(filter_sequence(z, cfg))
-        oracle = _batch_map(z, np.ones(20, bool), cfg, np.array([z[0], 0.0]))
+        oracle = batch_map_oracle(z, np.ones(20, bool), cfg, np.array([z[0], 0.0]))
         worst_gap = max(worst_gap, float(np.abs(track.smoothed - oracle).max()))
         for t in range(20):
             assert np.trace(track.smoothed_covs[t]) <= np.trace(track.post_covs[t]) + 1e-12
@@ -153,7 +122,7 @@ def test_criterion_05_smoother_oracle_and_rmse_ordering():
     sq = {"raw": 0.0, "filt": 0.0, "smooth": 0.0}
     for seed in range(200):
         rng = np.random.default_rng([501, seed])
-        truth, z = _simulate_linear(20, cfg, rng)
+        truth, z = simulate_linear(20, cfg, rng)
         track = rts_smooth(filter_sequence(z, cfg))
         sq["raw"] += float(np.sum((z - truth[:, 0]) ** 2))
         sq["filt"] += float(np.sum((track.posts[:, 0] - truth[:, 0]) ** 2))
@@ -199,7 +168,7 @@ def test_criterion_07_ambiguity_property():
     worst = 0.0
     for _ in range(50):
         y = rng.normal(size=(2, 16)) + 1j * rng.normal(size=(2, 16))
-        w = IQWindow("t", 0, y, 0.0, True)
+        w = IQWindow("t", 0, y, 0.0)
         eig = eig2_hermitian(sample_covariance(w))
         theta = rng.uniform(-0.25, 0.25)
         alias = math.asin(math.sin(theta) + 0.625)

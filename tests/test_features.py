@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tagtrack.features import (FEATURE_CONFIGS, STAT_NAMES, WAVELET_LOWPASS,
-                               ConfigMismatchError, _stack_statistics, assemble_features,
-                               dwt_coeffs, dwt_single, featurize_dataset, impute_linear,
-                               prepare_channel, resample_linear, unwrap_valid)
+                               ConfigMismatchError, SampleFeatureError, _stack_statistics,
+                               assemble_features, dwt_coeffs, dwt_single, featurize_dataset,
+                               impute_linear, prepare_channel, unwrap_valid)
 from tagtrack.simulate import GestureSample
 
 # --- one-series references: the definitions the stacked pass reproduces bit for bit ---
@@ -188,6 +188,20 @@ class TestPearson:
             pearson(np.ones(3), np.ones(4))
 
 
+def qmf(h: np.ndarray) -> np.ndarray:
+    "Wavelet (highpass) filter paired with scaling filter h."
+    return ((-1.0) ** np.arange(h.size)) * h[::-1]
+
+
+def analysis_level(x: np.ndarray, h: np.ndarray):
+    """One analysis level's (approximation, detail) coefficients: half-sample
+    symmetric extension, then the lowpass and its QMF at every other offset."""
+    n, L = x.size, h.size
+    ext = np.concatenate([x[:L - 1][::-1], x, x[:-L - 1:-1]])
+    frames = np.array([ext[2 * k + 1:2 * k + 1 + L] for k in range((n + L - 1) // 2)])
+    return frames @ h, frames @ qmf(h)
+
+
 class TestDaubechies:
     def test_db1_is_haar(self):
         np.testing.assert_allclose(daubechies_lowpass(1), [1, 1] / np.sqrt(2))
@@ -205,7 +219,7 @@ class TestDaubechies:
         for k in range(order):
             s = sum(h[n] * h[n - 2 * k] for n in range(2 * k, h.size))
             assert s == pytest.approx(1.0 if k == 0 else 0.0, abs=1e-10)
-        g = ((-1.0) ** np.arange(h.size)) * h[::-1]
+        g = qmf(h)
         for p in range(order):
             assert sum(g[n] * n ** p for n in range(h.size)) == pytest.approx(0, abs=1e-8)
 
@@ -215,9 +229,16 @@ class TestDaubechies:
 
     def test_constant_series_dc_gain(self):
         c = 2.5
-        ca, cd = dwt_single(np.full(32, c), np.array(WAVELET_LOWPASS))
+        h = np.array(WAVELET_LOWPASS)
+        ca = dwt_single(np.full(32, c), h)
         np.testing.assert_allclose(ca, c * math.sqrt(2), atol=1e-9)
-        np.testing.assert_allclose(cd, 0.0, atol=1e-9)
+        np.testing.assert_allclose(analysis_level(np.full(32, c), h)[1], 0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("n", [8, 9, 24, 31, 64])
+    def test_approximation_matches_filterbank_reference(self, n):
+        x = np.random.default_rng(n).normal(size=n)
+        h = np.array(WAVELET_LOWPASS)
+        assert dwt_single(x, h).tobytes() == analysis_level(x, h)[0].tobytes()
 
     def test_length_64_level2_symmetric(self):
         # floor((n + f - 1)/2) per level with f = 8: 64 -> 35 -> 21
@@ -248,9 +269,10 @@ class TestSeriesPreparation:
         assert np.isnan(v[1])
         assert v[2] == pytest.approx(2 * math.pi - 3.0)
 
-    def test_resample_endpoints(self):
-        v = resample_linear(np.array([0.0, 1.0, 2.0]), 5)
-        assert v[0] == 0.0 and v[-1] == 2.0 and v.size == 5
+    def test_wrong_length_rejected(self):
+        "A series that is not n_windows long raises naming its channel, never resampled."
+        with pytest.raises(ValueError, match="channel 'rss' has 3 values, not n_windows = 5"):
+            prepare_channel("rss", np.array([0.0, 1.0, 2.0]), 5)
 
     def test_prepare_phase_chain(self):
         phase = np.array([3.1, np.nan, -3.1, -3.0])
@@ -275,6 +297,15 @@ class TestAssembleFeatures:
         b = assemble_features(s, "SPRA")
         np.testing.assert_array_equal(a.values, b.values)
         assert a.layout == b.layout
+
+    def test_wrong_length_series_named(self):
+        s = make_sample()
+        s.aoa["tag2"] = s.aoa["tag2"][:-1]
+        with pytest.raises(ValueError, match="tag 'tag2': channel 'aoa' has 23 values"):
+            assemble_features(s, "SA")
+        samples = [make_sample(seed=1), s]
+        with pytest.raises(SampleFeatureError, match="sample 1 .*tag 'tag2': channel 'aoa'"):
+            featurize_dataset(samples, FEATURE_CONFIGS["SPRA"])
 
     def test_missing_channel_named(self):
         s = make_sample()

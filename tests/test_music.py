@@ -1,12 +1,13 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_geometry import ScenePose, aoa_from_positions, steering_vector
+from test_geometry import ScenePose, aoa_from_positions, paper_geometry, steering_vector
 from test_simulate import simulate_at
 
 from tagtrack import music
@@ -14,15 +15,14 @@ from tagtrack.geometry import ArrayGeometry, steering_phase, unambiguous_fov
 from tagtrack.music import (SPECTRUM_FLOOR, default_search_range, eig2_hermitian,
                             estimate_aoa, music_spectrum, sample_covariance, spectrum_peaks)
 from tagtrack.preprocess import IQWindow
-from tagtrack.simulate import (PathSpec, SASSchedule, SimScene, anechoic_scene,
-                               lab_scene, paper_geometry)
+from tagtrack.simulate import PathSpec, SASSchedule, SimScene, anechoic_scene, lab_scene
 
 GEO = paper_geometry()
 SCHED = SASSchedule()
 
 
-def make_window(matrix, complete=True, idx=0):
-    return IQWindow("t", idx, np.asarray(matrix, dtype=complex), 0.0, complete)
+def make_window(matrix, idx=0):
+    return IQWindow("t", idx, np.asarray(matrix, dtype=complex), 0.0)
 
 
 def noiseless_window(theta, n=50, gain=1.0):
@@ -58,9 +58,11 @@ class TestSampleCovariance:
                 np.linalg.norm(y) ** 2 / y.shape[1], rel=1e-9)
 
     def test_incomplete_window_rejected(self):
-        w = make_window([[1, 1], [1, 1]], complete=False)
-        with pytest.raises(ValueError):
-            sample_covariance(w)
+        "A NaN-filled lost row reaches R[1, 0], so the window yields no angle."
+        w = make_window([[1, 1], [np.nan, np.nan]], idx=7)
+        assert not cmath.isfinite(sample_covariance(w)[1, 0])
+        with pytest.raises(ValueError, match="tag 't' window 7"):
+            estimate_aoa(w, GEO)
 
 
 def ref_eig2(r):
@@ -112,15 +114,13 @@ def ref_music_spectrum(theta, noise_vec, geometry):
 
 def spectrum_peak(m, geometry) -> float:
     "One measurement's peak, evaluated on its own as the reference for spectrum_peaks."
-    if not m.valid:
-        return math.nan
     return ref_music_spectrum(m.theta_hat, eig2_hermitian(m.covariance).u_n, geometry)
 
 
 def ref_estimate_aoa(window, geometry, search=None, tx_sequence=None):
     """The eager estimate_aoa, kept to pin the bits of the angle and the peak.
 
-    Returns (theta_hat, spectrum_peak, window_idx, valid).
+    Returns (theta_hat, spectrum_peak, window_idx).
     """
     if search is None:
         search = default_search_range(geometry)
@@ -130,13 +130,14 @@ def ref_estimate_aoa(window, geometry, search=None, tx_sequence=None):
         raise ValueError("search range must satisfy theta_min < theta_max")
     if abs(lo) > fov or abs(hi) > fov:
         raise ValueError("search range must lie within the unambiguous field of view")
-    if not window.complete:
-        return math.nan, math.nan, window.window_idx, False
     w = window
     if tx_sequence is not None:
         w = IQWindow(window.tag_id, window.window_idx, window.matrix / tx_sequence,
-                     window.midpoint_time_s, window.complete)
+                     window.midpoint_time_s)
     cov = sample_covariance(w)
+    if not np.isfinite(cov).all():
+        raise ValueError(f"tag {window.tag_id!r} window {window.window_idx}: snapshot "
+                         "covariance is not finite (a NaN or infinite IQ value)")
     eig = eig2_hermitian(cov)
     sin_theta = cmath.phase(cov[1, 0]) / \
         (4.0 * math.pi * geometry.element_spacing_m / geometry.wavelength_m)
@@ -144,7 +145,7 @@ def ref_estimate_aoa(window, geometry, search=None, tx_sequence=None):
     if not lo <= theta <= hi:
         ends = ref_music_spectrum(np.array([lo, hi]), eig.u_n, geometry)
         theta = (lo, hi)[int(np.argmax(ends))]
-    return float(theta), ref_music_spectrum(theta, eig.u_n, geometry), window.window_idx, True
+    return float(theta), ref_music_spectrum(theta, eig.u_n, geometry), window.window_idx
 
 
 # the paper's array, and one spaced under lambda/4, whose arg R[1, 0] can map
@@ -165,17 +166,16 @@ def search_ranges(draw, geometry):
 
 @st.composite
 def aoa_cases(draw):
-    "A window (maybe incomplete), geometry, search range and maybe a transmit sequence."
+    "A window (sometimes with a NaN-filled lost row), geometry, search range, maybe a tx sequence."
     y = draw(snapshot_matrices())
     geometry = draw(st.sampled_from(GEOMETRIES))
-    complete = draw(st.booleans()) or draw(st.booleans())
-    if not complete:
+    if not (draw(st.booleans()) or draw(st.booleans())):
         y[draw(st.integers(0, 1))] = np.nan
     tx = None
     if draw(st.booleans()):
         rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
         tx = np.exp(1j * rng.uniform(-math.pi, math.pi, size=y.shape))
-    window = make_window(y, complete=complete, idx=draw(st.integers(0, 10 ** 6)))
+    window = make_window(y, idx=draw(st.integers(0, 10 ** 6)))
     return window, geometry, draw(search_ranges(geometry)), tx
 
 
@@ -187,22 +187,40 @@ def bits(x: float) -> bytes:
 @given(case=aoa_cases())
 def test_estimate_aoa_matches_eager_reference_bitwise(case):
     window, geometry, search, tx = case
+    try:
+        theta, peak, idx = ref_estimate_aoa(window, geometry, search=search, tx_sequence=tx)
+    except ValueError as e:  # the reference's refusals hold too
+        with pytest.raises(ValueError, match=re.escape(str(e))):
+            estimate_aoa(window, geometry, search=search, tx_sequence=tx)
+        return
     m = estimate_aoa(window, geometry, search=search, tx_sequence=tx)
-    theta, peak, idx, valid = ref_estimate_aoa(window, geometry, search=search, tx_sequence=tx)
-    assert (m.window_idx, m.valid) == (idx, valid)
+    assert m.window_idx == idx
     assert bits(m.theta_hat) == bits(theta)
     assert bits(spectrum_peaks([m], geometry)[0]) == bits(peak)
-    assert (m.covariance is None) == (not valid)
+
+
+@settings(max_examples=300, deadline=None)
+@given(y=snapshot_matrices(), row=st.integers(0, 1), col=st.integers(0, 59),
+       part=st.sampled_from(["real", "imag"]), bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+       idx=st.integers(0, 10 ** 6), with_tx=st.booleans())
+def test_nonfinite_iq_rejected(y, row, col, part, bad, idx, with_tx):
+    "One NaN or infinite IQ value anywhere in Y makes the window raise, naming tag and window."
+    z = y[row, col % y.shape[1]]
+    y[row, col % y.shape[1]] = complex(bad, z.imag) if part == "real" else complex(z.real, bad)
+    tx = np.exp(1j * np.linspace(-3.0, 3.0, y.size)).reshape(y.shape) if with_tx else None
+    # inf * 0 in the covariance product may also raise numpy's invalid-value warning
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(ValueError, match=f"tag 't' window {idx}: .*not finite"):
+        estimate_aoa(make_window(y, idx=idx), GEO, tx_sequence=tx)
 
 
 @settings(max_examples=100, deadline=None)
 @given(geometry=st.sampled_from(GEOMETRIES),
-       windows=st.lists(st.tuples(snapshot_matrices(), st.booleans()), max_size=24),
+       windows=st.lists(snapshot_matrices(), max_size=24),
        search=st.none() | st.just((-0.05, 0.05)))
 def test_spectrum_peaks_match_per_window_bitwise(geometry, windows, search):
-    "The peaks of all windows at once are each window's own, bit for bit; NaN when invalid."
-    ms = [estimate_aoa(make_window(y, complete=complete), geometry, search=search)
-          for y, complete in windows]
+    "The peaks of all windows at once are each window's own, bit for bit."
+    ms = [estimate_aoa(make_window(y), geometry, search=search) for y in windows]
     got = spectrum_peaks(ms, geometry)
     assert got.shape == (len(ms),)
     assert [bits(p) for p in got.tolist()] == [bits(spectrum_peak(m, geometry)) for m in ms]
@@ -217,7 +235,7 @@ def test_in_range_window_skips_subspace_work(monkeypatch):
     monkeypatch.setattr(music, "eig2_hermitian", called)
     monkeypatch.setattr(music, "music_spectrum", called)
     m = estimate_aoa(w, GEO)
-    assert m.valid and abs(m.theta_hat - 0.1) <= 1e-6
+    assert abs(m.theta_hat - 0.1) <= 1e-6
 
 
 class TestEig2:
@@ -294,7 +312,6 @@ class TestEstimateAoA:
     def test_noiseless_zero(self):
         m = estimate_aoa(noiseless_window(0.0), GEO)
         assert abs(math.degrees(m.theta_hat)) <= 0.01
-        assert m.valid
 
     def test_noiseless_grid_exactness(self):
         for deg in np.arange(-18, 18.01, 0.5):
@@ -302,11 +319,11 @@ class TestEstimateAoA:
             assert abs(math.degrees(m.theta_hat) - deg) <= 0.01, deg
 
     def test_incomplete_window_invalid(self):
+        "A window with a NaN-filled lost row raises; it never becomes an endpoint angle."
         w = noiseless_window(0.1)
         w.matrix[1] = np.nan
-        w.complete = False
-        m = estimate_aoa(w, GEO)
-        assert not m.valid and math.isnan(m.theta_hat)
+        with pytest.raises(ValueError, match="tag 't' window 0: .*not finite"):
+            estimate_aoa(w, GEO)
 
     def test_anechoic_tolerance(self):
         errs = []

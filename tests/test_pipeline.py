@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 from logfiles import records
+from test_geometry import paper_geometry
 
 from tagtrack.geometry import unambiguous_fov
 from tagtrack.pipeline import (DatasetSpec, attach_tracks, dtw_experiment,
                                knn_experiment, series_bundle,
                                synthesize_dataset, synthesize_gesture)
-from tagtrack.simulate import SASSchedule, paper_geometry
+from tagtrack.simulate import SASSchedule
 
 GEO = paper_geometry()
 SCHED = SASSchedule()

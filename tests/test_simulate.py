@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from logfiles import ReadRecord, from_records, records
-from test_geometry import steering_vector
+from test_geometry import paper_geometry, steering_vector
 
 from tagtrack.geometry import steering_phase, unambiguous_fov
 from tagtrack.preprocess import IQWindow
@@ -15,8 +15,7 @@ from tagtrack.readerlog import read_reader_log, write_reader_log
 from tagtrack.simulate import (GESTURE_CLASSES, GestureSpec, OutOfFovError,
                                PathSpec, SASSchedule, SimScene, TagTrajectory,
                                anechoic_scene, build_gesture_spec,
-                               gesture_trajectory, lab_scene, paper_geometry,
-                               simulate_gesture, simulate_log, simulate_window,
+                               gesture_trajectory, lab_scene, simulate_gesture, simulate_log, simulate_window,
                                tag_steering)
 
 GEO = paper_geometry()
@@ -88,7 +87,7 @@ def ref_simulate_window(scene, schedule, true_aoa_per_tag, rng_seed, window_idx=
             if missing[m]:
                 matrix[m] = np.nan
         out.append(IQWindow(tag_id=tag_id, window_idx=window_idx, matrix=matrix,
-                            midpoint_time_s=mid_t, complete=not any(missing)))
+                            midpoint_time_s=mid_t))
     return out
 
 
@@ -131,8 +130,8 @@ def bits(x: float) -> bytes:
 def assert_same_windows(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
-        assert (a.tag_id, a.window_idx, bits(a.midpoint_time_s), a.complete) == \
-            (b.tag_id, b.window_idx, bits(b.midpoint_time_s), b.complete)
+        assert (a.tag_id, a.window_idx, bits(a.midpoint_time_s)) == \
+            (b.tag_id, b.window_idx, bits(b.midpoint_time_s))
         assert a.matrix.dtype == b.matrix.dtype and a.matrix.tobytes() == b.matrix.tobytes()
 
 
@@ -270,7 +269,6 @@ class TestSimulateWindow:
         scene = los_scene(misdetect_prob=(0.0, 1.0))
         for seed in range(5):
             w = simulate_at(scene, SASSchedule(), [0.0], rng_seed=seed)[0]
-            assert not w.complete
             assert np.isnan(w.matrix[1]).all()
             assert np.isfinite(w.matrix[0]).all()
 
@@ -290,8 +288,7 @@ class TestSimulateWindow:
         b = simulate_at(scene, SASSchedule(), [0.1], rng_seed=42)
         assert len(a) == len(b)
         for wa, wb in zip(a, b):
-            np.testing.assert_array_equal(wa.matrix, wb.matrix)
-            assert wa.complete == wb.complete
+            np.testing.assert_array_equal(wa.matrix, wb.matrix)   # NaN-filled rows alike
 
     def test_noise_scaling(self):
         # sample variance of (noisy - noiseless) matches noise_var within 5%

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from logfiles import ReadRecord, from_records
+from test_geometry import paper_geometry
 from test_simulate import simulate_at
 
-from tagtrack.pipeline import DatasetSpec, synthesize_gesture, tracking_rmse
-from tagtrack.simulate import (SASSchedule, anechoic_scene, lab_scene, paper_geometry,
-                               simulate_log)
+from tagtrack.pipeline import (DatasetSpec, synthesize_fixed_log, synthesize_gesture,
+                               truth_on_track)
+from tagtrack.simulate import SASSchedule, anechoic_scene, lab_scene, simulate_log
 from tagtrack.tracking import KalmanConfig, filter_sequence, rts_smooth, track_aoa
 
 GEO = paper_geometry()
@@ -21,14 +22,24 @@ GEO = paper_geometry()
 H = np.array([1.0, 0.0])
 
 
+def f_matrix(cfg: KalmanConfig) -> np.ndarray:
+    "Constant-rate transition F = [[1, dt], [0, 1]]."
+    return np.array([[1.0, cfg.dt], [0.0, 1.0]])
+
+
+def q_matrix(cfg: KalmanConfig) -> np.ndarray:
+    "Process noise covariance Q = diag(sigma_theta^2, sigma_omega^2)."
+    return np.diag([cfg.sigma_theta ** 2, cfg.sigma_omega ** 2])
+
+
 def _sym(p: np.ndarray) -> np.ndarray:
     return 0.5 * (p + p.T)
 
 
 def predict(state: np.ndarray, cov: np.ndarray, cfg: KalmanConfig):
     "Prior state F x and covariance F P F^T + Q (symmetrized)."
-    f = cfg.f_matrix
-    return f @ state, _sym(f @ cov @ f.T + cfg.q_matrix)
+    f = f_matrix(cfg)
+    return f @ state, _sym(f @ cov @ f.T + q_matrix(cfg))
 
 
 def update(prior_state: np.ndarray, prior_cov: np.ndarray, z: float, cfg: KalmanConfig):
@@ -52,7 +63,7 @@ def simulate_linear(T, c, rng, omega0=0.05, theta0=0.0):
     truth = np.empty((T, 2))
     z = np.empty(T)
     for t in range(T):
-        x = c.f_matrix @ x + rng.normal(size=2) * [c.sigma_theta, c.sigma_omega]
+        x = f_matrix(c) @ x + rng.normal(size=2) * [c.sigma_theta, c.sigma_omega]
         truth[t] = x
         z[t] = x[0] + rng.normal() * c.sigma_v
     return truth, z
@@ -62,8 +73,8 @@ def batch_map_oracle(z, valid, c, x0):
     """Dense normal-equations MAP solution of the equivalent least-squares
     problem over x_0..x_T; the RTS smoother must reproduce x_1..x_T."""
     T = z.size
-    f = c.f_matrix
-    qi = np.linalg.inv(c.q_matrix)
+    f = f_matrix(c)
+    qi = np.linalg.inv(q_matrix(c))
     p0i = np.linalg.inv(c.p0)
     n = 2 * (T + 1)
     a = np.zeros((n, n))
@@ -99,7 +110,7 @@ def matrix_reference(z, c):
         posts.append(state)
         post_covs.append(cov)
     xs, ps = list(posts), list(post_covs)
-    f = c.f_matrix
+    f = f_matrix(c)
     for t in range(z.size - 2, -1, -1):
         p_pred = prior_covs[t + 1]
         if abs(np.linalg.det(p_pred)) < 1e-300:
@@ -317,9 +328,39 @@ class TestRtsSmooth:
         assert rmse["smooth"] <= rmse["filt"] <= rmse["raw"]
 
 
+def tracking_rmse(log, geometry) -> dict[str, dict[str, float]]:
+    """Raw and smoothed RMSE of each tag's track against ground truth (radians).
+
+    Only windows with a raw measurement enter the raw RMSE; the smoothed
+    RMSE covers every tracked window with ground truth.
+    """
+    out = {}
+    for tag, track in track_aoa(log, geometry).items():
+        truth = truth_on_track(track, log.truth[tag], log.first_window)
+        keep = np.isfinite(truth)
+        truth, raw, smooth = truth[keep], track.z[keep], track.smoothed_series()[keep]
+        ok = np.isfinite(raw)
+        out[tag] = {
+            "raw": float(np.sqrt(np.mean((raw[ok] - truth[ok]) ** 2))) if ok.any() else math.nan,
+            "smoothed": float(np.sqrt(np.mean((smooth - truth) ** 2))),
+        }
+    return out
+
+
 class TestTrackAoA:
     def test_empty_log(self):
         assert track_aoa(from_records([]), GEO) == {}
+
+    def test_nonfinite_iq_fails_naming_window(self):
+        "A NaN in a detected row's IQ fails naming the window; it never tracks as an endpoint."
+        log = synthesize_fixed_log(GEO, SASSchedule(), DatasetSpec(windows=8),
+                                   {"tag1": math.radians(-15.0), "tag2": math.radians(-10.0)},
+                                   seed=1)
+        row = np.flatnonzero(log.detected)[4]
+        log.iq[log.start[row]] = np.nan
+        tag = log.tag_ids[log.tag[row]]
+        with pytest.raises(ValueError, match=f"tag {tag!r} window {log.window_idx[row]}: "):
+            track_aoa(log, GEO)
 
     def test_smoothed_beats_raw_on_gestures(self):
         sched = SASSchedule()
