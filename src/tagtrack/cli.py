@@ -355,9 +355,12 @@ def cmd_classify(cfg: dict, in_path: Path, out: Path) -> int:
                  "feature_config": cfg["features"]["config"], "split_seed": split_seed}
     else:
         series_path = in_path if in_path.name == "series.json" else in_path / "series.json"
-        _, samples = _series_samples(series_path)
-        report = dtw_experiment(samples, c["channel"], split_seed=split_seed,
-                                test_frac=c["test_frac"])
+        ids, samples = _series_samples(series_path)
+        try:
+            report = dtw_experiment(samples, c["channel"], split_seed=split_seed,
+                                    test_frac=c["test_frac"])
+        except SampleFeatureError as e:
+            raise ValueError(f"{series_path} sample {ids[e.index]}: {e}") from None
         extra = {"method": "dtw", "channel": c["channel"], "split_seed": split_seed}
     _write_report(out, cfg, report, extra)
     print(f"accuracy {report.accuracy:.2f}% -> {out / 'report.json'}")

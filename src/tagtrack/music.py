@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import ArrayGeometry, steering_phase, unambiguous_fov
-from .preprocess import IQWindow
+from .preprocess import IQWindow, _snapshot_covariance
 
 SPECTRUM_FLOOR = 1e-15
 "Denominator clamp; exact orthogonality would otherwise divide by zero."
@@ -39,9 +39,11 @@ class Eig2:
 class AoAMeasurement:
     """One window's AoA estimate.
 
-    ``covariance`` is the window's 2x2 snapshot covariance, kept for
-    ``spectrum_peaks``.  ``valid`` is always True, and not a field: a window
-    that yields no angle raises in ``estimate_aoa`` instead.
+    ``covariance`` is the window's 2x2 snapshot covariance from
+    ``sample_covariance``, kept for ``spectrum_peaks``; for a window from
+    ``window_segments`` it is the window's own ``covariance``, a view of its
+    stack's.  ``valid`` is always True, and not a field: a window that yields
+    no angle raises in ``estimate_aoa`` instead.
     """
 
     theta_hat: float
@@ -51,12 +53,18 @@ class AoAMeasurement:
 
 
 def sample_covariance(window: IQWindow) -> np.ndarray:
-    "Snapshot covariance Y Y^H / n (2x2) of a window (n >= 2 snapshots)."
-    y = window.matrix
-    n = y.shape[1]
-    if n < 2:
+    """Snapshot covariance Y Y^H / n (2x2) of a window (n >= 2 snapshots).
+
+    A window from ``window_segments`` carries it, taken with its stack, and
+    it is returned as it is.  For any other window -- the residual-phase
+    division in ``estimate_aoa``, ``simulate_window``'s, one built by hand --
+    it is computed here, with the bits the stack would give.
+    """
+    if window.covariance is not None:
+        return window.covariance
+    if window.matrix.shape[1] < 2:
         raise ValueError("need at least 2 snapshots")
-    return y @ y.conj().T / n
+    return _snapshot_covariance(window.matrix)
 
 
 def _eig2_stack(r: np.ndarray):
@@ -153,8 +161,8 @@ def estimate_aoa(window: IQWindow, geometry: ArrayGeometry,
     sequence before the covariance, the reader knowing its own signal.
     Every snapshot of both rows enters R[1, 0], so a window holding a NaN or
     infinite IQ value (such as a NaN-filled lost row) has no finite R[1, 0]
-    and raises ValueError naming its tag and window; numpy may first warn of
-    the invalid value that an infinite one makes in the product.
+    and raises ValueError naming its tag and window, with no numpy warning
+    first.
     """
     if search is None:
         search = default_search_range(geometry)
@@ -169,10 +177,11 @@ def estimate_aoa(window: IQWindow, geometry: ArrayGeometry,
         w = IQWindow(window.tag_id, window.window_idx, window.matrix / tx_sequence,
                      window.midpoint_time_s)
     cov = sample_covariance(w)
-    if not cmath.isfinite(cov[1, 0]):
+    r10 = cov[1, 0]
+    if not cmath.isfinite(r10):
         raise ValueError(f"tag {window.tag_id!r} window {window.window_idx}: snapshot "
                          "covariance is not finite (a NaN or infinite IQ value)")
-    sin_theta = cmath.phase(cov[1, 0]) / \
+    sin_theta = cmath.phase(r10) / \
         (4.0 * math.pi * geometry.element_spacing_m / geometry.wavelength_m)
     # spacings below lambda/4 can put the phase past sin = +-1: no angle, NaN
     theta = math.asin(sin_theta) if abs(sin_theta) <= 1.0 else math.nan

@@ -14,7 +14,7 @@ import numpy as np
 
 from .classify import (EvalReport, LabeledDataset, dtw_1nn_classify, evaluate,
                        knn_feature_classify, stratified_split)
-from .features import FEATURE_CONFIGS, featurize_dataset, prepare_channel
+from .features import FEATURE_CONFIGS, SampleFeatureError, featurize_dataset, prepare_channel
 from .geometry import ArrayGeometry, unambiguous_fov
 from .readerlog import ReaderLog
 from .simulate import (GESTURE_CLASSES, GestureSample, SASSchedule, anechoic_scene,
@@ -126,11 +126,16 @@ def synthesize_dataset(geometry: ArrayGeometry, schedule: SASSchedule, spec: Dat
 
 
 def series_bundle(sample: GestureSample, channel: str) -> dict[str, np.ndarray]:
-    "Per-tag prepared series of one channel, keyed for bundle DTW."
+    "Per-tag prepared series of one channel, keyed for bundle DTW; errors name the tag."
     out = {}
     for tag in sorted(sample.tag_ids):
-        raw = getattr(sample, channel)[tag]
-        out[f"{tag}:{channel}"] = prepare_channel(channel, raw, sample.n_windows)
+        raw = getattr(sample, channel).get(tag)
+        if raw is None:
+            raise ValueError(f"tag {tag!r} has no {channel!r} channel")
+        try:
+            out[f"{tag}:{channel}"] = prepare_channel(channel, raw, sample.n_windows)
+        except ValueError as e:
+            raise ValueError(f"tag {tag!r}: {e}") from e
     return out
 
 
@@ -154,9 +159,18 @@ def knn_experiment(samples: list[GestureSample], config_name: str, split_seed: i
 
 def dtw_experiment(samples: list[GestureSample], channel: str, split_seed: int = 0,
                    test_frac: float = 0.3) -> EvalReport:
-    "Stratified split, 1-NN DTW on one raw channel, metrics."
+    """Stratified split, 1-NN DTW on one raw channel, metrics.
+
+    A sample whose channel cannot be prepared raises SampleFeatureError
+    naming its index and label, as ``featurize_dataset`` does.
+    """
     labels = [s.label for s in samples]
-    bundles = [series_bundle(s, channel) for s in samples]
+    bundles = []
+    for i, sample in enumerate(samples):
+        try:
+            bundles.append(series_bundle(sample, channel))
+        except ValueError as e:
+            raise SampleFeatureError(i, sample.label, e) from e
     train_idx, test_idx = stratified_split(labels, test_frac=test_frac, seed=split_seed)
     classes = tuple(sorted(set(labels)))
     train = LabeledDataset(labels=[labels[i] for i in train_idx],

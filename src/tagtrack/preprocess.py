@@ -22,13 +22,28 @@ class IQWindow:
 
     Row m holds antenna m's snapshots; ``simulate_window`` NaN-fills the row
     of an antenna that lost the read.  ``window_idx`` is the acquisition
-    window's index in the reader log.
+    window's index in the reader log.  ``covariance`` is the 2x2 snapshot
+    covariance Y Y^H / n when ``window_segments`` took it with the window's
+    stack (a view of that stack's product), and None on a window built
+    elsewhere, for which ``music.sample_covariance`` computes it.
     """
 
     tag_id: str
     window_idx: int
     matrix: np.ndarray
     midpoint_time_s: float
+    covariance: np.ndarray | None = None
+
+
+def _snapshot_covariance(y: np.ndarray) -> np.ndarray:
+    """Y Y^H / n of a 2 x n matrix, or of each matrix of a (k, 2, n) stack.
+
+    A stack's product gives each matrix the bits of its own.  A NaN or
+    infinite value leaves a non-finite entry without numpy's invalid-value
+    warning, as ``estimate_aoa`` rejects such a window by its R[1, 0].
+    """
+    with np.errstate(invalid="ignore"):
+        return y @ y.conj().swapaxes(-1, -2) / y.shape[-1]
 
 
 # windows gathered per stack: small stacks keep to the heap, as per-window copies
@@ -58,7 +73,9 @@ def window_segments(rows: np.recarray, iq: np.ndarray, tag_id: str) -> list[IQWi
     antenna only.  Windows keep the log's ``window_idx``, come in index order, and
     take the mean of their two rows' timestamps as their time.  A window's
     matrix is a row of a C-contiguous (k, 2, n) stack of up to
-    ``_STACK_WINDOWS`` windows of its width, gathered in one copy.
+    ``_STACK_WINDOWS`` windows of its width, gathered in one copy, and its
+    ``covariance`` a row of the (k, 2, 2) covariances of that stack, taken in
+    one product.
     """
     d = rows.view(np.ndarray)   # plain field access: record-array attributes are slow
     detected = d["detected"]
@@ -73,17 +90,18 @@ def window_segments(rows: np.recarray, iq: np.ndarray, tag_id: str) -> list[IQWi
     if not keep.all():
         pair, cols = pair[keep], cols[keep]
     starts = start[pair]
-    matrices: list = [None] * len(pair)
+    blocks: list = [None] * len(pair)   # (matrix, covariance) per window
     for n in sorted(set(cols.tolist())):   # np.unique would import numpy.ma
         sel = np.flatnonzero(cols == n)
         for b in range(0, sel.size, _STACK_WINDOWS):
             part = sel[b:b + _STACK_WINDOWS]
             stack = iq[starts[part, :, None] + np.arange(2 * n)].view(complex)
-            for k, matrix in zip(part.tolist(), stack):
-                matrices[k] = matrix
+            covs = _snapshot_covariance(stack)
+            for k, matrix, cov in zip(part.tolist(), stack, covs):
+                blocks[k] = matrix, cov
     midpoints = 0.5 * (time[pair[:, 0]] + time[pair[:, 1]])
-    return [IQWindow(tag_id, idx, matrix, t)
-            for idx, matrix, t in zip(window[pair[:, 0]].tolist(), matrices, midpoints.tolist())]
+    return [IQWindow(tag_id, idx, matrix, t, cov) for idx, (matrix, cov), t
+            in zip(window[pair[:, 0]].tolist(), blocks, midpoints.tolist())]
 
 
 def windows_by_tag(log: ReaderLog) -> dict[str, list[IQWindow]]:

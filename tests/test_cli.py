@@ -820,6 +820,27 @@ def test_degenerate_channel_names_sample(tracked_dataset, tmp_path, capsys, head
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["featurize", "dtw"])
+@pytest.mark.parametrize("damage", ["all_null", "absent"])
+def test_missing_channel_names_sample(tracked_dataset, tmp_path, capsys, damage, command):
+    "An AoA channel with no value, or none at all, fails naming series.json and the sample."
+    series = json.loads((tracked_dataset / "tracks" / "series.json").read_text())
+    entry = series["samples"][1]
+    if damage == "absent":
+        del entry["channels"]["tag2:aoa"]
+    else:
+        entry["channels"]["tag2:aoa"] = [None] * entry["n_windows"]
+    series_path = tmp_path / "series.json"
+    series_path.write_text(json.dumps(series))
+    argv = ["featurize", "--set", "features.config=\"SA\""] if command == "featurize" else \
+        ["classify", "--set", "classify.method=\"dtw\"", "--set", "classify.channel=\"aoa\""]
+    code = main([*argv, "--in", str(series_path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"{series_path} sample {entry['id']}: " in err and "tag 'tag2'" in err
+    assert "Traceback" not in err
+
+
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(["short", "long", "not_number"]), row=st.integers(2, 5),
        field=st.integers(0, 28), text=TEXT.filter(lambda t: not parses(float, t)))

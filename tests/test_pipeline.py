@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from logfiles import records
 from test_geometry import paper_geometry
 
+from tagtrack.features import SampleFeatureError
 from tagtrack.geometry import unambiguous_fov
 from tagtrack.pipeline import (DatasetSpec, attach_tracks, dtw_experiment,
                                knn_experiment, series_bundle,
@@ -80,6 +83,16 @@ class TestExperiments:
         rep = dtw_experiment(samples, "aoa", split_seed=0)
         assert rep.accuracy >= 95.0
         assert rep.counts.sum() == len(rep.classes) * 2  # 2 test samples per class
+
+    def test_wrong_length_series_names_sample(self, samples):
+        "DTW names the sample and tag of a bad series, as featurizing for k-NN does."
+        bad = list(samples)
+        bad[3] = replace(bad[3], aoa={**bad[3].aoa, "tag2": bad[3].aoa["tag2"][:-1]})
+        match = (f"sample 3 \\(label '{bad[3].label}'\\): ValueError: tag 'tag2': "
+                 "channel 'aoa' has 15 values")
+        for experiment in (knn_experiment, dtw_experiment):
+            with pytest.raises(SampleFeatureError, match=match):
+                experiment(bad, "SA" if experiment is knn_experiment else "aoa")
 
     def test_phase_only_confused_on_mirror_pair(self, samples):
         rep = knn_experiment(samples, "SP", split_seed=0)

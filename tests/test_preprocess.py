@@ -2,15 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logfiles import ReadRecord, from_records, records
 from test_geometry import paper_geometry
+from test_music import bits
 
-from tagtrack.preprocess import split_by_tag, window_segments, windows_by_tag
+from tagtrack.preprocess import IQWindow, split_by_tag, window_segments, windows_by_tag
 from tagtrack.simulate import (PathSpec, SASSchedule, SimScene, anechoic_scene,
                                build_gesture_spec, simulate_gesture, simulate_log)
+from tagtrack.tracking import measure_windows
 
 GEO = paper_geometry()
 
@@ -205,4 +207,45 @@ class TestWindowSegments:
             assert w.matrix.flags.c_contiguous and not np.shares_memory(w.matrix, log.iq)
             assert stacks[k].shape[1:] == (2, 2 * w.matrix.shape[1])
             assert np.shares_memory(w.matrix, stacks[k][k % 64])
+        # each stack's covariances come from one product, one (k, 2, 2) array per stack
+        assert len({id(w.covariance.base) for w in windows}) == len({id(s) for s in stacks})
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_windows=st.integers(1, 160),
+       widths=st.lists(st.integers(0, 60), min_size=1, max_size=3),
+       p_miss=st.floats(0.0, 0.4), p_unequal=st.floats(0.0, 1.0),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]))
+@example(seed=0, n_windows=160, widths=[50], p_miss=0.1, p_unequal=0.0, scale=1.0)
+def test_stacked_covariance_is_per_window_bitwise(seed, n_windows, widths, p_miss,
+                                                  p_unequal, scale):
+    """Each window's covariance is its own Y Y^H / n, bit for bit, and estimates agree.
+
+    Each antenna row takes one of ``widths`` snapshots (odd counts and rows
+    under two included); with probability ``p_unequal`` antenna 2 draws its
+    own, so the window is trimmed to the shorter row, and a row is lost with
+    probability ``p_miss``.  Over 64 windows of one width span several stacks.
+    """
+    rng = np.random.default_rng(seed)
+    recs = []
+    for w in range(n_windows):
+        n1 = widths[rng.integers(len(widths))]
+        n2 = widths[rng.integers(len(widths))] if rng.random() < p_unequal else n1
+        for a, n in ((1, n1), (2, n2)):
+            iq = scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
+            detected = bool(rng.random() >= p_miss)
+            recs.append(ReadRecord(w, w + 0.1 * a, "A", a, iq if detected else None,
+                                   0.0 if detected else math.nan,
+                                   0.0 if detected else math.nan, detected))
+    windows = windows_by_tag(from_records(recs)).get("A", [])
+    for w in windows:
+        y = w.matrix
+        assert w.covariance.tobytes() == (y @ y.conj().T / y.shape[1]).tobytes()
+    bare = [IQWindow(w.tag_id, w.window_idx, w.matrix, w.midpoint_time_s) for w in windows]
+    # residual phase divides the windows of the schedule's width by their transmit sequence
+    residual = SASSchedule(samples_per_window=2 * max(widths[0], 2), residual_phase=True)
+    for schedule in (None, residual):
+        got, want = (measure_windows({"A": ws}, GEO, schedule)["A"] for ws in (windows, bare))
+        assert [(bits(m.theta_hat), m.covariance.tobytes()) for m in got] == \
+            [(bits(m.theta_hat), m.covariance.tobytes()) for m in want]
 

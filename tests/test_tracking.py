@@ -362,6 +362,14 @@ class TestTrackAoA:
         with pytest.raises(ValueError, match=f"tag {tag!r} window {log.window_idx[row]}: "):
             track_aoa(log, GEO)
 
+    def test_infinite_iq_fails_without_warning(self):
+        "An infinite IQ value fails naming its window, with no numpy warning before the error."
+        recs = [ReadRecord(w, w + 0.1 * a, "tag1", a, np.full(10, 1.0 + 1.0j), 0.0, 0.0, True)
+                for w in range(3) for a in (1, 2)]
+        recs[3].iq[4] = complex(math.inf, 1.0)   # window 1, antenna 2
+        with pytest.raises(ValueError, match="tag 'tag1' window 1: .*not finite"):
+            track_aoa(from_records(recs), GEO)
+
     def test_smoothed_beats_raw_on_gestures(self):
         sched = SASSchedule()
         spec = DatasetSpec(samples_per_class=1, misdetect_prob=0.05, snr_db=20.0)
