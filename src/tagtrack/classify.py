@@ -48,6 +48,13 @@ def stratified_split(labels, test_frac: float = 0.3, seed: int = 0):
 
 # --- dynamic time warping ---------------------------------------------------
 
+# pairs per kernel sweep and per bounds block: on series of a few dozen values
+# their temporaries stay under glibc's 128 KiB mmap threshold and reuse heap memory
+_SWEEP_ROWS = 256
+_BOUND_PAIRS = 8192
+_PRUNE_MARGIN = 1e-9
+
+
 def dtw_distance(a, b) -> float:
     """Classic DTW with absolute-difference cost, full window, symmetric steps."""
     a = np.asarray(a, dtype=float)
@@ -63,64 +70,167 @@ def dtw_distance(a, b) -> float:
     return float(d[la, lb])
 
 
-def dtw_to_bank(query, bank) -> np.ndarray:
-    """DTW of one query against a stack of equal-length series (vectorized).
+def _dtw_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """DTW of each row of ``a`` (k, la) against the same row of ``b`` (k, lb).
 
-    Sweeps the anti-diagonals i + j = k of the DP table, all bank rows at
-    once, keeping three diagonals indexed by query position i.  Every cell
-    is the same cost + min of three as in dtw_distance, so the result equals
-    it exactly; used to batch nearest-neighbor search across a training set.
+    A single row of ``a`` broadcasts against every row of ``b``.  Sweeps the
+    anti-diagonals i + j = s of the DP table, all rows at once, keeping three
+    diagonals indexed by position i in ``a``.  Every cell is the same cost +
+    min of three as in dtw_distance, so each result equals it exactly.
     """
-    q = np.asarray(query, dtype=float)
-    bank = np.asarray(bank, dtype=float)
-    if bank.ndim == 1:
-        bank = bank[None, :]
-    n, lb = bank.shape
-    la = q.size
-    if la == 0 or lb == 0:
-        raise ValueError("series must be non-empty")
-    rev = np.ascontiguousarray(bank.T[::-1])      # rev[lb - 1 - j] = bank[:, j]
-    col = q[:, None]
-    # diag[i] holds d[i, k - i]; d[0, 0] = 0 and the rest of row/column 0 is inf
-    older = np.full((la + 1, n), np.inf)          # diagonal k - 2
-    prev = np.full((la + 1, n), np.inf)           # diagonal k - 1
+    la = a.shape[1]
+    n, lb = b.shape
+    col = np.ascontiguousarray(a.T)               # col[i] = a[:, i]
+    rev = np.ascontiguousarray(b.T[::-1])         # rev[lb - 1 - j] = b[:, j]
+    # diag[i] holds d[i, s - i]; d[0, 0] = 0 and the rest of row/column 0 is inf
+    older = np.full((la + 1, n), np.inf)          # diagonal s - 2
+    prev = np.full((la + 1, n), np.inf)           # diagonal s - 1
     cur = np.full((la + 1, n), np.inf)
-    prev[1] = np.abs(q[0] - bank[:, 0])           # diagonal 2: d[1, 1] = cost + d[0, 0]
-    for k in range(3, la + lb + 1):
-        i0, i1 = max(1, k - lb), min(la, k - 1)
-        cost = np.abs(col[i0 - 1:i1] - rev[lb - k + i0:lb - k + i1 + 1])
+    prev[1] = np.abs(col[0] - rev[lb - 1])        # diagonal 2: d[1, 1] = cost + d[0, 0]
+    for s in range(3, la + lb + 1):
+        i0, i1 = max(1, s - lb), min(la, s - 1)
+        cost = np.abs(col[i0 - 1:i1] - rev[lb - s + i0:lb - s + i1 + 1])
         best = np.minimum(np.minimum(prev[i0 - 1:i1], prev[i0:i1 + 1]), older[i0 - 1:i1])
         np.add(cost, best, out=cur[i0:i1 + 1])
         older, prev, cur = prev, cur, older
     return prev[la]
 
 
-def _bundle_distances(train_bundles: list[dict], query_bundle: dict) -> np.ndarray:
-    keys = sorted(query_bundle)
-    for tb in train_bundles:
-        if sorted(tb) != keys:
-            raise ValueError("series bundles have mismatched channels")
-    total = np.zeros(len(train_bundles))
-    for key in keys:
-        lengths = {len(tb[key]) for tb in train_bundles}
-        if len(lengths) == 1:
-            bank = np.array([tb[key] for tb in train_bundles])
-            total += dtw_to_bank(query_bundle[key], bank)
-        else:
-            total += np.array([dtw_distance(query_bundle[key], tb[key])
-                               for tb in train_bundles])
+def dtw_to_bank(query, bank) -> np.ndarray:
+    """DTW of one query against each row of a stack of equal-length series.
+
+    The query broadcasts over the rows of the row-pair kernel that
+    ``dtw_1nn_classify`` sweeps, so each value equals
+    ``dtw_distance(query, row)`` bit for bit.
+    """
+    q = np.asarray(query, dtype=float)
+    bank = np.atleast_2d(np.asarray(bank, dtype=float))
+    if q.size == 0 or bank.shape[1] == 0:
+        raise ValueError("series must be non-empty")
+    return _dtw_rows(q[None, :], bank)
+
+
+def _envelope_sum(q: np.ndarray, b: np.ndarray) -> np.ndarray:
+    "Sum over j of the distance of b[:, j] from [min, max] of each row of q; (len q, len b)."
+    lo, hi = q.min(axis=1)[:, None], q.max(axis=1)[:, None]
+    total = np.zeros((len(q), len(b)))
+    below, above = np.empty_like(total), np.empty_like(total)
+    for x in np.ascontiguousarray(b.T):
+        np.subtract(lo, x, out=below)
+        np.subtract(x, hi, out=above)
+        np.maximum(below, above, out=below)
+        total += np.maximum(below, 0.0, out=below)
     return total
 
 
-def dtw_1nn_classify(train: LabeledDataset, query_bundle: dict) -> str:
-    """Label of the training bundle with minimal summed per-channel DTW.
+def _dtw_bounds(q: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds on the DTW of each row of q (m, la) and each row of b (n, lb).
 
-    Ties resolve to the lowest training index.
+    Every path aligns each b_j with some q_i, which lies in [min q, max q],
+    so sum_j dist(b_j, [min q, max q]) is a lower bound, and so is the
+    symmetric sum over q (Keogh & Ratanamahatana 2005, full warping window);
+    the larger of the two is returned.  The upper bound is the cost of one
+    valid path: the diagonal, then the rest of the last row or column.
+
+    Both hold on the computed values, not only on exact ones: a rounded
+    envelope distance is no larger than the rounded cost |q_i - b_j| of any
+    cell in its column, every sum runs sequentially in path order from 0,
+    as the DP's does, and rounding is monotone.  Returns (m, n) arrays.
+    """
+    la, lb = q.shape[1], b.shape[1]
+    lower = np.maximum(_envelope_sum(q, b), _envelope_sum(b, q).T)
+    k = min(la, lb)
+    path = [(i, i) for i in range(k)] + [(i, lb - 1) for i in range(k, la)] \
+        + [(la - 1, j) for j in range(k, lb)]
+    qt, bt = np.ascontiguousarray(q.T), np.ascontiguousarray(b.T)
+    upper, cost = np.zeros((len(q), len(b))), np.empty((len(q), len(b)))
+    for i, j in path:
+        np.subtract(qt[i, :, None], bt[j], out=cost)
+        upper += np.abs(cost, out=cost)
+    return lower, upper
+
+
+def _stack(series: list) -> tuple[np.ndarray, np.ndarray]:
+    "Series as the rows of a zero-padded matrix, and their lengths."
+    lengths = np.array([len(s) for s in series])
+    if lengths.min() == 0:
+        raise ValueError("series must be non-empty")
+    rows = np.zeros((len(series), lengths.max()))
+    for row, s, n in zip(rows, series, lengths.tolist()):
+        row[:n] = s
+    if not np.isfinite(rows).all():
+        raise ValueError("series must be finite")
+    return rows, lengths
+
+
+def _chunks(idx: np.ndarray, size: int) -> list[np.ndarray]:
+    "``idx`` split into the fewest near-equal runs of at most ``size``."
+    return np.array_split(idx, -(-idx.size // size))
+
+
+def _length_groups(lengths: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    return [(n, np.flatnonzero(lengths == n)) for n in sorted(set(lengths.tolist()))]
+
+
+def _candidates(queries: list, trains: list, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(query, training) index pairs of the query ``rows`` that pruning keeps.
+
+    A pair is kept when its lower bound, summed over channels, is at most
+    the query's smallest upper bound, summed in the same channel order as
+    the distances are, times (1 + 1e-9).  Both sums are monotone in their
+    terms under rounding, so the computed bounds bracket the computed
+    summed distance (see ``_dtw_bounds``), and a pruned pair is strictly
+    farther than the query's nearest neighbor.  The margin only adds slack:
+    should a sum be reordered, L non-negative terms summed in any order stay
+    within about L * 2**-53 of the sequential sum, far below 1e-9 for any
+    series shorter than a million values.
+    """
+    shape = rows.size, len(trains[0][1])
+    lower, upper = np.zeros(shape), np.zeros(shape)
+    for (qs, q_len), (ts, t_len) in zip(queries, trains):
+        for la, q_idx in _length_groups(q_len[rows]):
+            for lb, t_idx in _length_groups(t_len):
+                lo, up = _dtw_bounds(qs[rows[q_idx], :la], ts[t_idx, :lb])
+                block = np.ix_(q_idx, t_idx)
+                lower[block] += lo
+                upper[block] += up
+    qi, ti = np.nonzero(lower <= upper.min(axis=1, keepdims=True) * (1 + _PRUNE_MARGIN))
+    return rows[qi], ti
+
+
+def dtw_1nn_classify(train: LabeledDataset, query_bundles: list[dict]) -> list[str]:
+    """Label of the training bundle with minimal summed per-channel DTW, per query bundle.
+
+    Ties resolve to the lowest training index.  The search is exact and
+    pruned: only the (query, training) pairs that ``_candidates`` keeps get
+    their DTW computed, on the row-pair kernel, at most 256 pairs of equal
+    series lengths per sweep.  Every pruned pair is strictly farther than
+    the query's best, so labels and ties are those of a sweep over all
+    pairs.  Bounds are taken for blocks of at most 8192 pairs, so their
+    temporaries stay small.  Series must be finite and non-empty.
     """
     if train.bundles is None or not train.bundles:
         raise ValueError("training set has no series bundles")
-    dists = _bundle_distances(train.bundles, query_bundle)
-    return train.labels[int(np.argmin(dists))]
+    keys = sorted(train.bundles[0])
+    for bundle in (*train.bundles, *query_bundles):
+        if sorted(bundle) != keys:
+            raise ValueError("series bundles have mismatched channels")
+    if not query_bundles:
+        return []
+    queries = [_stack([qb[key] for qb in query_bundles]) for key in keys]
+    trains = [_stack([tb[key] for tb in train.bundles]) for key in keys]
+    shape = len(query_bundles), len(train.bundles)
+    blocks = _chunks(np.arange(shape[0]), max(1, _BOUND_PAIRS // shape[1]))
+    qi, ti = map(np.concatenate, zip(*(_candidates(queries, trains, rows) for rows in blocks)))
+    total = np.zeros(qi.size)
+    for (qs, q_len), (ts, t_len) in zip(queries, trains):
+        la_of, lb_of = q_len[qi], t_len[ti]
+        for la, lb in sorted(set(zip(la_of.tolist(), lb_of.tolist()))):
+            for part in _chunks(np.flatnonzero((la_of == la) & (lb_of == lb)), _SWEEP_ROWS):
+                total[part] += _dtw_rows(qs[qi[part], :la], ts[ti[part], :lb])
+    dist = np.full(shape, np.inf)
+    dist[qi, ti] = total
+    return [train.labels[i] for i in np.argmin(dist, axis=1).tolist()]
 
 
 # --- feature k-NN -----------------------------------------------------------

@@ -159,10 +159,10 @@ def estimate_aoa(window: IQWindow, geometry: ArrayGeometry,
 
     ``tx_sequence`` (2 x n) divides out a known non-constant transmit
     sequence before the covariance, the reader knowing its own signal.
-    Every snapshot of both rows enters R[1, 0], so a window holding a NaN or
-    infinite IQ value (such as a NaN-filled lost row) has no finite R[1, 0]
-    and raises ValueError naming its tag and window, with no numpy warning
-    first.
+    Every snapshot of a row enters its R[i, i], so a window holding a NaN or
+    infinite IQ value (such as a NaN-filled lost row), or a finite one whose
+    square overflows, has a non-finite R[0, 0], R[1, 1] or R[1, 0] and raises
+    ValueError naming its tag and window, with no numpy warning first.
     """
     if search is None:
         search = default_search_range(geometry)
@@ -178,9 +178,9 @@ def estimate_aoa(window: IQWindow, geometry: ArrayGeometry,
                      window.midpoint_time_s)
     cov = sample_covariance(w)
     r10 = cov[1, 0]
-    if not cmath.isfinite(r10):
+    if not (cmath.isfinite(r10) and cmath.isfinite(cov[0, 0]) and cmath.isfinite(cov[1, 1])):
         raise ValueError(f"tag {window.tag_id!r} window {window.window_idx}: snapshot "
-                         "covariance is not finite (a NaN or infinite IQ value)")
+                         "covariance is not finite (a NaN, infinite or overflowing IQ value)")
     sin_theta = cmath.phase(r10) / \
         (4.0 * math.pi * geometry.element_spacing_m / geometry.wavelength_m)
     # spacings below lambda/4 can put the phase past sin = +-1: no angle, NaN

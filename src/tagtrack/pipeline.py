@@ -176,6 +176,6 @@ def dtw_experiment(samples: list[GestureSample], channel: str, split_seed: int =
     train = LabeledDataset(labels=[labels[i] for i in train_idx],
                            bundles=[bundles[i] for i in train_idx],
                            classes=classes)
-    preds = [dtw_1nn_classify(train, bundles[i]) for i in test_idx]
+    preds = dtw_1nn_classify(train, [bundles[i] for i in test_idx])
     return evaluate(preds, [labels[i] for i in test_idx], classes)
 

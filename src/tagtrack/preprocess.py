@@ -39,10 +39,11 @@ def _snapshot_covariance(y: np.ndarray) -> np.ndarray:
     """Y Y^H / n of a 2 x n matrix, or of each matrix of a (k, 2, n) stack.
 
     A stack's product gives each matrix the bits of its own.  A NaN or
-    infinite value leaves a non-finite entry without numpy's invalid-value
-    warning, as ``estimate_aoa`` rejects such a window by its R[1, 0].
+    infinite value, or one whose square overflows, leaves a non-finite entry
+    without numpy's invalid-value or overflow warning, as ``estimate_aoa``
+    rejects such a window by its R[0, 0], R[1, 1] and R[1, 0].
     """
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         return y @ y.conj().swapaxes(-1, -2) / y.shape[-1]
 
 

@@ -211,7 +211,7 @@ def test_criterion_09_mirrored_gesture_separation():
         bundles = [series_bundle(s, "aoa") for s in subset]
         train = LabeledDataset(labels=[labels[i] for i in train_idx],
                                bundles=[bundles[i] for i in train_idx], classes=classes)
-        preds = [dtw_1nn_classify(train, bundles[i]) for i in test_idx]
+        preds = dtw_1nn_classify(train, [bundles[i] for i in test_idx])
         aoa_acc = evaluate(preds, [labels[i] for i in test_idx], classes).accuracy
         # phase-channel-only k-NN (SP features)
         x, _, _ = featurize_dataset(subset, "SP")

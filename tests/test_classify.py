@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tagtrack.classify import (LabeledDataset, dtw_1nn_classify,
+from tagtrack.classify import (LabeledDataset, _dtw_bounds, _dtw_rows, dtw_1nn_classify,
                                dtw_distance, dtw_to_bank, evaluate,
                                knn_feature_classify, stratified_split)
 
@@ -72,11 +74,84 @@ class TestDtwDistance:
     def test_bank_matches_scalar_edge_cases(self):
         # unequal and length-1 series; small integers make many tied minima
         rng = np.random.default_rng(4)
-        for la, lb in [(1, 1), (1, 9), (9, 1), (3, 17), (17, 3), (24, 24)]:
-            for values in (rng.normal(size=la + 6 * lb), rng.integers(0, 3, la + 6 * lb)):
-                q, bank = values[:la], values[la:].reshape(6, lb)
-                batch = dtw_to_bank(q, bank)
-                assert np.array_equal(batch, [dtw_distance(q, row) for row in bank])
+        for la, lb in [(1, 1), (1, 9), (9, 1), (3, 17), (17, 3), (24, 24), (1, 30), (30, 2),
+                       (30, 30)]:
+            for values in (rng.normal(size=6 * (la + lb)),
+                           rng.integers(0, 3, 6 * (la + lb)).astype(float)):
+                queries, bank = values[:6 * la].reshape(6, la), values[6 * la:].reshape(6, lb)
+                ref = np.array([[dtw_distance(a, b) for b in bank] for a in queries])
+                assert np.array_equal(dtw_to_bank(queries[0], bank), ref[0])
+                # row pairs: query row r against bank row r
+                assert np.array_equal(_dtw_rows(queries, bank), np.diag(ref))
+                # the bounds bracket the computed distances, with no slack
+                lower, upper = _dtw_bounds(queries, bank)
+                assert np.all(lower <= ref) and np.all(ref <= upper)
+
+
+def ref_bundle_distances(train_bundles: list[dict], query_bundle: dict) -> np.ndarray:
+    "Summed per-channel DTW of one query against every training bundle, one sweep per channel."
+    keys = sorted(query_bundle)
+    for tb in train_bundles:
+        if sorted(tb) != keys:
+            raise ValueError("series bundles have mismatched channels")
+    total = np.zeros(len(train_bundles))
+    for key in keys:
+        lengths = {len(tb[key]) for tb in train_bundles}
+        if len(lengths) == 1:
+            bank = np.array([tb[key] for tb in train_bundles])
+            total += dtw_to_bank(query_bundle[key], bank)
+        else:
+            total += np.array([dtw_distance(query_bundle[key], tb[key])
+                               for tb in train_bundles])
+    return total
+
+
+def ref_dtw_1nn_classify(train: LabeledDataset, query_bundle: dict) -> str:
+    "Unpruned 1-NN: the minimum over every training bundle, ties to the lowest index."
+    return train.labels[int(np.argmin(ref_bundle_distances(train.bundles, query_bundle)))]
+
+
+@st.composite
+def dtw_cases(draw):
+    """Training set and queries: 1-3 channels, normal, integer or constant series.
+
+    Lengths are per channel or per series; some training bundles repeat
+    under another label, and some queries repeat a training bundle, so
+    distances tie.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    keys = [f"t{k}:ch" for k in range(draw(st.integers(1, 3)))]
+    kind = draw(st.sampled_from(["normal", "integer", "constant", "mixed"]))
+    fixed = {key: draw(st.integers(1, 12)) for key in keys} if draw(st.booleans()) else None
+
+    def series(key):
+        n = fixed[key] if fixed else int(rng.integers(1, 13))
+        form = kind if kind != "mixed" else rng.choice(["normal", "integer", "constant"])
+        if form == "normal":
+            return rng.normal(size=n)
+        if form == "integer":
+            return rng.integers(-2, 3, n).astype(float)
+        return np.full(n, float(rng.integers(-1, 2)))
+
+    classes = "abc"
+    bundles = [{key: series(key) for key in keys} for _ in range(draw(st.integers(1, 12)))]
+    labels = [classes[int(rng.integers(3))] for _ in bundles]
+    for i in rng.integers(len(bundles), size=draw(st.integers(0, 3))).tolist():
+        bundles.append(dict(bundles[i]))
+        labels.append(classes[(classes.index(labels[i]) + 1) % 3])
+    order = rng.permutation(len(bundles))
+    train = LabeledDataset(labels=[labels[i] for i in order],
+                           bundles=[bundles[i] for i in order], classes=tuple(classes))
+    queries = [{key: series(key) for key in keys} for _ in range(draw(st.integers(0, 10)))]
+    queries += [dict(bundles[i]) for i in rng.integers(len(bundles), size=draw(st.integers(0, 3)))]
+    return train, queries[:10] or [dict(bundles[0])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=dtw_cases())
+def test_pruned_1nn_matches_unpruned(case):
+    train, queries = case
+    assert dtw_1nn_classify(train, queries) == [ref_dtw_1nn_classify(train, q) for q in queries]
 
 
 class TestDtw1NN:
@@ -94,26 +169,32 @@ class TestDtw1NN:
 
     def test_query_equal_to_training_sample(self):
         ds = self._dataset()
-        assert dtw_1nn_classify(ds, ds.bundles[3]) == ds.labels[3]
+        assert dtw_1nn_classify(ds, [ds.bundles[3]]) == [ds.labels[3]]
 
     def test_mirrored_series_fully_separated(self):
         ds = self._dataset()
         rng = np.random.default_rng(4)
-        for _ in range(20):
-            sign = rng.choice([-1.0, 1.0])
-            q = sign * np.linspace(-1, 1, 10) + 0.05 * rng.normal(size=10)
-            want = "up" if sign > 0 else "down"
-            assert dtw_1nn_classify(ds, {"t:ch": q}) == want
+        signs = rng.choice([-1.0, 1.0], size=20)
+        queries = [{"t:ch": sign * np.linspace(-1, 1, 10) + 0.05 * rng.normal(size=10)}
+                   for sign in signs]
+        want = ["up" if sign > 0 else "down" for sign in signs]
+        assert dtw_1nn_classify(ds, queries) == want
 
     def test_single_class_training(self):
         ds = LabeledDataset(labels=["only"] * 3,
                             bundles=[{"c": np.arange(5.0) + i} for i in range(3)])
-        assert dtw_1nn_classify(ds, {"c": np.ones(4)}) == "only"
+        assert dtw_1nn_classify(ds, [{"c": np.ones(4)}]) == ["only"]
 
     def test_channel_mismatch(self):
         ds = self._dataset()
         with pytest.raises(ValueError):
-            dtw_1nn_classify(ds, {"other": np.ones(5)})
+            dtw_1nn_classify(ds, [ds.bundles[0], {"other": np.ones(5)}])
+
+    def test_empty_or_nonfinite_series_rejected(self):
+        ds = self._dataset()
+        for bad in ([], [0.0, np.nan], [np.inf, 0.0]):
+            with pytest.raises(ValueError, match="series must be"):
+                dtw_1nn_classify(ds, [{"t:ch": np.array(bad)}])
 
     def test_training_permutation_invariance(self):
         ds = self._dataset()
@@ -121,9 +202,8 @@ class TestDtw1NN:
         perm = rng.permutation(len(ds.labels))
         ds2 = LabeledDataset(labels=[ds.labels[i] for i in perm],
                              bundles=[ds.bundles[i] for i in perm])
-        for _ in range(10):
-            q = {"t:ch": rng.normal(size=10)}
-            assert dtw_1nn_classify(ds, q) == dtw_1nn_classify(ds2, q)
+        queries = [{"t:ch": rng.normal(size=10)} for _ in range(10)]
+        assert dtw_1nn_classify(ds, queries) == dtw_1nn_classify(ds2, queries)
 
 
 class TestKnn:

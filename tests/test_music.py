@@ -137,7 +137,7 @@ def ref_estimate_aoa(window, geometry, search=None, tx_sequence=None):
     cov = sample_covariance(w)
     if not np.isfinite(cov).all():
         raise ValueError(f"tag {window.tag_id!r} window {window.window_idx}: snapshot "
-                         "covariance is not finite (a NaN or infinite IQ value)")
+                         "covariance is not finite (a NaN, infinite or overflowing IQ value)")
     eig = eig2_hermitian(cov)
     sin_theta = cmath.phase(cov[1, 0]) / \
         (4.0 * math.pi * geometry.element_spacing_m / geometry.wavelength_m)
@@ -206,10 +206,11 @@ def test_estimate_aoa_matches_eager_reference_bitwise(case):
 
 @settings(max_examples=300, deadline=None)
 @given(y=snapshot_matrices(), row=st.integers(0, 1), col=st.integers(0, 59),
-       part=st.sampled_from(["real", "imag"]), bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+       part=st.sampled_from(["real", "imag"]),
+       bad=st.sampled_from([math.nan, math.inf, -math.inf, 1e200, -1e200]),
        idx=st.integers(0, 10 ** 6), with_tx=st.booleans())
 def test_nonfinite_iq_rejected(y, row, col, part, bad, idx, with_tx):
-    "One NaN or infinite IQ value anywhere in Y makes the window raise, naming tag and window."
+    "One NaN, infinite or overflowing IQ value anywhere in Y raises, naming tag and window."
     z = y[row, col % y.shape[1]]
     y[row, col % y.shape[1]] = complex(bad, z.imag) if part == "real" else complex(z.real, bad)
     tx = np.exp(1j * np.linspace(-3.0, 3.0, y.size)).reshape(y.shape) if with_tx else None

@@ -370,6 +370,14 @@ class TestTrackAoA:
         with pytest.raises(ValueError, match="tag 'tag1' window 1: .*not finite"):
             track_aoa(from_records(recs), GEO)
 
+    def test_overflowing_iq_fails_without_warning(self):
+        "A finite IQ value whose square overflows R[1, 1] fails naming its window, with no warning."
+        recs = [ReadRecord(w, w + 0.1 * a, "tag2", a, np.full(10, 1.0 + 1.0j), 0.0, 0.0, True)
+                for w in range(3) for a in (1, 2)]
+        recs[1].iq[4] = 1e200 + 1j                # window 0, antenna 2: R[1, 0] stays finite
+        with pytest.raises(ValueError, match="tag 'tag2' window 0: .*not finite"):
+            track_aoa(from_records(recs), GEO)
+
     def test_smoothed_beats_raw_on_gestures(self):
         sched = SASSchedule()
         spec = DatasetSpec(samples_per_class=1, misdetect_prob=0.05, snr_db=20.0)
