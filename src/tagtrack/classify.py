@@ -9,19 +9,28 @@ matrices.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 
 @dataclass
 class LabeledDataset:
-    """Feature matrix or raw series bundles with their labels."""
+    """Feature matrix or raw series bundles with their labels.
+
+    A non-empty feature matrix is z-scored once, when the dataset is built:
+    ``zscore`` holds its column means and scales and ``scaled`` the
+    normalized matrix that ``knn_feature_classify`` searches.  ``features``
+    must therefore not be changed after construction.
+    """
 
     labels: list[str]
     features: np.ndarray | None = None
     bundles: list[dict] | None = None
     classes: tuple[str, ...] = ()
+    zscore: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False,
+                                                          repr=False, compare=False)
+    scaled: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.classes:
@@ -29,6 +38,9 @@ class LabeledDataset:
         unknown = set(self.labels) - set(self.classes)
         if unknown:
             raise ValueError(f"labels outside the class set: {sorted(unknown)}")
+        if self.features is not None and len(self.features):
+            mu, sd = self.zscore = _zscore_params(self.features)
+            self.scaled = (self.features - mu) / sd
 
 
 def stratified_split(labels, test_frac: float = 0.3, seed: int = 0):
@@ -256,10 +268,12 @@ def _vote(labels_k: list[str], dists_k: np.ndarray) -> str:
 def knn_feature_classify(train: LabeledDataset, query, k: int = 5) -> str:
     """Majority label among the k nearest z-scored Euclidean neighbors.
 
-    Vote ties resolve to the tied label with the smallest summed distance;
-    k larger than the training set is clamped with a warning.
+    The training set's z-score parameters and normalized matrix are the
+    ones ``LabeledDataset`` computed when it was built; the query is scaled
+    by them.  Vote ties resolve to the tied label with the smallest summed
+    distance; k larger than the training set is clamped with a warning.
     """
-    if train.features is None or len(train.labels) == 0:
+    if train.scaled is None or len(train.labels) == 0:
         raise ValueError("training set has no feature matrix")
     if k < 1 or k % 2 == 0:
         raise ValueError("k must be an odd positive count")
@@ -270,10 +284,9 @@ def knn_feature_classify(train: LabeledDataset, query, k: int = 5) -> str:
     if k > n:
         warnings.warn(f"k={k} exceeds training size {n}; clamping")
         k = n
-    mu, sd = _zscore_params(train.features)
-    xt = (train.features - mu) / sd
+    mu, sd = train.zscore
     q = (qv - mu) / sd
-    dists = np.linalg.norm(xt - q, axis=1)
+    dists = np.linalg.norm(train.scaled - q, axis=1)
     order = np.argsort(dists, kind="stable")[:k]
     return _vote([train.labels[i] for i in order], dists[order])
 

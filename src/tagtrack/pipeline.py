@@ -14,7 +14,8 @@ import numpy as np
 
 from .classify import (EvalReport, LabeledDataset, dtw_1nn_classify, evaluate,
                        knn_feature_classify, stratified_split)
-from .features import FEATURE_CONFIGS, SampleFeatureError, featurize_dataset, prepare_channel
+from .features import (FEATURE_CONFIGS, SampleFeatureError, channel_rows, featurize_dataset,
+                       length_blocks, prepare_rows)
 from .geometry import ArrayGeometry, unambiguous_fov
 from .readerlog import ReaderLog
 from .simulate import (GESTURE_CLASSES, GestureSample, SASSchedule, anechoic_scene,
@@ -125,18 +126,31 @@ def synthesize_dataset(geometry: ArrayGeometry, schedule: SASSchedule, spec: Dat
             for sample, log in gesture_dataset(geometry, schedule, spec, seed)]
 
 
-def series_bundle(sample: GestureSample, channel: str) -> dict[str, np.ndarray]:
-    "Per-tag prepared series of one channel, keyed for bundle DTW; errors name the tag."
-    out = {}
-    for tag in sorted(sample.tag_ids):
-        raw = getattr(sample, channel).get(tag)
-        if raw is None:
-            raise ValueError(f"tag {tag!r} has no {channel!r} channel")
+def series_bundles(samples: list[GestureSample], channel: str) -> list[dict[str, np.ndarray]]:
+    """Per-sample bundles of one channel's prepared per-tag series, keyed for bundle DTW.
+
+    Keys are ``"<tag>:<channel>"`` for sample 0's sorted tags.  The raw rows
+    are gathered and checked by ``channel_rows`` and prepared in stacked
+    blocks by ``prepare_rows``, the path ``featurize_dataset`` takes, so each
+    series equals ``prepare_channel`` on it alone.  A sample whose channel
+    cannot be prepared, or whose tags are not sample 0's, raises
+    SampleFeatureError naming its index and label.
+    """
+    samples = list(samples)
+    tags = sorted(samples[0].tag_ids) if samples else []
+    raw = []
+    for i, sample in enumerate(samples):
         try:
-            out[f"{tag}:{channel}"] = prepare_channel(channel, raw, sample.n_windows)
+            raw.append(channel_rows(sample, tags, (channel,), f"DTW on {channel!r}"))
         except ValueError as e:
-            raise ValueError(f"tag {tag!r}: {e}") from e
-    return out
+            raise SampleFeatureError(i, sample.label, e) from e
+    keys = [f"{tag}:{channel}" for tag in tags]
+    bundles: list[dict[str, np.ndarray]] = [{} for _ in raw]
+    for part in length_blocks(raw):
+        stack = prepare_rows([raw[i] for i in part], (channel,) * len(tags))
+        for i, rows in zip(part, stack):
+            bundles[i] = dict(zip(keys, rows))
+    return bundles
 
 
 def knn_feature_experiment(x: np.ndarray, labels: list[str], split_seed: int = 0, k: int = 5,
@@ -161,16 +175,12 @@ def dtw_experiment(samples: list[GestureSample], channel: str, split_seed: int =
                    test_frac: float = 0.3) -> EvalReport:
     """Stratified split, 1-NN DTW on one raw channel, metrics.
 
-    A sample whose channel cannot be prepared raises SampleFeatureError
-    naming its index and label, as ``featurize_dataset`` does.
+    The series come from ``series_bundles``: a sample whose channel cannot
+    be prepared raises SampleFeatureError naming its index and label, as
+    ``featurize_dataset`` does.
     """
     labels = [s.label for s in samples]
-    bundles = []
-    for i, sample in enumerate(samples):
-        try:
-            bundles.append(series_bundle(sample, channel))
-        except ValueError as e:
-            raise SampleFeatureError(i, sample.label, e) from e
+    bundles = series_bundles(samples, channel)
     train_idx, test_idx = stratified_split(labels, test_frac=test_frac, seed=split_seed)
     classes = tuple(sorted(set(labels)))
     train = LabeledDataset(labels=[labels[i] for i in train_idx],

@@ -22,7 +22,7 @@ from tagtrack.cli import main as cli_main
 from tagtrack.features import featurize_dataset
 from tagtrack.music import eig2_hermitian, estimate_aoa, music_spectrum, sample_covariance
 from tagtrack.pipeline import (DatasetSpec, dtw_experiment, knn_experiment,
-                               series_bundle, synthesize_dataset, synthesize_gesture)
+                               series_bundles, synthesize_dataset, synthesize_gesture)
 from tagtrack.preprocess import IQWindow
 from tagtrack.simulate import SASSchedule, anechoic_scene, lab_scene
 from tagtrack.tracking import KalmanConfig, filter_sequence, rts_smooth, track_aoa
@@ -208,7 +208,7 @@ def test_criterion_09_mirrored_gesture_separation():
         train_idx, test_idx = stratified_split(labels, seed=9)
         classes = tuple(sorted(pair))
         # AoA tracks alone: 1-NN DTW on the smoothed AoA series
-        bundles = [series_bundle(s, "aoa") for s in subset]
+        bundles = series_bundles(subset, "aoa")
         train = LabeledDataset(labels=[labels[i] for i in train_idx],
                                bundles=[bundles[i] for i in train_idx], classes=classes)
         preds = dtw_1nn_classify(train, [bundles[i] for i in test_idx])

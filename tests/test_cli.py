@@ -841,6 +841,25 @@ def test_missing_channel_names_sample(tracked_dataset, tmp_path, capsys, damage,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["featurize", "dtw"])
+def test_other_tags_name_sample(tracked_dataset, tmp_path, capsys, command):
+    "A sample with other tags than sample 0 fails naming series.json, the sample and both tags."
+    series = json.loads((tracked_dataset / "tracks" / "series.json").read_text())
+    entry = series["samples"][2]
+    entry["channels"] = {key.replace("tag2:", "tag3:"): values
+                         for key, values in entry["channels"].items()}
+    series_path = tmp_path / "series.json"
+    series_path.write_text(json.dumps(series))
+    argv = ["featurize"] if command == "featurize" else \
+        ["classify", "--set", "classify.method=\"dtw\""]
+    code = main([*argv, "--in", str(series_path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"{series_path} sample {entry['id']}: " in err
+    assert "tags ['tag1', 'tag3'] differ from sample 0's ['tag1', 'tag2']" in err
+    assert "Traceback" not in err
+
+
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(["short", "long", "not_number"]), row=st.integers(2, 5),
        field=st.integers(0, 28), text=TEXT.filter(lambda t: not parses(float, t)))

@@ -1,13 +1,15 @@
 import itertools
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tagtrack.features import (FEATURE_CONFIGS, STAT_NAMES, WAVELET_LOWPASS,
+from tagtrack import features
+from tagtrack.features import (CHANNEL_ORDER, FEATURE_CONFIGS, STAT_NAMES, WAVELET_LOWPASS,
                                ConfigMismatchError, SampleFeatureError, _stack_statistics,
                                assemble_features, dwt_coeffs, dwt_single, featurize_dataset,
                                impute_linear, prepare_channel, unwrap_valid)
@@ -59,6 +61,114 @@ def pearson(a: np.ndarray, b: np.ndarray) -> float:
     if denom == 0:
         return 0.0
     return float(np.clip((da @ db) / denom, -1.0, 1.0))
+
+
+def impute_row(values: np.ndarray) -> np.ndarray:
+    "One series' linear imputation; the edges copy the nearest valid value."
+    v = np.asarray(values, dtype=float).copy()
+    ok = np.isfinite(v)
+    if not ok.any():
+        raise ValueError("cannot impute an all-missing series")
+    if not ok.all():
+        idx = np.arange(v.size)
+        v[~ok] = np.interp(idx[~ok], idx[ok], v[ok])
+    return v
+
+
+def unwrap_row(phase: np.ndarray) -> np.ndarray:
+    "One series' valid entries unwrapped, NaN gaps kept."
+    v = np.asarray(phase, dtype=float).copy()
+    ok = np.isfinite(v)
+    if ok.any():
+        v[ok] = np.unwrap(v[ok])
+    return v
+
+
+def prepare_row(kind: str, values: np.ndarray, n_windows: int) -> np.ndarray:
+    "One series prepared as ``prepare_channel`` prepares each row of a stack."
+    v = np.asarray(values, dtype=float)
+    if v.size != n_windows:
+        raise ValueError(f"channel {kind!r} has {v.size} values, not n_windows = {n_windows}")
+    return impute_row(unwrap_row(v) if kind == "phase" else v)
+
+
+def reference_sample(sample, config, wavelet_len: int, tags: list[str]):
+    """One sample's (values, layout), series by series from the one-series definitions.
+
+    The checks and their order are those of the dataset-wide pass: tags,
+    then per series missing channel and length, then statistics, wavelets
+    and correlations.  The statistics of all series are checked stage by
+    stage, as one stacked call checks them: of the series' errors, the one
+    of the earliest stage (length and finiteness, moments, histogram bins)
+    is raised.
+    """
+    own = sorted(sample.tag_ids)
+    if own != tags:
+        raise ConfigMismatchError(f"tags {own} differ from sample 0's {tags}")
+    if not tags:
+        raise ConfigMismatchError(f"config {config.name} needs a tag, and the sample has none")
+    names, series = [], []
+    for tag in tags:
+        for kind in CHANNEL_ORDER:
+            if kind not in config.channels:
+                continue
+            raw = getattr(sample, kind).get(tag)
+            if raw is None or np.asarray(raw).size == 0 or not np.isfinite(raw).any():
+                raise ConfigMismatchError(
+                    f"config {config.name} needs channel {kind!r} for tag {tag!r}")
+            names.append((tag, kind))
+            try:
+                series.append(prepare_row(kind, raw, sample.n_windows))
+            except ValueError as e:
+                raise ValueError(f"tag {tag!r}: {e}") from e
+    stats, errors = [], []
+    for v in series:
+        try:
+            stats.append(stats_vector(v))
+        except (ValueError, ZeroDivisionError) as e:
+            errors.append(e)
+    if errors:
+        raise min(errors, key=lambda e: 2 if isinstance(e, ZeroDivisionError)
+                  else 3 if "bins" in str(e) else 1)
+    values, layout = [], []
+    for (tag, kind), row, v in zip(names, stats, series):
+        values.extend(row)
+        layout += [f"{tag}:{kind}:{s}" for s in STAT_NAMES]
+        if config.wavelet:
+            coeffs = [float(c) for c in dwt_coeffs(v)]
+            values.extend(coeffs + [0.0] * (wavelet_len - len(coeffs)))
+            layout += [f"{tag}:{kind}:w{j}" for j in range(wavelet_len)]
+    values.extend(pearson(a, b) for a, b in itertools.combinations(series, 2))
+    layout += [f"corr:{ta}:{ka}|{tb}:{kb}"
+               for (ta, ka), (tb, kb) in itertools.combinations(names, 2)]
+    return np.array(values, dtype=float), tuple(layout)
+
+
+def reference_featurize(samples, config):
+    "``featurize_dataset`` one sample at a time: the first failing sample raises."
+    config = FEATURE_CONFIGS[config] if isinstance(config, str) else config
+    wavelet_len = 0
+    if config.wavelet:
+        for sample in samples:
+            n = sample.n_windows
+            for _ in range(2):
+                n = (n + len(WAVELET_LOWPASS) - 1) // 2
+            wavelet_len = max(wavelet_len, n)
+    tags = sorted(samples[0].tag_ids)
+    rows, layout = [], ()
+    for i, sample in enumerate(samples):
+        try:
+            values, layout = reference_sample(sample, config, wavelet_len, tags)
+        except (ValueError, ZeroDivisionError) as e:
+            raise SampleFeatureError(i, sample.label, e) from e
+        rows.append(values)
+    return np.array(rows), layout, [s.label for s in samples]
+
+
+def one_sample(sample, config):
+    "The feature values and layout of a single-sample dataset."
+    x, layout, _ = featurize_dataset([sample], config)
+    return x[0], layout
 
 
 def daubechies_lowpass(order: int) -> np.ndarray:
@@ -283,20 +393,26 @@ class TestSeriesPreparation:
 
 class TestAssembleFeatures:
     def test_sp_layout_length(self):
-        fv = assemble_features(make_sample(), "SP")
-        assert fv.values.size == 2 * 14 + 1
-        assert len(fv.layout) == fv.values.size
+        values, layout = one_sample(make_sample(), "SP")
+        assert values.size == 2 * 14 + 1
+        assert len(layout) == values.size
 
     def test_spra_layout_length(self):
-        fv = assemble_features(make_sample(), "SPRA")
-        assert fv.values.size == 2 * 3 * 14 + 15
+        values, _ = one_sample(make_sample(), "SPRA")
+        assert values.size == 2 * 3 * 14 + 15
 
     def test_deterministic(self):
         s = make_sample(seed=3)
-        a = assemble_features(s, "SPRA")
-        b = assemble_features(s, "SPRA")
-        np.testing.assert_array_equal(a.values, b.values)
-        assert a.layout == b.layout
+        a = one_sample(s, "SPRA")
+        b = one_sample(s, "SPRA")
+        np.testing.assert_array_equal(a[0], b[0])
+        assert a[1] == b[1]
+
+    def test_gathers_raw_rows_in_layout_order(self):
+        s = make_sample(seed=4)
+        rows = assemble_features(s, "SPRA")
+        want = [getattr(s, kind)[tag] for tag in ("tag1", "tag2") for kind in CHANNEL_ORDER]
+        assert rows.tobytes() == np.array(want).tobytes()
 
     def test_wrong_length_series_named(self):
         s = make_sample()
@@ -313,11 +429,21 @@ class TestAssembleFeatures:
         with pytest.raises(ConfigMismatchError, match="aoa"):
             assemble_features(s, "SA")
 
+    def test_other_tags_named_with_sample_0s(self):
+        "A sample with another tag set fails naming both tag lists, not at layout comparison."
+        odd = make_sample(seed=2, tags=("tag1", "tag3"))
+        samples = [make_sample(seed=1), make_sample(seed=5), odd, make_sample(seed=6)]
+        with pytest.raises(SampleFeatureError) as info:
+            featurize_dataset(samples, "SPR")
+        assert info.value.index == 2
+        assert str(info.value) == ("sample 2 (label 'SL'): ConfigMismatchError: tags "
+                                   "['tag1', 'tag3'] differ from sample 0's ['tag1', 'tag2']")
+
     def test_wavelet_block_present(self):
-        fv = assemble_features(make_sample(n=24), "SWA")
+        values, layout = one_sample(make_sample(n=24), "SWA")
         # 24 -> (24+7)//2=15 -> (15+7)//2=11 coefficients per tag
-        assert fv.values.size == 2 * (14 + 11) + 1
-        assert sum(1 for name in fv.layout if ":w" in name) == 22
+        assert values.size == 2 * (14 + 11) + 1
+        assert sum(1 for name in layout if ":w" in name) == 22
 
     def test_layout_stability_across_dataset(self):
         samples = [make_sample(seed=s) for s in range(12)]
@@ -329,8 +455,8 @@ class TestAssembleFeatures:
         np.testing.assert_array_equal(x, x2)
 
     def test_correlation_order_lexicographic(self):
-        fv = assemble_features(make_sample(), "SPR")
-        corr_names = [n for n in fv.layout if n.startswith("corr:")]
+        _, layout = one_sample(make_sample(), "SPR")
+        corr_names = [n for n in layout if n.startswith("corr:")]
         assert corr_names == [
             "corr:tag1:rss|tag1:phase",
             "corr:tag1:rss|tag2:rss",
@@ -378,15 +504,16 @@ def assert_stack_matches_reference(m):
         want = np.array([stats_vector(row) for row in m])
     except (ValueError, ZeroDivisionError) as e:  # the reference's refusals hold too
         with pytest.raises(type(e), match=re.escape(str(e))):
-            _stack_statistics(m)
+            _stack_statistics(m[None])
         return
     want_corr = np.array([pearson(a, b) for a, b in itertools.combinations(m, 2)])
-    stats, corr = _stack_statistics(m)
+    stats, corr = _stack_statistics(m[None])
+    stats, corr = stats[0], corr[0]
     assert stats.shape == want.shape
     mismatch = [(r, STAT_NAMES[c]) for r, c in zip(*np.nonzero(
         stats.view(np.uint64) != want.view(np.uint64)))]
     assert not mismatch, f"statistics differ in bits at {mismatch}"
-    assert np.array(corr, dtype=float).tobytes() == want_corr.tobytes()
+    assert corr.tobytes() == want_corr.tobytes()
 
 
 class TestStackStatistics:
@@ -406,11 +533,11 @@ class TestStackStatistics:
     def test_nonfinite_rejected(self, m, bad, at):
         m[at[0] % m.shape[0], at[1] % m.shape[1]] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            _stack_statistics(m)
+            _stack_statistics(m[None])
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
-            _stack_statistics(np.ones((3, 1)))
+            _stack_statistics(np.ones((1, 3, 1)))
 
     @pytest.mark.parametrize("config", sorted(FEATURE_CONFIGS))
     def test_assembled_sample_matches_reference(self, config):
@@ -427,5 +554,258 @@ class TestStackStatistics:
                 if cfg.wavelet:
                     want.extend(dwt_coeffs(v))
             want.extend(pearson(a, b) for a, b in itertools.combinations(series, 2))
-            got = assemble_features(sample, cfg).values
+            got = one_sample(sample, cfg)[0]
             assert got.tobytes() == np.array(want).tobytes()
+
+
+# --- the stacked prepare against per-row calls -----------------------------------------
+
+def gapped(rng, v: np.ndarray, how: str) -> np.ndarray:
+    "v with NaN gaps of one kind; every kind but 'none' keeps at least one valid value."
+    v = v.copy()
+    n = v.size
+    if n < 2:
+        return v
+    if how == "random":
+        v[rng.random(n) < 0.3] = np.nan
+        if not np.isfinite(v).any():
+            v[rng.integers(n)] = rng.normal()
+    elif how == "leading":
+        v[:rng.integers(1, n)] = np.nan
+    elif how == "trailing":
+        v[rng.integers(1, n):] = np.nan
+    elif how == "single":
+        keep = rng.integers(n)
+        v[np.arange(n) != keep] = np.nan
+    elif how == "ends":
+        v[0] = v[-1] = np.nan
+    return v
+
+
+GAPS = ("none", "random", "leading", "trailing", "single", "ends")
+
+
+def wrapped_walk(rng, n: int) -> np.ndarray:
+    "A phase random walk with steps up to about pi, wrapped into [-pi, pi)."
+    walk = np.cumsum(rng.normal(scale=rng.uniform(0.3, 2.5), size=n)) + rng.uniform(-9, 9)
+    return (walk + math.pi) % (2 * math.pi) - math.pi
+
+
+@st.composite
+def gapped_stacks(draw):
+    "(rows, n) stacks of wrapped walks, constants and ramps with every gap kind."
+    rows, n = draw(st.integers(1, 12)), draw(st.integers(1, 45))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = np.empty((rows, n))
+    for r in range(rows):
+        shape = rng.choice(["walk", "constant", "ramp", "normal"])
+        v = {"walk": lambda: wrapped_walk(rng, n),
+             "constant": lambda: np.full(n, rng.normal()),
+             "ramp": lambda: np.linspace(-4.0, 4.0, n) * rng.normal(),
+             "normal": lambda: rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)}[shape]()
+        m[r] = gapped(rng, v, GAPS[rng.integers(len(GAPS))])
+        if rng.random() < 0.1:
+            m[r, rng.integers(n)] = rng.choice([np.inf, -np.inf])
+    return m
+
+
+class TestStackedPrepare:
+    @settings(max_examples=200, deadline=None)
+    @given(m=gapped_stacks())
+    def test_unwrap_rows_equal_per_row_calls(self, m):
+        want = np.array([unwrap_row(row) for row in m])
+        assert unwrap_valid(m).tobytes() == want.tobytes()
+        assert all(unwrap_valid(row).tobytes() == w.tobytes() for row, w in zip(m, want))
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=gapped_stacks())
+    def test_impute_rows_equal_per_row_calls(self, m):
+        try:
+            want = np.array([impute_row(row) for row in m])
+        except ValueError as e:  # a row without a finite value
+            with pytest.raises(ValueError, match=re.escape(str(e))):
+                impute_linear(m)
+            return
+        assert impute_linear(m).tobytes() == want.tobytes()
+        assert all(impute_linear(row).tobytes() == w.tobytes() for row, w in zip(m, want))
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=gapped_stacks(), kind=st.sampled_from(CHANNEL_ORDER))
+    def test_prepare_channel_rows_equal_per_row_calls(self, m, kind):
+        try:
+            want = np.array([prepare_row(kind, row, m.shape[1]) for row in m])
+        except ValueError as e:
+            with pytest.raises(ValueError, match=re.escape(str(e))):
+                prepare_channel(kind, m, m.shape[1])
+            return
+        assert prepare_channel(kind, m, m.shape[1]).tobytes() == want.tobytes()
+
+    def test_all_missing_row_rejected(self):
+        m = np.array([[0.0, 1.0, np.nan], [np.nan, np.nan, np.nan]])
+        with pytest.raises(ValueError, match="cannot impute an all-missing series"):
+            impute_linear(m)
+
+    def test_stack_input_unchanged(self):
+        m = np.array([[3.0, np.nan, -3.0, np.nan], [np.nan, 1.0, 2.0, 3.0]])
+        before = m.copy()
+        prepare_channel("phase", m, 4)
+        assert m.tobytes() == before.tobytes()
+
+    def test_stack_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="channel 'phase' has 3 values, not n_windows = 4"):
+            prepare_channel("phase", np.zeros((2, 3)), 4)
+
+
+# --- the stacked featurize against the per-sample reference ------------------------------
+
+DEFECTS = ("one_window", "all_nan", "wrong_length", "degenerate_bins", "zero_skew",
+           "missing_channel", "other_tags")
+
+
+def gesture_sample(rng, n: int, tags, label: str, ulp_rate: float = 0.0) -> GestureSample:
+    """A sample of drawn series: walks (wrapping for phase), ramps, noise, constants,
+    and at ``ulp_rate`` a one-ulp range, each with some gap kind."""
+    chans = {}
+    for kind in CHANNEL_ORDER:
+        chans[kind] = {}
+        for tag in tags:
+            pick = rng.random()
+            if pick < 0.1:
+                v = np.full(n, rng.normal())
+            elif pick < 0.2:
+                v = np.linspace(-1.0, 1.0, n) * rng.normal() + rng.normal()
+            elif kind == "phase" or pick < 0.4:
+                v = wrapped_walk(rng, n)
+            else:
+                v = rng.normal(size=n) * 10.0 ** rng.uniform(-2, 2)
+            if rng.random() < ulp_rate:  # one-ulp range: degenerate bins
+                v = 1.0 + np.spacing(1.0) * rng.integers(0, 2, size=n)
+            chans[kind][tag] = gapped(rng, v, GAPS[rng.integers(len(GAPS))])
+    return GestureSample(label=label, tag_ids=[str(t) for t in rng.permutation(list(tags))],
+                         truth={},
+                         n_windows=n, dt_s=0.05, **chans)
+
+
+def spoil(rng, sample: GestureSample, defect: str) -> GestureSample:
+    "Give a sample one defect in one drawn series (every config includes phase or AoA)."
+    tags = sorted(sample.tag_ids)
+    tag = tags[rng.integers(len(tags))]
+    kinds = ["phase", "aoa"] if defect in ("all_nan", "missing_channel") else list(CHANNEL_ORDER)
+    if defect == "one_window":
+        for kind in CHANNEL_ORDER:
+            for t in tags:
+                getattr(sample, kind)[t] = np.array([rng.normal()])
+        sample.n_windows = 1
+    elif defect == "all_nan":
+        for kind in kinds:
+            getattr(sample, kind)[tag] = np.full(sample.n_windows, np.nan)
+    elif defect == "missing_channel":
+        for kind in kinds:
+            del getattr(sample, kind)[tag]
+    elif defect == "wrong_length":
+        for kind in kinds:
+            getattr(sample, kind)[tag] = getattr(sample, kind)[tag][:-1]
+    elif defect == "degenerate_bins":
+        for kind in kinds:
+            getattr(sample, kind)[tag] = 1.0 + np.spacing(1.0) * (np.arange(sample.n_windows) % 2)
+    elif defect == "zero_skew":  # std ** 3 underflows to 0 while the range is not 0
+        for kind in kinds:
+            getattr(sample, kind)[tag] = 1e-110 * rng.random(sample.n_windows)
+    elif defect == "other_tags":
+        for kind in CHANNEL_ORDER:
+            chan = getattr(sample, kind)
+            chan["zz"] = chan.pop(tag)
+        sample.tag_ids = [t if t != tag else "zz" for t in sample.tag_ids]
+    return sample
+
+
+@st.composite
+def gesture_datasets(draw):
+    "1-14 samples of 1-3 tags, 1-3 lengths in 8-40, and 0-2 spoiled samples."
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    tags = draw(st.sampled_from([("t1",), ("tag1", "tag2"), ("a", "b", "c")]))
+    lengths = draw(st.lists(st.integers(8, 40), min_size=1, max_size=3))
+    count = draw(st.integers(1, 14))
+    ulp_rate = draw(st.sampled_from([0.0, 0.0, 0.01]))
+    samples = [gesture_sample(rng, lengths[rng.integers(len(lengths))], tags,
+                              label=f"c{rng.integers(3)}", ulp_rate=ulp_rate)
+               for _ in range(count)]
+    for i in draw(st.sets(st.integers(0, count - 1), max_size=2)):
+        samples[i] = spoil(rng, samples[i], draw(st.sampled_from(DEFECTS)))
+    return samples
+
+
+def assert_featurize_matches_reference(samples, config):
+    try:
+        want = reference_featurize(samples, config)
+    except SampleFeatureError as e:
+        with pytest.raises(SampleFeatureError) as info:
+            featurize_dataset(samples, config)
+        assert (str(info.value), info.value.index) == (str(e), e.index)
+        assert type(info.value.__cause__) is type(e.__cause__)
+        return
+    x, layout, labels = featurize_dataset(samples, config)
+    assert (layout, labels) == want[1:]
+    assert x.shape == want[0].shape
+    differ = sorted({layout[c] for c in np.nonzero(
+        x.view(np.uint64) != want[0].view(np.uint64))[1]})
+    assert not differ, f"features differ in bits at {differ}"
+
+
+class TestStackedFeaturize:
+    @pytest.mark.parametrize("config", sorted(FEATURE_CONFIGS))
+    @settings(max_examples=50, deadline=None)
+    @given(samples=gesture_datasets(), block=st.sampled_from([1, 2, 3, 64]))
+    def test_bitwise_equal_to_per_sample_reference(self, config, samples, block):
+        with mock.patch.object(features, "_BLOCK_SAMPLES", block):
+            assert_featurize_matches_reference(samples, config)
+
+    @staticmethod
+    def dataset(spoiled: dict[int, str], lengths=(12, 30), count: int = 9, seed: int = 0):
+        rng = np.random.default_rng(seed)
+        samples = [gesture_sample(rng, lengths[i % len(lengths)], ("tag1", "tag2"),
+                                  label=f"c{i % 3}") for i in range(count)]
+        for i, defect in spoiled.items():
+            samples[i] = spoil(rng, samples[i], defect)
+        return samples
+
+    @pytest.mark.parametrize("config", sorted(FEATURE_CONFIGS))
+    @pytest.mark.parametrize("defect", DEFECTS)
+    @pytest.mark.parametrize("where", [(4,), (2, 7), (0,)])
+    def test_bad_samples_raise_as_reference(self, config, defect, where):
+        samples = self.dataset({i: defect for i in where})
+        with pytest.raises(SampleFeatureError) as info:
+            reference_featurize(samples, config)
+        # other tags on sample 0 make sample 1 the odd one
+        assert info.value.index == (1 if where == (0,) and defect == "other_tags" else where[0])
+        assert_featurize_matches_reference(samples, config)
+
+    @pytest.mark.parametrize("gather", ["all_nan", "wrong_length", "missing_channel",
+                                        "other_tags"])
+    @pytest.mark.parametrize("stats", ["one_window", "degenerate_bins", "zero_skew"])
+    def test_earliest_failure_wins_across_stages(self, gather, stats):
+        "An earlier statistics failure beats a later gather failure, and the other way round."
+        for spoiled, first in (({6: gather, 2: stats}, 2), ({1: gather, 4: stats}, 1)):
+            samples = self.dataset(spoiled)
+            for config in ("SPR", "SWA"):
+                with pytest.raises(SampleFeatureError) as info:
+                    featurize_dataset(samples, config)
+                assert info.value.index == first
+                assert_featurize_matches_reference(samples, config)
+
+    def test_earliest_failure_wins_across_length_groups(self):
+        "Length groups run shortest first; the failure reported is still the first in order."
+        samples = self.dataset({3: "zero_skew", 7: "degenerate_bins"}, lengths=(30, 10, 20))
+        assert samples[3].n_windows == 30 and samples[7].n_windows == 10
+        with pytest.raises(SampleFeatureError) as info:
+            featurize_dataset(samples, "SPRA")
+        assert info.value.index == 3
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
+
+    def test_short_series_wavelets_fail_as_reference(self):
+        "n_windows 8 leaves 7 coefficients after one level: too short for the second."
+        samples = self.dataset({}, lengths=(12, 8))
+        with pytest.raises(SampleFeatureError, match="series length 7 is shorter") as info:
+            featurize_dataset(samples, "SWP")
+        assert info.value.index == 1
+        assert_featurize_matches_reference(samples, "SWP")

@@ -8,12 +8,20 @@ from test_geometry import paper_geometry
 from tagtrack.features import SampleFeatureError
 from tagtrack.geometry import unambiguous_fov
 from tagtrack.pipeline import (DatasetSpec, attach_tracks, dtw_experiment,
-                               knn_experiment, series_bundle,
+                               knn_experiment, series_bundles,
                                synthesize_dataset, synthesize_gesture)
 from tagtrack.simulate import SASSchedule
+from test_features import prepare_row
 
 GEO = paper_geometry()
 SCHED = SASSchedule()
+
+
+def series_bundle(sample, channel: str) -> dict[str, np.ndarray]:
+    "One sample's bundle, series by series: the reference ``series_bundles`` stacks."
+    return {f"{tag}:{channel}": prepare_row(channel, getattr(sample, channel)[tag],
+                                            sample.n_windows)
+            for tag in sorted(sample.tag_ids)}
 
 
 def small_spec(**kw):
@@ -62,9 +70,25 @@ class TestSynthesis:
 
     def test_series_bundle_keys(self):
         samples = synthesize_dataset(GEO, SCHED, small_spec(samples_per_class=1), seed=4)
-        bundle = series_bundle(samples[0], "aoa")
+        bundle = series_bundles(samples, "aoa")[0]
         assert sorted(bundle) == ["tag1:aoa", "tag2:aoa"]
         assert all(np.isfinite(v).all() for v in bundle.values())
+
+    @pytest.mark.parametrize("channel", ["aoa", "phase", "rss"])
+    def test_series_bundles_equal_per_sample_reference(self, channel):
+        "Stacked bundles, over mixed lengths and NaN gaps, equal the per-series ones bit for bit."
+        samples = synthesize_dataset(GEO, SCHED, small_spec(samples_per_class=3), seed=6)
+        samples += synthesize_dataset(GEO, SCHED, small_spec(samples_per_class=2, windows=11),
+                                      seed=7)
+        samples[1].phase["tag1"][:3] = np.nan
+        samples[-1].rss["tag2"][[0, 4, 5, -1]] = np.nan
+        got = series_bundles(samples, channel)
+        assert len(got) == len(samples)
+        for bundle, sample in zip(got, samples):
+            want = series_bundle(sample, channel)
+            assert list(bundle) == list(want)
+            for key in want:
+                assert bundle[key].tobytes() == want[key].tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +117,20 @@ class TestExperiments:
         for experiment in (knn_experiment, dtw_experiment):
             with pytest.raises(SampleFeatureError, match=match):
                 experiment(bad, "SA" if experiment is knn_experiment else "aoa")
+
+    def test_other_tags_name_the_sample(self, samples):
+        "A sample whose tags differ from sample 0's is named with both tag lists."
+        bad = list(samples)
+        bad[5] = replace(bad[5], tag_ids=["tag1", "tag3"],
+                         **{kind: {"tag1": getattr(bad[5], kind)["tag1"],
+                                   "tag3": getattr(bad[5], kind)["tag2"]}
+                            for kind in ("rss", "phase", "aoa")})
+        match = (f"sample 5 \\(label '{bad[5].label}'\\): ConfigMismatchError: tags "
+                 "\\['tag1', 'tag3'\\] differ from sample 0's \\['tag1', 'tag2'\\]")
+        for experiment in (knn_experiment, dtw_experiment):
+            with pytest.raises(SampleFeatureError, match=match) as info:
+                experiment(bad, "SA" if experiment is knn_experiment else "aoa")
+            assert info.value.index == 5
 
     def test_phase_only_confused_on_mirror_pair(self, samples):
         rep = knn_experiment(samples, "SP", split_seed=0)
