@@ -14,6 +14,7 @@ from copy import deepcopy
 from pathlib import Path
 
 from .geometry import SPEED_OF_LIGHT, ArrayGeometry, unambiguous_fov
+from .music import search_range
 from .simulate import GESTURE_CLASSES, SASSchedule
 from .tracking import KalmanConfig
 
@@ -148,10 +149,12 @@ def validate_config(cfg: dict) -> dict:
     sd = cfg["music"]["search_deg"]
     _check(isinstance(sd, list) and len(sd) == 2 and all(_is_num(v) for v in sd)
            and sd[0] < sd[1], "music.search_deg", "must be [lo, hi] with lo < hi")
-    fov = unambiguous_fov(geometry_from(cfg))
-    # the same 1e-12 rad slack as estimate_aoa's own check
-    _check(all(abs(v) <= fov + 1e-12 for v in music_search_from(cfg)), "music.search_deg",
-           f"must lie within the unambiguous field of view +-{math.degrees(fov):.4g} deg")
+    geometry = geometry_from(cfg)
+    try:
+        search_range(geometry, music_search_from(cfg))
+    except ValueError as e:
+        fov = math.degrees(unambiguous_fov(geometry))
+        raise ConfigError(f"music.search_deg: {e} (field of view +-{fov:.4g} deg)") from None
 
     k = cfg["kalman"]
     if k["dt"] is not None:

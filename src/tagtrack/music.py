@@ -20,51 +20,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import ArrayGeometry, steering_phase, unambiguous_fov
-from .preprocess import IQWindow, _snapshot_covariance
+from .preprocess import IQWindow
 
 SPECTRUM_FLOOR = 1e-15
 "Denominator clamp; exact orthogonality would otherwise divide by zero."
 
 @dataclass
-class Eig2:
-    """Ordered eigenpairs of a 2x2 Hermitian matrix: lam_s >= lam_n."""
-
-    lam_s: float
-    lam_n: float
-    u_s: np.ndarray
-    u_n: np.ndarray
-
-
-@dataclass
 class AoAMeasurement:
     """One window's AoA estimate.
 
-    ``covariance`` is the window's 2x2 snapshot covariance from
-    ``sample_covariance``, kept for ``spectrum_peaks``; for a window from
-    ``window_segments`` it is the window's own ``covariance``, a view of its
-    stack's.  ``valid`` is always True, and not a field: a window that yields
-    no angle raises in ``estimate_aoa`` instead.
+    ``covariance`` is the 2x2 snapshot covariance the angle came from, kept
+    for ``spectrum_peaks``: the window's own ``covariance``, a view of its
+    stack's, or with residual phase on the covariance ``measure_windows``
+    took of the divided matrix.  ``valid`` is always True, and not a field: a
+    window that yields no angle raises in ``estimate_aoa`` instead.
     """
 
     theta_hat: float
     window_idx: int
     covariance: np.ndarray
     valid = True
-
-
-def sample_covariance(window: IQWindow) -> np.ndarray:
-    """Snapshot covariance Y Y^H / n (2x2) of a window (n >= 2 snapshots).
-
-    A window from ``window_segments`` carries it, taken with its stack, and
-    it is returned as it is.  For any other window -- the residual-phase
-    division in ``estimate_aoa``, ``simulate_window``'s, one built by hand --
-    it is computed here, with the bits the stack would give.
-    """
-    if window.covariance is not None:
-        return window.covariance
-    if window.matrix.shape[1] < 2:
-        raise ValueError("need at least 2 snapshots")
-    return _snapshot_covariance(window.matrix)
 
 
 def _eig2_stack(r: np.ndarray):
@@ -106,16 +81,6 @@ def _eig2_stack(r: np.ndarray):
     return lam_s, lam_n, u[:, 0], u[:, 1]
 
 
-def eig2_hermitian(r: np.ndarray) -> Eig2:
-    """Closed-form eigendecomposition of a Hermitian 2x2 matrix.
-
-    The noise eigenvector is built as the exact orthogonal complement of the
-    signal eigenvector, so u_s^H u_n = 0 to machine precision.
-    """
-    lam_s, lam_n, u_s, u_n = _eig2_stack(np.asarray(r)[None])
-    return Eig2(lam_s=float(lam_s[0]), lam_n=float(lam_n[0]), u_s=u_s[0], u_n=u_n[0])
-
-
 def music_spectrum(theta, noise_vec: np.ndarray, geometry: ArrayGeometry):
     """Pseudospectrum 1 / (a^H u_n u_n^H a); accepts scalar or array theta.
 
@@ -138,45 +103,48 @@ def music_spectrum(theta, noise_vec: np.ndarray, geometry: ArrayGeometry):
     return float(out) if np.isscalar(theta) else out
 
 
-def default_search_range(geometry: ArrayGeometry) -> tuple[float, float]:
-    "Symmetric search range: +-18 deg, clamped into the unambiguous FOV."
-    half = min(math.radians(18.0), unambiguous_fov(geometry))
-    return (-half, half)
+def search_range(geometry: ArrayGeometry,
+                 search: tuple[float, float] | None = None) -> tuple[float, float]:
+    """The checked AoA search range (lo, hi) in radians.
+
+    None gives the default range, +-18 deg clamped into the unambiguous
+    field of view.  A given range must satisfy lo < hi and lie within the
+    field of view, with 1e-12 rad of slack for rounding; otherwise
+    ValueError.
+    """
+    fov = unambiguous_fov(geometry)
+    if search is None:
+        half = min(math.radians(18.0), fov)
+        return (-half, half)
+    lo, hi = search
+    if not lo < hi:
+        raise ValueError("search range must satisfy theta_min < theta_max")
+    if abs(lo) > fov + 1e-12 or abs(hi) > fov + 1e-12:
+        raise ValueError("search range must lie within the unambiguous field of view")
+    return (lo, hi)
 
 
 def estimate_aoa(window: IQWindow, geometry: ArrayGeometry,
-                 search: tuple[float, float] | None = None,
-                 tx_sequence: np.ndarray | None = None) -> AoAMeasurement:
+                 search: tuple[float, float]) -> AoAMeasurement:
     """Closed-form peak of the pseudospectrum within the search range.
 
-    The unconstrained peak is theta = asin(arg R[1, 0] / (4*pi*d/lambda)),
-    so a window whose angle lies in ``search`` needs no eigendecomposition.
-    The pseudospectrum falls off with the circular distance of the steering
-    phase from arg R[1, 0], so when that angle lies outside ``search`` the
-    maximum over the range sits at one of its endpoints -- not necessarily
-    the nearer one in angle, since the phase wraps -- and the endpoint with
-    the larger pseudospectrum is returned.
+    The angle comes from the window's ``covariance`` R; ``search`` is a
+    range ``search_range`` has checked.  The unconstrained peak is
+    theta = asin(arg R[1, 0] / (4*pi*d/lambda)), so a window whose angle
+    lies in ``search`` needs no eigendecomposition.  The pseudospectrum falls
+    off with the circular distance of the steering phase from arg R[1, 0],
+    so when that angle lies outside ``search`` the maximum over the range
+    sits at one of its endpoints -- not necessarily the nearer one in angle,
+    since the phase wraps -- and the endpoint with the larger pseudospectrum
+    is returned.
 
-    ``tx_sequence`` (2 x n) divides out a known non-constant transmit
-    sequence before the covariance, the reader knowing its own signal.
     Every snapshot of a row enters its R[i, i], so a window holding a NaN or
     infinite IQ value (such as a NaN-filled lost row), or a finite one whose
     square overflows, has a non-finite R[0, 0], R[1, 1] or R[1, 0] and raises
-    ValueError naming its tag and window, with no numpy warning first.
+    ValueError naming its tag and window.
     """
-    if search is None:
-        search = default_search_range(geometry)
     lo, hi = search
-    fov = unambiguous_fov(geometry) + 1e-12
-    if not lo < hi:
-        raise ValueError("search range must satisfy theta_min < theta_max")
-    if abs(lo) > fov or abs(hi) > fov:
-        raise ValueError("search range must lie within the unambiguous field of view")
-    w = window
-    if tx_sequence is not None:
-        w = IQWindow(window.tag_id, window.window_idx, window.matrix / tx_sequence,
-                     window.midpoint_time_s)
-    cov = sample_covariance(w)
+    cov = window.covariance
     r10 = cov[1, 0]
     if not (cmath.isfinite(r10) and cmath.isfinite(cov[0, 0]) and cmath.isfinite(cov[1, 1])):
         raise ValueError(f"tag {window.tag_id!r} window {window.window_idx}: snapshot "
@@ -186,8 +154,8 @@ def estimate_aoa(window: IQWindow, geometry: ArrayGeometry,
     # spacings below lambda/4 can put the phase past sin = +-1: no angle, NaN
     theta = math.asin(sin_theta) if abs(sin_theta) <= 1.0 else math.nan
     if not lo <= theta <= hi:
-        ends = music_spectrum(np.array([lo, hi]), eig2_hermitian(cov).u_n, geometry)
-        theta = (lo, hi)[int(np.argmax(ends))]
+        u_n = _eig2_stack(cov[None])[3][0]
+        theta = (lo, hi)[int(np.argmax(music_spectrum(np.array([lo, hi]), u_n, geometry)))]
     return AoAMeasurement(float(theta), window.window_idx, cov)
 
 
@@ -196,7 +164,7 @@ def spectrum_peaks(measurements: list[AoAMeasurement], geometry: ArrayGeometry) 
 
     One eigendecomposition and one spectrum evaluation over all windows,
     with the bits of ``music_spectrum(m.theta_hat,
-    eig2_hermitian(m.covariance).u_n, geometry)`` per window.
+    _eig2_stack(m.covariance[None])[3][0], geometry)`` per window.
     """
     if not measurements:
         return np.empty(0)

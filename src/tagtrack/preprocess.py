@@ -20,19 +20,18 @@ from .readerlog import ReaderLog
 class IQWindow:
     """One tag's 2 x n complex snapshot matrix over one acquisition window.
 
-    Row m holds antenna m's snapshots; ``simulate_window`` NaN-fills the row
-    of an antenna that lost the read.  ``window_idx`` is the acquisition
-    window's index in the reader log.  ``covariance`` is the 2x2 snapshot
-    covariance Y Y^H / n when ``window_segments`` took it with the window's
-    stack (a view of that stack's product), and None on a window built
-    elsewhere, for which ``music.sample_covariance`` computes it.
+    ``window_segments`` builds every window.  Row m holds antenna m's
+    snapshots, and ``window_idx`` is the acquisition window's index in the
+    reader log.  ``covariance`` is the 2x2 snapshot covariance Y Y^H / n,
+    a view of the product ``window_segments`` takes over the window's stack;
+    ``music.estimate_aoa`` takes the angle from it.
     """
 
     tag_id: str
     window_idx: int
     matrix: np.ndarray
     midpoint_time_s: float
-    covariance: np.ndarray | None = None
+    covariance: np.ndarray
 
 
 def _snapshot_covariance(y: np.ndarray) -> np.ndarray:

@@ -12,12 +12,14 @@ per-slot carrier phase can be re-enabled through the schedule for
 sensitivity studies.
 
 ``tag_steering`` computes a log's summed path steering in one numpy pass
-per tag and path; ``simulate_window`` takes one window's rows of it and
-makes the window's draws.  numpy's vectorized complex multiply may fuse
-multiply-adds and ``np.power`` may round unlike ``pow``, so the gain
-products are formed from real and imaginary parts and the angle gain's
-``10.0 ** x`` is taken per element: the bits are those of a per-window
-scalar evaluation.
+per tag and path; ``simulate_window`` takes one window's rows of it, makes
+the window's draws and returns each detected tag's 2 x cols matrix, which
+``simulate_log`` stacks into the log's IQ buffer.  numpy's vectorized
+complex multiply may fuse multiply-adds and ``np.power`` may round unlike
+``pow``, so the gain products are formed from real and imaginary parts and
+the angle gain's ``10.0 ** x`` is taken per element: the bits are those of
+a per-window scalar evaluation.  Snapshot windows for AoA estimation come
+from a log, through ``preprocess.window_segments``.
 
 Gesture trajectories are parametric synthetic shapes (ramps, sinusoids,
 arcs); only their coarse direction-of-motion character is modeled after the
@@ -32,7 +34,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .geometry import ArrayGeometry, steering_phase, unambiguous_fov
-from .preprocess import IQWindow
 from .readerlog import ReaderLog
 
 
@@ -180,13 +181,14 @@ def tag_steering(scene: SimScene, angles: list[np.ndarray]) -> np.ndarray:
 
 
 def simulate_window(scene: SimScene, schedule: SASSchedule, steering: np.ndarray,
-                    rng_seed, window_idx: int = 0) -> list[IQWindow]:
-    """Simulate one acquisition window; returns one IQWindow per detected tag.
+                    rng_seed, window_idx: int = 0) -> list[tuple[int, np.ndarray]]:
+    """Simulate one acquisition window; returns (tag index, matrix) per detected tag.
 
     ``steering`` holds the window's summed steering row per scene tag, row
-    ``window_idx`` of ``tag_steering``.  A tag misdetected on one antenna
-    yields a partial window with that row NaN-filled; a tag misdetected on
-    both antennas is omitted.
+    ``window_idx`` of ``tag_steering``.  A tag's index is its position in
+    ``scene.tags``, and row m of its 2 x cols matrix holds antenna m's
+    snapshots.  A tag misdetected on one antenna yields a matrix with that
+    row NaN-filled; a tag misdetected on both antennas is omitted.
 
     Per tag the generator draws the two antennas' misdetection uniforms and
     then, with noise on, a (2, 2, cols) normal block: row m's noise is
@@ -201,15 +203,14 @@ def simulate_window(scene: SimScene, schedule: SASSchedule, steering: np.ndarray
     rng = np.random.default_rng(rng_seed)
     sigma = math.sqrt(scene.noise_var / 2.0)
     cols = schedule.cols
-    mid_t = (window_idx + 0.5) * schedule.window_duration_s
     p1, p2 = scene.misdetect_prob
     out = []
-    for slot, ((tag_id, _), steer) in enumerate(zip(scene.tags, steering), start=1):
+    for i, steer in enumerate(steering):
         u1, u2 = rng.random(2).tolist()
         signal = steer[:, None]
         if schedule.residual_phase:
             signal = signal * np.array([
-                schedule.tx_sequence(window_idx, m, min(slot, 2), scene.geometry.carrier_freq_hz)
+                schedule.tx_sequence(window_idx, m, i + 1, scene.geometry.carrier_freq_hz)
                 for m in (1, 2)])
         if sigma > 0:
             # numpy's normal is 0.0 + sigma * x, never -0.0, so z[m, 0] + 1j * z[m, 1]
@@ -227,8 +228,7 @@ def simulate_window(scene: SimScene, schedule: SASSchedule, steering: np.ndarray
         for m in (0, 1):
             if missing[m]:
                 matrix[m] = np.nan
-        out.append(IQWindow(tag_id=tag_id, window_idx=window_idx, matrix=matrix,
-                            midpoint_time_s=mid_t))
+        out.append((i, matrix))
     return out
 
 
@@ -404,12 +404,11 @@ def simulate_log(scene: SimScene, schedule: SASSchedule, angles: list[np.ndarray
     # every detected window's matrix, stacked; found[t, i] is tag i's index, -1 for none
     iq = np.empty((T * n_tags, 2, cols), dtype=complex)
     found = np.full((T, n_tags), -1)
-    slot = {tag: i for i, tag in enumerate(tag_ids)}
     n = 0
     for t, seed in enumerate(_window_seeds(base, T)):
-        for w in simulate_window(scene, schedule, steering[t], seed, window_idx=t):
-            iq[n] = w.matrix
-            found[t, slot[w.tag_id]] = n
+        for i, matrix in simulate_window(scene, schedule, steering[t], seed, window_idx=t):
+            iq[n] = matrix
+            found[t, i] = n
             n += 1
     # rows in time order: per window, antenna 1 then 2, each over the tags; a row's
     # first snapshot is global slot 4k + 2(m-1) + (i-1) with k = t * cols

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .geometry import ArrayGeometry
-from .music import AoAMeasurement, estimate_aoa
-from .preprocess import IQWindow, windows_by_tag
+from .music import AoAMeasurement, estimate_aoa, search_range
+from .preprocess import IQWindow, _snapshot_covariance, windows_by_tag
 from .readerlog import ReaderLog
 from .simulate import SASSchedule
 
@@ -186,23 +186,40 @@ def measure_windows(windows: dict[str, list[IQWindow]], geometry: ArrayGeometry,
                     ) -> dict[str, list[AoAMeasurement]]:
     """Per-window AoA estimates of every tag, in sorted tag order.
 
-    With ``schedule.residual_phase`` on, a window of acquisition size first
-    has the reader's transmit sequence divided out.  That sequence belongs to
-    the window's ``window_idx`` and to the tag's slot, its position among the
-    sorted tag ids.
+    ``search`` is checked once by ``music.search_range`` (None for its
+    default range), also when there are no windows.  With
+    ``schedule.residual_phase`` on, a window of acquisition size first has
+    the reader's transmit sequence divided out of its matrix, and is
+    estimated from the covariance of the quotient.  That sequence belongs to
+    the window's ``window_idx`` and to the tag's slot, its position among
+    the sorted tag ids.
     """
+    search = search_range(geometry, search)
+    residual = schedule is not None and schedule.residual_phase
     out = {}
     for slot, tag in enumerate(sorted(windows), start=1):
         tag_windows = windows[tag]
-        txs = [None] * len(tag_windows)
-        if schedule is not None and schedule.residual_phase:
-            txs = [np.vstack([schedule.tx_sequence(w.window_idx, m, min(slot, 2),
-                                                   geometry.carrier_freq_hz) for m in (1, 2)])
-                   if w.matrix.shape[1] == schedule.cols else None
-                   for w in tag_windows]
-        out[tag] = [estimate_aoa(w, geometry, search=search, tx_sequence=tx)
-                    for w, tx in zip(tag_windows, txs)]
+        if residual:
+            tag_windows = [_divide_tx(w, schedule, min(slot, 2), geometry.carrier_freq_hz)
+                           if w.matrix.shape[1] == schedule.cols else w for w in tag_windows]
+        out[tag] = [estimate_aoa(w, geometry, search) for w in tag_windows]
     return out
+
+
+def _divide_tx(window: IQWindow, schedule: SASSchedule, tag_slot: int,
+               carrier_freq_hz: float) -> IQWindow:
+    """The window with its transmit sequence divided out, and the quotient's covariance.
+
+    A complex quotient of an infinite value by an exactly real sequence
+    value makes a NaN part with numpy's invalid-value warning; the
+    covariance is then not finite and ``estimate_aoa`` raises, so the
+    warning is held back.
+    """
+    tx = np.vstack([schedule.tx_sequence(window.window_idx, m, tag_slot, carrier_freq_hz)
+                    for m in (1, 2)])
+    with np.errstate(invalid="ignore"):
+        y = window.matrix / tx
+    return replace(window, matrix=y, covariance=_snapshot_covariance(y))
 
 
 def track_aoa(log: ReaderLog, geometry: ArrayGeometry,

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 from test_geometry import paper_geometry
+from test_music import eig2
 from test_simulate import simulate_at
 from test_tracking import batch_map_oracle, simulate_linear
 
@@ -20,15 +21,16 @@ from tagtrack.classify import LabeledDataset, dtw_1nn_classify, evaluate, \
     knn_feature_classify, stratified_split
 from tagtrack.cli import main as cli_main
 from tagtrack.features import featurize_dataset
-from tagtrack.music import eig2_hermitian, estimate_aoa, music_spectrum, sample_covariance
+from tagtrack.music import estimate_aoa, music_spectrum, search_range
 from tagtrack.pipeline import (DatasetSpec, dtw_experiment, knn_experiment,
                                series_bundles, synthesize_dataset, synthesize_gesture)
-from tagtrack.preprocess import IQWindow
+from tagtrack.preprocess import _snapshot_covariance
 from tagtrack.simulate import SASSchedule, anechoic_scene, lab_scene
 from tagtrack.tracking import KalmanConfig, filter_sequence, rts_smooth, track_aoa
 
 GEO = paper_geometry()
 SCHED = SASSchedule()
+SEARCH = search_range(GEO)
 
 
 def report(num: int, ok: bool, detail: str):
@@ -43,7 +45,7 @@ def mean_abs_error_deg(scene_fn, theta_deg, n_seeds=100, seed_base=0):
     for s in range(n_seeds):
         scene = scene_fn(np.random.default_rng([seed_base, s]))
         w = simulate_at(scene, SCHED, [theta], [seed_base + 1, s])[0]
-        m = estimate_aoa(w, GEO)
+        m = estimate_aoa(w, GEO, SEARCH)
         errs.append(abs(math.degrees(m.theta_hat) - theta_deg))
     return float(np.mean(errs))
 
@@ -71,7 +73,7 @@ def test_criterion_01_noiseless_exactness():
     worst = 0.0
     for deg in np.arange(-18.0, 18.0001, 0.5):
         w = simulate_at(scene, SCHED, [math.radians(deg)], 0)[0]
-        m = estimate_aoa(w, GEO)
+        m = estimate_aoa(w, GEO, SEARCH)
         worst = max(worst, abs(math.degrees(m.theta_hat) - deg))
     elapsed = time.perf_counter() - t0
     report(1, worst <= 0.02 and elapsed < 5.0,
@@ -99,8 +101,8 @@ def test_criterion_04_two_tags():
         scene = lab_scene(GEO, 20.0, rng, tag_ids=("A", "B"))
         ws = simulate_at(scene, SCHED, [math.radians(-15.0), math.radians(-10.0)],
                          [401, s])
-        errs[-15.0].append(abs(math.degrees(estimate_aoa(ws[0], GEO).theta_hat) + 15.0))
-        errs[-10.0].append(abs(math.degrees(estimate_aoa(ws[1], GEO).theta_hat) + 10.0))
+        errs[-15.0].append(abs(math.degrees(estimate_aoa(ws[0], GEO, SEARCH).theta_hat) + 15.0))
+        errs[-10.0].append(abs(math.degrees(estimate_aoa(ws[1], GEO, SEARCH).theta_hat) + 10.0))
     m15, m10 = float(np.mean(errs[-15.0])), float(np.mean(errs[-10.0]))
     report(4, m15 <= 4.0 and m10 <= 4.0,
            f"two tags: mean errors {m15:.3f} / {m10:.3f} deg (each <= 4.0)")
@@ -168,12 +170,11 @@ def test_criterion_07_ambiguity_property():
     worst = 0.0
     for _ in range(50):
         y = rng.normal(size=(2, 16)) + 1j * rng.normal(size=(2, 16))
-        w = IQWindow("t", 0, y, 0.0)
-        eig = eig2_hermitian(sample_covariance(w))
+        u_n = eig2(_snapshot_covariance(y))[3]
         theta = rng.uniform(-0.25, 0.25)
         alias = math.asin(math.sin(theta) + 0.625)
-        s1 = music_spectrum(theta, eig.u_n, GEO)
-        s2 = music_spectrum(alias, eig.u_n, GEO)
+        s1 = music_spectrum(theta, u_n, GEO)
+        s2 = music_spectrum(alias, u_n, GEO)
         worst = max(worst, abs(s1 - s2) / s1)
     report(7, worst <= 1e-9,
            f"spectrum at theta vs sin-offset-0.625 alias: worst rel diff {worst:.2e} (<= 1e-9)")

@@ -7,22 +7,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from logfiles import ReadRecord, from_records
 from test_geometry import ScenePose, aoa_from_positions, paper_geometry, steering_vector
-from test_simulate import simulate_at
+from test_simulate import iq_window, simulate_at
 
 from tagtrack import music
 from tagtrack.geometry import ArrayGeometry, steering_phase, unambiguous_fov
-from tagtrack.music import (SPECTRUM_FLOOR, default_search_range, eig2_hermitian,
-                            estimate_aoa, music_spectrum, sample_covariance, spectrum_peaks)
-from tagtrack.preprocess import IQWindow
-from tagtrack.simulate import PathSpec, SASSchedule, SimScene, anechoic_scene, lab_scene
+from tagtrack.music import (SPECTRUM_FLOOR, _eig2_stack, estimate_aoa, music_spectrum,
+                            search_range, spectrum_peaks)
+from tagtrack.preprocess import _snapshot_covariance, windows_by_tag
+from tagtrack.simulate import (PathSpec, SASSchedule, SimScene, anechoic_scene, lab_scene,
+                               simulate_log)
+from tagtrack.tracking import measure_windows
 
 GEO = paper_geometry()
 SCHED = SASSchedule()
-
-
-def make_window(matrix, idx=0):
-    return IQWindow("t", idx, np.asarray(matrix, dtype=complex), 0.0)
+SEARCH = search_range(GEO)
 
 
 def noiseless_window(theta, n=50, gain=1.0):
@@ -30,43 +30,47 @@ def noiseless_window(theta, n=50, gain=1.0):
     return simulate_at(scene, SASSchedule(samples_per_window=2 * n), [theta], 0)[0]
 
 
-class TestSampleCovariance:
+def eig2(r):
+    "(lam_s, lam_n, u_s, u_n) of one Hermitian 2x2 matrix, through the stacked form."
+    lam_s, lam_n, u_s, u_n = _eig2_stack(np.asarray(r)[None])
+    return float(lam_s[0]), float(lam_n[0]), u_s[0], u_n[0]
+
+
+class TestSnapshotCovariance:
     def test_all_ones(self):
-        cov = sample_covariance(make_window([[1, 1], [1, 1]]))
+        cov = iq_window([[1, 1], [1, 1]]).covariance
         assert cov.shape == (2, 2)
         np.testing.assert_allclose(cov, [[1, 1], [1, 1]], atol=1e-15)
 
     def test_identity_pair(self):
-        cov = sample_covariance(make_window([[1, 0], [0, 1]]))
+        cov = iq_window([[1, 0], [0, 1]]).covariance
         np.testing.assert_allclose(cov, 0.5 * np.eye(2), atol=1e-15)
 
     def test_offdiagonal_phase_at_15deg(self):
-        w = noiseless_window(math.radians(15.0))
-        cov = sample_covariance(w)
+        cov = noiseless_window(math.radians(15.0)).covariance
         assert np.angle(cov[0, 1]) == pytest.approx(-2.6018, abs=1e-3)
 
     def test_hermitian_psd_and_trace(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             y = rng.normal(size=(2, 20)) + 1j * rng.normal(size=(2, 20))
-            r = sample_covariance(make_window(y))
+            r = _snapshot_covariance(y)
             assert abs(r[0, 1] - np.conj(r[1, 0])) < 1e-12 * np.abs(r).max()
-            eig = eig2_hermitian(r)
-            assert eig.lam_n >= -1e-10 * np.trace(r).real
+            assert eig2(r)[1] >= -1e-10 * np.trace(r).real
             # trace equals squared Frobenius norm over snapshot count
             assert np.trace(r).real == pytest.approx(
                 np.linalg.norm(y) ** 2 / y.shape[1], rel=1e-9)
 
     def test_incomplete_window_rejected(self):
         "A NaN-filled lost row reaches R[1, 0], so the window yields no angle."
-        w = make_window([[1, 1], [np.nan, np.nan]], idx=7)
-        assert not cmath.isfinite(sample_covariance(w)[1, 0])
+        w = iq_window([[1, 1], [np.nan, np.nan]], window_idx=7)
+        assert not cmath.isfinite(w.covariance[1, 0])
         with pytest.raises(ValueError, match="tag 't' window 7"):
-            estimate_aoa(w, GEO)
+            estimate_aoa(w, GEO, SEARCH)
 
 
 def ref_eig2(r):
-    "The numpy-array form of eig2_hermitian, kept to pin its bits."
+    "The numpy-array form of one matrix's eigendecomposition, kept to pin the stack's bits."
     scale = float(np.abs(r).max()) or 1.0
     a, c, b = r[0, 0].real, r[1, 1].real, r[0, 1]
     disc = math.hypot(a - c, 2.0 * abs(b))
@@ -96,12 +100,12 @@ def snapshot_matrices(draw):
 @settings(max_examples=300, deadline=None)
 @given(y=snapshot_matrices(), theta=st.floats(-0.3, 0.3))
 def test_eig2_matches_numpy_reference_bitwise(y, theta):
-    cov = sample_covariance(make_window(y))
-    eig = eig2_hermitian(cov)
+    cov = _snapshot_covariance(y)
+    got_s, got_n, got_us, got_un = eig2(cov)
     lam_s, lam_n, u_s, u_n = ref_eig2(cov)
-    assert (eig.lam_s, eig.lam_n) == (lam_s, lam_n)
-    assert eig.u_s.tobytes() == u_s.tobytes() and eig.u_n.tobytes() == u_n.tobytes()
-    assert music_spectrum(theta, eig.u_n, GEO) == music_spectrum(theta, u_n, GEO)
+    assert (got_s, got_n) == (lam_s, lam_n)
+    assert got_us.tobytes() == u_s.tobytes() and got_un.tobytes() == u_n.tobytes()
+    assert music_spectrum(theta, got_un, GEO) == music_spectrum(theta, u_n, GEO)
 
 
 def ref_music_spectrum(theta, noise_vec, geometry):
@@ -114,40 +118,44 @@ def ref_music_spectrum(theta, noise_vec, geometry):
 
 def spectrum_peak(m, geometry) -> float:
     "One measurement's peak, evaluated on its own as the reference for spectrum_peaks."
-    return ref_music_spectrum(m.theta_hat, eig2_hermitian(m.covariance).u_n, geometry)
+    return ref_music_spectrum(m.theta_hat, eig2(m.covariance)[3], geometry)
 
 
-def ref_estimate_aoa(window, geometry, search=None, tx_sequence=None):
+def ref_estimate_aoa(window, geometry, search=None, tx=None):
     """The eager estimate_aoa, kept to pin the bits of the angle and the peak.
 
+    It checks the search range itself (None: +-18 deg clamped into the field
+    of view), divides the 2 x n transmit sequence ``tx`` out of the window's
+    matrix when one is given, and takes its own covariance of the result.
     Returns (theta_hat, spectrum_peak, window_idx).
     """
+    fov = unambiguous_fov(geometry)
     if search is None:
-        search = default_search_range(geometry)
+        half = min(math.radians(18.0), fov)
+        search = (-half, half)
     lo, hi = search
-    fov = unambiguous_fov(geometry) + 1e-12
     if not lo < hi:
         raise ValueError("search range must satisfy theta_min < theta_max")
-    if abs(lo) > fov or abs(hi) > fov:
+    if abs(lo) > fov + 1e-12 or abs(hi) > fov + 1e-12:
         raise ValueError("search range must lie within the unambiguous field of view")
-    w = window
-    if tx_sequence is not None:
-        w = IQWindow(window.tag_id, window.window_idx, window.matrix / tx_sequence,
-                     window.midpoint_time_s)
-    cov = sample_covariance(w)
+    y = window.matrix
+    with np.errstate(invalid="ignore", over="ignore"):
+        if tx is not None:
+            y = y / tx
+        cov = y @ y.conj().T / y.shape[1]
     if not np.isfinite(cov).all():
         raise ValueError(f"tag {window.tag_id!r} window {window.window_idx}: snapshot "
                          "covariance is not finite (a NaN, infinite or overflowing IQ value)")
-    eig = eig2_hermitian(cov)
+    u_n = eig2(cov)[3]
     sin_theta = cmath.phase(cov[1, 0]) / \
         (4.0 * math.pi * geometry.element_spacing_m / geometry.wavelength_m)
     theta = math.asin(sin_theta) if abs(sin_theta) <= 1.0 else math.nan
     if not lo <= theta <= hi:
         # one endpoint at a time: on an array the complex product may fuse
         # multiply-adds, and a near tie would then pick the other endpoint
-        ends = [ref_music_spectrum(t, eig.u_n, geometry) for t in (lo, hi)]
+        ends = [ref_music_spectrum(t, u_n, geometry) for t in (lo, hi)]
         theta = (lo, hi)[int(np.argmax(ends))]
-    return float(theta), ref_music_spectrum(theta, eig.u_n, geometry), window.window_idx
+    return float(theta), ref_music_spectrum(theta, u_n, geometry), window.window_idx
 
 
 # the paper's array, and one spaced under lambda/4, whose arg R[1, 0] can map
@@ -168,17 +176,13 @@ def search_ranges(draw, geometry):
 
 @st.composite
 def aoa_cases(draw):
-    "A window (sometimes with a NaN-filled lost row), geometry, search range, maybe a tx sequence."
+    "A window (sometimes with a NaN-filled lost row), geometry and search range."
     y = draw(snapshot_matrices())
     geometry = draw(st.sampled_from(GEOMETRIES))
     if not (draw(st.booleans()) or draw(st.booleans())):
         y[draw(st.integers(0, 1))] = np.nan
-    tx = None
-    if draw(st.booleans()):
-        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-        tx = np.exp(1j * rng.uniform(-math.pi, math.pi, size=y.shape))
-    window = make_window(y, idx=draw(st.integers(0, 10 ** 6)))
-    return window, geometry, draw(search_ranges(geometry)), tx
+    window = iq_window(y, window_idx=draw(st.integers(0, 10 ** 6)))
+    return window, geometry, draw(search_ranges(geometry))
 
 
 def bits(x: float) -> bytes:
@@ -188,17 +192,17 @@ def bits(x: float) -> bytes:
 @settings(max_examples=400, deadline=None)
 @given(case=aoa_cases())
 # endpoints one ulp apart, whose pseudospectra the vectorized complex product rounds apart
-@example(case=(make_window([[2.94 + 0.28j, 5.47 - 7.36j], [-1.63 - 4.82j, 5.99 + 0.4j]]),
-               GEO, (-0.058, -0.057999999999999996), None))
+@example(case=(iq_window([[2.94 + 0.28j, 5.47 - 7.36j], [-1.63 - 4.82j, 5.99 + 0.4j]]),
+               GEO, (-0.058, -0.057999999999999996)))
 def test_estimate_aoa_matches_eager_reference_bitwise(case):
-    window, geometry, search, tx = case
+    window, geometry, search = case
     try:
-        theta, peak, idx = ref_estimate_aoa(window, geometry, search=search, tx_sequence=tx)
+        theta, peak, idx = ref_estimate_aoa(window, geometry, search)
     except ValueError as e:  # the reference's refusals hold too
         with pytest.raises(ValueError, match=re.escape(str(e))):
-            estimate_aoa(window, geometry, search=search, tx_sequence=tx)
+            estimate_aoa(window, geometry, search_range(geometry, search))
         return
-    m = estimate_aoa(window, geometry, search=search, tx_sequence=tx)
+    m = estimate_aoa(window, geometry, search_range(geometry, search))
     assert m.window_idx == idx
     assert bits(m.theta_hat) == bits(theta)
     assert bits(spectrum_peaks([m], geometry)[0]) == bits(peak)
@@ -208,15 +212,97 @@ def test_estimate_aoa_matches_eager_reference_bitwise(case):
 @given(y=snapshot_matrices(), row=st.integers(0, 1), col=st.integers(0, 59),
        part=st.sampled_from(["real", "imag"]),
        bad=st.sampled_from([math.nan, math.inf, -math.inf, 1e200, -1e200]),
-       idx=st.integers(0, 10 ** 6), with_tx=st.booleans())
-def test_nonfinite_iq_rejected(y, row, col, part, bad, idx, with_tx):
+       idx=st.integers(0, 10 ** 6))
+def test_nonfinite_iq_rejected(y, row, col, part, bad, idx):
     "One NaN, infinite or overflowing IQ value anywhere in Y raises, naming tag and window."
     z = y[row, col % y.shape[1]]
     y[row, col % y.shape[1]] = complex(bad, z.imag) if part == "real" else complex(z.real, bad)
-    tx = np.exp(1j * np.linspace(-3.0, 3.0, y.size)).reshape(y.shape) if with_tx else None
     # no numpy warning first: filterwarnings = error would turn it into the failure
     with pytest.raises(ValueError, match=f"tag 't' window {idx}: .*not finite"):
-        estimate_aoa(make_window(y, idx=idx), GEO, tx_sequence=tx)
+        estimate_aoa(iq_window(y, window_idx=idx), GEO, SEARCH)
+
+
+@st.composite
+def residual_phase_cases(draw):
+    """A log to measure with residual phase on: (log, geometry, schedule, search).
+
+    One to three tags appear in a drawn order, so a tag's slot (its place
+    among the sorted tag ids) need not follow the log.  Each tag has a few
+    windows at rising indices, often from 0.  A window's rows take the
+    schedule's width or another, independent or rank one; now and then a row
+    is NaN-filled or one IQ value is NaN, infinite or overflowing.
+    """
+    geometry = draw(st.sampled_from(GEOMETRIES))
+    cols = draw(st.integers(2, 8))
+    period = draw(st.sampled_from([2.5e-4, 2.5037e-4]) | st.floats(1e-5, 1e-3))
+    schedule = SASSchedule(samples_per_window=2 * cols, sample_period_s=period,
+                           residual_phase=True)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    width = st.just(cols) | st.integers(0, cols + 3)
+    recs = []
+    tags = draw(st.permutations(["A", "B", "C"]))[:draw(st.integers(1, 3))]
+    for t, tag in enumerate(tags):
+        idx = draw(st.just(0) | st.integers(0, 10 ** 6))
+        for _ in range(draw(st.integers(1, 5))):
+            n1 = draw(width)
+            n2 = n1 if draw(st.booleans()) else draw(width)
+            y = [rng.normal(size=n) + 1j * rng.normal(size=n) for n in (n1, n2)]
+            if draw(st.booleans()):
+                k = min(n1, n2)
+                y[1][:k] = y[0][:k] * np.exp(1j * draw(st.floats(-math.pi, math.pi)))
+            scale = 10.0 ** draw(st.floats(-8, 8))
+            y = [scale * row for row in y]
+            row, bad = draw(st.integers(0, 1)), draw(st.sampled_from([None, None, "row", "value"]))
+            if bad == "row":
+                y[row][:] = np.nan
+            elif bad == "value" and y[row].size:
+                col, value = draw(st.integers(0, y[row].size - 1)), draw(st.sampled_from(
+                    [math.nan, math.inf, -math.inf, 1e200, -1e200]))
+                z = y[row][col]
+                y[row][col] = complex(value, z.imag) if draw(st.booleans()) else \
+                    complex(z.real, value)
+            recs += [ReadRecord(idx, idx + 0.1 * a + 0.01 * t, tag, a, y[a - 1], 0.0, 0.0, True)
+                     for a in (1, 2)]
+            idx += draw(st.integers(1, 3))
+    recs.sort(key=lambda r: r.timestamp_s)
+    return from_records(recs), geometry, schedule, draw(search_ranges(geometry))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=residual_phase_cases())
+# an infinite value over the transmit sample of global slot 0, exactly 1 + 0j: the
+# complex quotient's NaN part once came with numpy's invalid-value warning
+@example(case=(from_records([ReadRecord(0, 0.1 * a, "A", a, np.array([complex(math.inf, 1.0), 1.0])
+                                        if a == 1 else np.ones(2, complex), 0.0, 0.0, True)
+                             for a in (1, 2)]),
+               GEO, SASSchedule(samples_per_window=4, sample_period_s=2.5037e-4,
+                                residual_phase=True), None))
+def test_residual_phase_measurements_match_reference_bitwise(case):
+    """Windows of the schedule's width are measured with their transmit sequence divided out.
+
+    Every measurement and its peak are the reference's, bit for bit, and the
+    first window the reference refuses makes ``measure_windows`` raise the
+    same message, with no numpy warning first.
+    """
+    log, geometry, schedule, search = case
+    windows = windows_by_tag(log)
+    want = {}
+    try:
+        for slot, tag in enumerate(sorted(windows), start=1):
+            want[tag] = [ref_estimate_aoa(w, geometry, search, np.vstack(
+                [schedule.tx_sequence(w.window_idx, m, min(slot, 2), geometry.carrier_freq_hz)
+                 for m in (1, 2)]) if w.matrix.shape[1] == schedule.cols else None)
+                for w in windows[tag]]
+    except ValueError as e:
+        with pytest.raises(ValueError, match=re.escape(str(e))):
+            measure_windows(windows, geometry, schedule, search)
+        return
+    got = measure_windows(windows, geometry, schedule, search)
+    assert list(got) == list(want)
+    for tag, ms in got.items():
+        peaks = spectrum_peaks(ms, geometry).tolist()
+        assert [(m.window_idx, bits(m.theta_hat), bits(p)) for m, p in zip(ms, peaks)] == \
+            [(idx, bits(theta), bits(peak)) for theta, peak, idx in want[tag]]
 
 
 @settings(max_examples=100, deadline=None)
@@ -225,7 +311,7 @@ def test_nonfinite_iq_rejected(y, row, col, part, bad, idx, with_tx):
        search=st.none() | st.just((-0.05, 0.05)))
 def test_spectrum_peaks_match_per_window_bitwise(geometry, windows, search):
     "The peaks of all windows at once are each window's own, bit for bit."
-    ms = [estimate_aoa(make_window(y), geometry, search=search) for y in windows]
+    ms = [estimate_aoa(iq_window(y), geometry, search_range(geometry, search)) for y in windows]
     got = spectrum_peaks(ms, geometry)
     assert got.shape == (len(ms),)
     assert [bits(p) for p in got.tolist()] == [bits(spectrum_peak(m, geometry)) for m in ms]
@@ -237,60 +323,58 @@ def test_in_range_window_skips_subspace_work(monkeypatch):
         raise AssertionError("subspace work for an in-range window")
 
     w = noiseless_window(0.1)
-    monkeypatch.setattr(music, "eig2_hermitian", called)
+    monkeypatch.setattr(music, "_eig2_stack", called)
     monkeypatch.setattr(music, "music_spectrum", called)
-    m = estimate_aoa(w, GEO)
+    m = estimate_aoa(w, GEO, SEARCH)
     assert abs(m.theta_hat - 0.1) <= 1e-6
 
 
 class TestEig2:
     def test_diagonal(self):
-        eig = eig2_hermitian(np.diag([2.0, 1.0]).astype(complex))
-        assert (eig.lam_s, eig.lam_n) == (2.0, 1.0)
-        np.testing.assert_allclose(np.abs(eig.u_s), [1, 0], atol=1e-15)
-        np.testing.assert_allclose(np.abs(eig.u_n), [0, 1], atol=1e-15)
+        lam_s, lam_n, u_s, u_n = eig2(np.diag([2.0, 1.0]).astype(complex))
+        assert (lam_s, lam_n) == (2.0, 1.0)
+        np.testing.assert_allclose(np.abs(u_s), [1, 0], atol=1e-15)
+        np.testing.assert_allclose(np.abs(u_n), [0, 1], atol=1e-15)
 
     def test_rank_one_ones(self):
-        eig = eig2_hermitian(np.ones((2, 2), dtype=complex))
-        assert eig.lam_s == pytest.approx(2.0)
-        assert eig.lam_n == pytest.approx(0.0, abs=1e-12)
-        np.testing.assert_allclose(np.abs(eig.u_s), [1 / math.sqrt(2)] * 2, atol=1e-12)
+        lam_s, lam_n, u_s, _ = eig2(np.ones((2, 2), dtype=complex))
+        assert lam_s == pytest.approx(2.0)
+        assert lam_n == pytest.approx(0.0, abs=1e-12)
+        np.testing.assert_allclose(np.abs(u_s), [1 / math.sqrt(2)] * 2, atol=1e-12)
 
     def test_scaling_invariance(self):
         rng = np.random.default_rng(2)
         y = rng.normal(size=(2, 8)) + 1j * rng.normal(size=(2, 8))
         r = y @ y.conj().T / 8
-        e1 = eig2_hermitian(r)
-        e2 = eig2_hermitian(3.5 * r)
-        assert e2.lam_s == pytest.approx(3.5 * e1.lam_s, rel=1e-12)
-        assert e2.lam_n == pytest.approx(3.5 * e1.lam_n, rel=1e-12)
+        s1, n1, u1, _ = eig2(r)
+        s2, n2, u2, _ = eig2(3.5 * r)
+        assert s2 == pytest.approx(3.5 * s1, rel=1e-12)
+        assert n2 == pytest.approx(3.5 * n1, rel=1e-12)
         # eigvecs equal up to phase
-        assert abs(abs(np.vdot(e1.u_s, e2.u_s)) - 1) < 1e-12
+        assert abs(abs(np.vdot(u1, u2)) - 1) < 1e-12
 
     def test_eigen_equation_and_orthogonality(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
             y = rng.normal(size=(2, 6)) + 1j * rng.normal(size=(2, 6))
             r = y @ y.conj().T / 6
-            eig = eig2_hermitian(r)
-            np.testing.assert_allclose(r @ eig.u_s, eig.lam_s * eig.u_s, atol=1e-9)
-            np.testing.assert_allclose(r @ eig.u_n, eig.lam_n * eig.u_n, atol=1e-9)
-            assert abs(np.vdot(eig.u_s, eig.u_n)) <= 1e-12
-            assert np.linalg.norm(eig.u_s) == pytest.approx(1.0, abs=1e-12)
-            recon = eig.lam_s * np.outer(eig.u_s, eig.u_s.conj()) \
-                + eig.lam_n * np.outer(eig.u_n, eig.u_n.conj())
+            lam_s, lam_n, u_s, u_n = eig2(r)
+            np.testing.assert_allclose(r @ u_s, lam_s * u_s, atol=1e-9)
+            np.testing.assert_allclose(r @ u_n, lam_n * u_n, atol=1e-9)
+            assert abs(np.vdot(u_s, u_n)) <= 1e-12
+            assert np.linalg.norm(u_s) == pytest.approx(1.0, abs=1e-12)
+            recon = lam_s * np.outer(u_s, u_s.conj()) + lam_n * np.outer(u_n, u_n.conj())
             assert np.linalg.norm(recon - r) <= 1e-9 * np.linalg.norm(r)
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):
-            eig2_hermitian(np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex))
+            eig2(np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex))
 
 
 class TestSpectrum:
     def test_noiseless_peak_hits_clamp(self):
-        w = noiseless_window(math.radians(7.0))
-        eig = eig2_hermitian(sample_covariance(w))
-        peak = music_spectrum(math.radians(7.0), eig.u_n, GEO)
+        u_n = eig2(noiseless_window(math.radians(7.0)).covariance)[3]
+        peak = music_spectrum(math.radians(7.0), u_n, GEO)
         assert peak >= 1e12
 
     def test_unit_steering_noise_vector(self):
@@ -305,37 +389,37 @@ class TestSpectrum:
         rng = np.random.default_rng(4)
         for _ in range(20):
             y = rng.normal(size=(2, 10)) + 1j * rng.normal(size=(2, 10))
-            eig = eig2_hermitian(sample_covariance(make_window(y)))
+            u_n = eig2(_snapshot_covariance(y))[3]
             theta = rng.uniform(-0.2, 0.2)
             alias = math.asin(math.sin(theta) + 0.625)
-            s1 = music_spectrum(theta, eig.u_n, GEO)
-            s2 = music_spectrum(alias, eig.u_n, GEO)
+            s1 = music_spectrum(theta, u_n, GEO)
+            s2 = music_spectrum(alias, u_n, GEO)
             assert s2 == pytest.approx(s1, rel=1e-9)
 
 
 class TestEstimateAoA:
     def test_noiseless_zero(self):
-        m = estimate_aoa(noiseless_window(0.0), GEO)
+        m = estimate_aoa(noiseless_window(0.0), GEO, SEARCH)
         assert abs(math.degrees(m.theta_hat)) <= 0.01
 
     def test_noiseless_grid_exactness(self):
         for deg in np.arange(-18, 18.01, 0.5):
-            m = estimate_aoa(noiseless_window(math.radians(deg)), GEO)
+            m = estimate_aoa(noiseless_window(math.radians(deg)), GEO, SEARCH)
             assert abs(math.degrees(m.theta_hat) - deg) <= 0.01, deg
 
     def test_incomplete_window_invalid(self):
         "A window with a NaN-filled lost row raises; it never becomes an endpoint angle."
-        w = noiseless_window(0.1)
-        w.matrix[1] = np.nan
+        y = noiseless_window(0.1).matrix
+        y[1] = np.nan
         with pytest.raises(ValueError, match="tag 't' window 0: .*not finite"):
-            estimate_aoa(w, GEO)
+            estimate_aoa(iq_window(y), GEO, SEARCH)
 
     def test_anechoic_tolerance(self):
         errs = []
         scene = anechoic_scene(GEO, 20.0)
         for s in range(100):
             w = simulate_at(scene, SCHED, [math.radians(15.0)], [30, s])[0]
-            errs.append(abs(math.degrees(estimate_aoa(w, GEO).theta_hat) - 15.0))
+            errs.append(abs(math.degrees(estimate_aoa(w, GEO, SEARCH).theta_hat) - 15.0))
         assert np.mean(errs) <= 1.5
 
     def test_lab_tolerance(self):
@@ -344,7 +428,7 @@ class TestEstimateAoA:
             rng = np.random.default_rng([31, s])
             scene = lab_scene(GEO, 20.0, rng)
             w = simulate_at(scene, SCHED, [math.radians(15.0)], [32, s])[0]
-            errs.append(abs(math.degrees(estimate_aoa(w, GEO).theta_hat) - 15.0))
+            errs.append(abs(math.degrees(estimate_aoa(w, GEO, SEARCH).theta_hat) - 15.0))
         assert np.mean(errs) <= 4.5
 
     def test_gain_invariance(self):
@@ -353,17 +437,10 @@ class TestEstimateAoA:
         for s in range(10):
             w = simulate_at(scene, SCHED, [0.15], [33, s])[0]
             c = (rng.normal() + 1j * rng.normal()) or 1.0
-            scaled = make_window(c * w.matrix)
-            t1 = estimate_aoa(w, GEO).theta_hat
-            t2 = estimate_aoa(scaled, GEO).theta_hat
+            scaled = iq_window(c * w.matrix)
+            t1 = estimate_aoa(w, GEO, SEARCH).theta_hat
+            t2 = estimate_aoa(scaled, GEO, SEARCH).theta_hat
             assert abs(math.degrees(t1 - t2)) <= 1e-4
-
-    def test_search_range_validation(self):
-        w = noiseless_window(0.0)
-        with pytest.raises(ValueError):
-            estimate_aoa(w, GEO, search=(0.2, 0.1))
-        with pytest.raises(ValueError):
-            estimate_aoa(w, GEO, search=(-1.0, 1.0))  # outside the FOV
 
     def test_brute_force_oracle(self):
         # the closed-form peak agrees with an exhaustive 0.001-degree grid
@@ -373,10 +450,9 @@ class TestEstimateAoA:
             rng = np.random.default_rng([34, s])
             scene = lab_scene(GEO, 10.0, rng)
             w = simulate_at(scene, SCHED, [rng.uniform(-0.25, 0.25)], [35, s])[0]
-            eig = eig2_hermitian(sample_covariance(w))
-            sp = music_spectrum(fine, eig.u_n, GEO)
+            sp = music_spectrum(fine, eig2(w.covariance)[3], GEO)
             brute = fine[int(np.argmax(sp))]
-            m = estimate_aoa(w, GEO)
+            m = estimate_aoa(w, GEO, SEARCH)
             assert abs(math.degrees(m.theta_hat - brute)) <= 0.001
 
     @pytest.mark.parametrize("true_deg, end", [(15.0, 0), (8.0, 1), (0.0, None)])
@@ -390,13 +466,13 @@ class TestEstimateAoA:
             rng = np.random.default_rng([38, s])
             scene = lab_scene(GEO, 10.0, rng)
             w = simulate_at(scene, SCHED, [math.radians(true_deg)], [39, s])[0]
-            eig = eig2_hermitian(sample_covariance(w))
-            brute = fine[int(np.argmax(music_spectrum(fine, eig.u_n, GEO)))]
-            m = estimate_aoa(w, GEO, search=(lo, hi))
+            u_n = eig2(w.covariance)[3]
+            brute = fine[int(np.argmax(music_spectrum(fine, u_n, GEO)))]
+            m = estimate_aoa(w, GEO, (lo, hi))
             assert abs(math.degrees(m.theta_hat - brute)) <= 0.001
             if end is not None:
                 assert m.theta_hat == (lo, hi)[end]
-                assert spectrum_peaks([m], GEO)[0] == music_spectrum(m.theta_hat, eig.u_n, GEO)
+                assert spectrum_peaks([m], GEO)[0] == music_spectrum(m.theta_hat, u_n, GEO)
 
     def test_two_tag_independence(self):
         errs = {"-15": [], "-10": []}
@@ -404,21 +480,21 @@ class TestEstimateAoA:
             scene = anechoic_scene(GEO, 20.0, tag_ids=("A", "B"))
             ws = simulate_at(scene, SCHED,
                              [math.radians(-15.0), math.radians(-10.0)], [36, s])
-            errs["-15"].append(abs(math.degrees(estimate_aoa(ws[0], GEO).theta_hat) + 15))
-            errs["-10"].append(abs(math.degrees(estimate_aoa(ws[1], GEO).theta_hat) + 10))
+            errs["-15"].append(abs(math.degrees(estimate_aoa(ws[0], GEO, SEARCH).theta_hat) + 15))
+            errs["-10"].append(abs(math.degrees(estimate_aoa(ws[1], GEO, SEARCH).theta_hat) + 10))
         assert np.mean(errs["-15"]) <= 1.5
         assert np.mean(errs["-10"]) <= 1.5
 
     def test_residual_phase_compensation(self):
         # with the residual carrier phase on, dividing out the known transmit
-        # sequence restores the noiseless estimate
+        # sequence restores the noiseless estimate, which is lost without it
         sched = SASSchedule(sample_period_s=2.5037e-4, residual_phase=True)
         scene = SimScene(GEO, [("t", [PathSpec(1.0, 0.0, is_los=True)])])
-        theta = math.radians(9.0)
-        w = simulate_at(scene, sched, [theta], 0)[0]
-        tx = np.vstack([sched.tx_sequence(0, m, 1, GEO.carrier_freq_hz) for m in (1, 2)])
-        m = estimate_aoa(w, GEO, tx_sequence=tx)
-        assert abs(math.degrees(m.theta_hat) - 9.0) <= 0.01
+        windows = windows_by_tag(simulate_log(scene, sched, [np.full(4, math.radians(9.0))], 0))
+        errs = [abs(math.degrees(m.theta_hat) - 9.0)
+                for schedule in (sched, None)
+                for m in measure_windows(windows, GEO, schedule)["t"]]
+        assert len(errs) == 8 and max(errs[:4]) <= 0.01 and min(errs[4:]) > 1.0
 
     def test_consistency_with_positions(self):
         # a tag simulated at a pose is recovered at aoa_from_positions(pose)
@@ -426,7 +502,7 @@ class TestEstimateAoA:
         theta = aoa_from_positions(pose)
         assert abs(theta) < unambiguous_fov(GEO)
         w = noiseless_window(theta)
-        m = estimate_aoa(w, GEO)
+        m = estimate_aoa(w, GEO, SEARCH)
         assert abs(math.degrees(m.theta_hat - theta)) <= 0.01
 
     def test_snr_monotonicity(self):
@@ -437,6 +513,31 @@ class TestEstimateAoA:
             sq = []
             for s in range(200):
                 w = simulate_at(scene, SCHED, [math.radians(15.0)], [37, int(snr), s])[0]
-                sq.append((math.degrees(estimate_aoa(w, GEO).theta_hat) - 15.0) ** 2)
+                sq.append((math.degrees(estimate_aoa(w, GEO, SEARCH).theta_hat) - 15.0) ** 2)
             rmse.append(math.sqrt(np.mean(sq)))
         assert all(hi >= lo for hi, lo in zip(rmse[:-1], rmse[1:]))
+
+
+class TestSearchRange:
+    def test_default_range(self):
+        assert search_range(GEO) == (-math.radians(18.0), math.radians(18.0))
+        narrow = ArrayGeometry(GEO.carrier_freq_hz, 0.4)     # FOV +-12.5 deg
+        fov = unambiguous_fov(narrow)
+        assert search_range(narrow) == (-fov, fov)
+
+    def test_given_range(self):
+        assert search_range(GEO, (0.1, 0.2)) == (0.1, 0.2)
+        fov = unambiguous_fov(GEO)
+        assert search_range(GEO, (-fov - 1e-13, fov)) == (-fov - 1e-13, fov)  # rounding slack
+
+    @pytest.mark.parametrize("search, message", [((0.2, 0.1), "theta_min < theta_max"),
+                                                 ((0.1, 0.1), "theta_min < theta_max"),
+                                                 ((-1.0, 1.0), "field of view"),
+                                                 ((0.0, 1.0), "field of view")])
+    def test_bad_range_rejected(self, search, message):
+        with pytest.raises(ValueError, match=message):
+            search_range(GEO, search)
+        # measure_windows checks the range once, before and without any window
+        for windows in ({}, {"t": []}, {"t": [noiseless_window(0.0)]}):
+            with pytest.raises(ValueError, match=message):
+                measure_windows(windows, GEO, search=search)

@@ -10,7 +10,7 @@ from logfiles import ReadRecord, from_records, records
 from test_geometry import paper_geometry, steering_vector
 
 from tagtrack.geometry import steering_phase, unambiguous_fov
-from tagtrack.preprocess import IQWindow
+from tagtrack.preprocess import IQWindow, _snapshot_covariance
 from tagtrack.readerlog import read_reader_log, write_reader_log
 from tagtrack.simulate import (GESTURE_CLASSES, GestureSpec, OutOfFovError,
                                PathSpec, SASSchedule, SimScene, TagTrajectory,
@@ -66,9 +66,8 @@ def ref_simulate_window(scene, schedule, true_aoa_per_tag, rng_seed, window_idx=
     amp = math.sqrt(scene.tx_power) * scene.modulation_gain
     sigma = math.sqrt(scene.noise_var / 2.0)
     cols = schedule.cols
-    mid_t = (window_idx + 0.5) * schedule.window_duration_s
     out = []
-    for slot, ((tag_id, paths), theta) in enumerate(zip(scene.tags, true_aoa_per_tag), start=1):
+    for slot, ((_, paths), theta) in enumerate(zip(scene.tags, true_aoa_per_tag), start=1):
         missing = [rng.random() < scene.misdetect_prob[m] for m in (0, 1)]
         steer = np.zeros(2, dtype=complex)
         factor = ref_angle_factor(scene, theta)
@@ -86,8 +85,7 @@ def ref_simulate_window(scene, schedule, true_aoa_per_tag, rng_seed, window_idx=
         for m in (0, 1):
             if missing[m]:
                 matrix[m] = np.nan
-        out.append(IQWindow(tag_id=tag_id, window_idx=window_idx, matrix=matrix,
-                            midpoint_time_s=mid_t))
+        out.append((slot - 1, matrix))
     return out
 
 
@@ -96,15 +94,14 @@ def ref_simulate_log(scene, schedule, angles, rng_seed):
     records = []
     base = list(rng_seed) if isinstance(rng_seed, (list, tuple)) else [rng_seed]
     for t in range(len(angles[0])):
-        windows = {w.tag_id: w for w in
-                   ref_simulate_window(scene, schedule, [a[t] for a in angles], [*base, t],
-                                       window_idx=t)}
+        matrices = dict(ref_simulate_window(scene, schedule, [a[t] for a in angles], [*base, t],
+                                            window_idx=t))
         for slot, tag in enumerate(tag_ids, start=1):
-            w = windows.get(tag)
+            matrix = matrices.get(slot - 1)
             for m in (1, 2):
                 t_row = float((schedule.global_slots(t, m, min(slot, 2))
                                * schedule.sample_period_s)[0])
-                row = None if w is None else w.matrix[m - 1]
+                row = None if matrix is None else matrix[m - 1]
                 if row is not None and not np.isnan(row[0].real):
                     mean_iq = complex(np.mean(row))
                     records.append(ReadRecord(t, t_row, tag, m, np.asarray(row),
@@ -117,10 +114,20 @@ def ref_simulate_log(scene, schedule, angles, rng_seed):
     return from_records(records, truth=truth).validate()
 
 
+def iq_window(matrix, window_idx=0, tag_id="t"):
+    "A window built by hand, with the snapshot covariance window_segments would give it."
+    y = np.asarray(matrix, dtype=complex)
+    return IQWindow(tag_id, window_idx, y, 0.0, _snapshot_covariance(y))
+
+
 def simulate_at(scene, schedule, true_aoa_per_tag, rng_seed, window_idx=0):
-    "simulate_window with its tags' LoS angles in place of their steering rows."
+    """simulate_window with its tags' LoS angles in place of their steering rows.
+
+    Each detected tag's matrix comes back as an ``iq_window``.
+    """
     steering = tag_steering(scene, [[theta] for theta in true_aoa_per_tag])[0]
-    return simulate_window(scene, schedule, steering, rng_seed, window_idx)
+    return [iq_window(matrix, window_idx, scene.tags[i][0])
+            for i, matrix in simulate_window(scene, schedule, steering, rng_seed, window_idx)]
 
 
 def bits(x: float) -> bytes:
@@ -128,11 +135,10 @@ def bits(x: float) -> bytes:
 
 
 def assert_same_windows(got, want):
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert (a.tag_id, a.window_idx, bits(a.midpoint_time_s)) == \
-            (b.tag_id, b.window_idx, bits(b.midpoint_time_s))
-        assert a.matrix.dtype == b.matrix.dtype and a.matrix.tobytes() == b.matrix.tobytes()
+    "Two lists of (tag index, matrix) pairs, the matrices bit for bit."
+    assert [i for i, _ in got] == [i for i, _ in want]
+    for (_, a), (_, b) in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def assert_same_logs(got, want):
@@ -191,10 +197,11 @@ def test_simulation_matches_reference_bitwise(case):
     scene, schedule, angles, seed = case
     assert_same_logs(simulate_log(scene, schedule, angles, seed),
                      ref_simulate_log(scene, schedule, angles, seed))
+    steering = tag_steering(scene, angles)
     for t in range(len(angles[0])):
-        args = (scene, schedule, [a[t] for a in angles], [*seed, t])
-        assert_same_windows(simulate_at(*args, window_idx=t),
-                            ref_simulate_window(*args, window_idx=t))
+        assert_same_windows(simulate_window(scene, schedule, steering[t], [*seed, t], t),
+                            ref_simulate_window(scene, schedule, [a[t] for a in angles],
+                                                [*seed, t], window_idx=t))
 
 
 @settings(max_examples=150, deadline=None)
