@@ -18,12 +18,12 @@ from pathlib import Path
 import numpy as np
 
 from .classify import evaluate
-from .config import (ConfigError, config_hash, geometry_from, kalman_from,
+from .config import (ConfigError, config_hash, dataset_spec_from, geometry_from, kalman_from,
                      load_config, music_search_from, schedule_from)
 from .features import FEATURE_CONFIGS, SampleFeatureError, featurize_dataset
 from .music import spectrum_peaks
-from .pipeline import (DatasetSpec, attach_tracks, dtw_experiment, gesture_dataset,
-                       knn_feature_experiment, synthesize_fixed_log, truth_on_track)
+from .pipeline import (attach_tracks, dtw_experiment, gesture_dataset, knn_feature_experiment,
+                       synthesize_fixed_log, truth_on_track)
 from .preprocess import windows_by_tag
 from .readerlog import read_reader_log, write_reader_log
 from .simulate import GestureSample, gesture_sample
@@ -66,22 +66,20 @@ def _write_json(path: Path, payload: dict):
     path.write_text(_json_text(payload) + "\n")
 
 
-def _dataset_spec(cfg: dict) -> DatasetSpec:
-    s = cfg["scene"]
-    p = s["misdetect_prob"]
-    return DatasetSpec(classes=tuple(s["classes"]),
-                       samples_per_class=s["samples_per_class"], windows=s["windows"],
-                       snr_db=s["snr_db"], misdetect_prob=p if np.isscalar(p) else tuple(p),
-                       nlos_paths=s["nlos_paths"], nlos_gain_db=s["nlos_gain_db"],
-                       angle_gain_db=s["angle_gain_db"], angle_phase_rad=s["angle_phase_rad"],
-                       tx_power=s["tx_power"], modulation_gain=s["modulation_gain"])
+def _write_csv(path: Path, cfg: dict, header: list[str], rows):
+    "Write header and rows under the config hash line, creating the directory as _write_json does."
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# config_hash={config_hash(cfg)},seed={cfg['seed']}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 # --- simulate ----------------------------------------------------------------
 
 def cmd_simulate(cfg: dict, out: Path) -> int:
-    out.mkdir(parents=True, exist_ok=True)
-    geo, sched, spec = geometry_from(cfg), schedule_from(cfg), _dataset_spec(cfg)
+    geo, sched, spec = geometry_from(cfg), schedule_from(cfg), dataset_spec_from(cfg)
     s = cfg["scene"]
     if s["mode"] == "fixed":
         angles = {tag: math.radians(deg) for tag, deg in s["fixed_tags_deg"].items()}
@@ -109,11 +107,7 @@ def _write_measurements(path: Path, cfg: dict, measurements: dict) -> int:
     peaks = _fmt(spectrum_peaks([m for _, m in flat], geometry_from(cfg)).tolist())
     rows = [[tag, m.window_idx, theta, peak, "true"]
             for (tag, m), theta, peak in zip(flat, thetas, peaks)]
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# config_hash={config_hash(cfg)},seed={cfg['seed']}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["tag_id", "window_idx", "theta_deg", "peak", "valid"])
-        writer.writerows(rows)
+    _write_csv(path, cfg, ["tag_id", "window_idx", "theta_deg", "peak", "valid"], rows)
     return len(rows)
 
 
@@ -121,7 +115,6 @@ def cmd_estimate(cfg: dict, in_path: Path, out: Path) -> int:
     windows = windows_by_tag(read_reader_log(in_path))
     measurements = measure_windows(windows, geometry_from(cfg), schedule_from(cfg),
                                    music_search_from(cfg))
-    out.mkdir(parents=True, exist_ok=True)
     n = _write_measurements(out / "measurements.csv", cfg, measurements)
     print(f"wrote {out / 'measurements.csv'} ({n} measurements)")
     return 0
@@ -164,11 +157,9 @@ def _track_one(cfg: dict, log_dir: Path, out: Path) -> dict:
         columns = [_fmt(map(deg, values))
                    for values in (truth, tr.z.tolist(), tr.filtered_series().tolist(),
                                   tr.smoothed_series().tolist())]
-        with open(out / f"track_plot_{tag}.csv", "w", newline="") as fh:
-            fh.write(f"# config_hash={config_hash(cfg)},seed={cfg['seed']}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["window", "truth", "raw", "filtered", "smoothed"])
-            writer.writerows(zip(range(tr.n_windows), *columns))
+        _write_csv(out / f"track_plot_{tag}.csv", cfg,
+                   ["window", "truth", "raw", "filtered", "smoothed"],
+                   zip(range(tr.n_windows), *columns))
     return payload
 
 
@@ -232,8 +223,8 @@ def _is_number(v) -> bool:
 def _series_samples(path: Path) -> tuple[list[str], list[GestureSample]]:
     """The sample ids and samples of a track ``series.json``.
 
-    A sample that lacks a key, or whose channel is not ``n_windows`` numbers
-    or nulls, raises ValueError naming the file and the sample id.
+    No sample, a sample that lacks a key, or a channel that is not
+    ``n_windows`` numbers or nulls raises ValueError naming the file and sample.
     """
     try:
         series = json.loads(path.read_text())
@@ -241,6 +232,8 @@ def _series_samples(path: Path) -> tuple[list[str], list[GestureSample]]:
         raise ValueError(f"{path} is not JSON: {e}") from None
     if not isinstance(series, dict) or not isinstance(series.get("samples"), list):
         raise ValueError(f"{path} has no 'samples' list")
+    if not series["samples"]:
+        raise ValueError(f"{path} has no samples")
     ids, out = [], []
     for i, entry in enumerate(series["samples"]):
         if not isinstance(entry, dict):
@@ -286,13 +279,8 @@ def cmd_featurize(cfg: dict, in_path: Path, out: Path) -> int:
         x, layout, labels = featurize_dataset(samples, FEATURE_CONFIGS[config_name])
     except SampleFeatureError as e:
         raise ValueError(f"{series_path} sample {ids[e.index]}: {e}") from None
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "features.csv", "w", newline="") as fh:
-        fh.write(f"# config_hash={config_hash(cfg)},seed={cfg['seed']}\n")
-        writer = csv.writer(fh)
-        writer.writerow([*layout, "label"])
-        for row, label in zip(x, labels):
-            writer.writerow([*(repr(float(v)) for v in row), label])
+    _write_csv(out / "features.csv", cfg, [*layout, "label"],
+               ([*(repr(float(v)) for v in row), label] for row, label in zip(x, labels)))
     _write_json(out / "layout.json",
                 {**_meta(cfg), "config": config_name, "layout": list(layout)})
     print(f"wrote {out / 'features.csv'} ({x.shape[0]} x {x.shape[1]})")
@@ -304,8 +292,8 @@ def cmd_featurize(cfg: dict, in_path: Path, out: Path) -> int:
 def _read_features_csv(path: Path):
     """Feature matrix, layout and labels of a ``features.csv``.
 
-    A row whose field count differs from the header's, or with a feature
-    that is not a number, raises ValueError naming the file and row (the
+    No data row, a row whose field count differs from the header's, or a
+    non-numeric feature raises ValueError naming the file and row (the
     header is row 1; comment lines are not counted).
     """
     with open(path, newline="") as fh:
@@ -329,18 +317,17 @@ def _read_features_csv(path: Path):
                 raise ValueError(f"{path} row {lineno}: {name} {v!r} is not a number") from None
         data.append(values)
         labels.append(row[-1])
+    if not data:
+        raise ValueError(f"{path} has no feature rows")
     return np.array(data), header[:-1], labels
 
 
 def _write_report(out: Path, cfg: dict, report, extra: dict):
     payload = {**_meta(cfg), **extra, "metrics": report.as_dict()}
     _write_json(out / "report.json", payload)
-    with open(out / "confusion.csv", "w", newline="") as fh:
-        fh.write(f"# config_hash={config_hash(cfg)},seed={cfg['seed']}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["true\\pred", *report.classes])
-        for cls, row in zip(report.classes, report.confusion):
-            writer.writerow([cls, *(repr(round(float(v), 9)) for v in row)])
+    _write_csv(out / "confusion.csv", cfg, ["true\\pred", *report.classes],
+               ([cls, *(repr(round(float(v), 9)) for v in row)]
+                for cls, row in zip(report.classes, report.confusion)))
 
 
 def cmd_classify(cfg: dict, in_path: Path, out: Path) -> int:
@@ -400,7 +387,6 @@ def cmd_eval(cfg: dict, in_path: Path, out: Path) -> int:
 
 def cmd_demo(cfg: dict, out: Path) -> int:
     """simulate -> track -> featurize -> classify, feature configs SPR and SPRA."""
-    out.mkdir(parents=True, exist_ok=True)
     data_dir = out / "dataset"
     cmd_simulate(cfg, data_dir)
     cmd_track(cfg, data_dir, out / "tracks")

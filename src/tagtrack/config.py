@@ -2,7 +2,7 @@
 
 Every block is validated against its module's constraints before any work
 starts; unknown blocks or keys are rejected with the offending config path
-in the message.
+in the message.  The ``*_from`` functions build library objects from a validated config.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .geometry import SPEED_OF_LIGHT, ArrayGeometry, unambiguous_fov
 from .music import search_range
-from .simulate import GESTURE_CLASSES, SASSchedule
+from .simulate import GESTURE_CLASSES, DatasetSpec, SASSchedule
 from .tracking import KalmanConfig
 
 
@@ -115,8 +115,8 @@ def validate_config(cfg: dict) -> dict:
     _check(_is_num(s["modulation_gain"]) and 0 < s["modulation_gain"] <= 1,
            "scene.modulation_gain", "must be in (0, 1]")
     p = s["misdetect_prob"]
-    probs = [p] if _is_num(p) else p
-    _check(isinstance(probs, list) and len(probs) in (1, 2)
+    probs = [p, p] if _is_num(p) else p
+    _check(isinstance(probs, list) and len(probs) == 2
            and all(_is_num(q) and 0 <= q <= 1 for q in probs),
            "scene.misdetect_prob", "must be a probability or a pair of them")
     _check(_is_int(s["nlos_paths"]) and s["nlos_paths"] >= 0,
@@ -261,3 +261,14 @@ def kalman_from(cfg: dict) -> KalmanConfig:
 def music_search_from(cfg: dict) -> tuple[float, float]:
     lo, hi = cfg["music"]["search_deg"]
     return (math.radians(lo), math.radians(hi))
+
+
+def dataset_spec_from(cfg: dict) -> DatasetSpec:
+    s = cfg["scene"]
+    p = s["misdetect_prob"]
+    return DatasetSpec(classes=tuple(s["classes"]),
+                       samples_per_class=s["samples_per_class"], windows=s["windows"],
+                       snr_db=s["snr_db"], misdetect_prob=p if _is_num(p) else tuple(p),
+                       nlos_paths=s["nlos_paths"], nlos_gain_db=s["nlos_gain_db"],
+                       angle_gain_db=s["angle_gain_db"], angle_phase_rad=s["angle_phase_rad"],
+                       tx_power=s["tx_power"], modulation_gain=s["modulation_gain"])

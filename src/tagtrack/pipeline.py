@@ -8,8 +8,6 @@ parses arguments and writes artifacts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .classify import (EvalReport, LabeledDataset, dtw_1nn_classify, evaluate,
@@ -18,27 +16,9 @@ from .features import (FEATURE_CONFIGS, SampleFeatureError, channel_rows, featur
                        length_blocks, prepare_rows)
 from .geometry import ArrayGeometry, unambiguous_fov
 from .readerlog import ReaderLog
-from .simulate import (GESTURE_CLASSES, GestureSample, SASSchedule, anechoic_scene,
-                       build_gesture_spec, gesture_scene, lab_scene, simulate_gesture,
-                       simulate_log)
+from .simulate import (DatasetSpec, GestureSample, SASSchedule, build_gesture_spec,
+                       gesture_scene, lab_scene, simulate_gesture, simulate_log)
 from .tracking import AoATrack, KalmanConfig, track_aoa
-
-
-@dataclass
-class DatasetSpec:
-    """Synthetic gesture dataset description."""
-
-    classes: tuple[str, ...] = GESTURE_CLASSES
-    samples_per_class: int = 40
-    windows: int = 24
-    snr_db: float = 10.0
-    misdetect_prob: float = 0.05
-    nlos_paths: int = 2
-    nlos_gain_db: float = -13.5
-    angle_gain_db: float = 2.5
-    angle_phase_rad: float = 1.2
-    tx_power: float = 1.0
-    modulation_gain: float = 1.0
 
 
 def synthesize_gesture(class_id: str, geometry: ArrayGeometry, schedule: SASSchedule,
@@ -46,11 +26,7 @@ def synthesize_gesture(class_id: str, geometry: ArrayGeometry, schedule: SASSche
     "One labeled gesture recording with per-sample scene nuisances."
     base = list(seed) if isinstance(seed, (list, tuple)) else [seed]
     rng = np.random.default_rng([*base, 0])
-    scene = gesture_scene(geometry, spec.snr_db, rng,
-                          misdetect_prob=spec.misdetect_prob, n_paths=spec.nlos_paths,
-                          nlos_gain_db=spec.nlos_gain_db, angle_gain_db=spec.angle_gain_db,
-                          angle_phase_rad=spec.angle_phase_rad, tx_power=spec.tx_power,
-                          modulation_gain=spec.modulation_gain)
+    scene = gesture_scene(geometry, spec, rng)
     gesture = build_gesture_spec(class_id, rng,
                                  duration_s=spec.windows * schedule.window_duration_s,
                                  windows=spec.windows, fov=unambiguous_fov(geometry))
@@ -69,18 +45,15 @@ def synthesize_fixed_log(geometry: ArrayGeometry, schedule: SASSchedule, spec: D
                          angles: dict[str, float], seed: int) -> ReaderLog:
     """``spec.windows`` windows of tags held at fixed angles (radians).
 
-    Tags take reader slots in sorted id order.  The scatterer paths draw
-    from seed [seed, 0] (anechoic when ``spec.nlos_paths`` is 0) and window
-    t from [seed, 1, t].
+    Tags take reader slots in sorted id order.  The scene is ``lab_scene``
+    with ``spec.nlos_paths`` scatterer paths per tag (anechoic at 0), drawn
+    from seed [seed, 0], and ``spec``'s SNR, power, gain and misdetection;
+    fixed logs carry no angle texture.  Window t draws from [seed, 1, t].
     """
     tags = tuple(sorted(angles))
-    kwargs = dict(tag_ids=tags, tx_power=spec.tx_power, modulation_gain=spec.modulation_gain,
-                  misdetect_prob=spec.misdetect_prob)
-    if spec.nlos_paths > 0:
-        scene = lab_scene(geometry, spec.snr_db, np.random.default_rng([seed, 0]),
-                          n_paths=spec.nlos_paths, nlos_gain_db=spec.nlos_gain_db, **kwargs)
-    else:
-        scene = anechoic_scene(geometry, spec.snr_db, **kwargs)
+    scene = lab_scene(geometry, spec.snr_db, np.random.default_rng([seed, 0]), tags,
+                      spec.nlos_paths, spec.nlos_gain_db, tx_power=spec.tx_power,
+                      modulation_gain=spec.modulation_gain, misdetect_prob=spec.misdetect_prob)
     return simulate_log(scene, schedule, [np.full(spec.windows, angles[t]) for t in tags],
                         [seed, 1])
 

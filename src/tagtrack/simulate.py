@@ -128,7 +128,7 @@ class SimScene:
         p = self.misdetect_prob
         probs = (p, p) if np.isscalar(p) else tuple(p)
         if len(probs) != 2 or any(not 0.0 <= q <= 1.0 for q in probs):
-            raise ValueError("misdetect_prob must be in [0, 1] per antenna")
+            raise ValueError("misdetect_prob must be a probability in [0, 1] or a pair of them")
         self.misdetect_prob = (float(probs[0]), float(probs[1]))
         for tag_id, paths in self.tags:
             if not paths or not paths[0].is_los:
@@ -348,6 +348,36 @@ def build_gesture_spec(class_id: str, rng: np.random.Generator,
 GESTURE_CLASSES = ("SL", "SR", "LAC", "RAC", "2HLR", "2HLD", "2HIC", "2HOC")
 
 
+@dataclass
+class DatasetSpec:
+    """Scene settings of a synthetic dataset: gesture recordings or a fixed-tag log.
+
+    - ``classes``: gesture class ids (gesture datasets only).
+    - ``samples_per_class``: recordings per class, a count.
+    - ``windows``: acquisition windows per recording or fixed-tag log, a count.
+    - ``snr_db``: LoS signal-to-noise ratio per complex sample, dB.
+    - ``misdetect_prob``: lost-read probability per tag, window and antenna, or a pair.
+    - ``nlos_paths``: scatterer paths per tag, a count; 0 is the anechoic scene.
+    - ``nlos_gain_db``: each scatterer path's gain relative to the unit LoS gain, dB.
+    - ``angle_gain_db``: gain drop at the field-of-view edge, dB (gesture scenes only).
+    - ``angle_phase_rad``: phase swing at the field-of-view edge, rad (gesture scenes only).
+    - ``tx_power``: reader transmit power, linear; the amplitude scales by its root.
+    - ``modulation_gain``: tag reflection coefficient in (0, 1], linear.
+    """
+
+    classes: tuple[str, ...] = GESTURE_CLASSES
+    samples_per_class: int = 40
+    windows: int = 24
+    snr_db: float = 10.0
+    misdetect_prob: float | tuple[float, float] = 0.05
+    nlos_paths: int = 2
+    nlos_gain_db: float = -13.5
+    angle_gain_db: float = 2.5
+    angle_phase_rad: float = 1.2
+    tx_power: float = 1.0
+    modulation_gain: float = 1.0
+
+
 # --- gesture-level simulation ---------------------------------------------
 
 @dataclass
@@ -493,39 +523,28 @@ def nlos_paths(rng: np.random.Generator, geometry: ArrayGeometry,
             for _ in range(n_paths)]
 
 
-def anechoic_scene(geometry: ArrayGeometry, snr_db: float,
-                   tag_ids: tuple[str, ...] = ("tag1",), **kwargs) -> SimScene:
-    "Line-of-sight only; unit LoS gain so SNR sets the noise floor directly."
-    noise_var = 10.0 ** (-snr_db / 10.0)
-    return SimScene(geometry, [(t, los_paths()) for t in tag_ids],
-                    noise_var=noise_var, **kwargs)
-
-
 def lab_scene(geometry: ArrayGeometry, snr_db: float, rng: np.random.Generator,
               tag_ids: tuple[str, ...] = ("tag1",), n_paths: int = 2,
               nlos_gain_db: float = -13.5, **kwargs) -> SimScene:
-    "Anechoic scene plus random weak scatterer paths per tag."
+    "Unit LoS gain, so SNR sets the noise floor, plus weak scatterer paths; 0 paths: anechoic."
     noise_var = 10.0 ** (-snr_db / 10.0)
     tags = [(t, los_paths() + nlos_paths(rng, geometry, n_paths, nlos_gain_db))
             for t in tag_ids]
     return SimScene(geometry, tags, noise_var=noise_var, **kwargs)
 
 
-def gesture_scene(geometry: ArrayGeometry, snr_db: float, rng: np.random.Generator,
-                  tag_ids: tuple[str, str] = ("tag1", "tag2"),
-                  misdetect_prob: float = 0.05, n_paths: int = 2,
-                  nlos_gain_db: float = -13.5, angle_gain_db: float = 2.5,
-                  angle_phase_rad: float = 1.2, tx_power: float = 1.0,
-                  modulation_gain: float = 1.0) -> SimScene:
-    """Lab-like two-tag scene with per-sample nuisance draws.
+def gesture_scene(geometry: ArrayGeometry, spec: DatasetSpec,
+                  rng: np.random.Generator) -> SimScene:
+    """Lab-like scene of tags tag1 and tag2 with every setting of ``spec`` and per-sample draws.
 
-    Each tag's LoS gain gets a random level and phase offset so absolute
-    RSS/phase are weak class cues; the angle-modulated texture remains.
+    ``rng`` draws each tag's scatterer paths, then each tag's level and phase
+    offset, applied to all its paths, so absolute RSS/phase are weak class
+    cues; the angle-modulated texture remains.
     """
-    scene = lab_scene(geometry, snr_db, rng, tag_ids, n_paths, nlos_gain_db,
-                      misdetect_prob=misdetect_prob, angle_gain_db=angle_gain_db,
-                      angle_phase_rad=angle_phase_rad, tx_power=tx_power,
-                      modulation_gain=modulation_gain)
+    scene = lab_scene(geometry, spec.snr_db, rng, ("tag1", "tag2"), spec.nlos_paths,
+                      spec.nlos_gain_db, misdetect_prob=spec.misdetect_prob,
+                      angle_gain_db=spec.angle_gain_db, angle_phase_rad=spec.angle_phase_rad,
+                      tx_power=spec.tx_power, modulation_gain=spec.modulation_gain)
     tags = []
     for tag_id, paths in scene.tags:
         level = 10.0 ** (rng.uniform(-GAIN_JITTER_DB, GAIN_JITTER_DB) / 20.0)

@@ -12,6 +12,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+from scenes import anechoic_scene
 from test_geometry import paper_geometry
 from test_music import eig2
 from test_simulate import simulate_at
@@ -25,7 +26,7 @@ from tagtrack.music import estimate_aoa, music_spectrum, search_range
 from tagtrack.pipeline import (DatasetSpec, dtw_experiment, knn_experiment,
                                series_bundles, synthesize_dataset, synthesize_gesture)
 from tagtrack.preprocess import _snapshot_covariance
-from tagtrack.simulate import SASSchedule, anechoic_scene, lab_scene
+from tagtrack.simulate import SASSchedule, lab_scene
 from tagtrack.tracking import KalmanConfig, filter_sequence, rts_smooth, track_aoa
 
 GEO = paper_geometry()

@@ -136,18 +136,43 @@ class TestSimulateCli:
         truth = json.loads((tmp_path / "truth.json").read_text())
         np.testing.assert_allclose(truth["tag1"], [-15.0] * 10, atol=1e-9)
 
-
-    def test_scene_power_and_gain_reach_gesture_logs(self, tmp_path):
+    @pytest.mark.parametrize("mode", ["gestures", "fixed"])
+    @pytest.mark.parametrize("overrides, changes", [
+        (["snr_db=20.0"], {"gestures", "fixed"}),
+        (["tx_power=4.0"], {"gestures", "fixed"}),
+        (["modulation_gain=0.5"], {"gestures", "fixed"}),
+        (["misdetect_prob=0.3"], {"gestures", "fixed"}),
+        (["misdetect_prob=[0.0,0.3]"], {"gestures", "fixed"}),
+        (["nlos_paths=0"], {"gestures", "fixed"}),
+        (["nlos_gain_db=-6.0"], {"gestures", "fixed"}),
+        # fixed logs carry no angle texture
+        (["angle_gain_db=0.0"], {"gestures"}),
+        (["angle_phase_rad=0.0"], {"gestures"}),
+        # the amplitude is sqrt(tx_power) * modulation_gain: 2 * 0.5 leaves every blob as is
+        (["tx_power=4.0", "modulation_gain=0.5"], set()),
+    ], ids=["snr_db", "tx_power", "modulation_gain", "misdetect_prob", "misdetect_prob_pair",
+            "nlos_paths", "nlos_gain_db", "angle_gain_db", "angle_phase_rad", "power_and_gain"])
+    def test_scene_settings_reach_logs(self, tmp_path, mode, overrides, changes):
+        "Each scene setting changes the IQ blobs of the modes it applies to, and only those."
         def blobs(name, *overrides):
             out = tmp_path / name
-            assert main(["simulate", "--seed", "7", "--out", str(out), *TINY, *overrides]) == 0
+            args = [a for key in overrides for a in ("--set", f"scene.{key}")]
+            assert main(["simulate", "--seed", "7", "--out", str(out), *TINY,
+                         "--set", f"scene.mode=\"{mode}\"", *args]) == 0
             return {k: v for k, v in tree_digest(out).items() if k.endswith(".bin")}
 
         default = blobs("default")
-        assert blobs("gain", "--set", "scene.modulation_gain=0.5") != default
-        # the amplitude is sqrt(tx_power) * modulation_gain: 2 * 0.5 leaves every blob as is
-        assert blobs("both", "--set", "scene.tx_power=4.0",
-                     "--set", "scene.modulation_gain=0.5") == default
+        assert default
+        assert (blobs("changed", *overrides) != default) == (mode in changes)
+
+    @pytest.mark.parametrize("mode", ["gestures", "fixed"])
+    def test_one_misdetect_prob_is_a_config_error(self, tmp_path, capsys, mode):
+        "A one-element misdetect_prob list is neither a probability nor a pair: exit 2."
+        out = tmp_path / "out"
+        assert main(["simulate", "--out", str(out), "--set", f"scene.mode=\"{mode}\"",
+                     "--set", "scene.misdetect_prob=[0.1]"]) == 2
+        assert "config error: scene.misdetect_prob: " in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEstimateTrackCli:
@@ -369,6 +394,23 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert message.format(in_path=in_path) in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, name, text, message", [
+        (["featurize"], "series.json", '{"samples": []}', "has no samples"),
+        (["classify", "--set", "classify.method=\"dtw\""], "series.json", '{"samples": []}',
+         "has no samples"),
+        (["classify"], "features.csv", "# config_hash=x,seed=0\na,label\n",
+         "has no feature rows"),
+    ], ids=["featurize", "classify_dtw", "classify_knn"])
+    def test_empty_dataset_names_file(self, tmp_path, capsys, argv, name, text, message):
+        "A dataset file without samples fails naming it, before any output is written."
+        in_path = tmp_path / name
+        in_path.write_text(text)
+        out = tmp_path / "out"
+        assert main([*argv, "--in", str(in_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"runtime error: ValueError: {in_path} {message}" in err
         assert not out.exists()
 
 

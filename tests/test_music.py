@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logfiles import ReadRecord, from_records
+from scenes import anechoic_scene
 from test_geometry import ScenePose, aoa_from_positions, paper_geometry, steering_vector
 from test_simulate import iq_window, simulate_at
 
@@ -16,8 +17,7 @@ from tagtrack.geometry import ArrayGeometry, steering_phase, unambiguous_fov
 from tagtrack.music import (SPECTRUM_FLOOR, _eig2_stack, estimate_aoa, music_spectrum,
                             search_range, spectrum_peaks)
 from tagtrack.preprocess import _snapshot_covariance, windows_by_tag
-from tagtrack.simulate import (PathSpec, SASSchedule, SimScene, anechoic_scene, lab_scene,
-                               simulate_log)
+from tagtrack.simulate import PathSpec, SASSchedule, SimScene, lab_scene, simulate_log
 from tagtrack.tracking import measure_windows
 
 GEO = paper_geometry()

@@ -3,15 +3,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from logfiles import records
+from scenes import anechoic_scene
 from test_geometry import paper_geometry
 
 from tagtrack.features import SampleFeatureError
 from tagtrack.geometry import unambiguous_fov
 from tagtrack.pipeline import (DatasetSpec, attach_tracks, dtw_experiment,
-                               knn_experiment, series_bundles,
-                               synthesize_dataset, synthesize_gesture)
-from tagtrack.simulate import SASSchedule
+                               knn_experiment, series_bundles, synthesize_dataset,
+                               synthesize_fixed_log, synthesize_gesture)
+from tagtrack.simulate import SASSchedule, simulate_log
 from test_features import prepare_row
+from test_simulate import assert_same_logs
 
 GEO = paper_geometry()
 SCHED = SASSchedule()
@@ -39,6 +41,17 @@ class TestSynthesis:
         sample, _ = synthesize_gesture("2HLR", GEO, SCHED, DatasetSpec(), seed=[dataset, 4, 28])
         fov = unambiguous_fov(GEO)
         assert all(np.abs(series).max() <= fov for series in sample.truth.values())
+
+    def test_fixed_log_without_paths_is_anechoic_scene(self):
+        "With no scatterer paths a fixed log is simulate_log over anechoic_scene, bit for bit."
+        spec = DatasetSpec(windows=12, nlos_paths=0, tx_power=4.0, modulation_gain=0.5,
+                           misdetect_prob=(0.1, 0.2))
+        log = synthesize_fixed_log(GEO, SCHED, spec, {"tag2": -0.2, "tag1": 0.1}, seed=5)
+        scene = anechoic_scene(GEO, spec.snr_db, tag_ids=("tag1", "tag2"), tx_power=4.0,
+                               modulation_gain=0.5, misdetect_prob=(0.1, 0.2))
+        want = simulate_log(scene, SCHED, [np.full(12, 0.1), np.full(12, -0.2)], [5, 1])
+        assert not want.detected.all()
+        assert_same_logs(log, want)
 
     def test_identical_seeds_bit_identical_logs(self):
         spec = small_spec()

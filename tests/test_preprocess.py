@@ -6,11 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logfiles import ReadRecord, from_records, records
+from scenes import anechoic_scene
 from test_geometry import paper_geometry
 
 from tagtrack.preprocess import split_by_tag, window_segments, windows_by_tag
-from tagtrack.simulate import (PathSpec, SASSchedule, SimScene, anechoic_scene,
-                               build_gesture_spec, simulate_gesture, simulate_log)
+from tagtrack.simulate import (PathSpec, SASSchedule, SimScene, build_gesture_spec,
+                               simulate_gesture, simulate_log)
 
 GEO = paper_geometry()
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from logfiles import ReadRecord, from_records, records
+from scenes import anechoic_scene
 from test_geometry import paper_geometry, steering_vector
 
 from tagtrack.geometry import steering_phase, unambiguous_fov
@@ -14,9 +15,8 @@ from tagtrack.preprocess import IQWindow, _snapshot_covariance
 from tagtrack.readerlog import read_reader_log, write_reader_log
 from tagtrack.simulate import (GESTURE_CLASSES, GestureSpec, OutOfFovError,
                                PathSpec, SASSchedule, SimScene, TagTrajectory,
-                               anechoic_scene, build_gesture_spec,
-                               gesture_trajectory, lab_scene, simulate_gesture, simulate_log, simulate_window,
-                               tag_steering)
+                               build_gesture_spec, gesture_trajectory, lab_scene,
+                               simulate_gesture, simulate_log, simulate_window, tag_steering)
 
 GEO = paper_geometry()
 

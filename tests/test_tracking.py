@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from logfiles import ReadRecord, from_records
+from scenes import anechoic_scene
 from test_geometry import paper_geometry
 from test_simulate import simulate_at
 
 from tagtrack.pipeline import (DatasetSpec, synthesize_fixed_log, synthesize_gesture,
                                truth_on_track)
-from tagtrack.simulate import SASSchedule, anechoic_scene, lab_scene, simulate_log
+from tagtrack.simulate import SASSchedule, lab_scene, simulate_log
 from tagtrack.tracking import KalmanConfig, filter_sequence, rts_smooth, track_aoa
 
 GEO = paper_geometry()
