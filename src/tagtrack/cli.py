@@ -76,6 +76,11 @@ def _write_csv(path: Path, cfg: dict, header: list[str], rows):
         writer.writerows(rows)
 
 
+def _input_file(in_path: Path, name: str) -> Path:
+    "The ``--in`` path, or its file ``name`` when it is a directory (``read_reader_log``'s rule)."
+    return in_path / name if in_path.is_dir() else in_path
+
+
 # --- simulate ----------------------------------------------------------------
 
 def cmd_simulate(cfg: dict, out: Path) -> int:
@@ -174,8 +179,9 @@ def _series_entry(entry: dict, sample: GestureSample) -> dict:
 def _manifest_samples(path: Path) -> list[dict]:
     """The sample entries of a dataset ``manifest.json``.
 
-    Invalid JSON, no ``samples`` list, or an entry without an ``id``,
-    ``dir`` and ``label`` string raises ValueError naming the file and entry.
+    Invalid JSON, no ``samples`` list, an empty one, or an entry without an
+    ``id``, ``dir`` and ``label`` string raises ValueError naming the file
+    (and the entry).
     """
     try:
         manifest = json.loads(path.read_text())
@@ -189,6 +195,8 @@ def _manifest_samples(path: Path) -> list[dict]:
         for key in ("id", "dir", "label"):
             if not isinstance(entry.get(key), str):
                 raise ValueError(f"{path} sample #{i}: no {key!r} string")
+    if not manifest["samples"]:
+        raise ValueError(f"{path} has no samples")
     return manifest["samples"]
 
 
@@ -270,7 +278,7 @@ def _series_samples(path: Path) -> tuple[list[str], list[GestureSample]]:
 
 
 def cmd_featurize(cfg: dict, in_path: Path, out: Path) -> int:
-    series_path = in_path if in_path.name == "series.json" else in_path / "series.json"
+    series_path = _input_file(in_path, "series.json")
     if not series_path.exists():
         raise FileNotFoundError(f"{series_path} not found; run `track` on the dataset first")
     ids, samples = _series_samples(series_path)
@@ -330,19 +338,27 @@ def _write_report(out: Path, cfg: dict, report, extra: dict):
                 for cls, row in zip(report.classes, report.confusion)))
 
 
+def _check_test_split(path: Path, labels: list[str]):
+    "Fail naming the file when no class has two rows: the stratified test split would be empty."
+    if len(set(labels)) == len(labels):
+        raise ValueError(f"{path} has no class with two rows, so the test split is empty")
+
+
 def cmd_classify(cfg: dict, in_path: Path, out: Path) -> int:
     c = cfg["classify"]
     split_seed = cfg["seed"] if c["split_seed"] is None else c["split_seed"]
     if c["method"] == "knn":
-        feats = in_path if in_path.suffix == ".csv" else in_path / "features.csv"
+        feats = _input_file(in_path, "features.csv")
         x, _, labels = _read_features_csv(feats)
+        _check_test_split(feats, labels)
         report = knn_feature_experiment(x, labels, split_seed=split_seed, k=c["k"],
                                         test_frac=c["test_frac"])
         extra = {"method": "knn", "k": c["k"],
                  "feature_config": cfg["features"]["config"], "split_seed": split_seed}
     else:
-        series_path = in_path if in_path.name == "series.json" else in_path / "series.json"
+        series_path = _input_file(in_path, "series.json")
         ids, samples = _series_samples(series_path)
+        _check_test_split(series_path, [s.label for s in samples])
         try:
             report = dtw_experiment(samples, c["channel"], split_seed=split_seed,
                                     test_frac=c["test_frac"])

@@ -150,11 +150,17 @@ def validate_config(cfg: dict) -> dict:
     _check(isinstance(sd, list) and len(sd) == 2 and all(_is_num(v) for v in sd)
            and sd[0] < sd[1], "music.search_deg", "must be [lo, hi] with lo < hi")
     geometry = geometry_from(cfg)
+    fov = unambiguous_fov(geometry)
     try:
         search_range(geometry, music_search_from(cfg))
     except ValueError as e:
-        fov = math.degrees(unambiguous_fov(geometry))
-        raise ConfigError(f"music.search_deg: {e} (field of view +-{fov:.4g} deg)") from None
+        raise ConfigError(f"music.search_deg: {e} "
+                          f"(field of view +-{math.degrees(fov):.4g} deg)") from None
+    if s["mode"] == "fixed":  # gesture scenes draw their own angles
+        for tag, deg in s["fixed_tags_deg"].items():
+            _check(abs(math.radians(deg)) <= fov, "scene.fixed_tags_deg",
+                   f"tag {tag!r} at {deg!r} deg lies outside the field of view "
+                   f"+-{math.degrees(fov):.4g} deg")
 
     k = cfg["kalman"]
     if k["dt"] is not None:

@@ -16,8 +16,8 @@ from .features import (FEATURE_CONFIGS, SampleFeatureError, channel_rows, featur
                        length_blocks, prepare_rows)
 from .geometry import ArrayGeometry, unambiguous_fov
 from .readerlog import ReaderLog
-from .simulate import (DatasetSpec, GestureSample, SASSchedule, build_gesture_spec,
-                       gesture_scene, lab_scene, simulate_gesture, simulate_log)
+from .simulate import (DatasetSpec, GestureSample, SASSchedule, gesture_angles, gesture_sample,
+                       gesture_scene, lab_scene, simulate_log)
 from .tracking import AoATrack, KalmanConfig, track_aoa
 
 
@@ -27,10 +27,9 @@ def synthesize_gesture(class_id: str, geometry: ArrayGeometry, schedule: SASSche
     base = list(seed) if isinstance(seed, (list, tuple)) else [seed]
     rng = np.random.default_rng([*base, 0])
     scene = gesture_scene(geometry, spec, rng)
-    gesture = build_gesture_spec(class_id, rng,
-                                 duration_s=spec.windows * schedule.window_duration_s,
-                                 windows=spec.windows, fov=unambiguous_fov(geometry))
-    return simulate_gesture(gesture, scene, schedule, rng_seed=[*base, 1])
+    angles = gesture_angles(class_id, rng, spec.windows, unambiguous_fov(geometry))
+    log = simulate_log(scene, schedule, list(angles), [*base, 1])
+    return gesture_sample(log, class_id, schedule.window_duration_s), log
 
 
 def gesture_dataset(geometry: ArrayGeometry, schedule: SASSchedule, spec: DatasetSpec,

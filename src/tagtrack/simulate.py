@@ -21,9 +21,12 @@ the angle gain's ``10.0 ** x`` is taken per element: the bits are those of
 a per-window scalar evaluation.  Snapshot windows for AoA estimation come
 from a log, through ``preprocess.window_segments``.
 
-Gesture trajectories are parametric synthetic shapes (ramps, sinusoids,
-arcs); only their coarse direction-of-motion character is modeled after the
-named gestures, and mirrored gesture classes are exact sign-flips.
+``gesture_angles`` draws a gesture's two LoS angle series as parametric
+synthetic shapes (ramps, a sinusoid, arcs); only their coarse
+direction-of-motion character is modeled after the named gestures, and
+mirrored gesture classes are exact sign-flips.  A recording is
+``simulate_log`` on those angles, and ``gesture_sample`` reads its channel
+series from the log.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .readerlog import ReaderLog
 
 
 class OutOfFovError(ValueError):
-    "A requested trajectory leaves the unambiguous field of view."
+    "Gesture angles leave the unambiguous field of view."
 
 
 @dataclass(frozen=True)
@@ -234,118 +237,66 @@ def simulate_window(scene: SimScene, schedule: SASSchedule, steering: np.ndarray
 
 # --- gesture trajectories ------------------------------------------------
 
-
-@dataclass(frozen=True)
-class TagTrajectory:
-    """Parametric angle-vs-time shape for one tag (angles in radians).
-
-    ramp(start, end): smoothstep from start to end.
-    sine(center, amp, cycles, phase0): center + amp*sin(2*pi*cycles*u + phase0).
-    arc(start, amp): start + amp*(1 - cos(2*pi*u))/2, out and back.
-    const(value): fixed angle.
-    """
-
-    kind: str
-    params: tuple[float, ...]
-
-    def __call__(self, u: np.ndarray) -> np.ndarray:
-        p = self.params
-        if self.kind == "ramp":
-            s = u * u * (3.0 - 2.0 * u)
-            return p[0] + (p[1] - p[0]) * s
-        if self.kind == "sine":
-            return p[0] + p[1] * np.sin(2.0 * np.pi * p[2] * u + p[3])
-        if self.kind == "arc":
-            return p[0] + p[1] * 0.5 * (1.0 - np.cos(2.0 * np.pi * u))
-        if self.kind == "const":
-            return np.full_like(u, p[0])
-        raise ValueError(f"unknown trajectory kind {self.kind!r}")
-
-    def mirrored(self) -> "TagTrajectory":
-        "Exact sign-flip of the angle series."
-        if self.kind == "sine":
-            center, ampl, cycles, phase0 = self.params
-            return TagTrajectory("sine", (-center, -ampl, cycles, phase0))
-        return TagTrajectory(self.kind, tuple(-v for v in self.params))
+GESTURE_CLASSES = ("SL", "SR", "LAC", "RAC", "2HLR", "2HLD", "2HIC", "2HOC")
+_MIRRORS = {"SR": "SL", "RAC": "LAC", "2HLD": "2HLR", "2HOC": "2HIC"}
+_FOV_MARGIN = 1e-9  # radians shifted angles keep inside the FOV, against rounding
 
 
-@dataclass(frozen=True)
-class GestureSpec:
-    """A labeled multi-tag gesture: per-tag trajectories on a window grid."""
-
-    class_id: str
-    trajectories: tuple[TagTrajectory, ...]
-    duration_s: float
-    windows: int
-
-    def mirrored(self, class_id: str) -> "GestureSpec":
-        return GestureSpec(class_id, tuple(t.mirrored() for t in self.trajectories),
-                           self.duration_s, self.windows)
+def _ramp(start: float, end: float, u: np.ndarray) -> np.ndarray:
+    "Smoothstep from ``start`` to ``end``."
+    return start + (end - start) * (u * u * (3.0 - 2.0 * u))
 
 
-def gesture_trajectory(spec: GestureSpec, tag_index: int) -> np.ndarray:
-    "Angle series (radians) at the window midpoints for one tag."
-    if not 0 <= tag_index < len(spec.trajectories):
-        raise IndexError(f"tag_index {tag_index} out of range")
-    u = (np.arange(spec.windows) + 0.5) / spec.windows
-    return spec.trajectories[tag_index](u)
+def _arc(start: float, amp: float, u: np.ndarray) -> np.ndarray:
+    "From ``start`` out to ``start + amp`` and back."
+    return start + amp * 0.5 * (1.0 - np.cos(2.0 * np.pi * u))
 
 
-def _deg(x):
-    return math.radians(x)
-
-
-def _class_trajectories(class_id: str, scale: float, off: float) -> tuple[TagTrajectory, ...]:
-    "Trajectory pair of a base class; every angle moves one-for-one with ``off``."
+def _class_angles(class_id: str, scale: float, off: float, u: np.ndarray) -> np.ndarray:
+    "Both tags' angles of a base class at midpoints ``u``; each moves one-for-one with ``off``."
+    deg = math.radians
     if class_id == "SL":
-        return (TagTrajectory("ramp", (off - scale * _deg(12), off + scale * _deg(12))),
-                TagTrajectory("const", (off - _deg(6),)))
+        return np.array([_ramp(off - scale * deg(12), off + scale * deg(12), u),
+                         np.full_like(u, off - deg(6))])
     if class_id == "LAC":
-        return (TagTrajectory("sine", (off - _deg(4), scale * _deg(9), 1.0, -math.pi / 2)),
-                TagTrajectory("const", (off - _deg(8),)))
+        return np.array([(off - deg(4)) + (scale * deg(9)) * np.sin(2.0 * np.pi * u - math.pi / 2),
+                         np.full_like(u, off - deg(8))])
     if class_id == "2HLR":
-        return (TagTrajectory("ramp", (off - _deg(3), off - scale * _deg(14))),
-                TagTrajectory("ramp", (off + _deg(3), off + scale * _deg(14))))
+        return np.array([_ramp(off - deg(3), off - scale * deg(14), u),
+                         _ramp(off + deg(3), off + scale * deg(14), u)])
     if class_id == "2HIC":
-        return (TagTrajectory("arc", (off - _deg(11), scale * _deg(9))),
-                TagTrajectory("arc", (off + _deg(11), -scale * _deg(9))))
+        return np.array([_arc(off - deg(11), scale * deg(9), u),
+                         _arc(off + deg(11), -scale * deg(9), u)])
     raise ValueError(f"unknown gesture class {class_id!r}")
 
 
-_FOV_MARGIN = 1e-9  # radians a shifted trajectory keeps inside the FOV, against rounding
+def gesture_angles(class_id: str, rng: np.random.Generator, windows: int,
+                   fov: float) -> np.ndarray:
+    """Both tags' LoS angles (radians) of one jittered gesture, shape (2, windows).
 
-
-def build_gesture_spec(class_id: str, rng: np.random.Generator,
-                       duration_s: float = 2.0, windows: int = 24,
-                       fov: float | None = None) -> GestureSpec:
-    """Draw a jittered trajectory pair for one of the eight gesture classes.
-
-    SR, RAC, 2HLD and 2HOC are exact mirrors of SL, LAC, 2HLR and 2HIC; the
-    same generator draw is negated so mirrored pairs stay sign-symmetric.
-    With ``fov`` given, a drawn offset that carries the window-sampled
-    trajectory past +-fov is shifted back until it lies just inside; specs
-    already inside are unchanged, and no extra draw is made.
+    The generator draws a scale in [0.9, 1.1) and then an offset of a
+    standard normal number of degrees; the class's shapes are evaluated at
+    the window midpoints.  SR, RAC, 2HLD and 2HOC are the negated angles of
+    SL, LAC, 2HLR and 2HIC from the same draws, so mirrored pairs are exact
+    sign-flips.  An offset that carries the angles past +-``fov`` is
+    shifted back until they lie just inside, with no extra draw; angles
+    that still leave the field of view raise OutOfFovError.
     """
-    mirrors = {"SR": "SL", "RAC": "LAC", "2HLD": "2HLR", "2HOC": "2HIC"}
-    if class_id in mirrors:
-        return build_gesture_spec(mirrors[class_id], rng, duration_s, windows,
-                                  fov).mirrored(class_id)
+    base = _MIRRORS.get(class_id, class_id)
     scale = rng.uniform(0.9, 1.1)
-    off = _deg(rng.normal(0.0, 1.0))
-    spec = GestureSpec(class_id, _class_trajectories(class_id, scale, off), duration_s, windows)
-    if fov is None:
-        return spec
-    series = np.concatenate([gesture_trajectory(spec, i) for i in range(len(spec.trajectories))])
-    if series.max() > fov:
-        off -= series.max() - fov + _FOV_MARGIN
-    elif series.min() < -fov:
-        off += -fov - series.min() + _FOV_MARGIN
-    else:
-        return spec
-    return GestureSpec(class_id, _class_trajectories(class_id, scale, off), duration_s, windows)
-
-
-GESTURE_CLASSES = ("SL", "SR", "LAC", "RAC", "2HLR", "2HLD", "2HIC", "2HOC")
+    off = math.radians(rng.normal(0.0, 1.0))
+    u = (np.arange(windows) + 0.5) / windows
+    angles = _class_angles(base, scale, off, u)
+    if angles.max() > fov:
+        angles = _class_angles(base, scale, off - (angles.max() - fov + _FOV_MARGIN), u)
+    elif angles.min() < -fov:
+        angles = _class_angles(base, scale, off + (-fov - angles.min() + _FOV_MARGIN), u)
+    for i, reach in enumerate(np.abs(angles).max(axis=1).tolist()):
+        if reach > fov:
+            raise OutOfFovError(
+                f"tag {i} trajectory reaches {math.degrees(reach):.1f} deg, "
+                f"outside the +-{math.degrees(fov):.1f} deg field of view")
+    return -angles if class_id in _MIRRORS else angles
 
 
 @dataclass
@@ -480,27 +431,6 @@ def gesture_sample(log: ReaderLog, label: str, dt_s: float) -> GestureSample:
         phase[tag][at] = log.phase_rad[rows]
     return GestureSample(label=label, tag_ids=list(log.tag_ids), truth=log.truth or {}, rss=rss,
                          phase=phase, n_windows=T, dt_s=dt_s)
-
-
-def simulate_gesture(spec: GestureSpec, scene: SimScene, schedule: SASSchedule,
-                     rng_seed) -> tuple[GestureSample, ReaderLog]:
-    """Simulate a full gesture: reader log plus derived channel series.
-
-    Window t of the log uses the trajectory angles at that window's midpoint
-    and a per-window child seed, so logs are reproducible sample by sample.
-    """
-    n_tags = len(scene.tags)
-    if len(spec.trajectories) != n_tags:
-        raise ValueError(f"gesture needs {len(spec.trajectories)} tags, scene has {n_tags}")
-    fov = unambiguous_fov(scene.geometry)
-    trajs = [gesture_trajectory(spec, i) for i in range(n_tags)]
-    for tag_i, series in enumerate(trajs):
-        if np.max(np.abs(series)) > fov:
-            raise OutOfFovError(
-                f"tag {tag_i} trajectory reaches {math.degrees(np.max(np.abs(series))):.1f} deg, "
-                f"outside the +-{math.degrees(fov):.1f} deg field of view")
-    log = simulate_log(scene, schedule, trajs, rng_seed)
-    return gesture_sample(log, spec.class_id, schedule.window_duration_s), log
 
 
 # --- canned scenes ---------------------------------------------------------

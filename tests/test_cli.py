@@ -104,6 +104,21 @@ class TestConfig:
                      "--set", spacing]) == 2
         assert "config error: music.search_deg: " in capsys.readouterr().err
 
+    def test_fixed_tags_must_lie_in_fov(self, tmp_path, capsys):
+        "A fixed tag past the field of view would be tracked at its alias; gestures ignore it."
+        fixed, outside = "scene.mode=\"fixed\"", 'scene.fixed_tags_deg={"tag1": 40.0}'
+        with pytest.raises(ConfigError, match=r"^scene\.fixed_tags_deg: tag 'tag1' at 40\.0 deg "
+                                              r"lies outside the field of view \+-18\.21 deg$"):
+            load_config(overrides=[fixed, outside])
+        with pytest.raises(ConfigError, match="tag 'b' at -18.5 deg"):
+            load_config(overrides=[fixed, 'scene.fixed_tags_deg={"a": 18.0, "b": -18.5}'])
+        load_config(overrides=[fixed, 'scene.fixed_tags_deg={"a": 18.0, "b": -18.2}'])
+        load_config(overrides=[outside])
+        out = tmp_path / "sim"
+        assert main(["simulate", "--out", str(out), "--set", fixed, "--set", outside]) == 2
+        assert "config error: scene.fixed_tags_deg: tag 'tag1'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimulateCli:
     def test_byte_identical_reruns(self, tmp_path):
@@ -135,6 +150,15 @@ class TestSimulateCli:
         assert (tmp_path / "readerlog.csv").exists()
         truth = json.loads((tmp_path / "truth.json").read_text())
         np.testing.assert_allclose(truth["tag1"], [-15.0] * 10, atol=1e-9)
+
+    def test_gesture_outside_fov_fails(self, tmp_path, capsys):
+        "A gesture that no offset fits into a narrow field of view fails naming tag and FOV."
+        assert main(["simulate", "--out", str(tmp_path / "sim"),
+                     "--set", "geometry.element_spacing_m=0.52",
+                     "--set", "music.search_deg=[-9,9]"]) == 1
+        assert capsys.readouterr().err == (
+            "runtime error: OutOfFovError: tag 0 trajectory reaches 16.1 deg, "
+            "outside the +-9.6 deg field of view\n")
 
     @pytest.mark.parametrize("mode", ["gestures", "fixed"])
     @pytest.mark.parametrize("overrides, changes", [
@@ -402,9 +426,16 @@ class TestCliErrors:
          "has no samples"),
         (["classify"], "features.csv", "# config_hash=x,seed=0\na,label\n",
          "has no feature rows"),
-    ], ids=["featurize", "classify_dtw", "classify_knn"])
+        (["classify"], "features.csv", "# config_hash=x,seed=0\na,label\n1.0,SL\n2.0,SR\n",
+         "has no class with two rows, so the test split is empty"),
+        (["classify", "--set", "classify.method=\"dtw\""], "series.json", json.dumps(
+            {"samples": [{"id": "g0", "label": "SL", "n_windows": 3, "dt_s": 0.05,
+                          "channels": {"tag1:aoa": [0.1, 0.2, 0.3]}}]}),
+         "has no class with two rows, so the test split is empty"),
+    ], ids=["featurize", "classify_dtw", "classify_knn", "classify_knn_no_test_split",
+            "classify_dtw_no_test_split"])
     def test_empty_dataset_names_file(self, tmp_path, capsys, argv, name, text, message):
-        "A dataset file without samples fails naming it, before any output is written."
+        "A dataset file without samples or a test split fails naming it, before writing output."
         in_path = tmp_path / name
         in_path.write_text(text)
         out = tmp_path / "out"
@@ -656,7 +687,9 @@ class TestImportedLogs:
          "sample #1: no 'dir' string"),
         (lambda m: json.dumps({**m, "samples": [{**m["samples"][0], "label": 1}]}),
          "sample #0: no 'label' string"),
-    ], ids=["invalid", "list", "samples_number", "entry_number", "no_dir", "label_number"])
+        (lambda m: json.dumps({**m, "samples": []}), "has no samples"),
+    ], ids=["invalid", "list", "samples_number", "entry_number", "no_dir", "label_number",
+            "empty"])
     def test_bad_manifest_names_file_and_entry(self, tmp_path, capsys, edit, message):
         data = tmp_path / "data"
         main(["simulate", "--seed", "5", "--out", str(data), *TINY])
@@ -773,6 +806,23 @@ def tracked_dataset(tmp_path_factory) -> Path:
     assert main(["featurize", "--in", str(root / "tracks"), "--out", str(root / "features"),
                  "--set", "features.config=\"SA\""]) == 0
     return root
+
+
+@pytest.mark.parametrize("argv, src, name", [
+    (["featurize", "--set", "features.config=\"SA\""], "tracks/series.json", "features.csv"),
+    (["classify", "--set", "classify.k=1"], "features/features.csv", "report.json"),
+    (["classify", "--set", "classify.method=\"dtw\""], "tracks/series.json", "report.json"),
+], ids=["featurize", "classify_knn", "classify_dtw"])
+def test_in_names_file_of_any_name(tracked_dataset, tmp_path, argv, src, name):
+    "--in is the input file whatever its name, or the directory that holds it."
+    renamed = tmp_path / "input.txt"
+    shutil.copy(tracked_dataset / src, renamed)
+    written = []
+    for in_path in (renamed, (tracked_dataset / src).parent):
+        out = tmp_path / f"out{len(written)}"
+        assert main([*argv, "--in", str(in_path), "--out", str(out)]) == 0
+        written.append((out / name).read_bytes())
+    assert written[0] == written[1]
 
 
 SERIES_KEYS = ["id", "label", "n_windows", "dt_s", "channels"]

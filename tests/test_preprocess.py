@@ -10,8 +10,7 @@ from scenes import anechoic_scene
 from test_geometry import paper_geometry
 
 from tagtrack.preprocess import split_by_tag, window_segments, windows_by_tag
-from tagtrack.simulate import (PathSpec, SASSchedule, SimScene, build_gesture_spec,
-                               simulate_gesture, simulate_log)
+from tagtrack.simulate import PathSpec, SASSchedule, SimScene, gesture_angles, simulate_log
 
 GEO = paper_geometry()
 
@@ -36,11 +35,11 @@ def tag_records(log, tag):
 
 def misdetected_log(misdetect_prob=0.3, seed=3):
     "Two-tag gesture log in which some windows are read on one antenna or none."
-    spec = build_gesture_spec("SL", np.random.default_rng(0), windows=12)
+    angles = gesture_angles("SL", np.random.default_rng(0), 12, math.inf)
     scene = SimScene(GEO, [("tag1", [PathSpec(1.0, 0.0, is_los=True)]),
                            ("tag2", [PathSpec(1.0, 0.0, is_los=True)])],
                      misdetect_prob=misdetect_prob)
-    return simulate_gesture(spec, scene, SASSchedule(), rng_seed=seed)[1]
+    return simulate_log(scene, SASSchedule(), list(angles), seed)
 
 
 def assert_windows_match_records(windows, records):
@@ -169,11 +168,7 @@ class TestWindowSegments:
         assert windows[0].matrix.shape == (2, 4)
 
     def test_conservation_through_split_and_prune(self):
-        spec = build_gesture_spec("SL", np.random.default_rng(0), windows=12)
-        scene = SimScene(GEO, [("tag1", [PathSpec(1.0, 0.0, is_los=True)]),
-                               ("tag2", [PathSpec(1.0, 0.0, is_los=True)])],
-                         misdetect_prob=0.3)
-        _, log = simulate_gesture(spec, scene, SASSchedule(), rng_seed=3)
+        log = misdetected_log(misdetect_prob=0.3, seed=3)
         streams = split_by_tag(log)
         assert sum(len(v) for v in streams.values()) == len(log)
         windows = windows_by_tag(log)

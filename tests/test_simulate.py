@@ -13,10 +13,9 @@ from test_geometry import paper_geometry, steering_vector
 from tagtrack.geometry import steering_phase, unambiguous_fov
 from tagtrack.preprocess import IQWindow, _snapshot_covariance
 from tagtrack.readerlog import read_reader_log, write_reader_log
-from tagtrack.simulate import (GESTURE_CLASSES, GestureSpec, OutOfFovError,
-                               PathSpec, SASSchedule, SimScene, TagTrajectory,
-                               build_gesture_spec, gesture_trajectory, lab_scene,
-                               simulate_gesture, simulate_log, simulate_window, tag_steering)
+from tagtrack.simulate import (GESTURE_CLASSES, OutOfFovError, PathSpec, SASSchedule, SimScene,
+                               gesture_angles, gesture_sample, lab_scene, simulate_log,
+                               simulate_window, tag_steering)
 
 GEO = paper_geometry()
 
@@ -326,8 +325,7 @@ class TestSimulateWindow:
 class TestTrajectories:
     def test_sl_is_monotone_negative_to_positive(self):
         rng = np.random.default_rng(0)
-        spec = build_gesture_spec("SL", rng, windows=30)
-        series = gesture_trajectory(spec, 0)
+        series = gesture_angles("SL", rng, 30, math.inf)[0]
         assert np.all(np.diff(series) > 0)
         assert series[0] < 0 < series[-1]
 
@@ -336,46 +334,30 @@ class TestTrajectories:
     def test_mirror_pairs_exact_negation(self, pair):
         base, mirror = pair
         for seed in range(5):
-            a = build_gesture_spec(base, np.random.default_rng(seed), windows=20)
-            b = build_gesture_spec(mirror, np.random.default_rng(seed), windows=20)
-            for tag in range(2):
-                np.testing.assert_array_equal(gesture_trajectory(b, tag),
-                                              -gesture_trajectory(a, tag))
-
-    def test_constant_trajectory(self):
-        spec = GestureSpec("hold", (TagTrajectory("const", (0.1,)),), 1.0, 12)
-        np.testing.assert_array_equal(gesture_trajectory(spec, 0), np.full(12, 0.1))
-
-    def test_out_of_range_tag_index(self):
-        spec = build_gesture_spec("SL", np.random.default_rng(0))
-        with pytest.raises(IndexError):
-            gesture_trajectory(spec, 5)
+            a = gesture_angles(base, np.random.default_rng(seed), 20, math.inf)
+            b = gesture_angles(mirror, np.random.default_rng(seed), 20, math.inf)
+            np.testing.assert_array_equal(b, -a)
 
     def test_all_classes_inside_fov(self):
-        from tagtrack.geometry import steering_phase, unambiguous_fov
         fov = unambiguous_fov(GEO)
         for cls in GESTURE_CLASSES:
             for seed in range(10):
-                spec = build_gesture_spec(cls, np.random.default_rng(seed), windows=40)
-                for tag in range(2):
-                    assert np.abs(gesture_trajectory(spec, tag)).max() < fov
-
+                angles = gesture_angles(cls, np.random.default_rng(seed), 40, math.inf)
+                assert angles.shape == (2, 40)
+                assert np.abs(angles).max() < fov
 
     def test_fov_shift_only_moves_specs_outside_fov(self):
-        from tagtrack.geometry import steering_phase, unambiguous_fov
         fov = unambiguous_fov(GEO)
         shifted = 0
         # seeds 3110, 3269 and 5292 draw a 2HLR/2HLD offset past the FOV
         for cls in GESTURE_CLASSES:
             for seed in [*range(300), 3110, 3269, 5292]:
                 rng_plain, rng_fit = np.random.default_rng(seed), np.random.default_rng(seed)
-                plain = build_gesture_spec(cls, rng_plain)
-                fitted = build_gesture_spec(cls, rng_fit, fov=fov)
+                before = gesture_angles(cls, rng_plain, 24, math.inf)
+                after = gesture_angles(cls, rng_fit, 24, fov)
                 assert rng_plain.random() == rng_fit.random()  # no extra draw
-                before = np.concatenate([gesture_trajectory(plain, t) for t in range(2)])
-                after = np.concatenate([gesture_trajectory(fitted, t) for t in range(2)])
                 if np.abs(before).max() <= fov:
-                    assert fitted == plain
+                    np.testing.assert_array_equal(after, before)
                 else:
                     shifted += 1
                     assert np.abs(after).max() <= fov
@@ -390,35 +372,36 @@ class TestSimulateGesture:
         return SimScene(GEO, tags, **kw)
 
     def test_truth_sidecar_matches_trajectory(self):
-        spec = build_gesture_spec("SL", np.random.default_rng(1), windows=10)
-        sample, log = simulate_gesture(spec, self._scene(), SASSchedule(), rng_seed=5)
+        angles = gesture_angles("SL", np.random.default_rng(1), 10, math.inf)
+        log = simulate_log(self._scene(), SASSchedule(), list(angles), 5)
+        sample = gesture_sample(log, "SL", SASSchedule().window_duration_s)
         for i, tag in enumerate(sample.tag_ids):
-            np.testing.assert_array_equal(log.truth[tag], gesture_trajectory(spec, i))
+            np.testing.assert_array_equal(log.truth[tag], angles[i])
 
     def test_missing_mask_deterministic(self):
-        spec = build_gesture_spec("SL", np.random.default_rng(1), windows=15)
+        angles = gesture_angles("SL", np.random.default_rng(1), 15, math.inf)
         scene = self._scene(misdetect_prob=0.2, noise_var=0.01)
-        _, log_a = simulate_gesture(spec, scene, SASSchedule(), rng_seed=9)
-        _, log_b = simulate_gesture(spec, scene, SASSchedule(), rng_seed=9)
+        log_a = simulate_log(scene, SASSchedule(), list(angles), 9)
+        log_b = simulate_log(scene, SASSchedule(), list(angles), 9)
         mask_a = [(r.window_idx, r.tag_id, r.antenna, r.detected) for r in records(log_a)]
         mask_b = [(r.window_idx, r.tag_id, r.antenna, r.detected) for r in records(log_b)]
         assert mask_a == mask_b
 
     def test_two_tags_present_in_log(self):
-        spec = build_gesture_spec("2HLR", np.random.default_rng(2), windows=10)
-        _, log = simulate_gesture(spec, self._scene(), SASSchedule(), rng_seed=1)
+        angles = gesture_angles("2HLR", np.random.default_rng(2), 10, math.inf)
+        log = simulate_log(self._scene(), SASSchedule(), list(angles), 1)
         assert sorted(log.tag_ids) == ["tag1", "tag2"]
 
     def test_fov_violation_rejected(self):
-        spec = GestureSpec("bad", (TagTrajectory("const", (math.radians(30),)),
-                                   TagTrajectory("const", (0.0,))), 1.0, 10)
-        with pytest.raises(OutOfFovError):
-            simulate_gesture(spec, self._scene(), SASSchedule(), rng_seed=0)
+        # 2HLR's tags span about 28 deg, which no offset fits into +-5 deg
+        with pytest.raises(OutOfFovError, match=r"^tag 0 trajectory reaches \d+\.\d deg, "
+                                                r"outside the \+-5\.0 deg field of view$"):
+            gesture_angles("2HLR", np.random.default_rng(0), 10, math.radians(5.0))
 
     def test_log_roundtrip_bit_identical(self, tmp_path):
-        spec = build_gesture_spec("LAC", np.random.default_rng(3), windows=8)
+        angles = gesture_angles("LAC", np.random.default_rng(3), 8, math.inf)
         scene = self._scene(noise_var=0.1, misdetect_prob=0.1)
-        _, log = simulate_gesture(spec, scene, SASSchedule(), rng_seed=4)
+        log = simulate_log(scene, SASSchedule(), list(angles), 4)
         write_reader_log(log, tmp_path)
         back = read_reader_log(tmp_path)
         assert len(back) == len(log)
