@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
+import shutil
 import sys
 from pathlib import Path
 
@@ -22,42 +22,17 @@ from .config import (ConfigError, config_hash, dataset_spec_from, geometry_from,
                      load_config, music_search_from, schedule_from)
 from .features import FEATURE_CONFIGS, SampleFeatureError, featurize_dataset
 from .music import spectrum_peaks
-from .pipeline import (attach_tracks, dtw_experiment, gesture_dataset, knn_feature_experiment,
-                       synthesize_fixed_log, truth_on_track)
+from .pipeline import (dtw_experiment, gesture_dataset, knn_feature_experiment,
+                       synthesize_fixed_log, tracked_sample, truth_on_track)
 from .preprocess import windows_by_tag
-from .readerlog import read_reader_log, write_reader_log
-from .simulate import GestureSample, gesture_sample
+from .readerlog import (_csv_table, _fmt, _json_text, _load_json, _meta_line, _sample_entries,
+                        read_reader_log, write_reader_log)
+from .simulate import GestureSample
 from .tracking import measure_windows, track_aoa
-
-
-def _fmt(values) -> list[str]:
-    "repr of each float, '' for NaN."
-    return ["" if v != v else repr(v) for v in values]
 
 
 def _meta(cfg: dict) -> dict:
     return {"config_hash": config_hash(cfg), "seed": cfg["seed"]}
-
-
-def _json_text(value, indent: str = "\n") -> str:
-    """``json.dumps(value, sort_keys=True, indent=1)`` of str-keyed dicts, lists and leaves.
-
-    With an indent json encodes in pure Python.  Here only dicts and lists
-    that hold containers are walked in Python; a list of leaves is one call
-    of json's C encoder, whose item separator carries the indent.
-    """
-    inner = indent + " "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        return "{" + inner + ("," + inner).join(
-            f"{json.dumps(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items())) \
-            + indent + "}"
-    if not isinstance(value, (list, tuple)) or not value:
-        return json.dumps(value)
-    if any(issubclass(t, (dict, list, tuple)) for t in set(map(type, value))):
-        return "[" + inner + ("," + inner).join(_json_text(v, inner) for v in value) + indent + "]"
-    return "[" + inner + json.dumps(value, separators=("," + inner, ": "))[1:-1] + indent + "]"
 
 
 def _write_json(path: Path, payload: dict):
@@ -70,7 +45,7 @@ def _write_csv(path: Path, cfg: dict, header: list[str], rows):
     "Write header and rows under the config hash line, creating the directory as _write_json does."
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        fh.write(f"# config_hash={config_hash(cfg)},seed={cfg['seed']}\n")
+        fh.write(_meta_line(_meta(cfg)))
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -94,11 +69,24 @@ def cmd_simulate(cfg: dict, out: Path) -> int:
         print(f"wrote fixed-tag reader log: {out / 'readerlog.csv'}")
         return 0
     manifest = {"samples": [], **_meta(cfg)}
-    for n, (sample, log) in enumerate(gesture_dataset(geo, sched, spec, cfg["seed"])):
-        log.meta = _meta(cfg)
-        write_reader_log(log, out / "samples" / f"g{n:04d}")
-        manifest["samples"].append({"id": f"g{n:04d}", "label": sample.label,
-                                    "dir": f"samples/g{n:04d}"})
+    made = [d for d in (out, out / "samples") if not d.exists()]
+    # an earlier run's manifest would name the logs this run overwrites
+    (out / "manifest.json").unlink(missing_ok=True)
+    try:
+        for n, (label, log) in enumerate(gesture_dataset(geo, sched, spec, cfg["seed"])):
+            log.meta = _meta(cfg)
+            manifest["samples"].append({"id": f"g{n:04d}", "label": label,
+                                        "dir": f"samples/g{n:04d}"})
+            write_reader_log(log, out / "samples" / f"g{n:04d}")
+    except BaseException:
+        # a failed run leaves no partial dataset: its sample directories go, and so
+        # do the directories it made once they are empty
+        for entry in manifest["samples"]:
+            shutil.rmtree(out / entry["dir"], ignore_errors=True)
+        for d in reversed(made):
+            if d.exists() and not any(d.iterdir()):
+                d.rmdir()
+        raise
     _write_json(out / "manifest.json", manifest)
     print(f"wrote {len(manifest['samples'])} gesture logs under {out}")
     return 0
@@ -108,7 +96,7 @@ def cmd_simulate(cfg: dict, out: Path) -> int:
 
 def _write_measurements(path: Path, cfg: dict, measurements: dict) -> int:
     flat = [(tag, m) for tag, tag_meas in measurements.items() for m in tag_meas]
-    thetas = _fmt([math.degrees(m.theta_hat) for _, m in flat])
+    thetas = _fmt(math.degrees(m.theta_hat) for _, m in flat)
     peaks = _fmt(spectrum_peaks([m for _, m in flat], geometry_from(cfg)).tolist())
     rows = [[tag, m.window_idx, theta, peak, "true"]
             for (tag, m), theta, peak in zip(flat, thetas, peaks)]
@@ -183,21 +171,13 @@ def _manifest_samples(path: Path) -> list[dict]:
     ``id``, ``dir`` and ``label`` string raises ValueError naming the file
     (and the entry).
     """
-    try:
-        manifest = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise ValueError(f"{path} is not JSON: {e}") from None
-    if not isinstance(manifest, dict) or not isinstance(manifest.get("samples"), list):
-        raise ValueError(f"{path} has no 'samples' list")
-    for i, entry in enumerate(manifest["samples"]):
-        if not isinstance(entry, dict):
-            raise ValueError(f"{path} sample #{i}: not an object")
+    entries = []
+    for i, entry in _sample_entries(path):
         for key in ("id", "dir", "label"):
             if not isinstance(entry.get(key), str):
                 raise ValueError(f"{path} sample #{i}: no {key!r} string")
-    if not manifest["samples"]:
-        raise ValueError(f"{path} has no samples")
-    return manifest["samples"]
+        entries.append(entry)
+    return entries
 
 
 def cmd_track(cfg: dict, in_path: Path, out: Path) -> int:
@@ -213,9 +193,8 @@ def cmd_track(cfg: dict, in_path: Path, out: Path) -> int:
         log = read_reader_log(log_dir)
         if not len(log):
             raise ValueError(f"{log_dir / 'readerlog.csv'} has no read rows")
-        sample = attach_tracks(gesture_sample(log, entry["label"], sched.window_duration_s),
-                               log, geo, kalman=kalman_from(cfg), schedule=sched,
-                               music_search=music_search_from(cfg))
+        sample = tracked_sample(log, entry["label"], geo, sched, kalman=kalman_from(cfg),
+                                music_search=music_search_from(cfg))
         series["samples"].append(_series_entry(entry, sample))
     _write_json(out / "series.json", series)
     print(f"wrote {out / 'series.json'} ({len(series['samples'])} samples)")
@@ -234,18 +213,8 @@ def _series_samples(path: Path) -> tuple[list[str], list[GestureSample]]:
     No sample, a sample that lacks a key, or a channel that is not
     ``n_windows`` numbers or nulls raises ValueError naming the file and sample.
     """
-    try:
-        series = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise ValueError(f"{path} is not JSON: {e}") from None
-    if not isinstance(series, dict) or not isinstance(series.get("samples"), list):
-        raise ValueError(f"{path} has no 'samples' list")
-    if not series["samples"]:
-        raise ValueError(f"{path} has no samples")
     ids, out = [], []
-    for i, entry in enumerate(series["samples"]):
-        if not isinstance(entry, dict):
-            raise ValueError(f"{path} sample #{i}: not an object")
+    for i, entry in _sample_entries(path):
         where = f"{path} sample {entry.get('id', f'#{i}')}"
         for key in ("id", "label", "n_windows", "dt_s", "channels"):
             if key not in entry:
@@ -272,7 +241,7 @@ def _series_samples(path: Path) -> tuple[list[str], list[GestureSample]]:
         kinds = {kind: {t: chans[f"{t}:{kind}"] for t in tags if f"{t}:{kind}" in chans}
                  for kind in ("rss", "phase", "aoa")}
         ids.append(entry["id"])
-        out.append(GestureSample(label=entry["label"], tag_ids=tags, truth={}, **kinds,
+        out.append(GestureSample(label=entry["label"], tag_ids=tags, **kinds,
                                  n_windows=n, dt_s=entry["dt_s"]))
     return ids, out
 
@@ -304,16 +273,11 @@ def _read_features_csv(path: Path):
     non-numeric feature raises ValueError naming the file and row (the
     header is row 1; comment lines are not counted).
     """
-    with open(path, newline="") as fh:
-        rows = [ln for ln in fh if not ln.startswith("#")]
-    reader = csv.reader(rows)
-    header = next(reader, None)
+    header, rows = _csv_table(path)
     if not header:
         raise ValueError(f"{path} has no header row")
     labels, data = [], []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
+    for lineno, row in rows:
         if len(row) != len(header):
             raise ValueError(f"{path} row {lineno}: has {len(row)} fields, "
                              f"expected {len(header)}")
@@ -376,16 +340,11 @@ def cmd_eval(cfg: dict, in_path: Path, out: Path) -> int:
     A row with fewer than two fields raises ValueError naming the file and
     row (the header is row 1; comment lines are not counted).
     """
-    with open(in_path, newline="") as fh:
-        rows = [ln for ln in fh if not ln.startswith("#")]
-    reader = csv.reader(rows)
-    header = next(reader, None)
+    header, rows = _csv_table(in_path)
     if not header or header[:2] != ["pred", "truth"]:
         raise ConfigError(f"{in_path}: expected columns pred,truth")
     preds, truths = [], []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
+    for lineno, row in rows:
         if len(row) < 2:
             raise ValueError(f"{in_path} row {lineno}: has {len(row)} field, expected pred,truth")
         preds.append(row[0])
@@ -414,7 +373,7 @@ def cmd_demo(cfg: dict, out: Path) -> int:
         feat_csv = out / f"features_{name}" / "features.csv"
         rep_dir = out / f"report_{name}"
         cmd_classify(sub, feat_csv, rep_dir)
-        payload = json.loads((rep_dir / "report.json").read_text())
+        payload = _load_json(rep_dir / "report.json")
         accuracies[name] = payload["metrics"]["accuracy"]
         reports[name] = payload
     payload = {**_meta(cfg),

@@ -22,22 +22,21 @@ from .tracking import AoATrack, KalmanConfig, track_aoa
 
 
 def synthesize_gesture(class_id: str, geometry: ArrayGeometry, schedule: SASSchedule,
-                       spec: DatasetSpec, seed) -> tuple[GestureSample, ReaderLog]:
-    "One labeled gesture recording with per-sample scene nuisances."
+                       spec: DatasetSpec, seed) -> ReaderLog:
+    "The reader log of one gesture recording with per-sample scene nuisances."
     base = list(seed) if isinstance(seed, (list, tuple)) else [seed]
     rng = np.random.default_rng([*base, 0])
     scene = gesture_scene(geometry, spec, rng)
     angles = gesture_angles(class_id, rng, spec.windows, unambiguous_fov(geometry))
-    log = simulate_log(scene, schedule, list(angles), [*base, 1])
-    return gesture_sample(log, class_id, schedule.window_duration_s), log
+    return simulate_log(scene, schedule, list(angles), [*base, 1])
 
 
 def gesture_dataset(geometry: ArrayGeometry, schedule: SASSchedule, spec: DatasetSpec,
                     seed: int):
-    "Yield (sample, log) per recording; sample i of class c uses child seed [seed, c, i]."
+    "Yield (class id, log) per recording; sample i of class c uses child seed [seed, c, i]."
     for ci, class_id in enumerate(spec.classes):
         for i in range(spec.samples_per_class):
-            yield synthesize_gesture(class_id, geometry, schedule, spec, seed=[seed, ci, i])
+            yield class_id, synthesize_gesture(class_id, geometry, schedule, spec, [seed, ci, i])
 
 
 def synthesize_fixed_log(geometry: ArrayGeometry, schedule: SASSchedule, spec: DatasetSpec,
@@ -57,16 +56,16 @@ def synthesize_fixed_log(geometry: ArrayGeometry, schedule: SASSchedule, spec: D
                         [seed, 1])
 
 
-def attach_tracks(sample: GestureSample, log: ReaderLog, geometry: ArrayGeometry,
-                  kalman: KalmanConfig | None = None,
-                  schedule: SASSchedule | None = None,
-                  music_search: tuple[float, float] | None = None) -> GestureSample:
-    """Run the tracking chain on the log and fill the sample's AoA channel.
+def tracked_sample(log: ReaderLog, label: str, geometry: ArrayGeometry, schedule: SASSchedule,
+                   kalman: KalmanConfig | None = None,
+                   music_search: tuple[float, float] | None = None) -> GestureSample:
+    """A recording's labeled sample: ``gesture_sample``'s RSS and phase, AoA from ``track_aoa``.
 
     Track slot t is acquisition window ``track.first_window + t``, counted
     like the sample's channels from the log's first window; windows missing
     from the track stay NaN (imputed at feature time).
     """
+    sample = gesture_sample(log, label, schedule.window_duration_s)
     tracks = track_aoa(log, geometry, music_search=music_search, kalman=kalman,
                        schedule=schedule)
     for tag in sample.tag_ids:
@@ -93,9 +92,9 @@ def truth_on_track(track: AoATrack, truth: np.ndarray, first_window: int) -> np.
 
 def synthesize_dataset(geometry: ArrayGeometry, schedule: SASSchedule, spec: DatasetSpec,
                        seed: int, kalman: KalmanConfig | None = None) -> list[GestureSample]:
-    "Full labeled dataset of ``gesture_dataset``, each sample with its AoA channel tracked."
-    return [attach_tracks(sample, log, geometry, kalman=kalman, schedule=schedule)
-            for sample, log in gesture_dataset(geometry, schedule, spec, seed)]
+    "Full labeled dataset of ``gesture_dataset``, each log a ``tracked_sample``."
+    return [tracked_sample(log, label, geometry, schedule, kalman=kalman)
+            for label, log in gesture_dataset(geometry, schedule, spec, seed)]
 
 
 def series_bundles(samples: list[GestureSample], channel: str) -> list[dict[str, np.ndarray]]:

@@ -12,10 +12,12 @@ exports from real readers name one bare file per row.  ``detected`` is
 ``true``/``false`` in any case, or ``1``/``0``.  A ground-truth sidecar JSON
 ``{tag_id: [theta_1..theta_T]}`` (degrees, null for none) may accompany
 synthetic logs.  Lines starting with ``#`` carry run metadata and are
-skipped on parse.
+skipped on parse.  A log's window indices may span at most 16 windows
+(``_SPAN_PER_WINDOW``) per distinct index.
 
 In memory a log is columnar (``ReaderLog``): one array per field and one
-float64 IQ buffer that every row takes a span of.
+float64 IQ buffer that every row takes a span of.  The private helpers
+below own the text conventions every artifact shares; the CLI imports them.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ _TRUTH_TYPES = {int, float, type(None)}   # the types json gives numbers and nul
 _INT64 = 2 ** 63
 _SPAN_CLIP = 2 ** 61   # bigger span numbers run past any file; clipping keeps their parity
 _CHUNK_ROWS = 1024     # CSV rows held as lists at a time while they become columns
+_SPAN_PER_WINDOW = 16  # window slots a log may span per distinct window index
 
 
 @dataclass
@@ -105,9 +108,68 @@ def _repeated(*keys: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fmt(values: np.ndarray):
-    "repr of each float, '' for NaN, made as the rows are written."
-    return ("" if x != x else repr(x) for x in values.tolist())
+def _fmt(values):
+    "The CSV cell of each float: its repr, '' for NaN, made as the rows are written."
+    return ("" if x != x else repr(x) for x in values)
+
+
+def _meta_line(meta: dict) -> str:
+    "The ``# key=value,...`` comment line of run metadata, keys sorted."
+    return "# " + ",".join(f"{k}={v}" for k, v in sorted(meta.items())) + "\n"
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=1)`` of str-keyed dicts, lists and leaves.
+
+    With an indent json encodes in pure Python.  Here only dicts and lists
+    that hold containers are walked in Python; a list of leaves is one call
+    of json's C encoder, whose item separator carries the indent.
+    """
+    inner = indent + " "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return "{" + inner + ("," + inner).join(
+            f"{json.dumps(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items())) \
+            + indent + "}"
+    if not isinstance(value, (list, tuple)) or not value:
+        return json.dumps(value)
+    if any(issubclass(t, (dict, list, tuple)) for t in set(map(type, value))):
+        return "[" + inner + ("," + inner).join(_json_text(v, inner) for v in value) + indent + "]"
+    return "[" + inner + json.dumps(value, separators=("," + inner, ": "))[1:-1] + indent + "]"
+
+
+def _load_json(path: Path):
+    "The JSON value of a file; invalid JSON raises ValueError naming the file."
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{path} is not JSON: {e}") from None
+
+
+def _sample_entries(path: Path):
+    "Yield (index, entry) of a dataset JSON's non-empty ``samples`` list of objects, or ValueError."
+    doc = _load_json(path)
+    if not isinstance(doc, dict) or not isinstance(doc.get("samples"), list):
+        raise ValueError(f"{path} has no 'samples' list")
+    if not doc["samples"]:
+        raise ValueError(f"{path} has no samples")
+    for i, entry in enumerate(doc["samples"]):
+        if not isinstance(entry, dict):
+            raise ValueError(f"{path} sample #{i}: not an object")
+        yield i, entry
+
+
+def _csv_lines(path: Path) -> list[str]:
+    "The lines of a CSV file, read with ``newline=''``, less the ``#`` comment lines."
+    with open(path, newline="") as fh:
+        return [ln for ln in fh if not ln.startswith("#")]
+
+
+def _csv_table(path: Path):
+    "The header row of a CSV file and (row number, row) per non-blank row; comments uncounted."
+    reader = csv.reader(_csv_lines(path))
+    return next(reader, None), ((k, row) for k, row in enumerate(reader, start=2) if row)
 
 
 def read_blob(path: Path) -> np.ndarray:
@@ -169,14 +231,14 @@ def write_reader_log(log: ReaderLog, out_dir: str | Path) -> Path:
     csv_path = out_dir / "readerlog.csv"
     with open(csv_path, "w", newline="") as fh:
         if log.meta:
-            fh.write("# " + ",".join(f"{k}={v}" for k, v in sorted(log.meta.items())) + "\n")
+            fh.write(_meta_line(log.meta))
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        writer.writerows(zip(log.window_idx.tolist(), _fmt(log.timestamp_s),
+        writer.writerows(zip(log.window_idx.tolist(), _fmt(log.timestamp_s.tolist()),
                              map(log.tag_ids.__getitem__, log.tag.tolist()),
-                             log.antenna.tolist(), _fmt(i_mean), _fmt(q_mean),
+                             log.antenna.tolist(), _fmt(i_mean.tolist()), _fmt(q_mean.tolist()),
                              (next(spans) if d else "" for d in detected),
-                             _fmt(log.rss_dbm), _fmt(log.phase_rad),
+                             _fmt(log.rss_dbm.tolist()), _fmt(log.phase_rad.tolist()),
                              ("true" if d else "false" for d in detected)))
     if det.size:
         with open(out_dir / IQ_FILE, "wb") as iq_fh:
@@ -187,7 +249,7 @@ def write_reader_log(log: ReaderLog, out_dir: str | Path) -> Path:
     if log.truth is not None:
         truth_deg = {tag: [float(np.degrees(v)) for v in series]
                      for tag, series in log.truth.items()}
-        (out_dir / "truth.json").write_text(json.dumps(truth_deg, sort_keys=True, indent=1))
+        (out_dir / "truth.json").write_text(_json_text(truth_deg))
     return csv_path
 
 
@@ -362,10 +424,7 @@ def _read_truth(path: Path) -> dict[str, np.ndarray] | None:
     "The truth sidecar in radians, or None; a malformed one raises ValueError naming it."
     if not path.exists():
         return None
-    try:
-        truth_deg = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise ValueError(f"{path} is not JSON: {e}") from None
+    truth_deg = _load_json(path)
     if not isinstance(truth_deg, dict):
         raise ValueError(f"{path} is not an object of per-tag angle lists")
     for tag, series in truth_deg.items():
@@ -383,13 +442,15 @@ def read_reader_log(path: str | Path) -> ReaderLog:
     than the row before, bad antenna, duplicate (window, tag, antenna), a
     ``detected`` other than true/false/1/0, a detected read without a finite
     RSS and phase or without a readable blob span -- raises ValueError
-    naming the CSV file and row.  A malformed truth.json raises ValueError
+    naming the CSV file and row.  So does a log that has no such row but
+    whose window indices span more than ``_SPAN_PER_WINDOW`` windows per
+    distinct index: the later of the first rows holding the smallest and
+    the largest index is named.  A malformed truth.json raises ValueError
     naming it.
     """
     path = Path(path)
     base, csv_path = (path, path / "readerlog.csv") if path.is_dir() else (path.parent, path)
-    with open(csv_path, newline="") as fh:
-        rows = _csv_rows([ln for ln in fh if not ln.startswith("#")])
+    rows = _csv_rows(_csv_lines(csv_path))
     header = next(rows, None)
     if header != CSV_HEADER:
         raise ValueError(f"{csv_path}: unexpected reader log header: {header}")
@@ -439,6 +500,13 @@ def read_reader_log(path: str | Path) -> ReaderLog:
     if short is not None:
         raise ValueError(f"{csv_path} row {short[0]}: has {short[1]} columns, "
                          f"expected {len(CSV_HEADER)}")
+    distinct = len(set(window.tolist()))
+    if n and (gap := int(window.max()) - int(window.min())) >= _SPAN_PER_WINDOW * distinct:
+        other, k = sorted((int(window.argmin()), int(window.argmax())))
+        raise ValueError(f"{csv_path} row {lineno[k]}: window_idx {window[k]} is {gap} windows "
+                         f"from window_idx {window[other]} at row {lineno[other]}; a log of "
+                         f"{distinct} distinct windows may span at most "
+                         f"{_SPAN_PER_WINDOW * distinct} windows")
     return ReaderLog(window_idx=window, timestamp_s=timestamp, tag=tag, antenna=antenna,
                      rss_dbm=rss, phase_rad=phase, detected=detected, start=start, count=count,
                      iq=iq, tag_ids=tag_ids, truth=_read_truth(base / "truth.json"))

@@ -333,7 +333,7 @@ class DatasetSpec:
 
 @dataclass
 class GestureSample:
-    """One labeled recording: per-tag truth, RSS and phase series.
+    """One labeled recording: per-tag RSS, phase and AoA series; truth stays on its log.
 
     The smoothed AoA channel is filled in by the tracking stage; RSS/phase
     are the antenna-1 window aggregates, NaN where the read was lost.
@@ -341,7 +341,6 @@ class GestureSample:
 
     label: str
     tag_ids: list[str]
-    truth: dict[str, np.ndarray]
     rss: dict[str, np.ndarray]
     phase: dict[str, np.ndarray]
     aoa: dict[str, np.ndarray] = field(default_factory=dict)
@@ -429,8 +428,8 @@ def gesture_sample(log: ReaderLog, label: str, dt_s: float) -> GestureSample:
         rss[tag], phase[tag] = np.full(T, np.nan), np.full(T, np.nan)
         rss[tag][at] = log.rss_dbm[rows]
         phase[tag][at] = log.phase_rad[rows]
-    return GestureSample(label=label, tag_ids=list(log.tag_ids), truth=log.truth or {}, rss=rss,
-                         phase=phase, n_windows=T, dt_s=dt_s)
+    return GestureSample(label=label, tag_ids=list(log.tag_ids), rss=rss, phase=phase,
+                         n_windows=T, dt_s=dt_s)
 
 
 # --- canned scenes ---------------------------------------------------------

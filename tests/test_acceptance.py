@@ -144,7 +144,7 @@ def test_criterion_06_missing_measurement_contract():
     bitwise_ok = True
     cfg = KalmanConfig(dt=SCHED.window_duration_s)
     for seed in range(10):
-        sample, log = synthesize_gesture("SL", GEO, SCHED, spec, seed=[600, seed])
+        log = synthesize_gesture("SL", GEO, SCHED, spec, seed=[600, seed])
         track_full = track_aoa(log, GEO)["tag1"]
         truth = log.truth["tag1"]
         T = track_full.n_windows

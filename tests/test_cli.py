@@ -16,13 +16,13 @@ from hypothesis import strategies as st
 from logfiles import (TEXT, both_layouts, corrupt, corruptions, parses, read_csv, records,
                       row_blob, set_row_blob, write_csv)
 
-from tagtrack.cli import _cov_traces, _json_text, main
+from tagtrack.cli import _cov_traces, main
 from tagtrack.config import (ConfigError, config_hash, geometry_from,
                              load_config, schedule_from, validate_config)
 from tagtrack.geometry import unambiguous_fov
 from tagtrack.pipeline import (DatasetSpec, dtw_experiment, knn_experiment,
                                synthesize_dataset)
-from tagtrack.readerlog import CSV_HEADER, read_reader_log, write_reader_log
+from tagtrack.readerlog import CSV_HEADER, _json_text, read_reader_log, write_reader_log
 
 TINY = ["--set", "scene.samples_per_class=2", "--set", "scene.windows=12",
         "--set", "scene.classes=[\"SL\",\"SR\"]"]
@@ -159,6 +159,31 @@ class TestSimulateCli:
         assert capsys.readouterr().err == (
             "runtime error: OutOfFovError: tag 0 trajectory reaches 16.1 deg, "
             "outside the +-9.6 deg field of view\n")
+
+    @pytest.mark.parametrize("before", [[], ["keep.txt"], ["keep.txt", "manifest.json"]],
+                             ids=["new_out", "existing_out", "earlier_dataset"])
+    def test_failed_gesture_run_leaves_no_samples(self, tmp_path, capsys, before):
+        """A run that fails after writing samples removes them and the directories it made.
+
+        Class SR's first draw leaves the narrow field of view after the SL
+        samples are written.  Other files that were there before the run
+        stay, but not an earlier manifest, which would name logs the run
+        overwrote.
+        """
+        out = tmp_path / "sim"
+        for name in before:
+            out.mkdir(exist_ok=True)
+            (out / name).write_text("x")
+        assert main(["simulate", "--out", str(out), "--set", "scene.samples_per_class=2",
+                     "--set", "geometry.element_spacing_m=0.36",
+                     "--set", "music.search_deg=[-12,12]"]) == 1
+        assert capsys.readouterr().err == (
+            "runtime error: OutOfFovError: tag 1 trajectory reaches 14.2 deg, "
+            "outside the +-13.9 deg field of view\n")
+        if before:
+            assert sorted(p.name for p in out.iterdir()) == ["keep.txt"]
+        else:
+            assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["gestures", "fixed"])
     @pytest.mark.parametrize("overrides, changes", [
@@ -515,6 +540,24 @@ class TestImportedLogs:
         err = capsys.readouterr().err
         assert f"{log / 'readerlog.csv'} row 7: " in err and message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["estimate", "track"])
+    def test_window_span_past_bound_fails_cleanly(self, tmp_path, capsys, command):
+        "A log whose last window is renumbered far away fails naming its row, and writes nothing."
+        log = tmp_path / "log"
+        main(["simulate", "--seed", "3", "--out", str(log), *FIXED, "--set", "scene.windows=8"])
+        comments, rows = read_csv(log)
+        for row in rows[1:]:
+            row[0] = "50000" if row[0] == "7" else row[0]
+        write_csv(log, comments, rows)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main([command, "--in", str(log), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"runtime error: ValueError: {log / 'readerlog.csv'} row 30: window_idx 50000 is "
+            "50000 windows from window_idx 0 at row 2; a log of 8 distinct windows may span "
+            "at most 128 windows\n")
+        assert not out.exists()
 
     def test_odd_blob_fails_cleanly(self, tmp_path, capsys):
         main(["simulate", "--seed", "2", "--out", str(tmp_path / "log"), *FIXED,

@@ -208,7 +208,6 @@ def make_sample(label="SL", n=24, seed=0, tags=("tag1", "tag2")):
     rng = np.random.default_rng(seed)
     return GestureSample(
         label=label, tag_ids=list(tags),
-        truth={},
         rss={t: rng.normal(size=n) for t in tags},
         phase={t: rng.normal(size=n) for t in tags},
         aoa={t: rng.normal(size=n) for t in tags},
@@ -682,7 +681,6 @@ def gesture_sample(rng, n: int, tags, label: str, ulp_rate: float = 0.0) -> Gest
                 v = 1.0 + np.spacing(1.0) * rng.integers(0, 2, size=n)
             chans[kind][tag] = gapped(rng, v, GAPS[rng.integers(len(GAPS))])
     return GestureSample(label=label, tag_ids=[str(t) for t in rng.permutation(list(tags))],
-                         truth={},
                          n_windows=n, dt_s=0.05, **chans)
 
 

@@ -1,17 +1,21 @@
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from logfiles import records
 from scenes import anechoic_scene
 from test_geometry import paper_geometry
 
 from tagtrack.features import SampleFeatureError
 from tagtrack.geometry import unambiguous_fov
-from tagtrack.pipeline import (DatasetSpec, attach_tracks, dtw_experiment,
-                               knn_experiment, series_bundles, synthesize_dataset,
-                               synthesize_fixed_log, synthesize_gesture)
+from tagtrack.pipeline import (DatasetSpec, dtw_experiment, knn_experiment, series_bundles,
+                               synthesize_dataset, synthesize_fixed_log, synthesize_gesture,
+                               tracked_sample)
+from tagtrack.readerlog import ReaderLog
 from tagtrack.simulate import SASSchedule, simulate_log
+from tagtrack.tracking import KalmanConfig, track_aoa
 from test_features import prepare_row
 from test_simulate import assert_same_logs
 
@@ -38,9 +42,9 @@ class TestSynthesis:
     def test_out_of_fov_draw_synthesizes(self, dataset):
         # sample 28 of class 2HLR (index 4) draws an offset that carries its
         # ramp past the +-18.2 deg field of view; it is shifted back inside
-        sample, _ = synthesize_gesture("2HLR", GEO, SCHED, DatasetSpec(), seed=[dataset, 4, 28])
+        log = synthesize_gesture("2HLR", GEO, SCHED, DatasetSpec(), seed=[dataset, 4, 28])
         fov = unambiguous_fov(GEO)
-        assert all(np.abs(series).max() <= fov for series in sample.truth.values())
+        assert all(np.abs(series).max() <= fov for series in log.truth.values())
 
     def test_fixed_log_without_paths_is_anechoic_scene(self):
         "With no scatterer paths a fixed log is simulate_log over anechoic_scene, bit for bit."
@@ -55,8 +59,8 @@ class TestSynthesis:
 
     def test_identical_seeds_bit_identical_logs(self):
         spec = small_spec()
-        _, log_a = synthesize_gesture("SL", GEO, SCHED, spec, seed=[1, 0, 0])
-        _, log_b = synthesize_gesture("SL", GEO, SCHED, spec, seed=[1, 0, 0])
+        log_a = synthesize_gesture("SL", GEO, SCHED, spec, seed=[1, 0, 0])
+        log_b = synthesize_gesture("SL", GEO, SCHED, spec, seed=[1, 0, 0])
         assert len(log_a) == len(log_b)
         for ra, rb in zip(records(log_a), records(log_b)):
             assert ra.detected == rb.detected
@@ -71,14 +75,14 @@ class TestSynthesis:
             assert s.n_windows == 16
             assert set(s.aoa) == {"tag1", "tag2"}
 
-    def test_attach_tracks_fills_aoa_near_truth(self):
+    def test_tracked_sample_fills_aoa_near_truth(self):
         spec = small_spec(misdetect_prob=0.0, snr_db=25.0, nlos_paths=0)
-        sample, log = synthesize_gesture("SL", GEO, SCHED, spec, seed=[3, 0, 0])
-        attach_tracks(sample, log, GEO)
+        log = synthesize_gesture("SL", GEO, SCHED, spec, seed=[3, 0, 0])
+        sample = tracked_sample(log, "SL", GEO, SCHED)
         for tag in sample.tag_ids:
             aoa = sample.aoa[tag]
             assert np.isfinite(aoa).all()
-            err = np.degrees(np.abs(aoa - sample.truth[tag]))
+            err = np.degrees(np.abs(aoa - log.truth[tag]))
             assert np.median(err) < 1.5
 
     def test_series_bundle_keys(self):
@@ -102,6 +106,102 @@ class TestSynthesis:
             assert list(bundle) == list(want)
             for key in want:
                 assert bundle[key].tobytes() == want[key].tobytes()
+
+
+# --- the two-step path tracked_sample replaced, kept as its reference -------------
+
+@dataclass
+class TwoStepSample:
+    "The sample the two-step path filled in: GestureSample with its truth field."
+
+    label: str
+    tag_ids: list[str]
+    truth: dict[str, np.ndarray]
+    rss: dict[str, np.ndarray]
+    phase: dict[str, np.ndarray]
+    aoa: dict[str, np.ndarray] = field(default_factory=dict)
+    n_windows: int = 0
+    dt_s: float = 0.0
+
+
+def two_step_gesture_sample(log: ReaderLog, label: str, dt_s: float) -> TwoStepSample:
+    """Channel series of a recording from its reader log.
+
+    RSS and phase are the antenna-1 window aggregates on the window grid
+    starting at the log's first window index, NaN where the read was lost.
+    """
+    first = log.first_window
+    T = 1 + int(log.window_idx.max()) - first
+    rss, phase = {}, {}
+    for i, tag in enumerate(log.tag_ids):
+        rows = log.detected & (log.antenna == 1) & (log.tag == i)
+        at = log.window_idx[rows] - first
+        rss[tag], phase[tag] = np.full(T, np.nan), np.full(T, np.nan)
+        rss[tag][at] = log.rss_dbm[rows]
+        phase[tag][at] = log.phase_rad[rows]
+    return TwoStepSample(label=label, tag_ids=list(log.tag_ids), truth=log.truth or {}, rss=rss,
+                         phase=phase, n_windows=T, dt_s=dt_s)
+
+
+def two_step_attach_tracks(sample: TwoStepSample, log: ReaderLog, geometry,
+                           kalman: KalmanConfig | None = None,
+                           schedule: SASSchedule | None = None,
+                           music_search: tuple[float, float] | None = None) -> TwoStepSample:
+    """Run the tracking chain on the log and fill the sample's AoA channel.
+
+    Track slot t is acquisition window ``track.first_window + t``, counted
+    like the sample's channels from the log's first window; windows missing
+    from the track stay NaN (imputed at feature time).
+    """
+    tracks = track_aoa(log, geometry, music_search=music_search, kalman=kalman,
+                       schedule=schedule)
+    for tag in sample.tag_ids:
+        series = np.full(sample.n_windows, np.nan)
+        track = tracks.get(tag)
+        if track is not None:
+            start = track.first_window - log.first_window
+            series[start:start + track.n_windows] = track.smoothed_series()
+        sample.aoa[tag] = series
+    return sample
+
+
+def without_first_windows(log: ReaderLog, tag: str, windows: int) -> ReaderLog:
+    "The log without ``tag``'s rows of its first ``windows`` windows."
+    keep = (log.tag != log.tag_ids.index(tag)) | (log.window_idx >= log.first_window + windows)
+    columns = ("window_idx", "timestamp_s", "tag", "antenna", "rss_dbm", "phase_rad",
+               "detected", "start", "count")
+    return replace(log, **{name: getattr(log, name)[keep] for name in columns})
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), label=st.sampled_from(["SL", "RAC", "2HIC"]),
+       misdetect=st.sampled_from([0.0, 0.5]), missing_first=st.sampled_from([0, 1, 4]),
+       residual_phase=st.booleans(), tuned=st.booleans())
+@example(seed=1, label="SL", misdetect=0.0, missing_first=0, residual_phase=False, tuned=False)
+@example(seed=2, label="SL", misdetect=0.5, missing_first=0, residual_phase=False, tuned=False)
+@example(seed=3, label="RAC", misdetect=0.0, missing_first=4, residual_phase=False, tuned=False)
+@example(seed=4, label="2HIC", misdetect=0.0, missing_first=0, residual_phase=True, tuned=False)
+@example(seed=5, label="SL", misdetect=0.0, missing_first=0, residual_phase=False, tuned=True)
+def test_tracked_sample_matches_two_step_path(seed, label, misdetect, missing_first,
+                                              residual_phase, tuned):
+    "tracked_sample gives the bits of gesture_sample then attach_tracks on the same log."
+    sched = SASSchedule(residual_phase=residual_phase)
+    spec = small_spec(windows=12, misdetect_prob=misdetect)
+    log = synthesize_gesture(label, GEO, sched, spec, seed=[seed, 0])
+    if missing_first:
+        log = without_first_windows(log, "tag2", missing_first)
+    kalman = KalmanConfig(sigma_theta=0.02, sigma_omega=0.3, sigma_v=0.05) if tuned else None
+    music_search = (-0.3, 0.25) if tuned else None
+    got = tracked_sample(log, label, GEO, sched, kalman=kalman, music_search=music_search)
+    want = two_step_attach_tracks(two_step_gesture_sample(log, label, sched.window_duration_s),
+                                  log, GEO, kalman=kalman, schedule=sched,
+                                  music_search=music_search)
+    assert (got.label, got.tag_ids, got.n_windows) == (want.label, want.tag_ids, want.n_windows)
+    assert np.float64(got.dt_s).tobytes() == np.float64(want.dt_s).tobytes()
+    for kind in ("rss", "phase", "aoa"):
+        assert list(getattr(got, kind)) == list(getattr(want, kind))
+        for tag, series in getattr(want, kind).items():
+            assert getattr(got, kind)[tag].tobytes() == series.tobytes(), (kind, tag)
 
 
 @pytest.fixture(scope="module")

@@ -124,7 +124,7 @@ def ref_read_reader_log(path) -> ReaderLog:
         base, csv_path = path, path / "readerlog.csv"
     else:
         base, csv_path = path.parent, path
-    recs = []
+    recs, linenos = [], []
     seen: set[tuple[int, str, int]] = set()
     blobs: dict[str, np.ndarray] = {}
     last_t = -math.inf
@@ -175,8 +175,19 @@ def ref_read_reader_log(path) -> ReaderLog:
                 iq=ref_row_iq(base, row[6], blobs) if detected else None,
                 rss_dbm=rss, phase_rad=phase, detected=detected, iq_blob_path=row[6],
             ))
+            linenos.append(lineno)
         except ValueError as e:
             raise ValueError(f"{csv_path} row {lineno}: {e}") from None
+    # a whole-log rule, checked once every row is valid
+    windows = [r.window_idx for r in recs]
+    distinct = len(set(windows))
+    if windows and max(windows) - min(windows) >= readerlog._SPAN_PER_WINDOW * distinct:
+        other, k = sorted((windows.index(min(windows)), windows.index(max(windows))))
+        raise ValueError(f"{csv_path} row {linenos[k]}: window_idx {windows[k]} is "
+                         f"{max(windows) - min(windows)} windows from window_idx "
+                         f"{windows[other]} at row {linenos[other]}; a log of {distinct} "
+                         f"distinct windows may span at most "
+                         f"{readerlog._SPAN_PER_WINDOW * distinct} windows")
     truth = None
     truth_path = base / "truth.json"
     if truth_path.exists():
@@ -394,18 +405,22 @@ def long_iq(draw):
 def reader_logs(draw, long_rows=False):
     """Valid logs: unique (window, tag, antenna) rows, sorted times, detected or not, truth or not.
 
-    Detected rows carry a finite RSS and phase; undetected rows may carry
-    anything, NaN included.  With ``long_rows`` a detected row's IQ comes
-    from ``long_iq``.
+    Window indices lie within ``_SPAN_PER_WINDOW`` of a first index drawn up
+    to 10**6, so no log spans more than the reader allows.  Detected rows
+    carry a finite RSS and phase; undetected rows may carry anything, NaN
+    included.  With ``long_rows`` a detected row's IQ comes from ``long_iq``.
     """
     tags = draw(st.lists(st.text(alphabet="abXY09_ ,\"", min_size=1, max_size=4),
                          min_size=1, max_size=3, unique=True))
-    keys = draw(st.lists(st.tuples(st.integers(0, 10 ** 6), st.sampled_from(tags),
-                                   st.sampled_from((1, 2))), max_size=12, unique=True))
+    first = draw(st.integers(0, 10 ** 6))
+    keys = draw(st.lists(st.tuples(st.integers(0, readerlog._SPAN_PER_WINDOW - 1),
+                                   st.sampled_from(tags), st.sampled_from((1, 2))),
+                         max_size=12, unique=True))
     times = sorted(draw(st.lists(st.floats(-2e9, 2e9), min_size=len(keys),
                                  max_size=len(keys))))
     recs = []
-    for (window, tag, antenna), t in zip(keys, times):
+    for (offset, tag, antenna), t in zip(keys, times):
+        window = first + offset
         iq = None
         if (detected := draw(st.booleans())) and long_rows:
             iq = draw(long_iq())
@@ -567,6 +582,45 @@ def test_reader_reports_first_of_several_errors(fixed_log, tmp_path, edits):
     message = first_error(read_reader_log, log)
     assert message == first_error(ref_read_reader_log, log)
     assert message.startswith(f"{log / 'readerlog.csv'} row {min(edits)}: ")
+
+
+@pytest.mark.parametrize("edits, row", [
+    ({"7": "127"}, None), ({"7": "128"}, 30), ({"0": "-121"}, 30), ({"0": "-2000"}, 30),
+    ({"7": str(2 ** 63 - 1)}, 30), ({"7": "-500"}, 30), ({"1": "900"}, 6),
+], ids=["at_bound", "past_bound", "low_first_row", "far_low_first_row", "int64_max",
+        "low_last_rows", "middle_rows"])
+def test_window_span_is_bounded(fixed_log, tmp_path, edits, row):
+    """8 distinct windows may span 128 window slots; past that the later end's first row is named.
+
+    Each edit renumbers every row of one window of the 8-window log.
+    """
+    log = tmp_path / "log"
+    shutil.copytree(fixed_log, log)
+    comments, rows = read_csv(log)
+    for r in rows[1:]:
+        r[0] = edits.get(r[0], r[0])
+    write_csv(log, comments, rows)
+    if row is None:
+        assert_same_records(read_reader_log(log), ref_read_reader_log(log))
+        return
+    message = first_error(read_reader_log, log)
+    assert message == first_error(ref_read_reader_log, log)
+    assert message.startswith(f"{log / 'readerlog.csv'} row {row}: window_idx ")
+    assert message.endswith("; a log of 8 distinct windows may span at most 128 windows")
+
+
+def test_row_error_is_reported_before_window_span(fixed_log, tmp_path):
+    "The span is a rule of a log whose rows are valid: a bad row after the far window wins."
+    log = tmp_path / "log"
+    shutil.copytree(fixed_log, log)
+    comments, rows = read_csv(log)
+    for r in rows[1:]:
+        r[0] = "50000" if r[0] == "7" else r[0]
+    rows[-1][3] = "3"
+    write_csv(log, comments, rows)
+    message = first_error(read_reader_log, log)
+    assert message == first_error(ref_read_reader_log, log)
+    assert message == f"{log / 'readerlog.csv'} row 33: antenna must be 1 or 2, got 3"
 
 
 @pytest.mark.parametrize("ref", ["iq.bin@0:0015", "iq.bin@0016:16", "iq.bin@00:" + "9" * 23,

@@ -384,7 +384,7 @@ class TestTrackAoA:
         spec = DatasetSpec(samples_per_class=1, misdetect_prob=0.05, snr_db=20.0)
         agg = {"raw": [], "smoothed": []}
         for seed in range(50):
-            _, log = synthesize_gesture("SL", GEO, sched, spec, seed=[40, seed])
+            log = synthesize_gesture("SL", GEO, sched, spec, seed=[40, seed])
             rmse = tracking_rmse(log, GEO)
             for tag in rmse:
                 agg["raw"].append(rmse[tag]["raw"] ** 2)
@@ -415,7 +415,7 @@ class TestTrackAoA:
     def test_missing_slots_surface_as_skipped_updates(self):
         sched = SASSchedule()
         spec = DatasetSpec(samples_per_class=1, misdetect_prob=0.3, snr_db=20.0)
-        sample, log = synthesize_gesture("SL", GEO, sched, spec, seed=[43, 7])
+        log = synthesize_gesture("SL", GEO, sched, spec, seed=[43, 7])
         tracks = track_aoa(log, GEO)
         found_gap = False
         for tag, track in tracks.items():
