@@ -67,28 +67,14 @@ _BOUND_PAIRS = 8192
 _PRUNE_MARGIN = 1e-9
 
 
-def dtw_distance(a, b) -> float:
-    """Classic DTW with absolute-difference cost, full window, symmetric steps."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.size == 0 or b.size == 0:
-        raise ValueError("series must be non-empty")
-    la, lb = a.size, b.size
-    d = np.full((la + 1, lb + 1), np.inf)
-    d[0, 0] = 0.0
-    for i in range(1, la + 1):
-        for j in range(1, lb + 1):
-            d[i, j] = abs(a[i - 1] - b[j - 1]) + min(d[i - 1, j], d[i, j - 1], d[i - 1, j - 1])
-    return float(d[la, lb])
-
-
 def _dtw_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """DTW of each row of ``a`` (k, la) against the same row of ``b`` (k, lb).
 
     A single row of ``a`` broadcasts against every row of ``b``.  Sweeps the
     anti-diagonals i + j = s of the DP table, all rows at once, keeping three
     diagonals indexed by position i in ``a``.  Every cell is the same cost +
-    min of three as in dtw_distance, so each result equals it exactly.
+    min of three as in the reference ``dtw_distance`` of tests/test_classify.py,
+    so each result equals it exactly.
     """
     la = a.shape[1]
     n, lb = b.shape
@@ -106,20 +92,6 @@ def _dtw_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         np.add(cost, best, out=cur[i0:i1 + 1])
         older, prev, cur = prev, cur, older
     return prev[la]
-
-
-def dtw_to_bank(query, bank) -> np.ndarray:
-    """DTW of one query against each row of a stack of equal-length series.
-
-    The query broadcasts over the rows of the row-pair kernel that
-    ``dtw_1nn_classify`` sweeps, so each value equals
-    ``dtw_distance(query, row)`` bit for bit.
-    """
-    q = np.asarray(query, dtype=float)
-    bank = np.atleast_2d(np.asarray(bank, dtype=float))
-    if q.size == 0 or bank.shape[1] == 0:
-        raise ValueError("series must be non-empty")
-    return _dtw_rows(q[None, :], bank)
 
 
 def _envelope_sum(q: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ skipped on parse.  A log's window indices may span at most 16 windows
 
 In memory a log is columnar (``ReaderLog``): one array per field and one
 float64 IQ buffer that every row takes a span of.  The private helpers
-below own the text conventions every artifact shares; the CLI imports them.
+below own the text conventions every artifact shares; cli and artifacts import them.
 """
 
 from __future__ import annotations
@@ -44,6 +44,9 @@ _INT64 = 2 ** 63
 _SPAN_CLIP = 2 ** 61   # bigger span numbers run past any file; clipping keeps their parity
 _CHUNK_ROWS = 1024     # CSV rows held as lists at a time while they become columns
 _SPAN_PER_WINDOW = 16  # window slots a log may span per distinct window index
+# the largest IQ magnitude read: a window's covariance entries stay below 2**501 and the
+# squares that its eigendecomposition sums below 2**1005, short of float max (2**1024)
+_IQ_LIMIT = 2.0 ** 250
 
 
 @dataclass
@@ -147,29 +150,10 @@ def _load_json(path: Path):
         raise ValueError(f"{path} is not JSON: {e}") from None
 
 
-def _sample_entries(path: Path):
-    "Yield (index, entry) of a dataset JSON's non-empty ``samples`` list of objects, or ValueError."
-    doc = _load_json(path)
-    if not isinstance(doc, dict) or not isinstance(doc.get("samples"), list):
-        raise ValueError(f"{path} has no 'samples' list")
-    if not doc["samples"]:
-        raise ValueError(f"{path} has no samples")
-    for i, entry in enumerate(doc["samples"]):
-        if not isinstance(entry, dict):
-            raise ValueError(f"{path} sample #{i}: not an object")
-        yield i, entry
-
-
 def _csv_lines(path: Path) -> list[str]:
     "The lines of a CSV file, read with ``newline=''``, less the ``#`` comment lines."
     with open(path, newline="") as fh:
         return [ln for ln in fh if not ln.startswith("#")]
-
-
-def _csv_table(path: Path):
-    "The header row of a CSV file and (row number, row) per non-blank row; comments uncounted."
-    reader = csv.reader(_csv_lines(path))
-    return next(reader, None), ((k, row) for k, row in enumerate(reader, start=2) if row)
 
 
 def read_blob(path: Path) -> np.ndarray:
@@ -304,11 +288,12 @@ def _clipped(values: list[int]) -> np.ndarray:
 def _blob_spans(base: Path, refs: tuple[str, ...], used: np.ndarray, checks: list):
     """Start and count of each used row's IQ in one float64 buffer, and the buffer.
 
-    Each blob file is read once, in order of first use, and checked for
-    non-finite values as a whole; only the spans of a file that holds one
-    are checked one by one, so a value no span covers does no harm.  Adds
-    the blob checks of a row in order: a malformed path, an unreadable
-    file, an odd count, a span past the end of its file, non-finite values.
+    Each blob file is read once, in order of first use, and checked as a
+    whole for non-finite values and values past ``_IQ_LIMIT``; only the
+    spans of a file that holds one are checked one by one, so a value no
+    span covers does no harm.  Adds the blob checks of a row in order: a
+    malformed path, an unreadable file, an odd count, a span past the end of
+    its file, non-finite values, a value past ``_IQ_LIMIT``.
     """
     n = len(refs)
     rows = np.flatnonzero(used)
@@ -368,13 +353,16 @@ def _blob_spans(base: Path, refs: tuple[str, ...], used: np.ndarray, checks: lis
     past = start + count > size
     _check(checks, past, lambda k: f"blob {base / refs[k]} runs past the end of its file "
                                    f"({size[k]} floats)")
-    nonfinite = np.zeros(n, bool)
+    nonfinite, huge = np.zeros(n, bool), np.zeros(n, bool)
     for i, raw in enumerate(raws):
-        if not np.isfinite(raw).all():
-            cum = np.concatenate([[0], np.cumsum(~np.isfinite(raw))])
+        if raw.size and not -_IQ_LIMIT <= raw.min() <= raw.max() <= _IQ_LIMIT:  # or a NaN
             sel = np.flatnonzero((file == i) & ~odd & ~past)
-            nonfinite[sel] = cum[start[sel] + count[sel]] > cum[start[sel]]
+            for flags, bad in ((nonfinite, ~np.isfinite(raw)), (huge, np.abs(raw) > _IQ_LIMIT)):
+                cum = np.concatenate([[0], np.cumsum(bad)])
+                flags[sel] = cum[start[sel] + count[sel]] > cum[start[sel]]
     _check(checks, nonfinite, lambda k: f"blob {base / refs[k]} holds non-finite IQ values")
+    _check(checks, huge, lambda k: f"blob {base / refs[k]} holds an IQ value above 2**250 "
+                                   f"in magnitude")
     iq = raws[0] if len(raws) == 1 else np.concatenate(raws) if raws else np.empty(0)
     return start + offsets[file], count, iq
 

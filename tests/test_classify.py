@@ -4,8 +4,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tagtrack.classify import (LabeledDataset, _dtw_bounds, _dtw_rows, dtw_1nn_classify,
-                               dtw_distance, dtw_to_bank, evaluate,
-                               knn_feature_classify, stratified_split)
+                               evaluate, knn_feature_classify, stratified_split)
+
+
+def dtw_distance(a, b) -> float:
+    """Classic DTW with absolute-difference cost, full window, symmetric steps."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.size == 0 or b.size == 0:
+        raise ValueError("series must be non-empty")
+    la, lb = a.size, b.size
+    d = np.full((la + 1, lb + 1), np.inf)
+    d[0, 0] = 0.0
+    for i in range(1, la + 1):
+        for j in range(1, lb + 1):
+            d[i, j] = abs(a[i - 1] - b[j - 1]) + min(d[i - 1, j], d[i, j - 1], d[i - 1, j - 1])
+    return float(d[la, lb])
 
 
 def dtw_enumeration_oracle(a, b):
@@ -60,14 +74,12 @@ class TestDtwDistance:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             dtw_distance([], [1.0])
-        with pytest.raises(ValueError):
-            dtw_to_bank([], [[1.0]])
 
     def test_bank_matches_scalar(self):
         rng = np.random.default_rng(2)
         q = rng.normal(size=15)
         bank = rng.normal(size=(20, 11))
-        batch = dtw_to_bank(q, bank)
+        batch = _dtw_rows(q[None, :], bank)
         ref = [dtw_distance(q, row) for row in bank]
         assert np.array_equal(batch, ref)
 
@@ -80,7 +92,7 @@ class TestDtwDistance:
                            rng.integers(0, 3, 6 * (la + lb)).astype(float)):
                 queries, bank = values[:6 * la].reshape(6, la), values[6 * la:].reshape(6, lb)
                 ref = np.array([[dtw_distance(a, b) for b in bank] for a in queries])
-                assert np.array_equal(dtw_to_bank(queries[0], bank), ref[0])
+                assert np.array_equal(_dtw_rows(queries[:1], bank), ref[0])
                 # row pairs: query row r against bank row r
                 assert np.array_equal(_dtw_rows(queries, bank), np.diag(ref))
                 # the bounds bracket the computed distances, with no slack
@@ -99,7 +111,7 @@ def ref_bundle_distances(train_bundles: list[dict], query_bundle: dict) -> np.nd
         lengths = {len(tb[key]) for tb in train_bundles}
         if len(lengths) == 1:
             bank = np.array([tb[key] for tb in train_bundles])
-            total += dtw_to_bank(query_bundle[key], bank)
+            total += _dtw_rows(np.asarray(query_bundle[key], dtype=float)[None, :], bank)
         else:
             total += np.array([dtw_distance(query_bundle[key], tb[key])
                                for tb in train_bundles])

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from logfiles import (TEXT, both_layouts, corrupt, corruptions, parses, read_csv, records,
                       row_blob, set_row_blob, write_csv)
 
-from tagtrack.cli import _cov_traces, main
+from tagtrack.artifacts import _cov_traces
+from tagtrack.cli import main
 from tagtrack.config import (ConfigError, config_hash, geometry_from,
                              load_config, schedule_from, validate_config)
 from tagtrack.geometry import unambiguous_fov
@@ -570,6 +571,23 @@ class TestImportedLogs:
             err = capsys.readouterr().err
             assert f"{csv_path} row 4: blob {blob} holds an odd number of floats (99)" in err
             assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["estimate", "track"])
+    def test_huge_finite_iq_fails_cleanly(self, tmp_path, capsys, command):
+        "Finite IQ whose covariance would overflow fails naming the CSV file and row."
+        log = tmp_path / "log"
+        main(["simulate", "--seed", "3", "--out", str(log), *FIXED, "--set", "scene.windows=8"])
+        raw = np.fromfile(log / "iq.bin", dtype="<f8")
+        raw[:40] = 1e300   # inside row 2's span
+        raw.tofile(log / "iq.bin")
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main([command, "--in", str(log), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{log / 'readerlog.csv'} row 2: blob {log / 'iq.bin'}@0:" in err
+        assert "holds an IQ value above 2**250 in magnitude" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_missing_blob_fails_cleanly(self, tmp_path, capsys):
         main(["simulate", "--seed", "2", "--out", str(tmp_path / "log"), *FIXED,

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import re
@@ -16,8 +17,14 @@ from logfiles import (ReadRecord, both_layouts, corrupt, corruptions, from_recor
 
 from tagtrack import readerlog
 from tagtrack.cli import main
+from tagtrack.config import (dataset_spec_from, geometry_from, load_config, music_search_from,
+                             schedule_from)
+from tagtrack.music import spectrum_peaks
+from tagtrack.pipeline import synthesize_fixed_log
+from tagtrack.preprocess import windows_by_tag
 from tagtrack.readerlog import (CSV_HEADER, IQ_FILE, ReaderLog, read_blob,
                                 read_reader_log, write_reader_log)
+from tagtrack.tracking import measure_windows
 
 
 # --- reference log I/O ----------------------------------------------------
@@ -26,6 +33,9 @@ from tagtrack.readerlog import (CSV_HEADER, IQ_FILE, ReaderLog, read_blob,
 # parse and one np.isfinite check per row.  The library's columnar versions
 # must give the same bytes, the same columns and IQ bits, and the same first
 # error, bit for bit.
+
+IQ_LIMIT = 2.0 ** 250   # the largest IQ magnitude the reader accepts
+
 
 def write_blob(fh, iq: np.ndarray) -> int:
     "Append iq to an open binary file as little-endian f64 I/Q; returns the values written."
@@ -113,7 +123,10 @@ def ref_row_iq(base: Path, ref: str, blobs: dict[str, np.ndarray]) -> np.ndarray
             raise ValueError(f"blob {base / name} cannot be read: {e.strerror}") from None
     raw = blobs[name]
     try:
-        return blob_iq(raw, int(m[1]), int(m[2])) if at else blob_iq(raw, 0, raw.size)
+        iq = blob_iq(raw, int(m[1]), int(m[2])) if at else blob_iq(raw, 0, raw.size)
+        if np.abs(iq.view(float)).max(initial=0.0) > IQ_LIMIT:
+            raise ValueError("holds an IQ value above 2**250 in magnitude")
+        return iq
     except ValueError as e:
         raise ValueError(f"blob {base / ref} {e}") from None
 
@@ -447,8 +460,12 @@ def same_float(a: float, b: float) -> bool:
 def test_write_read_is_identity(log):
     with tempfile.TemporaryDirectory() as tmp:
         write_reader_log(log, tmp)
-        back = read_reader_log(tmp)
         assert (Path(tmp) / "iq.bin").exists() == log.detected.any()
+        if np.abs(log.iq).max(initial=0.0) > IQ_LIMIT:
+            with pytest.raises(ValueError, match=r"row \d+: .* holds an IQ value above 2\*\*250"):
+                read_reader_log(tmp)
+            return
+        back = read_reader_log(tmp)
     assert len(back) == len(log) and back.tag_ids == log.tag_ids
     for ra, rb in zip(records(log), records(back)):
         assert (ra.window_idx, ra.tag_id, ra.antenna, ra.detected) == \
@@ -514,7 +531,12 @@ def test_reader_matches_reference(log):
         with np.errstate(over="ignore", invalid="ignore"):  # i_mean of rows near 1e308
             write_reader_log(log, packed)
         for log_dir in (packed, unpack_log(packed, Path(tmp) / "per_row")):
-            assert_same_records(read_reader_log(log_dir), ref_read_reader_log(log_dir))
+            try:
+                want = ref_read_reader_log(log_dir)
+            except ValueError as e:   # IQ past the limit
+                assert first_error(read_reader_log, log_dir) == str(e)
+                continue
+            assert_same_records(read_reader_log(log_dir), want)
 
 
 @pytest.mark.parametrize("end", ["\r\n", "\r", "\n"], ids=["crlf", "cr", "lf"])
@@ -531,11 +553,78 @@ def test_line_ends_blank_lines_and_quoting_read_as_csv(tmp_path, end, tag):
 
 
 def test_nonfinite_value_outside_every_span_parses(tmp_path):
-    "A blob file is checked as a whole, then per row only where it holds a non-finite value."
+    "A blob file is checked as a whole, then per row only where it holds a bad value."
     write_reader_log(make_log(), tmp_path)
     with open(tmp_path / "iq.bin", "ab") as fh:
-        fh.write(np.array([np.nan, np.inf, -np.inf, 0.0]).tobytes())
+        fh.write(np.array([np.nan, np.inf, -np.inf, 1e300, 0.0]).tobytes())
     assert_same_records(read_reader_log(tmp_path), ref_read_reader_log(tmp_path))
+
+
+@pytest.fixture(scope="module")
+def fixed_logs() -> dict:
+    "(config, in-memory fixed-tag log) with the residual carrier phase off (False) and on (True)."
+    logs = {}
+    for residual in (False, True):
+        cfg = load_config(seed=4, overrides=[
+            "scene.mode=\"fixed\"", "scene.windows=8", "scene.misdetect_prob=0.0",
+            f"schedule.residual_phase={str(residual).lower()}",
+            "schedule.sample_period_s=2.5037e-4"])
+        angles = {tag: math.radians(deg) for tag, deg in cfg["scene"]["fixed_tags_deg"].items()}
+        logs[residual] = cfg, synthesize_fixed_log(geometry_from(cfg), schedule_from(cfg),
+                                                   dataset_spec_from(cfg), angles, cfg["seed"])
+    return logs
+
+
+MAX_FLOAT = float(np.finfo(float).max)
+# magnitudes 0 and 1 to float max: as floats draw them; spread over every exponent and, more
+# densely, over those whose covariance products (2 e) or their squares (4 e) near float max's
+# (1024); and the limit's neighbours.  Magnitudes between 0 and 1 are left out: IQ near 2**-256
+# gives a NaN pseudospectrum, a defect of the estimator, not of the reader.
+IQ_SCALES = st.one_of(
+    st.floats(1.0, MAX_FLOAT),
+    st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True),
+              st.one_of(st.integers(1, 1024), st.integers(240, 520))),
+    st.sampled_from([0.0, IQ_LIMIT, np.nextafter(IQ_LIMIT, 0.0), np.nextafter(IQ_LIMIT, math.inf)]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(residual=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+       scales=st.dictionaries(st.integers(0, 15), st.tuples(IQ_SCALES, IQ_SCALES), min_size=1))
+def test_accepted_iq_keeps_covariances_finite(fixed_logs, residual, scales, seed):
+    """Any log the reader accepts, IQ up to float max, gives finite covariances and estimates.
+
+    Window-tag pair p of the log (8 windows, 2 tags) gets antenna-1 and
+    antenna-2 IQ of largest magnitudes ``scales[p]``.  The log is rejected,
+    naming the first row past ``IQ_LIMIT``, or each of its windows has a
+    finite covariance, angle and pseudospectrum peak, without a warning
+    (warnings are errors here), with the transmit sequence divided out or not.
+    """
+    cfg, log = fixed_logs[residual]
+    iq, rng = log.iq.copy(), np.random.default_rng(seed)
+    pairs = sorted(set(zip(log.window_idx.tolist(), log.tag.tolist())))
+    too_big = []
+    for p, pair_scales in scales.items():
+        rows = np.flatnonzero((log.window_idx == pairs[p][0]) & (log.tag == pairs[p][1]))
+        for k, scale in zip(rows.tolist(), pair_scales):
+            u = rng.uniform(-1.0, 1.0, log.count[k])
+            u[rng.integers(u.size)] = rng.choice([-1.0, 1.0])
+            iq[log.start[k]:log.start[k] + log.count[k]] = scale * u
+            too_big += [k] if scale > IQ_LIMIT else []
+    with tempfile.TemporaryDirectory() as tmp:
+        with np.errstate(over="ignore", invalid="ignore"):  # i_mean of rows near float max
+            write_reader_log(dataclasses.replace(log, iq=iq), tmp)
+        if too_big:
+            assert re.search(rf"row {min(too_big) + 2}: blob .* holds an IQ value above "
+                             r"2\*\*250", first_error(read_reader_log, tmp))
+            return
+        windows = windows_by_tag(read_reader_log(tmp))
+    assert all(np.isfinite(w.covariance).all() for ws in windows.values() for w in ws)
+    geo = geometry_from(cfg)
+    meas = [m for ms in measure_windows(windows, geo, schedule_from(cfg),
+                                        music_search_from(cfg)).values() for m in ms]
+    assert len(meas) == 16
+    assert all(np.isfinite(m.covariance).all() and math.isfinite(m.theta_hat) for m in meas)
+    assert np.isfinite(spectrum_peaks(meas, geo)).all()
 
 
 @pytest.fixture(scope="module")
