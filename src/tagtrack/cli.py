@@ -178,11 +178,11 @@ def cmd_classify(cfg: dict, in_path: Path, out: Path) -> dict:
     return _write_report(out, cfg, report, extra)
 
 
-def cmd_eval(cfg: dict, in_path: Path, out: Path) -> dict:
-    "Metrics from a predictions CSV with columns pred,truth; return the report.json payload."
+def cmd_eval(cfg: dict, in_path: Path, out: Path) -> None:
+    "Metrics from a predictions CSV with columns pred,truth."
     preds, truths = read_predictions(in_path)
     report = evaluate(preds, truths, tuple(sorted(set(preds) | set(truths))))
-    return _write_report(out, cfg, report, {"method": "eval"})
+    _write_report(out, cfg, report, {"method": "eval"})
 
 
 # --- demo ----------------------------------------------------------------------

@@ -398,30 +398,37 @@ class TestReaderLogIO:
 
 
 FINITE = st.floats(-1e300, 1e300)
+READABLE = st.floats(-IQ_LIMIT, IQ_LIMIT)
 MAYBE_NAN = st.one_of(st.just(math.nan), st.floats(allow_nan=False))
 ANY_FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def long_iq(draw):
+def long_iq(draw, readable=True):
     """IQ of a length around the blocks of numpy's pairwise sum (8 lanes, 128 values).
 
-    Scaled near the float64 limit, a row's sum can overflow to inf or NaN.
+    Normal draws, clipped to +-64, scaled so that every value stays within
+    ``IQ_LIMIT``; or, not ``readable``, scaled near the float64 limit, where
+    a row's sum can overflow to inf or NaN.
     """
     n = draw(st.sampled_from([1, 2, 7, 8, 9, 16, 127, 128, 129, 255, 257, 300]))
-    scale = draw(st.sampled_from([1.0, 1e-300, 1e300, 1e307]))
+    large = [IQ_LIMIT / 64, IQ_LIMIT / 2 ** 20] if readable else [1e300, 1e307]
+    scale = draw(st.sampled_from([1.0, 1e-300, *large]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    return (rng.normal(size=n) + 1j * rng.normal(size=n)) * scale
+    i, q = np.clip(rng.normal(size=(2, n)), -64.0, 64.0)
+    return (i + 1j * q) * scale
 
 
 @st.composite
-def reader_logs(draw, long_rows=False):
+def reader_logs(draw, long_rows=False, readable=True):
     """Valid logs: unique (window, tag, antenna) rows, sorted times, detected or not, truth or not.
 
     Window indices lie within ``_SPAN_PER_WINDOW`` of a first index drawn up
     to 10**6, so no log spans more than the reader allows.  Detected rows
-    carry a finite RSS and phase; undetected rows may carry anything, NaN
-    included.  With ``long_rows`` a detected row's IQ comes from ``long_iq``.
+    carry a finite RSS and phase, and IQ within ``IQ_LIMIT``; undetected rows
+    may carry anything, NaN included.  With ``long_rows`` a detected row's IQ
+    comes from ``long_iq``.  Logs that are not ``readable`` are valid for the
+    writer only: their IQ reaches 1e300 and, in long rows, 1e307.
     """
     tags = draw(st.lists(st.text(alphabet="abXY09_ ,\"", min_size=1, max_size=4),
                          min_size=1, max_size=3, unique=True))
@@ -436,12 +443,12 @@ def reader_logs(draw, long_rows=False):
         window = first + offset
         iq = None
         if (detected := draw(st.booleans())) and long_rows:
-            iq = draw(long_iq())
+            iq = draw(long_iq(readable))
         elif detected:
-            n = draw(st.integers(1, 6))
+            n, values = draw(st.integers(1, 6)), READABLE if readable else FINITE
             iq = np.empty(n, dtype=complex)
-            iq.real = draw(st.lists(FINITE, min_size=n, max_size=n))
-            iq.imag = draw(st.lists(FINITE, min_size=n, max_size=n))
+            iq.real = draw(st.lists(values, min_size=n, max_size=n))
+            iq.imag = draw(st.lists(values, min_size=n, max_size=n))
         level = ANY_FINITE if detected else MAYBE_NAN
         recs.append(ReadRecord(window, t, tag, antenna, iq, draw(level), draw(level), detected))
     truth = draw(st.none() | st.fixed_dictionaries(
@@ -461,10 +468,6 @@ def test_write_read_is_identity(log):
     with tempfile.TemporaryDirectory() as tmp:
         write_reader_log(log, tmp)
         assert (Path(tmp) / "iq.bin").exists() == log.detected.any()
-        if np.abs(log.iq).max(initial=0.0) > IQ_LIMIT:
-            with pytest.raises(ValueError, match=r"row \d+: .* holds an IQ value above 2\*\*250"):
-                read_reader_log(tmp)
-            return
         back = read_reader_log(tmp)
     assert len(back) == len(log) and back.tag_ids == log.tag_ids
     for ra, rb in zip(records(log), records(back)):
@@ -485,6 +488,7 @@ def test_write_read_is_identity(log):
 
 
 ANY_LOG = st.one_of(reader_logs(), reader_logs(long_rows=True))
+WRITABLE_LOG = st.one_of(reader_logs(readable=False), reader_logs(long_rows=True, readable=False))
 
 
 def assert_same_files(a: Path, b: Path):
@@ -511,7 +515,7 @@ def assert_same_records(got: ReaderLog, want: ReaderLog):
 
 
 @settings(max_examples=80, deadline=None)
-@given(log=ANY_LOG, batch=st.sampled_from([1, 2, 3, readerlog._MEAN_ROWS]))
+@given(log=WRITABLE_LOG, batch=st.sampled_from([1, 2, 3, readerlog._MEAN_ROWS]))
 def test_writer_matches_reference(log, batch):
     "readerlog.csv, iq.bin and truth.json equal the per-row writer's, byte for byte."
     # rows near 1e308 overflow their i_mean/q_mean sums, as in the reference
@@ -528,15 +532,9 @@ def test_reader_matches_reference(log):
     "Both layouts, packed and per-row blobs, read into the per-row reader's columns, bit for bit."
     with tempfile.TemporaryDirectory() as tmp:
         packed = Path(tmp) / "log"
-        with np.errstate(over="ignore", invalid="ignore"):  # i_mean of rows near 1e308
-            write_reader_log(log, packed)
+        write_reader_log(log, packed)
         for log_dir in (packed, unpack_log(packed, Path(tmp) / "per_row")):
-            try:
-                want = ref_read_reader_log(log_dir)
-            except ValueError as e:   # IQ past the limit
-                assert first_error(read_reader_log, log_dir) == str(e)
-                continue
-            assert_same_records(read_reader_log(log_dir), want)
+            assert_same_records(read_reader_log(log_dir), ref_read_reader_log(log_dir))
 
 
 @pytest.mark.parametrize("end", ["\r\n", "\r", "\n"], ids=["crlf", "cr", "lf"])
@@ -578,8 +576,9 @@ def fixed_logs() -> dict:
 MAX_FLOAT = float(np.finfo(float).max)
 # magnitudes 0 and 1 to float max: as floats draw them; spread over every exponent and, more
 # densely, over those whose covariance products (2 e) or their squares (4 e) near float max's
-# (1024); and the limit's neighbours.  Magnitudes between 0 and 1 are left out: IQ near 2**-256
-# gives a NaN pseudospectrum, a defect of the estimator, not of the reader.
+# (1024); and the limit's neighbours.  Magnitudes between 0 and 1 are left out: IQ near 2**-300
+# gives a NaN pseudospectrum peak, a defect of the estimator, not of the reader, kept in view by
+# test_cli.py's strict xfail test_tiny_finite_iq_estimates.
 IQ_SCALES = st.one_of(
     st.floats(1.0, MAX_FLOAT),
     st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True),
@@ -591,7 +590,7 @@ IQ_SCALES = st.one_of(
 @given(residual=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
        scales=st.dictionaries(st.integers(0, 15), st.tuples(IQ_SCALES, IQ_SCALES), min_size=1))
 def test_accepted_iq_keeps_covariances_finite(fixed_logs, residual, scales, seed):
-    """Any log the reader accepts, IQ up to float max, gives finite covariances and estimates.
+    """An accepted log with IQ magnitudes 0 or 1 up to float max gives finite estimates.
 
     Window-tag pair p of the log (8 windows, 2 tags) gets antenna-1 and
     antenna-2 IQ of largest magnitudes ``scales[p]``.  The log is rejected,
