@@ -60,9 +60,16 @@ def _eig2_stack(r: np.ndarray):
     if np.any(np.hypot(skew.real, skew.imag) > 1e-9 * scale) or \
             np.any(np.maximum(np.abs(r00.imag), np.abs(r11.imag)) > 1e-9 * scale):
         raise ValueError("matrix is not Hermitian within tolerance")
-    a, c, b = r00.real, r11.real, r01
+    # each matrix divided by the power of two 2**e just above its largest modulus (e >= -1021,
+    # so that 2**-e is finite): exact, and norm2 below no longer underflows for tiny
+    # matrices; the eigenvalues are scaled back
+    e = np.maximum(np.frexp(scale)[1], -1021)
+    down = np.ldexp(1.0, -e)
+    a, c, mod_b = r00.real * down, r11.real * down, mods[1] * down
+    b = np.empty_like(r01)
+    b.real, b.imag = r01.real * down, r01.imag * down
     disc = np.array([math.hypot(x, y)
-                     for x, y in zip((a - c).tolist(), (2.0 * mods[1]).tolist())])
+                     for x, y in zip((a - c).tolist(), (2.0 * mod_b).tolist())])
     lam_s = 0.5 * (a + c + disc)
     lam_n = 0.5 * (a + c - disc)
     x = np.stack([b, (lam_s - a).astype(complex)], axis=1)
@@ -78,7 +85,7 @@ def _eig2_stack(r: np.ndarray):
     u = np.zeros((r.shape[0], 2, 2), dtype=complex)   # [u_s, u_n] per matrix
     u[:, 0, 0].real, u[:, 0, 0].imag, u[:, 0, 1].real = u0r, u0i, u1r
     u[:, 1, 0].real, u[:, 1, 1].real, u[:, 1, 1].imag = -u1r, u0r, -u0i
-    return lam_s, lam_n, u[:, 0], u[:, 1]
+    return np.ldexp(lam_s, e), np.ldexp(lam_n, e), u[:, 0], u[:, 1]
 
 
 def music_spectrum(theta, noise_vec: np.ndarray, geometry: ArrayGeometry):

@@ -11,15 +11,20 @@ downconversion cancels the carrier, so s_m(k) = 1 by default; the true
 per-slot carrier phase can be re-enabled through the schedule for
 sensitivity studies.
 
-``tag_steering`` computes a log's summed path steering in one numpy pass
-per tag and path; ``simulate_window`` takes one window's rows of it, makes
-the window's draws and returns each detected tag's 2 x cols matrix, which
-``simulate_log`` stacks into the log's IQ buffer.  numpy's vectorized
-complex multiply may fuse multiply-adds and ``np.power`` may round unlike
-``pow``, so the gain products are formed from real and imaginary parts and
-the angle gain's ``10.0 ** x`` is taken per element: the bits are those of
-a per-window scalar evaluation.  Snapshot windows for AoA estimation come
-from a log, through ``preprocess.window_segments``.
+``simulate_log`` builds a log in three stacked passes.  ``tag_steering``
+computes every window's summed path steering in one numpy pass over all
+tags and paths.  Window t draws from ``np.random.default_rng([*seed, t])``:
+the generator states of all windows are derived at once from numpy's
+seeding algorithm and set in turn on one generator, and ``simulate_window``
+(one call per window) draws the window's misdetection uniforms and noise
+normals into the log's preallocated stacks.  The noise, the signal, the
+NaN fill of lost reads and the row means are then arrays over the log.
+numpy's vectorized complex multiply may fuse multiply-adds and
+``np.power`` may round unlike ``pow``, so the gain products are formed from
+real and imaginary parts and the angle gain's ``10.0 ** x`` is taken per
+element: the bits are those of a per-window scalar evaluation.  Snapshot
+windows for AoA estimation come from a log, through
+``preprocess.window_segments``.
 
 ``gesture_angles`` draws a gesture's two LoS angle series as parametric
 synthetic shapes (ramps, a sinusoid, arcs); only their coarse
@@ -153,86 +158,55 @@ def tag_steering(scene: SimScene, angles: list[np.ndarray]) -> np.ndarray:
     Row [t, i] is sum_paths g * factor * amp * a(theta_path) for tag i at
     window t: ``angles[i][t]`` steers the LoS path, NLoS paths keep their
     scene angles, and factor is the angle modulation of ``angle_gain_db``
-    and ``angle_phase_rad``.  Each tag and path is one numpy pass over the
-    windows; the paths are added from zero in the scene's path order.
+    and ``angle_phase_rad``.  Every tag's paths are one numpy pass over the
+    windows, and each tag's paths are added from zero in the scene's path
+    order.  Tags with fewer paths are padded with zero gains: a zero term
+    leaves a sum's bits as they are, as no sum is -0.0 once 0.0 is added.
     """
     if len(angles) != len(scene.tags):
         raise ValueError("need one angle series per scene tag")
     thetas = np.array(angles, dtype=float)
     amp = math.sqrt(scene.tx_power) * scene.modulation_gain
-    out = np.empty((thetas.shape[-1], len(scene.tags), 2), dtype=complex)
-    for i, ((_, paths), theta) in enumerate(zip(scene.tags, thetas)):
-        factor = np.ones(len(theta), dtype=complex)
-        if scene.angle_gain_db != 0.0 or scene.angle_phase_rad != 0.0:
-            r = np.minimum(np.abs(theta) / unambiguous_fov(scene.geometry), 1.0)
-            mag = np.array([10.0 ** x for x in (-scene.angle_gain_db * r / 20.0).tolist()])
-            factor = mag * np.exp(1j * scene.angle_phase_rad * r)
-        path_angles = np.array([theta if path.is_los else np.full(len(theta), path.aoa)
-                                for path in paths])
-        phased = np.exp(1j * steering_phase(path_angles, scene.geometry))
-        s0 = s1 = 0.0
-        for path, e_path in zip(paths, phased):
-            gain = complex(path.gain)
-            g = np.empty(len(theta), dtype=complex)
-            g.real = (gain.real * factor.real - gain.imag * factor.imag) * amp
-            g.imag = (gain.real * factor.imag + gain.imag * factor.real) * amp
-            s0 = s0 + g
-            s1 = s1 + g * e_path
-        out[:, i, 0] = s0
-        out[:, i, 1] = s1
+    factor = np.ones(thetas.shape, dtype=complex)
+    if scene.angle_gain_db != 0.0 or scene.angle_phase_rad != 0.0:
+        r = np.minimum(np.abs(thetas) / unambiguous_fov(scene.geometry), 1.0)
+        mag = [10.0 ** x for x in (-scene.angle_gain_db * r / 20.0).ravel().tolist()]
+        factor = np.reshape(mag, r.shape) * np.exp(1j * scene.angle_phase_rad * r)
+    width = max(len(paths) for _, paths in scene.tags)
+    gains = np.zeros((len(thetas), width, 1), dtype=complex)
+    path_angles = np.zeros((len(thetas), width, thetas.shape[-1]))
+    for i, (_, paths) in enumerate(scene.tags):
+        for k, path in enumerate(paths):
+            gains[i, k] = path.gain
+            path_angles[i, k] = thetas[i] if path.is_los else path.aoa
+    factor = factor[:, None, :]
+    g = np.empty(path_angles.shape, dtype=complex)
+    g.real = (gains.real * factor.real - gains.imag * factor.imag) * amp
+    g.imag = (gains.real * factor.imag + gains.imag * factor.real) * amp
+    phased = g * np.exp(1j * steering_phase(path_angles, scene.geometry))
+    out = np.empty((thetas.shape[-1], len(thetas), 2), dtype=complex)
+    s0 = s1 = 0.0
+    for k in range(width):
+        s0 = s0 + g[:, k]
+        s1 = s1 + phased[:, k]
+    out[..., 0] = s0.T
+    out[..., 1] = s1.T
     return out
 
 
-def simulate_window(scene: SimScene, schedule: SASSchedule, steering: np.ndarray,
-                    rng_seed, window_idx: int = 0) -> list[tuple[int, np.ndarray]]:
-    """Simulate one acquisition window; returns (tag index, matrix) per detected tag.
+def simulate_window(rng: np.random.Generator, u: np.ndarray, z: np.ndarray | None) -> None:
+    """Make one acquisition window's draws into its rows of ``simulate_log``'s stacks.
 
-    ``steering`` holds the window's summed steering row per scene tag, row
-    ``window_idx`` of ``tag_steering``.  A tag's index is its position in
-    ``scene.tags``, and row m of its 2 x cols matrix holds antenna m's
-    snapshots.  A tag misdetected on one antenna yields a matrix with that
-    row NaN-filled; a tag misdetected on both antennas is omitted.
-
-    Per tag the generator draws the two antennas' misdetection uniforms and
-    then, with noise on, a (2, 2, cols) normal block: row m's noise is
-    ``z[m, 0] + 1j * z[m, 1]``.
+    ``u`` is the window's (n_tags, 2) misdetection block and ``z`` its
+    (n_tags, 2, 2, cols) noise block, or None with noise off.  Per tag, in
+    scene order, the generator draws the two antennas' uniforms into
+    ``u[i]`` and then, with noise on, standard normals into ``z[i]``:
+    antenna m's noise is sigma * (z[i, m, 0] + 1j * z[i, m, 1]).
     """
-    if not scene.tags:
-        raise ValueError("scene has no tags")
-    if len(scene.tags) > 2:
-        raise ValueError("the 4-slot switching cycle serves at most two tags")
-    if len(steering) != len(scene.tags):
-        raise ValueError("need one steering row per scene tag")
-    rng = np.random.default_rng(rng_seed)
-    sigma = math.sqrt(scene.noise_var / 2.0)
-    cols = schedule.cols
-    p1, p2 = scene.misdetect_prob
-    out = []
-    for i, steer in enumerate(steering):
-        u1, u2 = rng.random(2).tolist()
-        signal = steer[:, None]
-        if schedule.residual_phase:
-            signal = signal * np.array([
-                schedule.tx_sequence(window_idx, m, i + 1, scene.geometry.carrier_freq_hz)
-                for m in (1, 2)])
-        if sigma > 0:
-            # numpy's normal is 0.0 + sigma * x, never -0.0, so z[m, 0] + 1j * z[m, 1]
-            # is exactly the complex number with those parts
-            z = rng.normal(scale=sigma, size=(2, 2, cols))
-            matrix = np.empty((2, cols), dtype=complex)
-            matrix.real = z[:, 0]
-            matrix.imag = z[:, 1]
-            matrix += signal
-        else:
-            matrix = np.broadcast_to(signal, (2, cols)) + 0.0  # noise-free rows, a new array
-        missing = (u1 < p1, u2 < p2)
-        if all(missing):
-            continue
-        for m in (0, 1):
-            if missing[m]:
-                matrix[m] = np.nan
-        out.append((i, matrix))
-    return out
+    for i in range(len(u)):
+        rng.random(out=u[i])
+        if z is not None:
+            rng.standard_normal(out=z[i])
 
 
 # --- gesture trajectories ------------------------------------------------
@@ -348,68 +322,182 @@ class GestureSample:
     dt_s: float = 0.0
 
 
-def _window_seeds(base: list, windows: int) -> list:
-    """Child seeds ``[*base, t]`` of windows t < ``windows``.
+# SeedSequence's mixing constants and PCG64's multiplier (numpy bit_generator.pyx, pcg64.h)
+_M32, _M128 = 2 ** 32 - 1, 2 ** 128 - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
-    SeedSequence converts a list one int at a time, a third of the cost of
-    ``default_rng``.  When every seed is an int in [0, 2**32), each is one
-    32-bit entropy word either way, so the rows of a uint32 array give the
-    same generators at less cost.
+_ASSEMBLY_CHUNK = 256   # (t, i) blocks simulate_log turns from draws into matrices at a time
+_window_rng = None   # the generator whose state simulate_log sets per window, made on first use
+
+
+def _hash_constants(h: int, mult: int):
+    "SeedSequence's running hash constant: h, h * mult, h * mult**2, ... mod 2**32."
+    while True:
+        yield h
+        h = h * mult & _M32
+
+
+def _hashmix(value, h):
+    "SeedSequence's hashmix of uint32 ``value`` with hash constant ``h`` (ints or uint32 arrays)."
+    value = (value ^ h) * (h * _MULT_A & _M32) & _M32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    "SeedSequence's mix of two uint32 values (ints or uint32 arrays)."
+    r = (_MIX_L * x & _M32) - (_MIX_R * y & _M32) & _M32
+    return r ^ r >> 16
+
+
+def _seed_words(seed: list) -> list[int]:
+    """SeedSequence's uint32 entropy words of a list of ints: each int's 32-bit words, low first.
+
+    Raises as SeedSequence does on a negative or non-integer seed.
     """
-    if all(type(v) is int and 0 <= v < 2 ** 32 for v in base):
-        words = np.empty((windows, len(base) + 1), dtype=np.uint32)
-        words[:, :-1] = base
-        words[:, -1] = np.arange(windows)
-        return list(words)
-    return [[*base, t] for t in range(windows)]
+    words = []
+    for v in seed:
+        if not isinstance(v, (int, np.integer)):
+            raise TypeError("seed must be integer")
+        v = int(v)
+        if v < 0:
+            raise ValueError("expected non-negative integer")
+        words.append(v & _M32)
+        while v > _M32:
+            v >>= 32
+            words.append(v & _M32)
+    return words
+
+
+def _window_states(base: list, windows: int) -> list[tuple[int, int]]:
+    """PCG64 ``(state, inc)`` of ``np.random.default_rng([*base, t])`` for t < ``windows``.
+
+    SeedSequence (numpy's ``bit_generator.pyx``) hashes the seed's uint32
+    words into a pool of four, mixes the pool, and generates four 64-bit
+    words from it; PCG64 seeds from them as ``pcg_setseq_128_srandom_r``
+    does (O'Neill, "PCG: A Family of Simple Fast Space-Efficient
+    Statistically Good Algorithms for Random Number Generation", 2014):
+    ``inc = 2 * initseq + 1`` and ``state = ((inc + initstate) * M + inc)``
+    mod 2**128.  The words the rows share are mixed once as ints; from the
+    window word on, each value is a uint32 column over the rows.
+    """
+    words = [*_seed_words(base), np.arange(windows, dtype=np.uint32)]
+    consts = _hash_constants(_INIT_A, _MULT_A)
+    pool = [_hashmix(words[i] if i < len(words) else 0, next(consts)) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if dst != src:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(consts)))
+    # every further word is mixed into the four pool words with four consecutive constants
+    pool = np.stack(np.broadcast_arrays(*pool)).astype(np.uint32).reshape(4, -1)
+    for word in words[4:]:
+        pool = _mix(pool, _hashmix(word, np.array([[next(consts)] for _ in range(4)], np.uint32)))
+    # generate_state(4, np.uint64): eight uint32 words cycled from the pool, paired low first
+    consts = _hash_constants(_INIT_B, _MULT_B)
+    hash_b = np.array([[next(consts)] for _ in range(9)], dtype=np.uint32)
+    out = np.concatenate([pool, pool]) ^ hash_b[:8]
+    out *= hash_b[1:]
+    out ^= out >> 16
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in np.ascontiguousarray(out.T, "<u4").view("<u8").tolist():
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+        states.append((((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _M128, inc))
+    return states
+
+
+def _window_generators(base: list, windows: int):
+    """Yield one generator per window t < ``windows``, in the state ``default_rng([*base, t])`` has.
+
+    It is the same module-level generator each time, its state set anew, so
+    two threads must not simulate at once; it is made on first use, as
+    numpy.random loads lazily.
+    """
+    global _window_rng
+    if _window_rng is None:
+        _window_rng = np.random.Generator(np.random.PCG64(0))
+    bit_generator = _window_rng.bit_generator
+    for state, inc in _window_states(base, windows):
+        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        yield _window_rng
 
 
 def simulate_log(scene: SimScene, schedule: SASSchedule, angles: list[np.ndarray],
                  rng_seed) -> ReaderLog:
     """Reader log of one recording; ``angles[i]`` is tag i's LoS angle per window.
 
-    Window t uses child seed ``[*rng_seed, t]``, so logs are reproducible
-    window by window.  Every window gets one row per tag and antenna,
-    undetected where the read was lost, stamped with the row's first sample
-    slot; rows come in time order.  A row's RSS and phase are those of its
-    mean IQ sample.  The log's IQ buffer is the stack of detected window
-    matrices.  The angles become the truth sidecar.
+    Window t draws from the generator ``np.random.default_rng([*rng_seed,
+    t])`` (see ``simulate_window``), so logs are reproducible window by
+    window.  Every window gets one row per tag and antenna, undetected where
+    the read was lost, stamped with the row's first sample slot; rows come
+    in time order.  A row's RSS and phase are those of its mean IQ sample.
+    The log's IQ buffer is the stack of detected window matrices in (window,
+    tag) order; a tag lost on one antenna keeps that row NaN-filled there.
+    The angles become the truth sidecar.
     """
     tag_ids = scene.tag_ids()
     n_tags = len(tag_ids)
+    if not n_tags:
+        raise ValueError("scene has no tags")
+    if n_tags > 2:
+        raise ValueError("the 4-slot switching cycle serves at most two tags")
     base = list(rng_seed) if isinstance(rng_seed, (list, tuple)) else [rng_seed]
     cols, period = schedule.cols, schedule.sample_period_s
     steering = tag_steering(scene, angles)
     T = len(steering)
-    # every detected window's matrix, stacked; found[t, i] is tag i's index, -1 for none
-    iq = np.empty((T * n_tags, 2, cols), dtype=complex)
-    found = np.full((T, n_tags), -1)
-    n = 0
-    for t, seed in enumerate(_window_seeds(base, T)):
-        for i, matrix in simulate_window(scene, schedule, steering[t], seed, window_idx=t):
-            iq[n] = matrix
-            found[t, i] = n
-            n += 1
+    sigma = math.sqrt(scene.noise_var / 2.0)
+    u = np.empty((T, n_tags, 2))
+    z = np.empty((T, n_tags, 2, 2, cols)) if sigma > 0 else None
+    for t, rng in enumerate(_window_generators(base, T)):
+        simulate_window(rng, u[t], None if z is None else z[t])
+    missing = u < scene.misdetect_prob   # antenna m's read lost where u[..., m] < p_m
+    keep = ~missing.all(axis=2)   # a tag lost on both antennas has no matrix
+    found = np.full((T, n_tags), -1)   # tag i's index into iq at window t, -1 for none
+    found[keep] = np.arange(int(keep.sum()))
+    signal = steering[keep][..., None]
+    if schedule.residual_phase:
+        f = scene.geometry.carrier_freq_hz
+        signal = signal * np.array([[schedule.tx_sequence(t, m, i + 1, f) for m in (1, 2)]
+                                    for t, i in zip(*np.nonzero(keep))]).reshape(-1, 2, cols)
+    if z is None:
+        iq = np.broadcast_to(signal, (len(signal), 2, cols)) + 0.0  # noise-free, a new array
+    else:
+        # the kept matrices take the memory of the draws, a chunk of (t, i) blocks at a
+        # time, each chunk's draws copied out before the matrices written back overtake
+        # them; numpy's normal(scale=sigma) is 0.0 + sigma * x, never -0.0, so row m is
+        # exactly the complex number with parts z[m, 0] and z[m, 1]
+        blocks, kept = z.reshape(-1, 2, 2, cols), keep.reshape(-1)
+        iq = z.reshape(-1).view(complex).reshape(-1, 2, cols)
+        n = 0
+        for a in range(0, len(blocks), _ASSEMBLY_CHUNK):
+            noise = blocks[a:a + _ASSEMBLY_CHUNK][kept[a:a + _ASSEMBLY_CHUNK]]
+            noise *= sigma
+            noise += 0.0
+            iq[n:n + len(noise)].real = noise[:, :, 0]
+            iq[n:n + len(noise)].imag = noise[:, :, 1]
+            n += len(noise)
+        iq = iq[:n]
+        iq += signal
+    iq[missing[keep]] = np.nan
     # rows in time order: per window, antenna 1 then 2, each over the tags; a row's
     # first snapshot is global slot 4k + 2(m-1) + (i-1) with k = t * cols
-    antenna = np.tile(np.repeat([1, 2], n_tags), T)
-    tag = np.tile(np.arange(n_tags), 2 * T)
-    window_idx = np.repeat(np.arange(T), 2 * n_tags)
-    offset = 2 * (antenna - 1) + np.minimum(tag + 1, 2) - 1
+    window_idx, antenna, tag = np.indices((T, 2, n_tags)).reshape(3, -1)
+    antenna += 1
     j = found[window_idx, tag]
     mean_iq = np.full(len(j), np.nan, dtype=complex)
-    mean_iq[j >= 0] = (iq[:n].sum(axis=2) / cols)[j[j >= 0], antenna[j >= 0] - 1]
-    detected = ~np.isnan(mean_iq)   # a lost read: no window, or a NaN-filled row
-    levels = [(20.0 * math.log10(abs(z)), math.atan2(z.imag, z.real))
-              for z in mean_iq[detected].tolist()]
+    mean_iq[j >= 0] = (iq.sum(axis=2) / cols)[j[j >= 0], antenna[j >= 0] - 1]
+    detected = ~np.isnan(mean_iq)   # a lost read: no matrix, or a NaN-filled row
+    mean_iq = mean_iq[detected]
     rss, phase = np.full(len(j), np.nan), np.full(len(j), np.nan)
-    if levels:
-        rss[detected], phase[detected] = np.array(levels).T
+    # np.hypot is the C hypot that Python's complex abs takes
+    rss[detected] = [20.0 * math.log10(a) for a in np.hypot(mean_iq.real, mean_iq.imag).tolist()]
+    phase[detected] = list(map(math.atan2, mean_iq.imag.tolist(), mean_iq.real.tolist()))
     return ReaderLog(
-        window_idx=window_idx, timestamp_s=(4 * cols * window_idx + offset) * period,
+        window_idx=window_idx, timestamp_s=(4 * cols * window_idx + 2 * antenna - 2 + tag) * period,
         tag=tag, antenna=antenna, rss_dbm=rss, phase_rad=phase, detected=detected,
         start=np.where(detected, (2 * j + antenna - 1) * 2 * cols, 0),
-        count=np.where(detected, 2 * cols, 0), iq=iq[:n].view(float).reshape(-1),
+        count=np.where(detected, 2 * cols, 0), iq=iq.view(float).reshape(-1),
         tag_ids=tag_ids, truth={tag: np.array(a, dtype=float) for tag, a in zip(tag_ids, angles)})
 
 

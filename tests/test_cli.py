@@ -589,7 +589,6 @@ class TestImportedLogs:
         assert "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.xfail(strict=True, reason="music_spectrum's peak is NaN for IQ near 2**-300")
     def test_tiny_finite_iq_estimates(self, tmp_path):
         "Finite IQ near 2**-300 gives an angle and a pseudospectrum peak, without a warning."
         log = tmp_path / "log"

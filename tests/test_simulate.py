@@ -1,6 +1,8 @@
 import math
+import re
 import struct
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,12 +12,13 @@ from logfiles import ReadRecord, from_records, records
 from scenes import anechoic_scene
 from test_geometry import paper_geometry, steering_vector
 
+from tagtrack import simulate
 from tagtrack.geometry import steering_phase, unambiguous_fov
 from tagtrack.preprocess import IQWindow, _snapshot_covariance
 from tagtrack.readerlog import read_reader_log, write_reader_log
 from tagtrack.simulate import (GESTURE_CLASSES, OutOfFovError, PathSpec, SASSchedule, SimScene,
-                               gesture_angles, gesture_sample, lab_scene, simulate_log,
-                               simulate_window, tag_steering)
+                               _window_generators, _window_states, gesture_angles, gesture_sample,
+                               lab_scene, simulate_log, simulate_window, tag_steering)
 
 GEO = paper_geometry()
 
@@ -119,25 +122,46 @@ def iq_window(matrix, window_idx=0, tag_id="t"):
     return IQWindow(tag_id, window_idx, y, 0.0, _snapshot_covariance(y))
 
 
-def simulate_at(scene, schedule, true_aoa_per_tag, rng_seed, window_idx=0):
-    """simulate_window with its tags' LoS angles in place of their steering rows.
+def ref_window_draws(rng_seed, n_tags, cols, noise):
+    """One window's draws in ref_simulate_window's order, as simulate_window's (u, z) blocks.
 
-    Each detected tag's matrix comes back as an ``iq_window``.
+    Per tag: the two antennas' uniforms, then with noise on antenna 1's real
+    and imaginary normals and antenna 2's.
     """
-    steering = tag_steering(scene, [[theta] for theta in true_aoa_per_tag])[0]
-    return [iq_window(matrix, window_idx, scene.tags[i][0])
-            for i, matrix in simulate_window(scene, schedule, steering, rng_seed, window_idx)]
+    rng = np.random.default_rng(rng_seed)
+    u, z = [], []
+    for _ in range(n_tags):
+        u.append([rng.random(), rng.random()])
+        if noise:
+            z.append([[rng.standard_normal(cols), rng.standard_normal(cols)] for _ in (1, 2)])
+    return np.array(u), np.array(z) if noise else None
+
+
+def simulate_at(scene, schedule, true_aoa_per_tag, rng_seed):
+    """The window that draws from ``default_rng(rng_seed)``, its tags at these LoS angles.
+
+    ``rng_seed`` is a list ``[*base, t]`` or an int t (base ``[]``): the
+    window is window t of ``simulate_log`` on seed ``base``.  Each tag
+    detected on either antenna comes back as an ``iq_window`` whose
+    undetected row, if any, is NaN.
+    """
+    *base, t = rng_seed if isinstance(rng_seed, list) else [rng_seed]
+    log = simulate_log(scene, schedule, [np.full(t + 1, theta) for theta in true_aoa_per_tag],
+                       base)
+    out = []
+    for i, (tag_id, _) in enumerate(scene.tags):
+        rows = np.flatnonzero((log.window_idx == t) & (log.tag == i) & log.detected).tolist()
+        matrix = np.full((2, schedule.cols), np.nan, dtype=complex)
+        for k in rows:
+            span = log.iq[log.start[k]:log.start[k] + log.count[k]]
+            matrix[log.antenna[k] - 1] = span.view(complex)
+        if rows:
+            out.append(iq_window(matrix, t, tag_id))
+    return out
 
 
 def bits(x: float) -> bytes:
     return struct.pack("<d", x)
-
-
-def assert_same_windows(got, want):
-    "Two lists of (tag index, matrix) pairs, the matrices bit for bit."
-    assert [i for i, _ in got] == [i for i, _ in want]
-    for (_, a), (_, b) in zip(got, want):
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def assert_same_logs(got, want):
@@ -184,23 +208,55 @@ def sim_cases(draw):
     windows = draw(st.integers(1, 40))
     angles = [np.array(draw(st.lists(ANGLE, min_size=windows, max_size=windows)))
               for _ in tags]
-    # seeds of 2**32 and above are more than one SeedSequence word
+    # seeds of 2**32 and above are more than one SeedSequence word; with 4 or more words
+    # before the window's, as gesture logs' [seed, c, i, 1], the window's word is mixed in
+    # after the pool
     seed = draw(st.lists(st.integers(0, 2 ** 32 - 1) | st.integers(2 ** 32, 2 ** 70),
-                         min_size=1, max_size=3))
+                         min_size=1, max_size=5))
     return scene, schedule, angles, seed
 
 
 @settings(max_examples=150, deadline=None)
-@given(case=sim_cases())
-def test_simulation_matches_reference_bitwise(case):
+@given(case=sim_cases(), chunk=st.integers(1, 7) | st.just(simulate._ASSEMBLY_CHUNK))
+def test_simulation_matches_reference_bitwise(case, chunk):
+    "Logs and each window's draws are the references', whatever the chunks of the assembly."
     scene, schedule, angles, seed = case
-    assert_same_logs(simulate_log(scene, schedule, angles, seed),
-                     ref_simulate_log(scene, schedule, angles, seed))
-    steering = tag_steering(scene, angles)
-    for t in range(len(angles[0])):
-        assert_same_windows(simulate_window(scene, schedule, steering[t], [*seed, t], t),
-                            ref_simulate_window(scene, schedule, [a[t] for a in angles],
-                                                [*seed, t], window_idx=t))
+    with mock.patch.object(simulate, "_ASSEMBLY_CHUNK", chunk):
+        got = simulate_log(scene, schedule, angles, seed)
+    assert_same_logs(got, ref_simulate_log(scene, schedule, angles, seed))
+    n_tags, cols, noise = len(scene.tags), schedule.cols, scene.noise_var / 2.0 > 0.0
+    u, z = np.empty((n_tags, 2)), np.empty((n_tags, 2, 2, cols))
+    for t, rng in enumerate(_window_generators(seed, len(angles[0]))):
+        simulate_window(rng, u, z if noise else None)
+        want_u, want_z = ref_window_draws([*seed, t], n_tags, cols, noise)
+        assert u.tobytes() == want_u.tobytes()
+        assert not noise or z.tobytes() == want_z.tobytes()
+
+
+WORD = st.sampled_from([0, 2 ** 32 - 1]) | st.integers(0, 2 ** 32 - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(base=st.lists(WORD | st.integers(2 ** 32, 2 ** 130), max_size=7),
+       windows=st.integers(1, 4))
+def test_window_states_match_pcg64(base, windows):
+    """Each window's derived state is numpy's PCG64 seeded with the row [*base, t].
+
+    Rows are 1-8 ints; one of 2**32 or more is several words.  A numpy whose
+    seeding differs fails here.
+    """
+    for t, (state, inc) in enumerate(_window_states(base, windows)):
+        want = np.random.PCG64([*base, t]).state["state"]
+        assert (state, inc) == (want["state"], want["inc"])
+
+
+@pytest.mark.parametrize("seed", [[3, -1], -2, [1.5], 2.0])
+def test_bad_seed_raises_as_numpy_does(seed):
+    "A negative or non-integer seed raises what default_rng raises on the window's seed row."
+    with pytest.raises((TypeError, ValueError)) as want:
+        np.random.default_rng([*(seed if isinstance(seed, list) else [seed]), 0])
+    with pytest.raises(want.type, match=re.escape(str(want.value))):
+        simulate_log(los_scene(), SASSchedule(), [np.zeros(2)], seed)
 
 
 @settings(max_examples=150, deadline=None)
@@ -285,8 +341,14 @@ class TestSimulateWindow:
     def test_empty_tag_list_rejected(self):
         scene = los_scene()
         scene.tags = []
-        with pytest.raises(ValueError):
-            simulate_window(scene, SASSchedule(), np.empty((0, 2), dtype=complex), rng_seed=0)
+        with pytest.raises(ValueError, match="scene has no tags"):
+            simulate_log(scene, SASSchedule(), [], 0)
+
+    def test_three_tags_rejected(self):
+        scene = los_scene()
+        scene.tags = scene.tags * 3
+        with pytest.raises(ValueError, match="serves at most two tags"):
+            simulate_log(scene, SASSchedule(), [np.zeros(2)] * 3, 0)
 
     def test_deterministic_for_seed(self):
         scene = los_scene(noise_var=0.1, misdetect_prob=0.2)

@@ -399,8 +399,7 @@ class TestTrackAoA:
             scene = lab_scene(GEO, 20.0, rng)
             records = []
             for t in range(30):
-                w = simulate_at(scene, sched, [math.radians(15.0)], [42, seed, t],
-                                window_idx=t)[0]
+                w = simulate_at(scene, sched, [math.radians(15.0)], [42, seed, t])[0]
                 for m in (1, 2):
                     t_row = float(sched.global_slots(t, m, 1)[0]) * sched.sample_period_s
                     records.append(ReadRecord(t, t_row, "tag1", m, w.matrix[m - 1],
